@@ -77,7 +77,7 @@ func TestCoalescingFewerPassesBitIdentical(t *testing.T) {
 			sawBatched++
 		}
 		// Bit-identity against serial execution of the same request.
-		want := direct1D(t, n, toComplex64(inputs[r.idx]), fft.Forward)
+		want := direct1D(t, n, toComplex[complex64](nil, inputs[r.idx]), fft.Forward)
 		got := r.out.Data
 		for i, w := range want {
 			reBits := math.Float32bits(float32(got[2*i]))

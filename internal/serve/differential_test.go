@@ -100,8 +100,8 @@ func TestServerMatchesDirectTransformBitwise(t *testing.T) {
 			t.Fatalf("%s: status %d (%+v)", name, resp.StatusCode, eb)
 		}
 		if q.Dtype == "complex64" {
-			want := directRef(t, q, toComplex64(q.Data))
-			got := toComplex64(out.Data)
+			want := directRef(t, q, toComplex[complex64](nil, q.Data))
+			got := toComplex[complex64](nil, out.Data)
 			for i := range want {
 				if math.Float32bits(real(got[i])) != math.Float32bits(real(want[i])) ||
 					math.Float32bits(imag(got[i])) != math.Float32bits(imag(want[i])) {
@@ -109,8 +109,8 @@ func TestServerMatchesDirectTransformBitwise(t *testing.T) {
 				}
 			}
 		} else {
-			want := directRef(t, q, toComplex128(q.Data))
-			got := toComplex128(out.Data)
+			want := directRef(t, q, toComplex[complex128](nil, q.Data))
+			got := toComplex[complex128](nil, out.Data)
 			for i := range want {
 				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
 					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {

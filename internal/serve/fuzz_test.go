@@ -51,6 +51,28 @@ func malformedCorpus() map[string]string {
 		"null_dims":         `{"dims":null,"dtype":"complex64","dir":"forward","data":[1,2]}`,
 		"null_data":         `{"dims":[2],"dtype":"complex64","dir":"forward","data":null}`,
 		"nested_bomb":       strings.Repeat(`{"dims":`, 64) + strings.Repeat(`}`, 64),
+		// encoding/json reads null as 0 (or keeps what a repeated key
+		// stored before), lets a repeated key win, merging repeated
+		// objects field by field, and folds key case, Unicode included
+		// (ſ folds to s): it accepts all of these but null_in_dims.
+		"null_in_data":          `{"dims":[2],"dtype":"complex64","dir":"forward","data":[1,null,3,4]}`,
+		"null_in_dims":          `{"dims":[null],"dtype":"complex64","dir":"forward","data":[1,0]}`,
+		"null_over_dims":        `{"dims":[2],"dtype":"complex64","dir":"forward","data":[1,0,0,0],"dims":[null]}`,
+		"duplicate_data":        `{"dims":[2],"dtype":"complex64","dir":"forward","data":[1,2,3,4],"data":[1,2,3,4]}`,
+		"dtype_after_data":      `{"dims":[2],"dtype":"complex64","dir":"forward","data":[1,0,0,0],"dtype":"complex128"}`,
+		"merged_batch":          `{"dims":[2],"dtype":"complex64","dir":"forward","batch":{"how_many":2,"stride":1},"batch":{"dist":2},"data":[1,0,0,0,0,0,1,0]}`,
+		"duplicate_batch_key":   `{"dims":[2],"dtype":"complex64","dir":"forward","batch":{"how_many":2,"stride":1,"dist":2,"dist":2},"data":[1,0,0,0,0,0,1,0]}`,
+		"case_folded_key":       `{"DIMS":[2],"dtype":"complex64","dir":"forward","data":[1,0,0,0]}`,
+		"unicode_folded_key":    `{"dimſ":[2],"dtype":"complex64","dir":"forward","data":[1,0,0,0]}`,
+		"case_folded_batch_key": `{"dims":[2],"dtype":"complex64","dir":"forward","batch":{"HOW_MANY":2,"stride":1,"dist":2},"data":[1,0,0,0,0,0,1,0]}`,
+		// Number and string grammar the decoder checks itself.
+		"leading_zero":     `{"dims":[2],"dtype":"complex64","dir":"forward","data":[01,0,0,0]}`,
+		"bare_point":       `{"dims":[2],"dtype":"complex64","dir":"forward","data":[1.,0,0,0]}`,
+		"plus_sign":        `{"dims":[2],"dtype":"complex64","dir":"forward","data":[+1,0,0,0]}`,
+		"control_in_enum":  "{\"dims\":[2],\"dtype\":\"complex64\t\",\"dir\":\"forward\",\"data\":[1,0,0,0]}",
+		"bad_escape":       `{"dims":[2],"dtype":"complex\x64","dir":"forward","data":[1,0,0,0]}`,
+		"trailing_comma":   `{"dims":[2],"dtype":"complex64","dir":"forward","data":[1,0,0,0,]}`,
+		"unterminated_key": `{"dims`,
 	}
 }
 
@@ -62,6 +84,7 @@ func validSeeds() []string {
 		`{"dims":[2],"dtype":"complex128","dir":"inverse","norm":"unitary","data":[1,0,0,0]}`,
 		`{"dims":[2,2],"dtype":"complex128","dir":"forward","data":[1,0,0,0,0,0,0,0]}`,
 		`{"dims":[2],"dtype":"complex64","dir":"forward","batch":{"how_many":2,"stride":1,"dist":2},"data":[1,0,0,0,0,0,1,0]}`,
+		" {\"\\u0064ims\" : [ 2 ] ,\"dtype\":\"\\u0063omplex64\",\"dir\":\"forward\",\"norm\":null,\"batch\":null,\"data\":[-0,1e-7,2.5E+1,-3]}\n",
 	}
 }
 

@@ -8,17 +8,16 @@ package serve
 // back). 1D requests may add a batch layout in the FFTW advanced-
 // interface sense (howMany/stride/dist over one flat buffer).
 //
-// The decoder is strict: unknown fields, malformed geometry, overflowing
-// or non-finite payloads and wrong element counts are all client errors
-// (*RequestError → HTTP 400), never panics — locked in by the fuzz test.
+// The decoder (codec.go) is strict: unknown, repeated or case-folded
+// keys, null samples or dims, malformed geometry, overflowing or
+// non-finite payloads and wrong element counts are all client errors
+// (*RequestError → HTTP 400), never panics — locked in by the fuzz tests.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
+	"slices"
 
 	"xmtfft/internal/fft"
 )
@@ -52,7 +51,8 @@ type BatchSpec struct {
 // Response mirrors the request geometry and carries the transformed
 // samples. Batched reports how many requests the server executed in the
 // same coalesced plan pass (1 = ran alone); clients use it to observe
-// coalescing without scraping metrics.
+// coalescing without scraping metrics. The server writes this shape
+// without building one (appendResponse); clients decode into it.
 type Response struct {
 	Dims    []int     `json:"dims"`
 	Dtype   string    `json:"dtype"`
@@ -76,28 +76,20 @@ func badRequest(format string, args ...any) *RequestError {
 	return &RequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// DecodeRequest reads one strict JSON request: unknown fields rejected,
-// exactly one JSON value, geometry and payload validated. All failures
-// are *RequestError.
+// DecodeRequest reads one strict JSON request: the same decoder the
+// server runs, with unknown or repeated keys, trailing data, and
+// geometry or payload errors rejected. All failures are *RequestError.
 func DecodeRequest(r io.Reader) (*Request, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var q Request
-	if err := dec.Decode(&q); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return nil, badRequest("request body exceeds %d bytes", maxErr.Limit)
-		}
-		return nil, badRequest("malformed request: %v", err)
-	}
-	// A second value after the document is a framing error.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, badRequest("trailing data after request document")
-	}
-	if err := q.validate(); err != nil {
+	c := getCodec(-1)
+	defer c.release()
+	q, err := c.decode(r)
+	if err != nil {
 		return nil, err
 	}
-	return &q, nil
+	// The codec's slices go back to the pool: hand out copies.
+	out := *q
+	out.Dims, out.Data = slices.Clone(q.Dims), slices.Clone(q.Data)
+	return &out, nil
 }
 
 // validate checks geometry and payload against the limits.
@@ -200,45 +192,4 @@ func (q *Request) normalization() (fft.Normalization, error) {
 		return fft.NormUnitary, nil
 	}
 	return 0, badRequest("norm %q is not \"byn\", \"none\" or \"unitary\"", q.Norm)
-}
-
-// toComplex64 converts interleaved floats to complex64 (validated
-// in-range, so the narrowing is exact for float32-representable inputs).
-func toComplex64(data []float64) []complex64 {
-	out := make([]complex64, len(data)/2)
-	for i := range out {
-		out[i] = complex(float32(data[2*i]), float32(data[2*i+1]))
-	}
-	return out
-}
-
-// toComplex128 converts interleaved floats to complex128.
-func toComplex128(data []float64) []complex128 {
-	out := make([]complex128, len(data)/2)
-	for i := range out {
-		out[i] = complex(data[2*i], data[2*i+1])
-	}
-	return out
-}
-
-// fromComplex64 flattens complex64 back to interleaved floats; the
-// float32→float64 widening is exact, so the wire round-trip is
-// bit-identical.
-func fromComplex64(x []complex64) []float64 {
-	out := make([]float64, 2*len(x))
-	for i, v := range x {
-		out[2*i] = float64(real(v))
-		out[2*i+1] = float64(imag(v))
-	}
-	return out
-}
-
-// fromComplex128 flattens complex128 back to interleaved floats.
-func fromComplex128(x []complex128) []float64 {
-	out := make([]float64, 2*len(x))
-	for i, v := range x {
-		out[2*i] = float64(real(v))
-		out[2*i+1] = float64(imag(v))
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -354,4 +355,84 @@ func direct1D[C fft.Complex](t *testing.T, n int, data []C, dir fft.Direction) [
 		t.Fatalf("direct transform: %v", err)
 	}
 	return out
+}
+
+// TestBodySizeLimit pins MaxBodyBytes at its edge, with and without a
+// Content-Length: a valid body of exactly the limit is served, one byte
+// more is a 400 that says the body exceeds the limit.
+func TestBodySizeLimit(t *testing.T) {
+	doc, err := json.Marshal(&Request{Dims: []int{8}, Dtype: "complex64", Dir: "forward", Data: impulse(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trailing whitespace is legal, so padding keeps the body valid.
+	atLimit := append(doc, bytes.Repeat([]byte{' '}, 100)...)
+	srv := New(Config{MaxBodyBytes: int64(len(atLimit))})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer shutdownServer(t, srv)
+
+	post := func(body []byte, chunked bool) (int, string) {
+		var r io.Reader = bytes.NewReader(body)
+		if chunked {
+			r = io.MultiReader(r) // hides the length: no Content-Length
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/transform", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb errorBody
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+				t.Fatalf("status %d without a JSON error body: %v", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, eb.Error
+	}
+	for _, chunked := range []bool{false, true} {
+		if code, msg := post(atLimit, chunked); code != http.StatusOK {
+			t.Fatalf("chunked=%v: body of exactly MaxBodyBytes got %d (%s), want 200", chunked, code, msg)
+		}
+		code, msg := post(append(atLimit, ' '), chunked)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "exceeds") {
+			t.Fatalf("chunked=%v: body one byte over MaxBodyBytes got %d %q, want 400 saying it exceeds the limit", chunked, code, msg)
+		}
+	}
+}
+
+// TestOverflowingOutputGets400 covers inputs that validate admits but
+// whose transform overflows the element type: the response would hold
+// ±Inf, which JSON cannot carry, so the request is a 400 with an error
+// body — counted as such — not a 200 with an empty body.
+func TestOverflowingOutputGets400(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer shutdownServer(t, srv)
+
+	for route, body := range map[string]string{
+		"1d": `{"dims":[2],"dtype":"complex64","dir":"forward","data":[3e38,0,3e38,0]}`,
+		"2d": `{"dims":[2,2],"dtype":"complex64","dir":"forward","data":[3e38,0,3e38,0,3e38,0,3e38,0]}`,
+		"1d_batch": `{"dims":[2],"dtype":"complex128","dir":"forward","batch":{"how_many":1,"stride":1,"dist":2},` +
+			`"data":[1.7976931348623157e308,0,1.7976931348623157e308,0]}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/transform", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(eb.Error, "not finite") {
+			t.Errorf("%s: status %d, error body %+v (decode err %v); want 400 naming the non-finite output", route, resp.StatusCode, eb, err)
+		}
+		exp := scrape(t, srv)
+		if v, _ := exp.Value("xmtserve_requests_total", map[string]string{"route": route, "code": "400"}); v != 1 {
+			t.Errorf("%s: xmtserve_requests_total{code=\"400\"} = %g, want 1", route, v)
+		}
+		if v, ok := exp.Value("xmtserve_requests_total", map[string]string{"route": route, "code": "200"}); ok {
+			t.Errorf("%s: overflowing request counted as a 200 (%g)", route, v)
+		}
+	}
 }

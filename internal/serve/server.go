@@ -262,7 +262,9 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	defer s.wg.Done()
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	q, err := DecodeRequest(r.Body)
+	c := getCodec(r.ContentLength)
+	defer c.release()
+	q, err := c.decode(r.Body)
 	if err != nil {
 		code = http.StatusBadRequest
 		writeError(w, code, err.Error())
@@ -270,8 +272,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	}
 	route = routeOf(q)
 
-	resp, err := s.execute(q)
-	if err != nil {
+	if err := s.execute(c); err != nil {
 		var reqErr *RequestError
 		if errors.As(err, &reqErr) {
 			code = http.StatusBadRequest
@@ -282,10 +283,10 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// Too late for a status change; the client sees the truncation.
-		return
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(c.buf)))
+	// A write error comes too late for a status change; the client sees
+	// the truncation.
+	_, _ = w.Write(c.buf)
 }
 
 // routeOf labels a validated request for metrics.
@@ -302,61 +303,55 @@ func routeOf(q *Request) string {
 	}
 }
 
-// execute dispatches a validated request to the right execution path.
-func (s *Server) execute(q *Request) (*Response, error) {
+// execute runs c's validated request on c's buffers and leaves the
+// encoded response in c.buf.
+func (s *Server) execute(c *codec) error {
+	q := &c.q
 	dir, _ := q.direction()
 	norm, _ := q.normalization()
-	resp := &Response{Dims: q.Dims, Dtype: q.Dtype, Dir: q.Dir}
 
 	run := func(exec64 func([]complex64) (int, error), exec128 func([]complex128) (int, error)) error {
+		var batched int
+		var err error
 		if q.Dtype == dtypeC64 {
-			x := toComplex64(q.Data)
-			batched, err := exec64(x)
-			if err != nil {
-				return err
+			c.c64 = toComplex(c.c64, q.Data)
+			if batched, err = exec64(c.c64); err == nil {
+				c.buf, err = appendResponse(c.buf[:0], q, batched, c.c64)
 			}
-			resp.Batched, resp.Data = batched, fromComplex64(x)
-			return nil
-		}
-		x := toComplex128(q.Data)
-		batched, err := exec128(x)
-		if err != nil {
 			return err
 		}
-		resp.Batched, resp.Data = batched, fromComplex128(x)
-		return nil
+		c.c128 = toComplex(c.c128, q.Data)
+		if batched, err = exec128(c.c128); err == nil {
+			c.buf, err = appendResponse(c.buf[:0], q, batched, c.c128)
+		}
+		return err
 	}
 
-	var err error
 	switch {
 	case q.Batch != nil:
 		// Explicit batch layout: one request, one pass, no coalescing.
 		b := q.Batch
-		err = run(
+		return run(
 			func(x []complex64) (int, error) { return 1, batchTransform(x, q.Dims[0], b, dir, norm) },
 			func(x []complex128) (int, error) { return 1, batchTransform(x, q.Dims[0], b, dir, norm) },
 		)
 	case len(q.Dims) == 1:
 		key := poolKey{n: q.Dims[0], dir: dir, norm: norm}
-		err = run(
+		return run(
 			func(x []complex64) (int, error) { return s.p64.submit(key, x) },
 			func(x []complex128) (int, error) { return s.p128.submit(key, x) },
 		)
 	case len(q.Dims) == 2:
-		err = run(
+		return run(
 			func(x []complex64) (int, error) { return 1, plan2DTransform(x, q.Dims, dir, norm) },
 			func(x []complex128) (int, error) { return 1, plan2DTransform(x, q.Dims, dir, norm) },
 		)
 	default:
-		err = run(
+		return run(
 			func(x []complex64) (int, error) { return 1, plan3DTransform(x, q.Dims, dir, norm) },
 			func(x []complex128) (int, error) { return 1, plan3DTransform(x, q.Dims, dir, norm) },
 		)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // batchTransform runs an explicit advanced-layout request through a
