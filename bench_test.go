@@ -1,8 +1,9 @@
 // Benchmark suite: one benchmark per table and figure of the paper's
 // evaluation (regenerating the artifact), the detailed-simulation
 // measurement behind the cross-validation, and micro-benchmarks of the
-// FFT library including the paper's design-choice ablations (radix,
-// breadth-first vs depth-first, fused vs unfused rotation).
+// FFT library. The host FFT's design-choice ablations (radix,
+// breadth-first vs depth-first, blocked vs naive fused rotation) live
+// with the code they compare, in internal/fft.
 //
 // Run with: go test -bench=. -benchmem
 package xmtfft_test
@@ -180,212 +181,6 @@ func BenchmarkFFT1D_64(b *testing.B)     { benchFFT1D(b, 64) }
 func BenchmarkFFT1D_1024(b *testing.B)   { benchFFT1D(b, 1024) }
 func BenchmarkFFT1D_16384(b *testing.B)  { benchFFT1D(b, 16384) }
 func BenchmarkFFT1D_262144(b *testing.B) { benchFFT1D(b, 262144) }
-
-// Radix ablation (§IV-A "Choice of Radix"): same transform size,
-// radix-2 vs radix-4 vs radix-8 pass decompositions.
-func benchFFTRadix(b *testing.B, radix int) {
-	const n = 4096
-	rs, err := fft.RadicesFixed(n, radix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := fft.NewPlan[complex64](n, fft.WithRadices(rs))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]complex64, n)
-	for i := range x {
-		x[i] = complex(float32(i%13), float32(i%7))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.Transform(x, fft.Forward); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, n)
-}
-
-func BenchmarkFFT1DRadix2_4096(b *testing.B) { benchFFTRadix(b, 2) }
-func BenchmarkFFT1DRadix4_4096(b *testing.B) { benchFFTRadix(b, 4) }
-func BenchmarkFFT1DRadix8_4096(b *testing.B) { benchFFTRadix(b, 8) }
-
-// Organization ablation (§IV-A "Depth-first versus breadth-first").
-func BenchmarkFFT1DBreadthFirst_65536(b *testing.B) {
-	p, err := fft.NewPlan[complex128](65536, fft.WithNorm(fft.NormNone))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]complex128, 65536)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.Transform(x, fft.Forward); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, 65536)
-}
-
-func BenchmarkFFT1DDepthFirst_65536(b *testing.B) {
-	x := make([]complex128, 65536)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fft.RecursiveDIT(x, fft.Forward); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, 65536)
-}
-
-func BenchmarkFFT1DHybrid_65536(b *testing.B) {
-	x := make([]complex128, 65536)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fft.HybridDepthBreadth(x, fft.Forward, 4096); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, 65536)
-}
-
-func BenchmarkFFT1DClassicDIT2_65536(b *testing.B) {
-	x := make([]complex128, 65536)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fft.DIT2InPlace(x, fft.Forward); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, 65536)
-}
-
-// 3D host transforms: the FFTW-substitute baseline measurements.
-func benchFFT3D(b *testing.B, n, workers int) {
-	x := make([]complex64, n*n*n)
-	for i := range x {
-		x[i] = complex(float32(i%13), float32(i%7))
-	}
-	b.SetBytes(int64(len(x) * 8))
-	var transform func([]complex64) error
-	if workers <= 1 {
-		p, err := fft.NewPlan3D[complex64](n, n, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		transform = func(x []complex64) error { return p.Transform(x, fft.Forward) }
-	} else {
-		p, err := fft.NewParallelPlan3D[complex64](n, n, n, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		transform = func(x []complex64) error { return p.Transform(x, fft.Forward) }
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := transform(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, n*n*n)
-}
-
-func BenchmarkFFT3DSerial_64(b *testing.B)    { benchFFT3D(b, 64, 1) }
-func BenchmarkFFT3DParallel4_64(b *testing.B) { benchFFT3D(b, 64, 4) }
-
-// Blocked vs naive fused rounds: the cache-blocking ablation. The
-// blocked kernel tiles the fused row-FFT+rotation so writes land on
-// contiguous cache lines; WithBlockSize(1) is the naive one-scattered-
-// write-per-element round it replaced. CI runs this family once per
-// push (-bench=Blocked -benchtime=1x) so the pairs cannot bit-rot.
-func benchBlockedFused3D(b *testing.B, n, workers, block int) {
-	x := make([]complex64, n*n*n)
-	for i := range x {
-		x[i] = complex(float32(i%13), float32(i%7))
-	}
-	var transform func([]complex64) error
-	if workers <= 1 {
-		p, err := fft.NewPlan3D[complex64](n, n, n, fft.WithBlockSize(block))
-		if err != nil {
-			b.Fatal(err)
-		}
-		transform = func(x []complex64) error { return p.Transform(x, fft.Forward) }
-	} else {
-		p, err := fft.NewParallelPlan3D[complex64](n, n, n, workers, fft.WithBlockSize(block))
-		if err != nil {
-			b.Fatal(err)
-		}
-		transform = func(x []complex64) error { return p.Transform(x, fft.Forward) }
-	}
-	b.SetBytes(int64(len(x) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := transform(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, n*n*n)
-}
-
-func BenchmarkBlockedFused3D_128(b *testing.B)      { benchBlockedFused3D(b, 128, 1, 0) }
-func BenchmarkBlockedFused3DNaive_128(b *testing.B) { benchBlockedFused3D(b, 128, 1, 1) }
-func BenchmarkBlockedFused3D_256(b *testing.B)      { benchBlockedFused3D(b, 256, 1, 0) }
-func BenchmarkBlockedFused3DNaive_256(b *testing.B) { benchBlockedFused3D(b, 256, 1, 1) }
-
-func BenchmarkBlockedFused3DParallel4_128(b *testing.B) { benchBlockedFused3D(b, 128, 4, 0) }
-func BenchmarkBlockedFused3DParallel4Naive_128(b *testing.B) {
-	benchBlockedFused3D(b, 128, 4, 1)
-}
-
-func benchBlockedFused2D(b *testing.B, d, block int) {
-	p, err := fft.NewPlan2D[complex64](d, d, fft.WithBlockSize(block))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]complex64, d*d)
-	for i := range x {
-		x[i] = complex(float32(i%13), float32(i%7))
-	}
-	b.SetBytes(int64(len(x) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.Transform(x, fft.Forward); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, d*d)
-}
-
-func BenchmarkBlockedFused2D_1024(b *testing.B)      { benchBlockedFused2D(b, 1024, 0) }
-func BenchmarkBlockedFused2DNaive_1024(b *testing.B) { benchBlockedFused2D(b, 1024, 1) }
-
-// Plan-cache hit cost: repeated CachedPlan3D lookups of one shape (the
-// per-call work a caching service pays instead of twiddle derivation).
-func BenchmarkBlockedPlanCacheHit_64(b *testing.B) {
-	defer fft.ResetPlanCache()
-	if _, err := fft.CachedPlan3D[complex64](64, 64, 64); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fft.CachedPlan3D[complex64](64, 64, 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Rotation cost in isolation (the data-movement phase of Fig. 3).
-func BenchmarkRotate3D_64(b *testing.B) {
-	const n = 64
-	src := make([]complex64, n*n*n)
-	dst := make([]complex64, n*n*n)
-	b.SetBytes(int64(len(src) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fft.Rotate3D(dst, src, n, n, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // Host baseline measurement path used by cmd/tables -host.
 func BenchmarkHostBaseline3D_32(b *testing.B) {
@@ -630,17 +425,6 @@ func BenchmarkWelchPSD(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkFourStep_65536(b *testing.B) {
-	x := make([]complex128, 65536)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fft.FourStep(x, fft.Forward, 256); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFFTMetrics(b, 65536)
 }
 
 func BenchmarkBatchInterleaved(b *testing.B) {

@@ -8,10 +8,9 @@
 //
 // With -host-bench the simulator ablations are skipped and the host
 // FFT (the FFTW-substitute baseline) is measured instead: serial 1D
-// codelet-on/off pairs over the generated-kernel range, then the
-// cache-blocked fused transform rounds against the naive unblocked
-// rounds (plus a codelets-off run), serial and parallel, written as a
-// BENCH_fft.json perf record. -fft-gate turns the 1D codelet speedups
+// codelet-on/off pairs over the generated-kernel range, then n³ 3D
+// transforms with codelets on and off, serial and parallel, written as
+// a BENCH_fft.json perf record. -fft-gate turns the 1D codelet speedups
 // into a CI perf ratchet.
 //
 // With -sim-bench the simulator itself is measured: the same FFT
@@ -73,7 +72,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the baseline variant to this path")
 	traceEpoch := flag.Uint64("trace-epoch", 256, "utilization sampling interval in cycles for -trace / -util-svg")
 	utilSVG := flag.String("util-svg", "", "write an epoch-utilization heat-strip SVG of the baseline variant to this path")
-	hostBench := flag.String("host-bench", "", "measure the host FFT (blocked vs naive fused rounds) and write a BENCH_fft.json perf record to this path ('-' for stdout)")
+	hostBench := flag.String("host-bench", "", "measure the host FFT (1D and 3D, codelets on vs off) and write a BENCH_fft.json perf record to this path ('-' for stdout)")
 	hostSizes := flag.String("host-n", "128,256", "comma-separated per-dimension sizes for -host-bench")
 	hostWorkers := flag.Int("host-workers", 0, "parallel worker count for -host-bench (0 = GOMAXPROCS)")
 	hostReps := flag.Int("host-reps", 1, "repetitions per -host-bench point (best run kept)")
@@ -280,9 +279,6 @@ func runHostBench(path, sizeList string, workers, reps int, gate float64) error 
 		}
 	}
 	for _, n := range sizes {
-		if sp := rec.BlockedSpeedup(n, 1); sp > 0 {
-			fmt.Printf("%d^3 serial blocked/naive speedup: %.2fx\n", n, sp)
-		}
 		if sp := rec.CodeletSpeedup3D(n, 1); sp > 0 {
 			fmt.Printf("%d^3 serial codelet speedup: %.2fx\n", n, sp)
 		}

@@ -136,8 +136,8 @@ func validateFlags(f cliFlags) error {
 			return err
 		}
 		for _, n := range sizes {
-			if n < 2 {
-				return fmt.Errorf("-host-n entries must be >= 2, got %d", n)
+			if n < 2 || !fft.IsPowerOfTwo(n) {
+				return fmt.Errorf("-host-n entries must be powers of two >= 2, got %d", n)
 			}
 		}
 	}

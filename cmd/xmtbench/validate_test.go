@@ -36,6 +36,7 @@ func TestValidateFlags(t *testing.T) {
 		{"sim gate ok", func(f *cliFlags) { f.simBench = "-"; f.simGate = 1.5 }, ""},
 		{"bad host size entry", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "128,nope" }, "-host-n"},
 		{"tiny host size", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "1" }, ">= 2"},
+		{"host size not power of two", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "64,100" }, "powers of two"},
 		{"bad fault rate entry", func(f *cliFlags) { f.faultBench = "-"; f.faultRates = "0.1,high" }, "-fault-rates"},
 		{"fault rate above 1", func(f *cliFlags) { f.faultBench = "-"; f.faultRates = "2" }, "[0, 1]"},
 		{"fault bench ok", func(f *cliFlags) { f.faultBench = "BENCH_fault.json" }, ""},

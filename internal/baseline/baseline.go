@@ -141,7 +141,6 @@ type HostResult struct {
 	Dim      int           `json:"dim,omitempty"` // 1 or 3; 0 in legacy records means 3
 	N        int           `json:"n"`             // points per dimension
 	Workers  int           `json:"workers"`
-	Block    int           `json:"block"` // fused-round tile edge; 1 = naive unblocked (3D only)
 	Codelets bool          `json:"codelets"`
 	Elapsed  time.Duration `json:"elapsed_ns"`
 	GFLOPS   float64       `json:"gflops"` // 5·N·log2(N) convention
@@ -149,56 +148,33 @@ type HostResult struct {
 
 // MeasureHost3D times a single-precision n³ 3D FFT on the host with the
 // given worker count (1 = serial), repeated reps times, keeping the
-// best run (FFTW's own reporting convention). The cache-blocked fused
-// rounds are used at their default tile size.
-func MeasureHost3D(n, workers, reps int) (HostResult, error) {
-	return MeasureHost3DBlock(n, workers, reps, 0)
-}
-
-// MeasureHost3DBlock is MeasureHost3D with an explicit fused-round tile
-// edge (0 = default blocking, 1 = the naive unblocked round); the
-// blocked-vs-naive pair is the ablation BENCH_fft.json records. Plans
-// come from the shared fft plan cache, so repeated measurements of one
-// shape reuse the twiddle tables. Codelet leaves are on (the default).
-func MeasureHost3DBlock(n, workers, reps, block int) (HostResult, error) {
-	return MeasureHost3DCodelets(n, workers, reps, block, true)
-}
-
-// MeasureHost3DCodelets is MeasureHost3DBlock with an explicit codelet
-// toggle; the on/off pair is the codelet ablation BENCH_fft.json
-// records alongside blocked-vs-naive.
-func MeasureHost3DCodelets(n, workers, reps, block int, codelets bool) (HostResult, error) {
+// best run (FFTW's own reporting convention). opts are further plan
+// options, e.g. fft.WithCodelets(false) for the codelet ablation. The
+// plan is private to the measurement, so its array-sized scratch is
+// freed with it.
+func MeasureHost3D(n, workers, reps int, opts ...fft.PlanOption) (HostResult, error) {
 	total := n * n * n
 	data := make([]complex64, total)
 	for i := range data {
 		data[i] = complex(float32(i%17)-8, float32(i%11)-5)
 	}
-	effBlock := block
-	if effBlock == 0 {
-		effBlock = fft.DefaultBlockSize
+	p, err := fft.NewPlan3D[complex64](n, n, n, append(opts[:len(opts):len(opts)], fft.WithWorkers(workers))...)
+	if err != nil {
+		return HostResult{}, err
 	}
-	label := fmt.Sprintf("host go-fft %d^3 x%d workers B=%d", n, workers, effBlock)
-	if !codelets {
+	// The 3D plan runs its rows through 1D plans built with the same
+	// options, so a 1D plan of the row length shows whether codelet
+	// leaves run.
+	row, err := fft.NewPlan[complex64](n, opts...)
+	if err != nil {
+		return HostResult{}, err
+	}
+	label := fmt.Sprintf("host go-fft %d^3 x%d workers", n, workers)
+	if !row.UsesCodelets() {
 		label += " codelets=off"
 	}
-	res := HostResult{Label: label, Dim: 3, N: n, Workers: workers, Block: effBlock, Codelets: codelets}
-
-	opts := []fft.PlanOption{fft.WithBlockSize(block), fft.WithCodelets(codelets)}
-	var transform func([]complex64) error
-	if workers <= 1 {
-		p, err := fft.CachedPlan3D[complex64](n, n, n, opts...)
-		if err != nil {
-			return res, err
-		}
-		transform = func(x []complex64) error { return p.Transform(x, fft.Forward) }
-	} else {
-		p, err := fft.CachedParallelPlan3D[complex64](n, n, n, workers, opts...)
-		if err != nil {
-			return res, err
-		}
-		transform = func(x []complex64) error { return p.Transform(x, fft.Forward) }
-	}
-	return timeTransform(res, data, transform, reps, 1, total)
+	res := HostResult{Label: label, Dim: 3, N: n, Workers: workers, Codelets: row.UsesCodelets()}
+	return timeTransform(res, data, func(x []complex64) error { return p.Transform(x, fft.Forward) }, reps, 1, total)
 }
 
 // MeasureHost1D times single-precision serial n-point 1D transforms with

@@ -3,7 +3,10 @@ package baseline
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
+
+	"xmtfft/internal/fft"
 )
 
 func TestPublishedFFTWBaselinesConsistent(t *testing.T) {
@@ -87,13 +90,6 @@ func TestRunHostBenchRecord(t *testing.T) {
 	if rec.GOMAXPROCS <= 0 || rec.GOARCH == "" || rec.GoVersion == "" {
 		t.Fatalf("record missing machine context: %+v", rec)
 	}
-	// Blocked and naive at every measured (n, workers) point.
-	if sp := rec.BlockedSpeedup(8, 1); sp <= 0 {
-		t.Error("record lacks a serial blocked/naive pair at n=8")
-	}
-	if rec.BlockedSpeedup(99, 1) != 0 {
-		t.Error("speedup reported for an unmeasured size")
-	}
 	// Codelet-on/off pairs: 1D at every standard size, 3D at each n³.
 	for _, n := range HostBench1DSizes {
 		if sp := rec.CodeletSpeedup1D(n); sp <= 0 {
@@ -109,12 +105,6 @@ func TestRunHostBenchRecord(t *testing.T) {
 	for _, r := range rec.Results {
 		if r.Dim != 1 && r.Dim != 3 {
 			t.Errorf("missing dimensionality in %+v", r)
-		}
-		if r.Dim == 3 && r.Block < 1 {
-			t.Errorf("unexpected block edge in %+v", r)
-		}
-		if r.Dim == 1 && r.Block != 0 {
-			t.Errorf("1D row carries a block edge: %+v", r)
 		}
 		if r.Elapsed <= 0 || r.GFLOPS <= 0 {
 			t.Errorf("unmeasured result %+v", r)
@@ -134,33 +124,21 @@ func TestRunHostBenchRecord(t *testing.T) {
 	}
 }
 
-func TestMeasureHost3DBlockNaiveAgree(t *testing.T) {
-	// Blocked and naive fused rounds are the same transform; their
-	// measured GFLOPS must both be positive and the results identical
-	// in shape metadata.
-	blocked, err := MeasureHost3DBlock(16, 1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := MeasureHost3DBlock(16, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocked.Block == 1 || naive.Block != 1 {
-		t.Errorf("block metadata wrong: blocked=%+v naive=%+v", blocked, naive)
-	}
-	if blocked.GFLOPS <= 0 || naive.GFLOPS <= 0 {
-		t.Error("non-positive throughput")
-	}
-}
-
 func TestMeasureHost3D(t *testing.T) {
 	r, err := MeasureHost3D(16, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.GFLOPS <= 0 || r.Elapsed <= 0 || r.N != 16 || r.Workers != 1 {
+	if r.GFLOPS <= 0 || r.Elapsed <= 0 || r.N != 16 || r.Workers != 1 || !r.Codelets {
 		t.Fatalf("result = %+v", r)
+	}
+	// Options reach the plan: codelets off is measured and recorded.
+	off, err := MeasureHost3D(16, 2, 1, fft.WithCodelets(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Codelets || off.Workers != 2 || !strings.HasSuffix(off.Label, "codelets=off") {
+		t.Fatalf("codelets-off result = %+v", off)
 	}
 	// reps<1 clamps.
 	if _, err := MeasureHost3D(16, 2, 0); err != nil {

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+
+	"xmtfft/internal/fft"
 )
 
 // BenchRecord is the machine-readable perf record (BENCH_fft.json)
-// emitted by `xmtbench -host-bench`: blocked-vs-naive fused-round
-// measurements of the FFTW-substitute host FFT, with enough machine
-// context to compare records from the same host.
+// emitted by `xmtbench -host-bench`: codelet-on/off measurements of the
+// FFTW-substitute host FFT, with enough machine context to compare
+// records from the same host.
 type BenchRecord struct {
 	Name       string       `json:"name"`
 	GoVersion  string       `json:"go_version"`
@@ -24,18 +26,17 @@ type BenchRecord struct {
 // codelet-on/off pairs: the generated-kernel coverage range.
 var HostBench1DSizes = []int{64, 128, 256, 512, 1024}
 
-// RunHostBench measures the host FFT three ways: serial 1D transforms
+// RunHostBench measures the host FFT two ways: serial 1D transforms
 // with codelet leaves on and off over HostBench1DSizes, then at each n³
 // (serially and — when the machine has more than one worker available —
-// in parallel) the blocked (default tile) and naive (WithBlockSize(1))
-// fused rounds plus a codelets-off blocked run, keeping the best of
-// reps runs per point.
+// in parallel) with codelet leaves on and off, keeping the best of reps
+// runs per point.
 func RunHostBench(sizes []int, workers, reps int) (BenchRecord, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	rec := BenchRecord{
-		Name:       "host-fft codelet and blocking ablations",
+		Name:       "host-fft codelet ablation",
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -54,48 +55,18 @@ func RunHostBench(sizes []int, workers, reps int) (BenchRecord, error) {
 	if workers > 1 {
 		workerCounts = append(workerCounts, workers)
 	}
-	type cfg struct {
-		block    int
-		codelets bool
-	}
 	for _, n := range sizes {
 		for _, w := range workerCounts {
-			// Default blocking, then naive, then default with codelets off.
-			for _, c := range []cfg{{0, true}, {1, true}, {0, false}} {
-				r, err := MeasureHost3DCodelets(n, w, reps, c.block, c.codelets)
+			for _, codelets := range []bool{true, false} {
+				r, err := MeasureHost3D(n, w, reps, fft.WithCodelets(codelets))
 				if err != nil {
-					return rec, fmt.Errorf("baseline: %d^3 x%d B=%d codelets=%v: %w", n, w, c.block, c.codelets, err)
+					return rec, fmt.Errorf("baseline: %d^3 x%d codelets=%v: %w", n, w, codelets, err)
 				}
 				rec.Results = append(rec.Results, r)
 			}
 		}
 	}
 	return rec, nil
-}
-
-// BlockedSpeedup returns the blocked-over-naive elapsed-time ratio for
-// the given size and worker count, or 0 if the record lacks the pair.
-// Both sides are taken at the same codelet setting (codelets on when
-// the record has such rows; legacy records predate the field).
-func (r BenchRecord) BlockedSpeedup(n, workers int) float64 {
-	var blocked, naive *HostResult
-	for i := range r.Results {
-		h := &r.Results[i]
-		if h.N != n || h.Workers != workers || h.Dim == 1 {
-			continue
-		}
-		if h.Block == 1 {
-			if naive == nil || h.Codelets {
-				naive = h
-			}
-		} else if blocked == nil || h.Codelets {
-			blocked = h
-		}
-	}
-	if blocked == nil || naive == nil || blocked.Elapsed <= 0 || blocked.Codelets != naive.Codelets {
-		return 0
-	}
-	return float64(naive.Elapsed) / float64(blocked.Elapsed)
 }
 
 // CodeletSpeedup1D returns the codelets-off over codelets-on elapsed
@@ -107,11 +78,11 @@ func (r BenchRecord) CodeletSpeedup1D(n int) float64 {
 }
 
 // CodeletSpeedup3D returns the codelets-off over codelets-on elapsed
-// ratio at n³ with the given worker count (both sides at default
-// blocking), or 0 if the record lacks the pair.
+// ratio at n³ with the given worker count, or 0 if the record lacks the
+// pair.
 func (r BenchRecord) CodeletSpeedup3D(n, workers int) float64 {
 	return r.codeletSpeedup(func(h *HostResult) bool {
-		return h.Dim != 1 && h.N == n && h.Workers == workers && h.Block != 1
+		return h.Dim != 1 && h.N == n && h.Workers == workers
 	})
 }
 

@@ -1,7 +1,5 @@
 package fft
 
-import "fmt"
-
 // Cache-blocked fused transform rounds.
 //
 // Every round of the multi-dimensional transforms FFTs the rows of a
@@ -15,34 +13,11 @@ import "fmt"
 // out in B×B sub-tiles, so every write burst covers B contiguous
 // elements of dst and the strided reads stay inside the cached tile.
 
-// DefaultBlockSize is the tile edge B the multi-dimensional plans use
-// when WithBlockSize is absent or zero. 128 keeps the copy-out
-// sub-tile within L2 while making every write burst a kilobyte of
-// contiguous destination; measured on 128³/256³ it beats both the
-// naive round and smaller tiles (see bench_test.go BenchmarkBlocked*).
+// DefaultBlockSize is the tile edge B of the multi-dimensional plans'
+// fused rounds. 128 keeps the copy-out sub-tile within L2 while making
+// every write burst a kilobyte of contiguous destination (see
+// BenchmarkBlockedFused* in this package for the naive comparison).
 const DefaultBlockSize = 128
-
-// resolveBlock validates a WithBlockSize value and applies the default.
-func resolveBlock(b int) (int, error) {
-	switch {
-	case b < 0:
-		return 0, fmt.Errorf("fft: block size %d is negative", b)
-	case b == 0:
-		return DefaultBlockSize, nil
-	default:
-		return b, nil
-	}
-}
-
-// rowPlanOpts returns opts with the normalization forced to NormNone,
-// for the inner row plans of multi-dimensional transforms (the outer
-// plan applies its normalization once, over the whole array). Radix
-// and blocking options pass through unchanged.
-func rowPlanOpts(opts []PlanOption) []PlanOption {
-	ro := make([]PlanOption, 0, len(opts)+1)
-	ro = append(ro, opts...)
-	return append(ro, WithNorm(NormNone))
-}
 
 // blockedRowsTranspose FFTs rows lo..hi of src (a rows×n row-major
 // matrix) and writes each transformed row r into column r of dst (an

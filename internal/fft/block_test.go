@@ -1,35 +1,54 @@
 package fft
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
+// requireIdentical fails unless got and want agree bit for bit.
+func requireIdentical[T Complex](t *testing.T, label string, got, want []T) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: element %d is %v, naive oracle %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// checkBlockedRound runs the rows×n round blocked at each edge in
+// blocks and naively, in both directions, requiring identical output.
+func checkBlockedRound(t *testing.T, rng *rand.Rand, rows, n int, blocks []int) {
+	t.Helper()
+	plan, err := NewPlan[complex128](n, WithNorm(NormNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := randVec128(rng, rows*n)
+	for _, dir := range []Direction{Forward, Inverse} {
+		want := make([]complex128, rows*n)
+		if err := rowsAndRotate(want, src, rows, n, plan, dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			got := make([]complex128, rows*n)
+			if err := blockedRowsTranspose(got, src, rows, n, 0, rows, b, plan, make([]complex128, b*n), dir); err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("%dx%d B=%d dir=%d", rows, n, b, dir), got, want)
+		}
+	}
+}
+
+// The blocked kernel must reproduce the naive round bit for bit at
+// every tile edge, including edges that leave partial row blocks and
+// partial sub-tiles (B = 3, 5, 7) and edges beyond the matrix.
 func TestBlockedRoundMatchesNaive2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, dims := range [][2]int{{4, 4}, {8, 64}, {64, 8}, {2, 128}, {128, 128}} {
-		d0, d1 := dims[0], dims[1]
-		x := randVec128(rng, d0*d1)
-		naive, err := NewPlan2D[complex128](d0, d1, WithBlockSize(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append([]complex128(nil), x...)
-		if err := naive.Transform(want, Forward); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range []int{0, 2, 3, 5, 8, 32, 1024} {
-			p, err := NewPlan2D[complex128](d0, d1, WithBlockSize(b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := append([]complex128(nil), x...)
-			if err := p.Transform(got, Forward); err != nil {
-				t.Fatal(err)
-			}
-			if e := relErr(got, want); e > tol128 {
-				t.Errorf("%dx%d B=%d: blocked differs from naive by %g", d0, d1, b, e)
-			}
+		// Both rounds of a d0×d1 transform: rows of d1, then rows of d0.
+		for _, m := range [][2]int{{dims[0], dims[1]}, {dims[1], dims[0]}} {
+			checkBlockedRound(t, rng, m[0], m[1], []int{DefaultBlockSize, 2, 3, 5, 8, 32, 1024})
 		}
 	}
 }
@@ -37,35 +56,10 @@ func TestBlockedRoundMatchesNaive2D(t *testing.T) {
 func TestBlockedRoundMatchesNaive3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, dims := range [][3]int{{4, 4, 4}, {2, 8, 32}, {32, 8, 2}, {16, 16, 16}} {
-		d0, d1, d2 := dims[0], dims[1], dims[2]
-		x := randVec128(rng, d0*d1*d2)
-		naive, err := NewPlan3D[complex128](d0, d1, d2, WithBlockSize(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append([]complex128(nil), x...)
-		if err := naive.Transform(want, Forward); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range []int{0, 2, 3, 7, 32} {
-			p, err := NewPlan3D[complex128](d0, d1, d2, WithBlockSize(b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := append([]complex128(nil), x...)
-			if err := p.Transform(got, Forward); err != nil {
-				t.Fatal(err)
-			}
-			if e := relErr(got, want); e > tol128 {
-				t.Errorf("%v B=%d: blocked differs from naive by %g", dims, b, e)
-			}
-			// Inverse round trip through the same blocking.
-			if err := p.Transform(got, Inverse); err != nil {
-				t.Fatal(err)
-			}
-			if e := relErr(got, x); e > tol128 {
-				t.Errorf("%v B=%d: round trip error %g", dims, b, e)
-			}
+		// The three rounds' row matrices: rows of d2, then d1, then d0.
+		total := dims[0] * dims[1] * dims[2]
+		for _, n := range []int{dims[2], dims[1], dims[0]} {
+			checkBlockedRound(t, rng, total/n, n, []int{DefaultBlockSize, 2, 3, 7, 32})
 		}
 	}
 }
@@ -101,52 +95,104 @@ func TestBlockedRowsTransposeRangePartition(t *testing.T) {
 	}
 }
 
-func TestWithBlockSizeValidation(t *testing.T) {
-	if _, err := NewPlan2D[complex64](8, 8, WithBlockSize(-1)); err == nil {
-		t.Error("2D negative block size accepted")
-	}
-	if _, err := NewPlan3D[complex64](8, 8, 8, WithBlockSize(-2)); err == nil {
-		t.Error("3D negative block size accepted")
-	}
-	if _, err := NewParallelPlan3D[complex64](8, 8, 8, 2, WithBlockSize(-1)); err == nil {
-		t.Error("parallel negative block size accepted")
-	}
-	p, err := NewPlan3D[complex64](8, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.block != DefaultBlockSize {
-		t.Errorf("default block = %d, want %d", p.block, DefaultBlockSize)
+// TestParallelPlansBlockedMatchSerial splits each round of an 8×16×32
+// transform across worker counts around and beyond the block count, at
+// several tile edges, and requires the naive round's output exactly.
+func TestParallelPlansBlockedMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const total = 8 * 16 * 32
+	for _, n := range []int{32, 16, 8} {
+		rows := total / n
+		master, err := NewPlan[complex128](n, WithNorm(NormNone))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := randVec128(rng, total)
+		want := make([]complex128, total)
+		if err := rowsAndRotate(want, src, rows, n, master, Forward); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []int{1, 4, 32} {
+			for _, workers := range []int{1, 3, 7, 64} {
+				plans := make([]*Plan[complex128], workers)
+				tiles := make([][]complex128, workers)
+				for w := range plans {
+					plans[w], tiles[w] = master.Clone(), make([]complex128, b*n)
+				}
+				got := make([]complex128, total)
+				if err := fusedRound(got, src, rows, n, b, plans, tiles, Forward); err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, fmt.Sprintf("%dx%d B=%d workers=%d", rows, n, b, workers), got, want)
+			}
+		}
 	}
 }
 
-func TestParallelPlansBlockedMatchSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	d0, d1, d2 := 8, 16, 32
-	x := randVec128(rng, d0*d1*d2)
-	serial := append([]complex128(nil), x...)
-	ps, err := NewPlan3D[complex128](d0, d1, d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Transform(serial, Forward); err != nil {
-		t.Fatal(err)
-	}
-	// Both the naive and several blocked splits, with worker counts
-	// around and beyond the block count.
-	for _, b := range []int{1, 4, 32} {
-		for _, workers := range []int{1, 3, 7, 64} {
-			pp, err := NewParallelPlan3D[complex128](d0, d1, d2, workers, WithBlockSize(b))
+// checkMatchesNaive transforms x in both directions under every
+// normalization, at 1 and 4 workers, through a plan built by mk, and
+// requires the naive-round oracle's output bit for bit.
+func checkMatchesNaive[T Complex](t *testing.T, label string, x []T,
+	mk func(...PlanOption) (func([]T, Direction) error, *rotor[T], error)) {
+	t.Helper()
+	for _, norm := range []Normalization{NormNone, NormByN, NormUnitary} {
+		for _, workers := range []int{1, 4} {
+			transform, r, err := mk(WithNorm(norm), WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
-			par := append([]complex128(nil), x...)
-			if err := pp.Transform(par, Forward); err != nil {
-				t.Fatal(err)
-			}
-			if e := relErr(par, serial); e > tol128 {
-				t.Errorf("B=%d workers=%d: parallel differs from serial by %g", b, workers, e)
+			for _, dir := range []Direction{Forward, Inverse} {
+				want := append([]T(nil), x...)
+				if err := naiveTransform(r, want, make([]T, len(x)), dir); err != nil {
+					t.Fatal(err)
+				}
+				got := append([]T(nil), x...)
+				if err := transform(got, dir); err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, fmt.Sprintf("%s norm=%d workers=%d dir=%d", label, norm, workers, dir), got, want)
 			}
 		}
+	}
+}
+
+func plan2DMaker[T Complex](d0, d1 int) func(...PlanOption) (func([]T, Direction) error, *rotor[T], error) {
+	return func(opts ...PlanOption) (func([]T, Direction) error, *rotor[T], error) {
+		p, err := NewPlan2D[T](d0, d1, opts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		return p.Transform, &p.r, nil
+	}
+}
+
+func plan3DMaker[T Complex](d0, d1, d2 int) func(...PlanOption) (func([]T, Direction) error, *rotor[T], error) {
+	return func(opts ...PlanOption) (func([]T, Direction) error, *rotor[T], error) {
+		p, err := NewPlan3D[T](d0, d1, d2, opts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		return p.Transform, &p.r, nil
+	}
+}
+
+// TestMultiDimMatchesNaiveOracle covers every 2D/3D shape the plan
+// tests exercise, for both element types, both directions and every
+// normalization, at 1 and 4 workers: blocking and the parallel split
+// change the order rows are processed in, never a row's arithmetic, so
+// Plan2D and Plan3D must reproduce the naive round bit for bit.
+func TestMultiDimMatchesNaiveOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, d := range [][2]int{{4, 4}, {8, 16}, {16, 8}, {2, 32}, {32, 64}, {32, 16}, {64, 32},
+		{8, 64}, {64, 8}, {2, 128}, {128, 128}, {8, 8}, {64, 64}} {
+		label := fmt.Sprintf("%dx%d", d[0], d[1])
+		checkMatchesNaive(t, label+" complex64", randVec64(rng, d[0]*d[1]), plan2DMaker[complex64](d[0], d[1]))
+		checkMatchesNaive(t, label+" complex128", randVec128(rng, d[0]*d[1]), plan2DMaker[complex128](d[0], d[1]))
+	}
+	for _, d := range [][3]int{{4, 4, 4}, {2, 4, 8}, {8, 4, 2}, {8, 8, 8}, {16, 16, 16}, {4, 8, 2},
+		{16, 8, 32}, {2, 8, 32}, {32, 8, 2}, {8, 16, 32}, {16, 8, 16}, {8, 8, 16}, {4, 8, 16}} {
+		label := fmt.Sprintf("%dx%dx%d", d[0], d[1], d[2])
+		checkMatchesNaive(t, label+" complex64", randVec64(rng, d[0]*d[1]*d[2]), plan3DMaker[complex64](d[0], d[1], d[2]))
+		checkMatchesNaive(t, label+" complex128", randVec128(rng, d[0]*d[1]*d[2]), plan3DMaker[complex128](d[0], d[1], d[2]))
 	}
 }

@@ -32,10 +32,7 @@ func NewBluestein[C Complex](n int, opts ...PlanOption) (*BluesteinPlan[C], erro
 	if n < 1 {
 		return nil, fmt.Errorf("fft: bluestein size %d must be positive", n)
 	}
-	cfg := defaultPlanConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newPlanConfig(opts)
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1

@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -10,13 +9,12 @@ import (
 // twiddle-table derivation once per (type, shape, options) key instead
 // of per plan. All Cached* constructors are safe to call concurrently.
 //
-// Concurrency contract of the returned plans: CachedPlan, CachedPlan2D
-// and CachedPlan3D hand out a private Clone of the cached master (the
-// immutable twiddle tables are shared, the scratch is not), so each
-// returned plan belongs to its caller and is, like any serial plan, not
-// safe for concurrent Transform calls on the one instance.
-// CachedParallelPlan2D and CachedParallelPlan3D return the shared
-// cached instance itself, which is safe for concurrent Transform calls.
+// Concurrency contract of the returned plans: CachedPlan hands out a
+// private Clone of the cached master (the immutable twiddle tables are
+// shared, the scratch is not), so each returned 1D plan belongs to its
+// caller and is not safe for concurrent Transform calls on the one
+// instance. CachedPlan2D and CachedPlan3D return the shared cached
+// instance itself, which is safe for concurrent Transform calls.
 
 var (
 	planCacheMu sync.Mutex
@@ -24,14 +22,11 @@ var (
 )
 
 // cacheKey canonicalizes a plan identity: kind, element type, shape,
-// worker count, and the resolved option set.
-func cacheKey[T Complex](kind string, dims []int, workers int, opts []PlanOption) string {
-	cfg := defaultPlanConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+// and the resolved option set.
+func cacheKey[T Complex](kind string, dims []int, opts []PlanOption) string {
+	cfg := newPlanConfig(opts)
 	var zero T
-	return fmt.Sprintf("%s %T %v w%d n%d r%v b%d c%v", kind, zero, dims, workers, cfg.norm, cfg.radices, cfg.block, cfg.codelets)
+	return fmt.Sprintf("%s %T %v n%d c%v w%d", kind, zero, dims, cfg.norm, cfg.codelets, cfg.workers)
 }
 
 // cachedBuild returns the cached value for key, building it outside the
@@ -70,7 +65,7 @@ func ResetPlanCache() {
 // CachedPlan returns a 1D plan backed by the shared cache: a private
 // clone of the cached master for n and opts.
 func CachedPlan[T Complex](n int, opts ...PlanOption) (*Plan[T], error) {
-	master, err := cachedBuild(cacheKey[T]("1d", []int{n}, 0, opts), func() (*Plan[T], error) {
+	master, err := cachedBuild(cacheKey[T]("1d", []int{n}, opts), func() (*Plan[T], error) {
 		return NewPlan[T](n, opts...)
 	})
 	if err != nil {
@@ -79,48 +74,18 @@ func CachedPlan[T Complex](n int, opts ...PlanOption) (*Plan[T], error) {
 	return master.Clone(), nil
 }
 
-// CachedPlan2D returns a 2D plan backed by the shared cache: a private
-// clone of the cached master for (d0, d1) and opts.
+// CachedPlan2D returns the shared cached 2D plan for (d0, d1) and
+// opts; the plan is safe for concurrent Transform calls as-is.
 func CachedPlan2D[T Complex](d0, d1 int, opts ...PlanOption) (*Plan2D[T], error) {
-	master, err := cachedBuild(cacheKey[T]("2d", []int{d0, d1}, 0, opts), func() (*Plan2D[T], error) {
+	return cachedBuild(cacheKey[T]("2d", []int{d0, d1}, opts), func() (*Plan2D[T], error) {
 		return NewPlan2D[T](d0, d1, opts...)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return master.Clone(), nil
 }
 
-// CachedPlan3D returns a 3D plan backed by the shared cache: a private
-// clone of the cached master for (d0, d1, d2) and opts.
+// CachedPlan3D returns the shared cached 3D plan for (d0, d1, d2) and
+// opts; the plan is safe for concurrent Transform calls as-is.
 func CachedPlan3D[T Complex](d0, d1, d2 int, opts ...PlanOption) (*Plan3D[T], error) {
-	master, err := cachedBuild(cacheKey[T]("3d", []int{d0, d1, d2}, 0, opts), func() (*Plan3D[T], error) {
+	return cachedBuild(cacheKey[T]("3d", []int{d0, d1, d2}, opts), func() (*Plan3D[T], error) {
 		return NewPlan3D[T](d0, d1, d2, opts...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return master.Clone(), nil
-}
-
-// CachedParallelPlan2D returns the shared cached parallel 2D plan for
-// the key; the plan is safe for concurrent Transform calls as-is.
-func CachedParallelPlan2D[T Complex](d0, d1, workers int, opts ...PlanOption) (*ParallelPlan2D[T], error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return cachedBuild(cacheKey[T]("par2d", []int{d0, d1}, workers, opts), func() (*ParallelPlan2D[T], error) {
-		return NewParallelPlan2D[T](d0, d1, workers, opts...)
-	})
-}
-
-// CachedParallelPlan3D returns the shared cached parallel 3D plan for
-// the key; the plan is safe for concurrent Transform calls as-is.
-func CachedParallelPlan3D[T Complex](d0, d1, d2, workers int, opts ...PlanOption) (*ParallelPlan3D[T], error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return cachedBuild(cacheKey[T]("par3d", []int{d0, d1, d2}, workers, opts), func() (*ParallelPlan3D[T], error) {
-		return NewParallelPlan3D[T](d0, d1, d2, workers, opts...)
 	})
 }

@@ -148,9 +148,10 @@ func TestPlanCacheResetLeavesOutstandingPlansValid(t *testing.T) {
 }
 
 // TestCachedParallelPlansSoakWithResets exercises the shared-instance
-// half of the cache contract: CachedParallelPlan2D returns one instance
-// safe for concurrent Transform, while ResetPlanCache churns the cache
-// underneath concurrent resolution of the same key.
+// half of the cache contract: CachedPlan2D returns one instance, here
+// splitting its rounds across 2 workers, safe for concurrent Transform,
+// while ResetPlanCache churns the cache underneath concurrent
+// resolution of the same key.
 func TestCachedParallelPlansSoakWithResets(t *testing.T) {
 	defer ResetPlanCache()
 	ResetPlanCache()
@@ -183,7 +184,7 @@ func TestCachedParallelPlansSoakWithResets(t *testing.T) {
 					ResetPlanCache()
 					continue
 				}
-				p, err := CachedParallelPlan2D[complex64](d0, d1, 2)
+				p, err := CachedPlan2D[complex64](d0, d1, WithWorkers(2))
 				if err != nil {
 					errs <- err
 					return

@@ -1,7 +1,9 @@
 package fft
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -64,24 +66,24 @@ func TestCachedPlanClonesShareTables(t *testing.T) {
 func TestCachedPlanKeysDistinguishOptionsAndTypes(t *testing.T) {
 	defer ResetPlanCache()
 	ResetPlanCache()
-	r8, err := CachedPlan[complex128](64, WithRadices([]int{8, 8}))
+	on, err := CachedPlan[complex128](64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CachedPlan[complex128](64, WithRadices([]int{2, 2, 2, 2, 2, 2}))
+	off, err := CachedPlan[complex128](64, WithCodelets(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r8.PassRadices()) == len(r2.PassRadices()) {
-		t.Error("radix options collided in the cache")
+	if on.UsesCodelets() == off.UsesCodelets() {
+		t.Error("codelet options collided in the cache")
 	}
 	// Same size, different element type must not collide.
 	if _, err := CachedPlan[complex64](64); err != nil {
 		t.Fatal(err)
 	}
-	// Invalid options surface the construction error.
-	if _, err := CachedPlan[complex128](64, WithRadices([]int{8})); err == nil {
-		t.Error("invalid radices accepted")
+	// Invalid shapes surface the construction error.
+	if _, err := CachedPlan[complex128](48); err == nil {
+		t.Error("invalid size accepted")
 	}
 }
 
@@ -102,8 +104,8 @@ func TestCachedMultiDimPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2a == p2b {
-		t.Error("CachedPlan2D returned a shared instance; want clones")
+	if p2a != p2b {
+		t.Error("CachedPlan2D did not return the shared instance")
 	}
 	got := append([]complex128(nil), x...)
 	if err := p2a.Transform(got, Forward); err != nil {
@@ -113,33 +115,29 @@ func TestCachedMultiDimPlans(t *testing.T) {
 		t.Errorf("cached 2D plan differs by %g", e)
 	}
 
-	if _, err := CachedPlan3D[complex128](4, 8, 16); err != nil {
-		t.Fatal(err)
-	}
-	pp3a, err := CachedParallelPlan3D[complex128](4, 8, 16, 4)
+	p3, err := CachedPlan3D[complex128](4, 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp3b, err := CachedParallelPlan3D[complex128](4, 8, 16, 4)
+	pp3a, err := CachedPlan3D[complex128](4, 8, 16, WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp3b, err := CachedPlan3D[complex128](4, 8, 16, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pp3a != pp3b {
-		t.Error("CachedParallelPlan3D did not return the shared instance")
+		t.Error("CachedPlan3D did not return the shared instance")
 	}
-	pp2a, err := CachedParallelPlan2D[complex128](8, 16, 2)
-	if err != nil {
-		t.Fatal(err)
+	if pp3a == p3 || p3.r.workers != 1 || pp3a.r.workers != 4 {
+		t.Errorf("worker counts aliased in the cache: default %d, WithWorkers(4) %d", p3.r.workers, pp3a.r.workers)
 	}
-	pp2b, err := CachedParallelPlan2D[complex128](8, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp2a != pp2b {
-		t.Error("CachedParallelPlan2D did not return the shared instance")
+	if _, err := CachedPlan3D[complex128](4, 8, 12); err == nil {
+		t.Error("invalid 3D shape accepted")
 	}
 	ResetPlanCache()
-	pp3c, err := CachedParallelPlan3D[complex128](4, 8, 16, 4)
+	pp3c, err := CachedPlan3D[complex128](4, 8, 16, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +146,60 @@ func TestCachedMultiDimPlans(t *testing.T) {
 	}
 }
 
+// cacheHitBytes returns the bytes one call of hit allocates once the
+// cache holds its plan: the per-call average over 100 calls, minimized
+// over 5 trials to drop stray runtime allocations.
+func cacheHitBytes(t *testing.T, hit func() error) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := hit(); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	best := uint64(math.MaxUint64)
+	for trial := 0; trial < 5; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := hit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	return best
+}
+
+// TestCachedMultiDimPlanHitCostIndependentOfSize pins the shared-plan
+// contract: a cache hit hands out the cached plan itself, so it costs
+// the same bytes at 64³ as at 16³ — no array-sized scratch per call
+// (a 16² complex64 array alone is 2 KiB). The slack absorbs the race
+// detector, under which sync.Pool drops items at random and fmt's
+// printer pool reallocates a few hundred bytes now and then.
+func TestCachedMultiDimPlanHitCostIndependentOfSize(t *testing.T) {
+	defer ResetPlanCache()
+	ResetPlanCache()
+	const slack = 128
+	hit3D := func(n int) func() error {
+		return func() error { _, err := CachedPlan3D[complex64](n, n, n); return err }
+	}
+	hit2D := func(n int) func() error {
+		return func() error { _, err := CachedPlan2D[complex64](n, n); return err }
+	}
+	if small, large := cacheHitBytes(t, hit3D(16)), cacheHitBytes(t, hit3D(64)); large > small+slack {
+		t.Errorf("CachedPlan3D hit allocates %d B at 16³ but %d B at 64³", small, large)
+	}
+	if small, large := cacheHitBytes(t, hit2D(16)), cacheHitBytes(t, hit2D(64)); large > small+slack {
+		t.Errorf("CachedPlan2D hit allocates %d B at 16² but %d B at 64²", small, large)
+	}
+}
+
 // TestCachedPlansConcurrent hammers the cache and the returned plans
 // from many goroutines (run under -race in CI): concurrent lookups of
-// the same key, concurrent Transforms on the shared parallel plan, and
-// concurrent Transforms on per-caller serial clones, all checked
-// against the serial reference.
+// the same key, concurrent Transforms on the shared cached plans at 4
+// workers and at the inline default, all checked bit for bit against a
+// private plan.
 func TestCachedPlansConcurrent(t *testing.T) {
 	defer ResetPlanCache()
 	ResetPlanCache()
@@ -173,33 +220,23 @@ func TestCachedPlansConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 20; it++ {
-				pp, err := CachedParallelPlan3D[complex128](d0, d1, d2, 4)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got := append([]complex128(nil), x...)
-				if err := pp.Transform(got, Forward); err != nil {
-					t.Error(err)
-					return
-				}
-				if e := relErr(got, want); e > tol128 {
-					t.Errorf("concurrent cached parallel transform differs by %g", e)
-					return
-				}
-				sp, err := CachedPlan3D[complex128](d0, d1, d2)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got2 := append([]complex128(nil), x...)
-				if err := sp.Transform(got2, Forward); err != nil {
-					t.Error(err)
-					return
-				}
-				if e := relErr(got2, want); e > tol128 {
-					t.Errorf("concurrent cached serial clone differs by %g", e)
-					return
+				for _, opts := range [][]PlanOption{{WithWorkers(4)}, nil} {
+					p, err := CachedPlan3D[complex128](d0, d1, d2, opts...)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got := append([]complex128(nil), x...)
+					if err := p.Transform(got, Forward); err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Errorf("concurrent cached transform (%d options) differs at %d", len(opts), i)
+							return
+						}
+					}
 				}
 			}
 		}()

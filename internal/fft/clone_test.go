@@ -16,8 +16,6 @@ var cloneHandledFields = map[reflect.Type][]string{
 		// Codelet leaf: leafN/leafFwd/leafInv are immutable and shared;
 		// leafBuf is per-call scratch and reallocated.
 		"leafN", "leafFwd", "leafInv", "leafBuf"},
-	reflect.TypeOf(Plan2D[complex64]{}):    {"d0", "d1", "p0", "p1", "norm", "block", "buf", "tile"},
-	reflect.TypeOf(Plan3D[complex64]{}):    {"d0", "d1", "d2", "plans", "norm", "block", "buf", "tile"},
 	reflect.TypeOf(BatchPlan[complex64]{}): {"plan", "HowMany", "Stride", "Dist", "gather"},
 }
 
@@ -42,7 +40,7 @@ func TestCloneFieldCoverage(t *testing.T) {
 
 func TestPlanCloneBehavioralEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
-	p, err := NewPlan[complex128](64, WithRadices([]int{2, 2, 2, 2, 2, 2}), WithNorm(NormUnitary))
+	p, err := NewPlan[complex128](64, WithCodelets(false), WithNorm(NormUnitary))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,52 +67,8 @@ func TestPlanCloneBehavioralEquivalence(t *testing.T) {
 	}
 }
 
-func TestMultiDimCloneBehavioralEquivalence(t *testing.T) {
+func TestBatchPlanCloneBehavioralEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-
-	p2, err := NewPlan2D[complex128](16, 8, WithNorm(NormUnitary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := p2.Clone()
-	if c2.p0 == p2.p0 || c2.p1 == p2.p1 {
-		t.Error("2D clone shares row plans with the original")
-	}
-	x2 := randVec128(rng, 16*8)
-	want2 := append([]complex128(nil), x2...)
-	p2.Transform(want2, Forward)
-	got2 := append([]complex128(nil), x2...)
-	if err := c2.Transform(got2, Forward); err != nil {
-		t.Fatal(err)
-	}
-	if e := relErr(got2, want2); e > tol128 {
-		t.Errorf("2D clone differs by %g", e)
-	}
-
-	// A cube plan aliases one row plan across all three rounds; the
-	// clone must preserve that aliasing (one clone, used three times).
-	p3, err := NewPlan3D[complex128](8, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3 := p3.Clone()
-	if p3.plans[0] != p3.plans[1] || c3.plans[0] != c3.plans[1] || c3.plans[1] != c3.plans[2] {
-		t.Error("cube plan aliasing not preserved by Clone")
-	}
-	if c3.plans[0] == p3.plans[0] {
-		t.Error("3D clone shares row plans with the original")
-	}
-	x3 := randVec128(rng, 8*8*8)
-	want3 := append([]complex128(nil), x3...)
-	p3.Transform(want3, Forward)
-	got3 := append([]complex128(nil), x3...)
-	if err := c3.Transform(got3, Forward); err != nil {
-		t.Fatal(err)
-	}
-	if e := relErr(got3, want3); e > tol128 {
-		t.Errorf("3D clone differs by %g", e)
-	}
-
 	bp, err := NewBatchPlan[complex128](8, 3, 3, 1)
 	if err != nil {
 		t.Fatal(err)

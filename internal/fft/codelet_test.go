@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"xmtfft/internal/fft/codelet"
@@ -171,8 +172,8 @@ func TestCodeletVsDFTOracle(t *testing.T) {
 }
 
 // TestWithCodeletsOffBitIdentical pins the off switch to the legacy
-// path: a WithCodelets(false) plan and an explicit WithRadices plan
-// (which has always taken the pass loop) must agree bit for bit.
+// path: a WithCodelets(false) plan and a plan built directly on the
+// pass loop with the same radices must agree bit for bit.
 func TestWithCodeletsOffBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for _, n := range []int{8, 64, 256, 1024, 2048} {
@@ -184,10 +185,7 @@ func TestWithCodeletsOffBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := NewPlan[complex64](n, WithRadices(rs))
-		if err != nil {
-			t.Fatal(err)
-		}
+		legacy := planWithRadices[complex64](n, rs)
 		if off.UsesCodelets() || legacy.UsesCodelets() {
 			t.Fatalf("n=%d: expected both plans on the generic pass loop", n)
 		}
@@ -209,8 +207,8 @@ func TestWithCodeletsOffBitIdentical(t *testing.T) {
 }
 
 // TestCodeletPlanShape checks leaf resolution across the option space:
-// full coverage at covered sizes, prefix+leaf beyond, disabled under
-// WithRadices/WithCodelets(false), and generic fallback for named
+// full coverage at covered sizes, prefix+leaf beyond, re-enabled by a
+// later WithCodelets(true), and generic fallback for named
 // complex types the generator does not emit for.
 func TestCodeletPlanShape(t *testing.T) {
 	covered, _ := NewPlan[complex64](512)
@@ -220,10 +218,6 @@ func TestCodeletPlanShape(t *testing.T) {
 	composed, _ := NewPlan[complex64](8 * codelet.MaxN)
 	if composed.LeafN() != codelet.MaxN || len(composed.PassRadices()) != 1 || composed.PassRadices()[0] != 8 {
 		t.Errorf("8·MaxN: leafN=%d radices=%v, want %d/[8]", composed.LeafN(), composed.PassRadices(), codelet.MaxN)
-	}
-	viaRadices, _ := NewPlan[complex64](64, WithRadices([]int{8, 8}))
-	if viaRadices.UsesCodelets() {
-		t.Error("WithRadices plan must not take the codelet path")
 	}
 	offOnAgain, _ := NewPlan[complex64](64, WithCodelets(false), WithCodelets(true))
 	if !offOnAgain.UsesCodelets() {
@@ -306,14 +300,13 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 		"default":    nil,
 		"norm":       {WithNorm(NormUnitary)},
 		"normnone":   {WithNorm(NormNone)},
-		"radices":    {WithRadices([]int{8, 8})},
-		"block":      {WithBlockSize(16)},
-		"block1":     {WithBlockSize(1)},
 		"codeletoff": {WithCodelets(false)},
+		"workers2":   {WithWorkers(2)},
+		"workers4":   {WithWorkers(4)},
 	}
 	keys := map[string]string{}
 	for name, opts := range variants {
-		k := cacheKey[complex64]("1d", []int{64}, 0, opts)
+		k := cacheKey[complex64]("3d", []int{8, 8, 8}, opts)
 		for prev, pk := range keys {
 			if pk == k {
 				t.Errorf("option sets %q and %q produce the same cache key %q", name, prev, k)
@@ -321,12 +314,14 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 		}
 		keys[name] = k
 	}
-	// Element type and worker count are part of the key too.
-	if cacheKey[complex64]("1d", []int{64}, 0, nil) == cacheKey[complex128]("1d", []int{64}, 0, nil) {
+	// Element type is part of the key too, and a non-positive worker
+	// count keys as the GOMAXPROCS it resolves to.
+	if cacheKey[complex64]("1d", []int{64}, nil) == cacheKey[complex128]("1d", []int{64}, nil) {
 		t.Error("element type does not affect the cache key")
 	}
-	if cacheKey[complex64]("par2d", []int{8, 8}, 2, nil) == cacheKey[complex64]("par2d", []int{8, 8}, 4, nil) {
-		t.Error("worker count does not affect the cache key")
+	if cacheKey[complex64]("2d", []int{8, 8}, []PlanOption{WithWorkers(0)}) !=
+		cacheKey[complex64]("2d", []int{8, 8}, []PlanOption{WithWorkers(runtime.GOMAXPROCS(0))}) {
+		t.Error("WithWorkers(0) keys differently from GOMAXPROCS workers")
 	}
 	// Behavioral check: fetching codelets-off after default must not
 	// hand back the cached codelet master.

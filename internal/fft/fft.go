@@ -1,11 +1,13 @@
 // Package fft is a self-contained fast Fourier transform library
-// implementing the algorithm design space discussed in §IV of the paper:
-// radix-2/4/8 and mixed-radix decimation-in-frequency transforms
-// organized breadth-first (iterative, maximum parallelism — the paper's
-// choice for XMT), a recursive depth-first (cache-oblivious) variant, the
-// direct O(N²) DFT as a verification oracle, multidimensional transforms
-// via per-dimension row FFTs with axis rotation, and goroutine-parallel
-// execution used by the FFTW-substitute host baseline.
+// implementing the organization the paper chooses in §IV: radix-2/4/8
+// and mixed-radix decimation-in-frequency transforms organized
+// breadth-first (iterative, maximum parallelism — the paper's choice for
+// XMT), the direct O(N²) DFT as a verification oracle, multidimensional
+// transforms via per-dimension row FFTs with axis rotation, and
+// goroutine-parallel execution used by the FFTW-substitute host
+// baseline. The alternatives §IV-A weighs against it (depth-first,
+// four-step, unfused rotation) live in the package's tests, as oracles
+// and ablation benchmarks.
 //
 // Transforms are generic over complex64 (the paper's single-precision
 // workload) and complex128.
@@ -49,11 +51,6 @@ const (
 func cis[T Complex](theta float64) T {
 	s, c := math.Sincos(theta)
 	return T(complex(c, s))
-}
-
-// omega returns ω_n^{±k} = e^{dir·2πi·k/n}.
-func omega[T Complex](n, k int, dir Direction) T {
-	return cis[T](float64(dir) * 2 * math.Pi * float64(k%n) / float64(n))
 }
 
 // scale multiplies every element of x by s.

@@ -1,6 +1,10 @@
 package fft
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Multidimensional transforms follow the paper's §IV organization
 // exactly: the FFT of every row (last axis) is computed, then the axes
@@ -10,246 +14,171 @@ import "fmt"
 // round reads the array once and writes it once — mirroring the
 // implementation choice the paper makes to "reduce the number of
 // synchronization points and round trips to memory". The fused rounds
-// are cache-blocked (see block.go); WithBlockSize(1) selects the
-// unblocked scatter for the blocking ablation.
+// are cache-blocked (see block.go) and split across WithWorkers
+// goroutines (see parallel.go).
 //
-// Plan2D and Plan3D own scratch buffers and are therefore not safe for
-// concurrent Transform calls; use Clone (cheap: twiddle tables are
-// shared) to give each goroutine its own, or the ParallelPlan variants,
-// which are concurrency-safe.
+// Plan2D and Plan3D are safe for concurrent Transform calls on one
+// plan: every call checks an execution context (rotation buffer,
+// per-worker row-plan clones and tiles) out for its own use — the
+// plan's idle one, else a pooled or new one — so calls never share
+// mutable scratch.
 
 // Plan2D transforms dense row-major d0×d1 arrays (index i*d1 + j).
 type Plan2D[T Complex] struct {
 	d0, d1 int
-	p0, p1 *Plan[T]
-	norm   Normalization
-	block  int
-	buf    []T
-	tile   []T
+	r      rotor[T]
 }
 
 // NewPlan2D builds a 2D plan; both dimensions must be powers of two.
-// Radix and blocking options are forwarded to the inner row plans.
+// Normalization applies once over the whole array; the codelet option
+// is forwarded to the row plans.
 func NewPlan2D[T Complex](d0, d1 int, opts ...PlanOption) (*Plan2D[T], error) {
-	cfg := defaultPlanConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	block, err := resolveBlock(cfg.block)
-	if err != nil {
+	p := &Plan2D[T]{d0: d0, d1: d1}
+	if err := p.r.init([]int{d0, d1}, opts); err != nil {
 		return nil, err
 	}
-	rowOpts := rowPlanOpts(opts)
-	p0, err := NewPlan[T](d0, rowOpts...)
-	if err != nil {
-		return nil, err
-	}
-	p1 := p0
-	if d1 != d0 {
-		if p1, err = NewPlan[T](d1, rowOpts...); err != nil {
-			return nil, err
-		}
-	}
-	return &Plan2D[T]{d0: d0, d1: d1, p0: p0, p1: p1, norm: cfg.norm, block: block,
-		buf: make([]T, d0*d1), tile: make([]T, block*max(d0, d1))}, nil
+	return p, nil
 }
 
 // Size returns the array dimensions.
 func (p *Plan2D[T]) Size() (d0, d1 int) { return p.d0, p.d1 }
 
-// Clone returns a plan sharing this plan's immutable twiddle tables but
-// owning private scratch, so the clone can transform concurrently with
-// the original.
-func (p *Plan2D[T]) Clone() *Plan2D[T] {
-	q := *p
-	q.p1 = p.p1.Clone()
-	q.p0 = q.p1
-	if p.p0 != p.p1 {
-		q.p0 = p.p0.Clone()
-	}
-	q.buf = make([]T, len(p.buf))
-	q.tile = make([]T, len(p.tile))
-	return &q
-}
-
-// Transform computes the in-place 2D transform of x.
-func (p *Plan2D[T]) Transform(x []T, dir Direction) error {
-	if len(x) != p.d0*p.d1 {
-		return fmt.Errorf("fft: input length %d, want %d", len(x), p.d0*p.d1)
-	}
-	// Round 1: FFT rows of length d1, writing transposed into buf.
-	if err := fusedRound(p.buf, x, p.d0, p.d1, p.block, p.p1, p.tile, dir); err != nil {
-		return err
-	}
-	// Round 2: rows of length d0 (original columns), transposing back.
-	if err := fusedRound(x, p.buf, p.d1, p.d0, p.block, p.p0, p.tile, dir); err != nil {
-		return err
-	}
-	applyNorm(x, p.d0*p.d1, dir, p.norm)
-	return nil
-}
-
-// fusedRound runs one fused row-FFT+rotation round over all rows,
-// blocked unless bsize == 1 (the naive reference round).
-func fusedRound[T Complex](dst, src []T, rows, n, bsize int, plan *Plan[T], tile []T, dir Direction) error {
-	if bsize == 1 {
-		return rowsAndRotate(dst, src, rows, n, plan, tile, dir)
-	}
-	return blockedRowsTranspose(dst, src, rows, n, 0, rows, bsize, plan, tile, dir)
-}
-
-// rowsAndRotate transforms each length-d1 row of src (a d0×d1 array)
-// and stores the result transposed into dst (a d1×d0 array): the fused
-// FFT+rotation round, in its naive form — every write lands d0 elements
-// from its neighbour. Kept as the WithBlockSize(1) ablation reference.
-func rowsAndRotate[T Complex](dst, src []T, d0, d1 int, plan *Plan[T], rowbuf []T, dir Direction) error {
-	row := rowbuf[:d1]
-	for i := 0; i < d0; i++ {
-		copy(row, src[i*d1:(i+1)*d1])
-		if err := plan.Transform(row, dir); err != nil {
-			return err
-		}
-		for j, v := range row {
-			dst[j*d0+i] = v
-		}
-	}
-	return nil
-}
+// Transform computes the in-place 2D transform of x: rows of length d1
+// into the rotation buffer transposed, then rows of length d0 (the
+// original columns) transposed back into x.
+func (p *Plan2D[T]) Transform(x []T, dir Direction) error { return p.r.transform(x, dir) }
 
 // Plan3D transforms dense row-major d0×d1×d2 arrays
 // (index (i*d1 + j)*d2 + k).
 type Plan3D[T Complex] struct {
 	d0, d1, d2 int
-	plans      [3]*Plan[T] // per-round row plans, for lengths d2, d1, d0
-	norm       Normalization
-	block      int
-	buf        []T
-	tile       []T
+	r          rotor[T]
 }
 
 // NewPlan3D builds a 3D plan; all dimensions must be powers of two.
-// Radix and blocking options are forwarded to the inner row plans.
+// Normalization applies once over the whole array; the codelet option
+// is forwarded to the row plans.
 func NewPlan3D[T Complex](d0, d1, d2 int, opts ...PlanOption) (*Plan3D[T], error) {
-	cfg := defaultPlanConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	block, err := resolveBlock(cfg.block)
-	if err != nil {
+	p := &Plan3D[T]{d0: d0, d1: d1, d2: d2}
+	if err := p.r.init([]int{d0, d1, d2}, opts); err != nil {
 		return nil, err
 	}
-	rowOpts := rowPlanOpts(opts)
-	mk := func(n int) (*Plan[T], error) { return NewPlan[T](n, rowOpts...) }
-	p2, err := mk(d2)
-	if err != nil {
-		return nil, err
-	}
-	p1 := p2
-	if d1 != d2 {
-		if p1, err = mk(d1); err != nil {
-			return nil, err
-		}
-	}
-	p0 := p2
-	switch d0 {
-	case d2:
-	case d1:
-		p0 = p1
-	default:
-		if p0, err = mk(d0); err != nil {
-			return nil, err
-		}
-	}
-	return &Plan3D[T]{d0: d0, d1: d1, d2: d2, plans: [3]*Plan[T]{p2, p1, p0},
-		norm: cfg.norm, block: block, buf: make([]T, d0*d1*d2),
-		tile: make([]T, block*max(d0, max(d1, d2)))}, nil
+	return p, nil
 }
 
 // Size returns the array dimensions.
 func (p *Plan3D[T]) Size() (d0, d1, d2 int) { return p.d0, p.d1, p.d2 }
 
-// Clone returns a plan sharing this plan's immutable twiddle tables but
-// owning private scratch, so the clone can transform concurrently with
-// the original.
-func (p *Plan3D[T]) Clone() *Plan3D[T] {
-	q := *p
-	clones := map[*Plan[T]]*Plan[T]{}
-	for i, pl := range p.plans {
-		c, ok := clones[pl]
-		if !ok {
-			c = pl.Clone()
-			clones[pl] = c
-		}
-		q.plans[i] = c
-	}
-	q.buf = make([]T, len(p.buf))
-	q.tile = make([]T, len(p.tile))
-	return &q
-}
-
 // Transform computes the in-place 3D transform of x: three rounds of
 // fused row-FFT + axis rotation (i,j,k) → (k,i,j), returning the array
 // to its original orientation fully transformed.
-func (p *Plan3D[T]) Transform(x []T, dir Direction) error {
-	n := p.d0 * p.d1 * p.d2
-	if len(x) != n {
-		return fmt.Errorf("fft: input length %d, want %d", len(x), n)
+func (p *Plan3D[T]) Transform(x []T, dir Direction) error { return p.r.transform(x, dir) }
+
+// rotor is the engine behind Plan2D and Plan3D: one fused row-FFT +
+// axis-rotation round per dimension. Each round FFTs the rows of the
+// current (last) axis and rotates that axis to the front, so round i
+// transforms rows of length dims[len(dims)-1-i] and, whatever the
+// rank, views the array as total/n rows of that length n.
+type rotor[T Complex] struct {
+	total   int
+	maxdim  int
+	workers int
+	norm    Normalization
+	rounds  []*Plan[T] // master row plan per round (immutable tables)
+	// idle is the execution context of the last finished call, reused
+	// by the next; contexts of concurrent calls beyond it go to spare.
+	// The idle context is referenced from the plan alone, so it is freed
+	// with the plan: the runtime's pool registry would keep a pooled one
+	// alive for another GC cycle. spare is a separate object without a
+	// New func for the same reason — it must not reference the plan.
+	idle  atomic.Pointer[exec[T]]
+	spare *sync.Pool // *exec[T]
+}
+
+// exec is the per-Transform-call scratch of a rotor: the rotation
+// buffer, one row-plan clone per round per worker, and one tile per
+// worker. A context is never shared between simultaneous calls.
+type exec[T Complex] struct {
+	buf   []T
+	plans [][]*Plan[T] // [round][worker]
+	tiles [][]T        // [worker]
+}
+
+func (r *rotor[T]) init(dims []int, opts []PlanOption) error {
+	cfg := newPlanConfig(opts)
+	// Row plans leave normalization to the rotor, which applies it once
+	// over the whole array. Equal axis lengths share one master plan.
+	rowOpts := append(opts[:len(opts):len(opts)], WithNorm(NormNone))
+	byLen := map[int]*Plan[T]{}
+	r.total, r.workers, r.norm, r.spare = 1, cfg.workers, cfg.norm, &sync.Pool{}
+	for i := range dims {
+		n := dims[len(dims)-1-i]
+		p := byLen[n]
+		if p == nil {
+			var err error
+			if p, err = NewPlan[T](n, rowOpts...); err != nil {
+				return err
+			}
+			byLen[n] = p
+		}
+		r.rounds = append(r.rounds, p)
+		r.total *= n
+		r.maxdim = max(r.maxdim, n)
 	}
-	dims := [3]int{p.d0, p.d1, p.d2}
-	src, dst := x, p.buf
-	for round := 0; round < 3; round++ {
-		if err := fusedRound(dst, src, dims[0]*dims[1], dims[2], p.block, p.plans[round], p.tile, dir); err != nil {
+	return nil
+}
+
+// get checks an execution context out for one Transform call.
+func (r *rotor[T]) get() *exec[T] {
+	if e := r.idle.Swap(nil); e != nil {
+		return e
+	}
+	if e, ok := r.spare.Get().(*exec[T]); ok {
+		return e
+	}
+	e := &exec[T]{
+		buf:   make([]T, r.total),
+		plans: make([][]*Plan[T], len(r.rounds)),
+		tiles: make([][]T, r.workers),
+	}
+	for round, master := range r.rounds {
+		e.plans[round] = make([]*Plan[T], r.workers)
+		for w := range e.plans[round] {
+			e.plans[round][w] = master.Clone()
+		}
+	}
+	for w := range e.tiles {
+		e.tiles[w] = make([]T, DefaultBlockSize*r.maxdim)
+	}
+	return e
+}
+
+// put returns a context checked out by get.
+func (r *rotor[T]) put(e *exec[T]) {
+	if !r.idle.CompareAndSwap(nil, e) {
+		r.spare.Put(e)
+	}
+}
+
+func (r *rotor[T]) transform(x []T, dir Direction) error {
+	if len(x) != r.total {
+		return fmt.Errorf("fft: input length %d, want %d", len(x), r.total)
+	}
+	e := r.get()
+	defer r.put(e)
+	src, dst := x, e.buf
+	for round, master := range r.rounds {
+		n := master.N()
+		if err := fusedRound(dst, src, r.total/n, n, DefaultBlockSize, e.plans[round], e.tiles, dir); err != nil {
 			return err
 		}
-		dims = [3]int{dims[2], dims[0], dims[1]}
 		src, dst = dst, src
 	}
-	// Each round swaps src and dst; after the odd (third) swap the
-	// transformed data lives in p.buf and src points at it, so copy it
-	// back into x.
+	// After an odd number of rounds (3D) the transformed data lives in
+	// the context buffer; copy it back into x.
 	if &src[0] != &x[0] {
 		copy(x, src)
 	}
-	applyNorm(x, n, dir, p.norm)
-	return nil
-}
-
-// rows3DAndRotate transforms each length-d2 row of src (d0×d1×d2) and
-// writes the result into dst laid out as d2×d0×d1: the fused rotation
-// dst[k][i][j] = FFTrow(src[i][j])[k]. With R = d0·d1 and r = i·d1+j
-// the destination index is k·R + r, so this is rowsAndRotate on the
-// flattened R×d2 row matrix; kept separate as the naive reference.
-func rows3DAndRotate[T Complex](dst, src []T, dims [3]int, plan *Plan[T], rowbuf []T, dir Direction) error {
-	return rowsAndRotate(dst, src, dims[0]*dims[1], dims[2], plan, rowbuf, dir)
-}
-
-// Rotate3D rotates axes (i,j,k) → (k,i,j): dst, laid out d2×d0×d1,
-// receives dst[k][i][j] = src[i][j][k]. Exposed for the unfused-rotation
-// ablation and for tests.
-func Rotate3D[T Complex](dst, src []T, d0, d1, d2 int) error {
-	if len(src) != d0*d1*d2 || len(dst) != d0*d1*d2 {
-		return fmt.Errorf("fft: rotate size mismatch")
-	}
-	for i := 0; i < d0; i++ {
-		for j := 0; j < d1; j++ {
-			base := (i*d1 + j) * d2
-			for k := 0; k < d2; k++ {
-				dst[(k*d0+i)*d1+j] = src[base+k]
-			}
-		}
-	}
-	return nil
-}
-
-// Transpose2D writes dst[j][i] = src[i][j] for a d0×d1 src.
-func Transpose2D[T Complex](dst, src []T, d0, d1 int) error {
-	if len(src) != d0*d1 || len(dst) != d0*d1 {
-		return fmt.Errorf("fft: transpose size mismatch")
-	}
-	for i := 0; i < d0; i++ {
-		for j := 0; j < d1; j++ {
-			dst[j*d0+i] = src[i*d1+j]
-		}
-	}
+	applyNorm(x, r.total, dir, r.norm)
 	return nil
 }

@@ -194,14 +194,14 @@ func TestRotate3DIsPurePermutation(t *testing.T) {
 
 func TestUnfusedRotationEquivalence(t *testing.T) {
 	// Rows-then-rotate performed as two separate steps must agree with
-	// the fused rows3DAndRotate (the ablation of §VI-B's fusion).
+	// the fused naive round (the ablation of §VI-B's fusion).
 	rng := rand.New(rand.NewSource(24))
 	d0, d1, d2 := 4, 8, 16
 	x := randVec128(rng, d0*d1*d2)
 	plan, _ := NewPlan[complex128](d2, WithNorm(NormNone))
 
 	fused := make([]complex128, len(x))
-	if err := rows3DAndRotate(fused, x, [3]int{d0, d1, d2}, plan, make([]complex128, d2), Forward); err != nil {
+	if err := rowsAndRotate(fused, x, d0*d1, d2, plan, Forward); err != nil {
 		t.Fatal(err)
 	}
 
@@ -249,7 +249,7 @@ func TestParallel3DMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		par := append([]complex128(nil), x...)
-		pp, err := NewParallelPlan3D[complex128](d0, d1, d2, workers)
+		pp, err := NewPlan3D[complex128](d0, d1, d2, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestParallel2DMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8} {
 		par := append([]complex128(nil), x...)
-		pp, err := NewParallelPlan2D[complex128](d0, d1, workers)
+		pp, err := NewPlan2D[complex128](d0, d1, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +448,7 @@ func TestParallel2DMatchesSerial(t *testing.T) {
 			t.Errorf("workers=%d: inverse round trip error %g", workers, e)
 		}
 	}
-	pp, _ := NewParallelPlan2D[complex128](d0, d1, 2)
+	pp, _ := NewPlan2D[complex128](d0, d1, WithWorkers(2))
 	if err := pp.Transform(make([]complex128, 3), Forward); err == nil {
 		t.Error("bad length accepted")
 	}

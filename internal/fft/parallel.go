@@ -10,11 +10,6 @@ import (
 // more rows per thread, each applying a serial row FFT), which is how
 // parallel FFTW runs on a multicore host. This is the engine behind the
 // FFTW-substitute baseline in internal/baseline.
-//
-// ParallelPlan2D and ParallelPlan3D are safe for concurrent Transform
-// calls on one plan: every call checks a sync.Pool-backed execution
-// context (rotation buffer, per-worker row-plan clones and tiles) out
-// for its own use, so calls never share mutable scratch.
 
 // Clone returns a plan sharing this plan's immutable twiddle tables and
 // codelet kernels (built at construction) but owning private scratch —
@@ -38,106 +33,17 @@ func (p *Plan[T]) Clone() *Plan[T] {
 	return c
 }
 
-// exec is the per-Transform-call scratch of a parallel plan: the
-// rotation buffer, one row-plan clone per worker per round, and one
-// tile per worker. Contexts are pooled, never shared between
-// simultaneous calls.
-type exec[T Complex] struct {
-	buf   []T
-	plans [][]*Plan[T] // [round][worker]
-	tiles [][]T        // [worker]
-}
-
-func newExec[T Complex](total, workers, block, maxdim int, rounds []*Plan[T]) *exec[T] {
-	e := &exec[T]{
-		buf:   make([]T, total),
-		plans: make([][]*Plan[T], len(rounds)),
-		tiles: make([][]T, workers),
-	}
-	for round, master := range rounds {
-		e.plans[round] = make([]*Plan[T], workers)
-		for w := 0; w < workers; w++ {
-			e.plans[round][w] = master.Clone()
-		}
-	}
-	for w := range e.tiles {
-		e.tiles[w] = make([]T, block*maxdim)
-	}
-	return e
-}
-
-// ParallelPlan3D transforms d0×d1×d2 arrays using a pool of goroutine
-// workers. It is safe for concurrent Transform calls.
-type ParallelPlan3D[T Complex] struct {
-	d0, d1, d2 int
-	workers    int
-	norm       Normalization
-	block      int
-	rounds     [3]*Plan[T] // master per-round row plans (immutable tables)
-	pool       sync.Pool   // *exec[T]
-}
-
-// NewParallelPlan3D builds a parallel 3D plan with the given worker
-// count (0 means GOMAXPROCS). Radix and blocking options are forwarded
-// to the row plans.
-func NewParallelPlan3D[T Complex](d0, d1, d2, workers int, opts ...PlanOption) (*ParallelPlan3D[T], error) {
-	cfg := defaultPlanConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	base, err := NewPlan3D[T](d0, d1, d2, opts...)
-	if err != nil {
-		return nil, err
-	}
-	p := &ParallelPlan3D[T]{d0: d0, d1: d1, d2: d2, workers: workers,
-		norm: cfg.norm, block: base.block, rounds: base.plans}
-	total, maxdim := d0*d1*d2, max(d0, max(d1, d2))
-	p.pool.New = func() any {
-		return newExec[T](total, workers, p.block, maxdim, p.rounds[:])
-	}
-	return p, nil
-}
-
-// Workers returns the worker count.
-func (p *ParallelPlan3D[T]) Workers() int { return p.workers }
-
-// Transform computes the in-place 3D transform of x in parallel. It is
-// safe to call concurrently on one plan.
-func (p *ParallelPlan3D[T]) Transform(x []T, dir Direction) error {
-	n := p.d0 * p.d1 * p.d2
-	if len(x) != n {
-		return fmt.Errorf("fft: input length %d, want %d", len(x), n)
-	}
-	e := p.pool.Get().(*exec[T])
-	defer p.pool.Put(e)
-	dims := [3]int{p.d0, p.d1, p.d2}
-	src, dst := x, e.buf
-	for round := 0; round < 3; round++ {
-		if err := parallelFusedRound(dst, src, dims[0]*dims[1], dims[2], p.block, e.plans[round], e.tiles, dir); err != nil {
-			return err
-		}
-		dims = [3]int{dims[2], dims[0], dims[1]}
-		src, dst = dst, src
-	}
-	// After the odd (third) src/dst swap the transformed data lives in
-	// the context buffer; copy it back into x.
-	if &src[0] != &x[0] {
-		copy(x, src)
-	}
-	applyNorm(x, n, dir, p.norm)
-	return nil
-}
-
-// parallelFusedRound runs one fused row-FFT+rotation round over the
-// rows×n row matrix, splitting the row space across the worker plans.
-// Ranges are block-aligned (so tiles never straddle workers) unless
-// there are fewer blocks than workers, in which case rows are split
-// directly; either way the per-worker [lo,hi) ranges are disjoint.
-func parallelFusedRound[T Complex](dst, src []T, rows, n, bsize int, plans []*Plan[T], tiles [][]T, dir Direction) error {
+// fusedRound runs one fused row-FFT+rotation round over the rows×n row
+// matrix with tile edge bsize: inline when there is one worker plan,
+// otherwise splitting the row space across the worker plans. Ranges are
+// block-aligned (so tiles never straddle workers) unless there are
+// fewer blocks than workers, in which case rows are split directly;
+// either way the per-worker [lo,hi) ranges are disjoint.
+func fusedRound[T Complex](dst, src []T, rows, n, bsize int, plans []*Plan[T], tiles [][]T, dir Direction) error {
 	workers := len(plans)
+	if workers == 1 {
+		return blockedRowsTranspose(dst, src, rows, n, 0, rows, bsize, plans[0], tiles[0], dir)
+	}
 	nblocks := (rows + bsize - 1) / bsize
 	bounds := func(w int) (int, int) {
 		if nblocks >= workers {
@@ -213,65 +119,5 @@ func ParallelRows1D[T Complex](x []T, plan *Plan[T], dir Direction, workers int)
 			return err
 		}
 	}
-	return nil
-}
-
-// ParallelPlan2D transforms d0×d1 arrays with a worker pool, the 2D
-// analog of ParallelPlan3D. It is safe for concurrent Transform calls.
-type ParallelPlan2D[T Complex] struct {
-	d0, d1  int
-	workers int
-	norm    Normalization
-	block   int
-	// rounds[0] transforms rows of length d1, rounds[1] the transposed
-	// rows of length d0.
-	rounds [2]*Plan[T]
-	pool   sync.Pool // *exec[T]
-}
-
-// NewParallelPlan2D builds a parallel 2D plan (workers 0 = GOMAXPROCS).
-// Radix and blocking options are forwarded to the row plans.
-func NewParallelPlan2D[T Complex](d0, d1, workers int, opts ...PlanOption) (*ParallelPlan2D[T], error) {
-	cfg := defaultPlanConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	base, err := NewPlan2D[T](d0, d1, opts...)
-	if err != nil {
-		return nil, err
-	}
-	p := &ParallelPlan2D[T]{d0: d0, d1: d1, workers: workers, norm: cfg.norm,
-		block: base.block, rounds: [2]*Plan[T]{base.p1, base.p0}}
-	total, maxdim := d0*d1, max(d0, d1)
-	p.pool.New = func() any {
-		return newExec[T](total, workers, p.block, maxdim, p.rounds[:])
-	}
-	return p, nil
-}
-
-// Workers returns the worker count.
-func (p *ParallelPlan2D[T]) Workers() int { return p.workers }
-
-// Transform computes the in-place 2D transform of x in parallel. It is
-// safe to call concurrently on one plan.
-func (p *ParallelPlan2D[T]) Transform(x []T, dir Direction) error {
-	n := p.d0 * p.d1
-	if len(x) != n {
-		return fmt.Errorf("fft: input length %d, want %d", len(x), n)
-	}
-	e := p.pool.Get().(*exec[T])
-	defer p.pool.Put(e)
-	// Round 1: rows of length d1 into buf transposed; round 2: rows of
-	// length d0 (the original columns) back into x.
-	if err := parallelFusedRound(e.buf, x, p.d0, p.d1, p.block, e.plans[0], e.tiles, dir); err != nil {
-		return err
-	}
-	if err := parallelFusedRound(x, e.buf, p.d1, p.d0, p.block, e.plans[1], e.tiles, dir); err != nil {
-		return err
-	}
-	applyNorm(x, n, dir, p.norm)
 	return nil
 }

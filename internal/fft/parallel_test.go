@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -8,157 +9,137 @@ import (
 )
 
 // TestMultiDimPlansForwardRadices is the regression test for the
-// option-dropping bug: the multi-dimensional constructors accepted
-// PlanOptions but never forwarded WithRadices to their row plans, so
-// the radix-ablation study silently ran default radices on every
-// multi-dim plan.
+// option-dropping bug: the multi-dimensional constructors once accepted
+// PlanOptions but never forwarded them to their row plans. Every row
+// plan must take the codelet setting, keep its normalization to itself
+// (NormNone: the outer plan normalizes once over the whole array), and
+// the outer plan must take the requested normalization.
 func TestMultiDimPlansForwardRadices(t *testing.T) {
-	rs := []int{2, 2, 2, 2, 2, 2} // 64 as six radix-2 passes (default is 8,8)
-	p2, err := NewPlan2D[complex128](64, 64, WithRadices(rs))
+	want, _ := Radices(64) // the pass loop's decomposition: [8 8]
+	opts := []PlanOption{WithCodelets(false), WithNorm(NormUnitary)}
+	p2, err := NewPlan2D[complex128](64, 64, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p2.p1.PassRadices(); !reflect.DeepEqual(got, rs) {
-		t.Errorf("2D row plan radices = %v, want %v", got, rs)
-	}
-	if got := p2.p0.PassRadices(); !reflect.DeepEqual(got, rs) {
-		t.Errorf("2D column plan radices = %v, want %v", got, rs)
-	}
-
-	p3, err := NewPlan3D[complex128](64, 64, 64, WithRadices(rs))
+	p3, err := NewPlan3D[complex128](64, 64, 64, append(opts, WithWorkers(2))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round, pl := range p3.plans {
-		if got := pl.PassRadices(); !reflect.DeepEqual(got, rs) {
-			t.Errorf("3D round-%d plan radices = %v, want %v", round, got, rs)
+	for name, r := range map[string]*rotor[complex128]{"2D": &p2.r, "3D": &p3.r} {
+		if r.norm != NormUnitary {
+			t.Errorf("%s plan norm = %d, want NormUnitary", name, r.norm)
+		}
+		for round, pl := range r.rounds {
+			if pl.UsesCodelets() {
+				t.Errorf("%s round-%d row plan uses codelets despite WithCodelets(false)", name, round)
+			}
+			if got := pl.PassRadices(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s round-%d row plan radices = %v, want %v", name, round, got, want)
+			}
+			if pl.norm != NormNone {
+				t.Errorf("%s round-%d row plan norm = %d, want NormNone", name, round, pl.norm)
+			}
+		}
+	}
+	if p3.r.workers != 2 {
+		t.Errorf("3D plan workers = %d, want 2", p3.r.workers)
+	}
+	def, _ := NewPlan2D[complex128](64, 64)
+	for round, pl := range def.r.rounds {
+		if !pl.UsesCodelets() {
+			t.Errorf("default 2D round-%d row plan skips the codelet leaf", round)
 		}
 	}
 
-	pp2, err := NewParallelPlan2D[complex128](64, 64, 2, WithRadices(rs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round, pl := range pp2.rounds {
-		if got := pl.PassRadices(); !reflect.DeepEqual(got, rs) {
-			t.Errorf("parallel 2D round-%d radices = %v, want %v", round, got, rs)
-		}
-	}
-
-	pp3, err := NewParallelPlan3D[complex128](64, 64, 64, 2, WithRadices(rs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round, pl := range pp3.rounds {
-		if got := pl.PassRadices(); !reflect.DeepEqual(got, rs) {
-			t.Errorf("parallel 3D round-%d radices = %v, want %v", round, got, rs)
-		}
-	}
-
-	// The overridden decomposition must still transform correctly.
+	// The pass-loop plan must still transform correctly.
 	rng := rand.New(rand.NewSource(70))
 	x := randVec128(rng, 64*64)
-	def, _ := NewPlan2D[complex128](64, 64)
-	want := append([]complex128(nil), x...)
-	def.Transform(want, Forward)
+	ref, _ := NewPlan2D[complex128](64, 64, WithNorm(NormUnitary))
+	wantX := append([]complex128(nil), x...)
+	ref.Transform(wantX, Forward)
 	got := append([]complex128(nil), x...)
 	if err := p2.Transform(got, Forward); err != nil {
 		t.Fatal(err)
 	}
-	if e := relErr(got, want); e > tol128 {
-		t.Errorf("radix-2 2D plan differs from default by %g", e)
-	}
-
-	// A radix override that does not match an axis length must error,
-	// not be silently dropped.
-	if _, err := NewPlan2D[complex128](64, 128, WithRadices(rs)); err == nil {
-		t.Error("mismatched radix override accepted for 64x128")
+	if e := relErr(got, wantX); e > tol128 {
+		t.Errorf("pass-loop 2D plan differs from the codelet plan by %g", e)
 	}
 }
 
-// TestParallelPlan3DConcurrentTransforms guards the shared-buffer fix:
-// before the per-call pooled execution contexts, every concurrent
-// Transform on one ParallelPlan3D scribbled over the same p.buf and
-// produced corrupt output (and a -race failure).
-func TestParallelPlan3DConcurrentTransforms(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	d0, d1, d2 := 16, 8, 16
-	ref, err := NewPlan3D[complex128](d0, d1, d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := NewParallelPlan3D[complex128](d0, d1, d2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distinct inputs per goroutine so buffer sharing cannot hide as
-	// identical results.
-	const goroutines = 8
-	inputs := make([][]complex128, goroutines)
-	wants := make([][]complex128, goroutines)
-	for g := range inputs {
-		inputs[g] = randVec128(rng, d0*d1*d2)
-		wants[g] = append([]complex128(nil), inputs[g]...)
-		if err := ref.Transform(wants[g], Forward); err != nil {
+// checkConcurrentTransforms transforms a distinct input per goroutine
+// on one shared plan from 8 goroutines (10 times each) and requires
+// every output bit-identical to the naive-round oracle. Distinct inputs
+// keep shared scratch from hiding as identical results; run under
+// -race in CI.
+func checkConcurrentTransforms[T Complex](t *testing.T, transform func([]T, Direction) error, r *rotor[T], inputs [][]T) {
+	t.Helper()
+	wants := make([][]T, len(inputs))
+	for g, in := range inputs {
+		wants[g] = append([]T(nil), in...)
+		if err := naiveTransform(r, wants[g], make([]T, len(in)), Forward); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	errs := make(chan error, len(inputs))
+	for g := range inputs {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < 10; it++ {
-				got := append([]complex128(nil), inputs[g]...)
-				if err := pp.Transform(got, Forward); err != nil {
-					t.Error(err)
+				got := append([]T(nil), inputs[g]...)
+				if err := transform(got, Forward); err != nil {
+					errs <- err
 					return
 				}
-				if e := relErr(got, wants[g]); e > tol128 {
-					t.Errorf("goroutine %d: concurrent transform differs by %g", g, e)
-					return
+				for i := range got {
+					if got[i] != wants[g][i] {
+						errs <- fmt.Errorf("goroutine %d iter %d: element %d is %v, naive oracle %v", g, it, i, got[i], wants[g][i])
+						return
+					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
-// The 2D parallel plan shares the same pooled-context machinery; check
-// it under concurrency too.
-func TestParallelPlan2DConcurrentTransforms(t *testing.T) {
+// TestPlan3DConcurrentTransforms guards the merged plan's concurrency
+// contract: one shared Plan3D, transformed from 8 goroutines at once,
+// inline (1 worker) and split (4 workers).
+func TestPlan3DConcurrentTransforms(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const d0, d1, d2 = 16, 8, 16
+	for _, workers := range []int{1, 4} {
+		p, err := NewPlan3D[complex64](d0, d1, d2, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := make([][]complex64, 8)
+		for g := range inputs {
+			inputs[g] = randVec64(rng, d0*d1*d2)
+		}
+		checkConcurrentTransforms(t, p.Transform, &p.r, inputs)
+	}
+}
+
+// TestPlan2DConcurrentTransforms is the 2D analog.
+func TestPlan2DConcurrentTransforms(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	d0, d1 := 64, 32
-	ref, err := NewPlan2D[complex128](d0, d1)
-	if err != nil {
-		t.Fatal(err)
+	const d0, d1 = 64, 32
+	for _, workers := range []int{1, 4} {
+		p, err := NewPlan2D[complex128](d0, d1, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := make([][]complex128, 8)
+		for g := range inputs {
+			inputs[g] = randVec128(rng, d0*d1)
+		}
+		checkConcurrentTransforms(t, p.Transform, &p.r, inputs)
 	}
-	pp, err := NewParallelPlan2D[complex128](d0, d1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVec128(rng, d0*d1)
-	want := append([]complex128(nil), x...)
-	if err := ref.Transform(want, Forward); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := 0; it < 10; it++ {
-				got := append([]complex128(nil), x...)
-				if err := pp.Transform(got, Forward); err != nil {
-					t.Error(err)
-					return
-				}
-				if e := relErr(got, want); e > tol128 {
-					t.Errorf("concurrent 2D transform differs by %g", e)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

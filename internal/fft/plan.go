@@ -3,6 +3,7 @@ package fft
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Plan holds the precomputed state (pass radices and per-pass twiddle
@@ -35,15 +36,18 @@ type PlanOption func(*planConfig)
 
 type planConfig struct {
 	norm     Normalization
-	radices  []int
-	block    int
 	codelets bool
+	workers  int
 }
 
-// defaultPlanConfig is the configuration an option-less constructor
-// starts from: NormByN and codelet leaves enabled.
-func defaultPlanConfig() planConfig {
-	return planConfig{norm: NormByN, codelets: true}
+// newPlanConfig applies opts to the defaults: NormByN, codelet leaves
+// enabled, one worker.
+func newPlanConfig(opts []PlanOption) planConfig {
+	cfg := planConfig{norm: NormByN, codelets: true, workers: 1}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
 // WithNorm sets the inverse-transform normalization (default NormByN).
@@ -51,60 +55,35 @@ func WithNorm(n Normalization) PlanOption {
 	return func(c *planConfig) { c.norm = n }
 }
 
-// WithRadices overrides the pass radix decomposition (values in
-// {2,4,8}, product must equal the transform size). Used by the radix
-// ablation study. Multi-dimensional plans forward the override to every
-// row plan, so the product must match each axis length.
-func WithRadices(rs []int) PlanOption {
-	return func(c *planConfig) { c.radices = rs }
-}
-
 // WithCodelets toggles dispatch into the generated straight-line
 // kernels of internal/fft/codelet (default on). With codelets off — or
 // for sizes and element types without a generated kernel — the plan
 // executes the generic pass loop exactly as before the codelet layer
-// existed, bit for bit. An explicit WithRadices override also disables
-// codelets: the caller asked for a specific pass decomposition, which a
-// straight-line leaf would bypass.
+// existed, bit for bit.
 func WithCodelets(on bool) PlanOption {
 	return func(c *planConfig) { c.codelets = on }
 }
 
-// WithBlockSize sets the tile edge B used by the cache-blocked fused
-// row-FFT+rotation rounds of the multi-dimensional plans. 0 selects
-// DefaultBlockSize; 1 selects the unblocked (naive, one scattered write
-// per element) round kept for the blocking ablation. 1D plans ignore
-// the option.
-func WithBlockSize(b int) PlanOption {
-	return func(c *planConfig) { c.block = b }
+// WithWorkers sets how many goroutines a multi-dimensional plan splits
+// each fused round across (default 1: the rounds run inline on the
+// calling goroutine); k <= 0 selects GOMAXPROCS at construction. 1D
+// plans ignore the option.
+func WithWorkers(k int) PlanOption {
+	return func(c *planConfig) {
+		if k <= 0 {
+			c.workers = runtime.GOMAXPROCS(0)
+		} else {
+			c.workers = k
+		}
+	}
 }
 
 // NewPlan builds a plan for n-point transforms (n a power of two).
 func NewPlan[T Complex](n int, opts ...PlanOption) (*Plan[T], error) {
-	if err := checkSize(n); err != nil {
+	cfg := newPlanConfig(opts)
+	rs, err := Radices(n)
+	if err != nil {
 		return nil, err
-	}
-	cfg := defaultPlanConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	rs := cfg.radices
-	if rs == nil {
-		var err error
-		rs, err = Radices(n)
-		if err != nil {
-			return nil, err
-		}
-	}
-	prod := 1
-	for _, r := range rs {
-		if r != 2 && r != 4 && r != 8 {
-			return nil, fmt.Errorf("fft: unsupported radix %d", r)
-		}
-		prod *= r
-	}
-	if prod != n {
-		return nil, fmt.Errorf("fft: radices %v multiply to %d, want %d", rs, prod, n)
 	}
 	p := &Plan[T]{
 		n:       n,
@@ -113,7 +92,7 @@ func NewPlan[T Complex](n int, opts ...PlanOption) (*Plan[T], error) {
 		tw:      map[Direction][][]T{},
 		scratch: make([]T, n),
 	}
-	if cfg.codelets && cfg.radices == nil {
+	if cfg.codelets {
 		p.initCodelets()
 	}
 	// Build both directions eagerly: the table map is immutable from
@@ -288,24 +267,6 @@ func stockhamPass[T Complex](dst, src []T, s, l, r int, tw []T, dir Direction) {
 				dst[base+5*s] = y5 * tw[5*j]
 				dst[base+6*s] = y6 * tw[6*j]
 				dst[base+7*s] = y7 * tw[7*j]
-			}
-		}
-	default:
-		// Generic small-DFT fallback (unused by standard plans; kept for
-		// completeness and property testing of the specialized kernels).
-		t := make([]T, r)
-		for j := 0; j < lr; j++ {
-			for d := 0; d < s; d++ {
-				for k := 0; k < r; k++ {
-					t[k] = src[d+s*(j+k*lr)]
-				}
-				for m := 0; m < r; m++ {
-					var sum T
-					for k := 0; k < r; k++ {
-						sum += t[k] * omega[T](r, m*k, dir)
-					}
-					dst[d+s*(r*j+m)] = sum * tw[j*m]
-				}
 			}
 		}
 	}

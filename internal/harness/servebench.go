@@ -30,7 +30,7 @@ type ServeBenchOptions struct {
 	Concurrency  []int         // levels (default 1, 4, 16)
 	MaxInflight  int           // admission bound (default 256)
 	MaxBatch     int           // coalesce cap (default 32)
-	CoalesceWait time.Duration // straggler window (default 200µs)
+	CoalesceWait time.Duration // straggler window (default 0, as serve.Config: coalesce only queued work)
 }
 
 func (o ServeBenchOptions) withDefaults() ServeBenchOptions {
@@ -51,9 +51,6 @@ func (o ServeBenchOptions) withDefaults() ServeBenchOptions {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.CoalesceWait <= 0 {
-		o.CoalesceWait = 200 * time.Microsecond
 	}
 	return o
 }

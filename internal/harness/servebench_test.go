@@ -67,3 +67,19 @@ func TestRunServeBench(t *testing.T) {
 		t.Errorf("round-trip lost fields: %+v", back)
 	}
 }
+
+// TestRunServeBenchMeasuresZeroCoalesceWait pins the bench default to
+// the server's: a zero CoalesceWait is measured as given (coalesce only
+// queued work) and recorded as 0, not replaced by a straggler window.
+func TestRunServeBenchMeasuresZeroCoalesceWait(t *testing.T) {
+	rec, err := RunServeBench(ServeBenchOptions{N: 64, Requests: 8, Concurrency: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.CoalesceWaitUs != 0 {
+		t.Errorf("coalesce_wait_us = %g, want 0", rec.CoalesceWaitUs)
+	}
+	if len(rec.Levels) != 1 || rec.Levels[0].Errors != 0 {
+		t.Errorf("levels = %+v", rec.Levels)
+	}
+}

@@ -369,7 +369,8 @@ func batchTransform[C fft.Complex](x []C, n int, b *BatchSpec, dir fft.Direction
 	return bp.Transform(x, dir)
 }
 
-// plan2DTransform executes a 2D request on a private cached-plan clone.
+// plan2DTransform executes a 2D request on the shared cached plan, which
+// is safe for concurrent Transform calls.
 func plan2DTransform[C fft.Complex](x []C, dims []int, dir fft.Direction, norm fft.Normalization) error {
 	plan, err := fft.CachedPlan2D[C](dims[0], dims[1], fft.WithNorm(norm))
 	if err != nil {
@@ -378,7 +379,8 @@ func plan2DTransform[C fft.Complex](x []C, dims []int, dir fft.Direction, norm f
 	return plan.Transform(x, dir)
 }
 
-// plan3DTransform executes a 3D request on a private cached-plan clone.
+// plan3DTransform executes a 3D request on the shared cached plan, which
+// is safe for concurrent Transform calls.
 func plan3DTransform[C fft.Complex](x []C, dims []int, dir fft.Direction, norm fft.Normalization) error {
 	plan, err := fft.CachedPlan3D[C](dims[0], dims[1], dims[2], fft.WithNorm(norm))
 	if err != nil {
