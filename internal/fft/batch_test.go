@@ -187,34 +187,3 @@ func TestBatchPlanStrideDistAliasing(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchPlanCloneConcurrentSafe runs a plan and its clone in
-// parallel (the clone contract: shared tables, private gather scratch);
-// meaningful under -race.
-func TestBatchPlanCloneConcurrentSafe(t *testing.T) {
-	const n = 32
-	bp, err := NewBatchPlan[complex64](n, 2, 2, 1, WithNorm(NormNone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := bp.Clone()
-	run := func(b *BatchPlan[complex64], done chan<- error) {
-		x := make([]complex64, b.MinLen())
-		for i := range x {
-			x[i] = complex(float32(i), -float32(i))
-		}
-		var err error
-		for iter := 0; iter < 50 && err == nil; iter++ {
-			err = b.Transform(x, Forward)
-		}
-		done <- err
-	}
-	done := make(chan error, 2)
-	go run(bp, done)
-	go run(clone, done)
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}

@@ -23,18 +23,19 @@ const DefaultBlockSize = 128
 // matrix) and writes each transformed row r into column r of dst (an
 // n×rows matrix): dst[k·rows+r] = FFT(src[r·n:(r+1)·n])[k], the fused
 // row-FFT+rotation round, tiled with edge bsize. tile needs capacity
-// for bsize·n elements. Concurrent calls on disjoint [lo,hi) ranges
-// write disjoint elements of dst.
-func blockedRowsTranspose[T Complex](dst, src []T, rows, n, lo, hi, bsize int, plan *Plan[T], tile []T, dir Direction) error {
+// for bsize·n elements; plan is the n-point row plan, of which the call
+// checks out one execution context for the whole range. Concurrent
+// calls on disjoint [lo,hi) ranges write disjoint elements of dst.
+func blockedRowsTranspose[T Complex](dst, src []T, rows, n, lo, hi, bsize int, plan *Plan[T], tile []T, dir Direction) {
+	e := plan.ctx.get()
+	defer plan.ctx.put(e)
 	for r0 := lo; r0 < hi; r0 += bsize {
 		rb := min(bsize, hi-r0)
 		// FFT rb rows into the contiguous tile.
 		for rr := 0; rr < rb; rr++ {
 			row := tile[rr*n : (rr+1)*n]
 			copy(row, src[(r0+rr)*n:(r0+rr+1)*n])
-			if err := plan.Transform(row, dir); err != nil {
-				return err
-			}
+			plan.transform(row, dir, e)
 		}
 		// Copy the tile out transposed, one B×B sub-tile at a time:
 		// the inner loop writes rb contiguous elements of dst and walks
@@ -51,5 +52,4 @@ func blockedRowsTranspose[T Complex](dst, src []T, rows, n, lo, hi, bsize int, p
 			}
 		}
 	}
-	return nil
 }

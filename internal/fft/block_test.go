@@ -32,9 +32,7 @@ func checkBlockedRound(t *testing.T, rng *rand.Rand, rows, n int, blocks []int) 
 		}
 		for _, b := range blocks {
 			got := make([]complex128, rows*n)
-			if err := blockedRowsTranspose(got, src, rows, n, 0, rows, b, plan, make([]complex128, b*n), dir); err != nil {
-				t.Fatal(err)
-			}
+			blockedRowsTranspose(got, src, rows, n, 0, rows, b, plan, make([]complex128, b*n), dir)
 			requireIdentical(t, fmt.Sprintf("%dx%d B=%d dir=%d", rows, n, b, dir), got, want)
 		}
 	}
@@ -76,18 +74,14 @@ func TestBlockedRowsTransposeRangePartition(t *testing.T) {
 	}
 	tile := make([]complex128, B*n)
 	want := make([]complex128, rows*n)
-	if err := blockedRowsTranspose(want, src, rows, n, 0, rows, B, plan, tile, Forward); err != nil {
-		t.Fatal(err)
-	}
+	blockedRowsTranspose(want, src, rows, n, 0, rows, B, plan, tile, Forward)
 	got := make([]complex128, rows*n)
 	for _, cuts := range [][]int{{0, 37}, {0, 8, 37}, {0, 5, 11, 30, 37}} {
 		for i := range got {
 			got[i] = 0
 		}
 		for c := 0; c+1 < len(cuts); c++ {
-			if err := blockedRowsTranspose(got, src, rows, n, cuts[c], cuts[c+1], B, plan, tile, Forward); err != nil {
-				t.Fatal(err)
-			}
+			blockedRowsTranspose(got, src, rows, n, cuts[c], cuts[c+1], B, plan, tile, Forward)
 		}
 		if e := relErr(got, want); e > tol128 {
 			t.Errorf("cuts %v: partitioned result differs by %g", cuts, e)
@@ -103,26 +97,23 @@ func TestParallelPlansBlockedMatchSerial(t *testing.T) {
 	const total = 8 * 16 * 32
 	for _, n := range []int{32, 16, 8} {
 		rows := total / n
-		master, err := NewPlan[complex128](n, WithNorm(NormNone))
+		plan, err := NewPlan[complex128](n, WithNorm(NormNone))
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := randVec128(rng, total)
 		want := make([]complex128, total)
-		if err := rowsAndRotate(want, src, rows, n, master, Forward); err != nil {
+		if err := rowsAndRotate(want, src, rows, n, plan, Forward); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range []int{1, 4, 32} {
 			for _, workers := range []int{1, 3, 7, 64} {
-				plans := make([]*Plan[complex128], workers)
 				tiles := make([][]complex128, workers)
-				for w := range plans {
-					plans[w], tiles[w] = master.Clone(), make([]complex128, b*n)
+				for w := range tiles {
+					tiles[w] = make([]complex128, b*n)
 				}
 				got := make([]complex128, total)
-				if err := fusedRound(got, src, rows, n, b, plans, tiles, Forward); err != nil {
-					t.Fatal(err)
-				}
+				fusedRound(got, src, rows, n, b, plan, tiles, Forward)
 				requireIdentical(t, fmt.Sprintf("%dx%d B=%d workers=%d", rows, n, b, workers), got, want)
 			}
 		}

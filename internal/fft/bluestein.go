@@ -15,14 +15,15 @@ import (
 // This extends the plan API beyond powers of two (the paper's kernel
 // only needs powers of two; this is a library completeness extension).
 
-// BluesteinPlan computes arbitrary-length transforms.
+// BluesteinPlan computes arbitrary-length transforms. Like Plan it is
+// fixed at construction and safe for concurrent Transform calls.
 type BluesteinPlan[C Complex] struct {
 	n     int
 	m     int // inner power-of-two convolution size
 	inner *Plan[C]
 	norm  Normalization
 	// Per-direction chirp and the forward transform of the padded,
-	// wrapped chirp kernel.
+	// wrapped chirp kernel, both built at construction.
 	w  map[Direction][]C
 	fb map[Direction][]C
 }
@@ -41,8 +42,14 @@ func NewBluestein[C Complex](n int, opts ...PlanOption) (*BluesteinPlan[C], erro
 	if err != nil {
 		return nil, err
 	}
-	return &BluesteinPlan[C]{n: n, m: m, inner: inner, norm: cfg.norm,
-		w: map[Direction][]C{}, fb: map[Direction][]C{}}, nil
+	p := &BluesteinPlan[C]{n: n, m: m, inner: inner, norm: cfg.norm,
+		w: map[Direction][]C{}, fb: map[Direction][]C{}}
+	for _, dir := range []Direction{Forward, Inverse} {
+		if p.w[dir], p.fb[dir], err = p.chirp(dir); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // N returns the transform size.
@@ -51,11 +58,8 @@ func (p *BluesteinPlan[C]) N() int { return p.n }
 // InnerSize returns the power-of-two convolution length.
 func (p *BluesteinPlan[C]) InnerSize() int { return p.m }
 
-// chirp returns (building if needed) w and FFT(b) for dir.
+// chirp builds w and FFT(b) for dir.
 func (p *BluesteinPlan[C]) chirp(dir Direction) (w, fb []C, err error) {
-	if w, ok := p.w[dir]; ok {
-		return w, p.fb[dir], nil
-	}
 	n := p.n
 	w = make([]C, n)
 	for j := 0; j < n; j++ {
@@ -75,8 +79,6 @@ func (p *BluesteinPlan[C]) chirp(dir Direction) (w, fb []C, err error) {
 	if err := p.inner.Transform(b, Forward); err != nil {
 		return nil, nil, err
 	}
-	p.w[dir] = w
-	p.fb[dir] = b
 	return w, b, nil
 }
 
@@ -85,10 +87,7 @@ func (p *BluesteinPlan[C]) Transform(x []C, dir Direction) error {
 	if len(x) != p.n {
 		return fmt.Errorf("fft: input length %d does not match plan size %d", len(x), p.n)
 	}
-	w, fb, err := p.chirp(dir)
-	if err != nil {
-		return err
-	}
+	w, fb := p.w[dir], p.fb[dir]
 	a := make([]C, p.m)
 	for j := 0; j < p.n; j++ {
 		a[j] = x[j] * w[j]

@@ -7,14 +7,9 @@ import (
 
 // Plan cache: services that issue many same-shape transforms pay the
 // twiddle-table derivation once per (type, shape, options) key instead
-// of per plan. All Cached* constructors are safe to call concurrently.
-//
-// Concurrency contract of the returned plans: CachedPlan hands out a
-// private Clone of the cached master (the immutable twiddle tables are
-// shared, the scratch is not), so each returned 1D plan belongs to its
-// caller and is not safe for concurrent Transform calls on the one
-// instance. CachedPlan2D and CachedPlan3D return the shared cached
-// instance itself, which is safe for concurrent Transform calls.
+// of per plan. All Cached* constructors are safe to call concurrently,
+// and each returns the shared cached plan itself, which — like every
+// plan — is safe for concurrent Transform calls.
 
 var (
 	planCacheMu sync.Mutex
@@ -62,20 +57,15 @@ func ResetPlanCache() {
 	planCache = map[string]any{}
 }
 
-// CachedPlan returns a 1D plan backed by the shared cache: a private
-// clone of the cached master for n and opts.
+// CachedPlan returns the shared cached 1D plan for n and opts.
 func CachedPlan[T Complex](n int, opts ...PlanOption) (*Plan[T], error) {
-	master, err := cachedBuild(cacheKey[T]("1d", []int{n}, opts), func() (*Plan[T], error) {
+	return cachedBuild(cacheKey[T]("1d", []int{n}, opts), func() (*Plan[T], error) {
 		return NewPlan[T](n, opts...)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return master.Clone(), nil
 }
 
 // CachedPlan2D returns the shared cached 2D plan for (d0, d1) and
-// opts; the plan is safe for concurrent Transform calls as-is.
+// opts.
 func CachedPlan2D[T Complex](d0, d1 int, opts ...PlanOption) (*Plan2D[T], error) {
 	return cachedBuild(cacheKey[T]("2d", []int{d0, d1}, opts), func() (*Plan2D[T], error) {
 		return NewPlan2D[T](d0, d1, opts...)
@@ -83,7 +73,7 @@ func CachedPlan2D[T Complex](d0, d1 int, opts ...PlanOption) (*Plan2D[T], error)
 }
 
 // CachedPlan3D returns the shared cached 3D plan for (d0, d1, d2) and
-// opts; the plan is safe for concurrent Transform calls as-is.
+// opts.
 func CachedPlan3D[T Complex](d0, d1, d2 int, opts ...PlanOption) (*Plan3D[T], error) {
 	return cachedBuild(cacheKey[T]("3d", []int{d0, d1, d2}, opts), func() (*Plan3D[T], error) {
 		return NewPlan3D[T](d0, d1, d2, opts...)

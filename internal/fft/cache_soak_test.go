@@ -5,7 +5,7 @@ package fft
 // goroutines resolving Cached* plans of overlapping shapes, transforming
 // on them, and racing ResetPlanCache against the lot. The contract under
 // -race: no data race, no torn cache state, and every transform —
-// whether its plan came from a fresh or about-to-be-dropped master —
+// whether its plan came from a fresh or about-to-be-dropped cache entry —
 // remains bit-identical to a reference computed on a private plan.
 
 import (
@@ -116,7 +116,7 @@ func TestPlanCacheSoakConcurrentWithResets(t *testing.T) {
 // TestPlanCacheResetLeavesOutstandingPlansValid pins the documented
 // ResetPlanCache semantics: plans handed out before the reset keep
 // working (their tables are theirs), and the next Cached* call after a
-// reset builds a fresh master rather than resurrecting the old one.
+// reset builds a fresh plan rather than resurrecting the old one.
 func TestPlanCacheResetLeavesOutstandingPlansValid(t *testing.T) {
 	defer ResetPlanCache()
 	ResetPlanCache()

@@ -8,58 +8,39 @@ import (
 	"testing"
 )
 
-func TestCachedPlanClonesShareTables(t *testing.T) {
+// TestCachedPlanReturnsSharedPlan pins the 1D half of the cache
+// contract: two lookups of one key return the same plan, for pass-loop
+// and codelet plans alike, and it transforms like a fresh plan.
+func TestCachedPlanReturnsSharedPlan(t *testing.T) {
 	defer ResetPlanCache()
 	ResetPlanCache()
-	// Codelets off so the plan actually owns twiddle tables to share (a
-	// fully-covered codelet plan has none).
-	a, err := CachedPlan[complex128](64, WithCodelets(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CachedPlan[complex128](64, WithCodelets(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("CachedPlan returned the same instance twice; want private clones")
-	}
-	if &a.tw[Forward][0][0] != &b.tw[Forward][0][0] {
-		t.Error("clones do not share twiddle tables")
-	}
-	if &a.scratch[0] == &b.scratch[0] {
-		t.Error("clones share scratch")
-	}
-	// Default (codelet) plans clone too: kernels shared, scratch private.
-	ca, err := CachedPlan[complex128](64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := CachedPlan[complex128](64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca == cb {
-		t.Fatal("CachedPlan returned the same codelet plan instance twice")
-	}
-	if !ca.UsesCodelets() || ca.LeafN() != 64 {
-		t.Fatalf("default cached plan has leafN=%d, want codelet leaf 64", ca.LeafN())
-	}
-	if &ca.scratch[0] == &cb.scratch[0] {
-		t.Error("codelet plan clones share scratch")
-	}
-	// Cached result matches a fresh plan.
 	rng := rand.New(rand.NewSource(50))
 	x := randVec128(rng, 64)
 	fresh, _ := NewPlan[complex128](64)
 	want := append([]complex128(nil), x...)
 	fresh.Transform(want, Forward)
-	got := append([]complex128(nil), x...)
-	if err := a.Transform(got, Forward); err != nil {
-		t.Fatal(err)
-	}
-	if e := relErr(got, want); e > tol128 {
-		t.Errorf("cached plan differs from fresh plan by %g", e)
+	for _, opts := range [][]PlanOption{{WithCodelets(false)}, nil} {
+		a, err := CachedPlan[complex128](64, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := CachedPlan[complex128](64, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("CachedPlan (%d options) returned two instances; want the shared plan", len(opts))
+		}
+		if a.UsesCodelets() != (opts == nil) {
+			t.Errorf("cached plan (%d options) has leafN=%d", len(opts), a.LeafN())
+		}
+		got := append([]complex128(nil), x...)
+		if err := a.Transform(got, Forward); err != nil {
+			t.Fatal(err)
+		}
+		if e := relErr(got, want); e > tol128 {
+			t.Errorf("cached plan (%d options) differs from fresh plan by %g", len(opts), e)
+		}
 	}
 }
 
@@ -173,10 +154,11 @@ func cacheHitBytes(t *testing.T, hit func() error) uint64 {
 
 // TestCachedMultiDimPlanHitCostIndependentOfSize pins the shared-plan
 // contract: a cache hit hands out the cached plan itself, so it costs
-// the same bytes at 64³ as at 16³ — no array-sized scratch per call
-// (a 16² complex64 array alone is 2 KiB). The slack absorbs the race
-// detector, under which sync.Pool drops items at random and fmt's
-// printer pool reallocates a few hundred bytes now and then.
+// the same bytes at 64³ as at 16³, and at n=8192 as at n=64 — no
+// array-sized scratch per call (a 16² complex64 array alone is 2 KiB).
+// The slack absorbs the race detector, under which sync.Pool drops
+// items at random and fmt's printer pool reallocates a few hundred
+// bytes now and then.
 func TestCachedMultiDimPlanHitCostIndependentOfSize(t *testing.T) {
 	defer ResetPlanCache()
 	ResetPlanCache()
@@ -187,11 +169,17 @@ func TestCachedMultiDimPlanHitCostIndependentOfSize(t *testing.T) {
 	hit2D := func(n int) func() error {
 		return func() error { _, err := CachedPlan2D[complex64](n, n); return err }
 	}
+	hit1D := func(n int) func() error {
+		return func() error { _, err := CachedPlan[complex64](n); return err }
+	}
 	if small, large := cacheHitBytes(t, hit3D(16)), cacheHitBytes(t, hit3D(64)); large > small+slack {
 		t.Errorf("CachedPlan3D hit allocates %d B at 16³ but %d B at 64³", small, large)
 	}
 	if small, large := cacheHitBytes(t, hit2D(16)), cacheHitBytes(t, hit2D(64)); large > small+slack {
 		t.Errorf("CachedPlan2D hit allocates %d B at 16² but %d B at 64²", small, large)
+	}
+	if small, large := cacheHitBytes(t, hit1D(64)), cacheHitBytes(t, hit1D(8192)); large > small+slack {
+		t.Errorf("CachedPlan hit allocates %d B at n=64 but %d B at n=8192", small, large)
 	}
 }
 

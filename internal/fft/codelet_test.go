@@ -324,7 +324,7 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 		t.Error("WithWorkers(0) keys differently from GOMAXPROCS workers")
 	}
 	// Behavioral check: fetching codelets-off after default must not
-	// hand back the cached codelet master.
+	// hand back the cached codelet plan.
 	on, err := CachedPlan[complex64](64)
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,6 @@ func (p *Plan[T]) initCodelets() {
 	}
 	p.leafN, p.leafFwd, p.leafInv = leafN, fwd, inv
 	p.radices = prefix
-	p.leafBuf = make([]T, 2*leafN)
 }
 
 // leaf returns the direction's kernel.
@@ -86,10 +85,11 @@ func (p *Plan[T]) leaf(dir Direction) func(x, scratch []T) {
 // the final output of the remaining passes would be exactly
 // cur[d+s·k] = DFT(sub_d)[k] — the Stockham invariant. Each strided
 // sub-transform is gathered, run through the straight-line leaf, and
-// scattered back to the same indices.
-func (p *Plan[T]) leafStage(cur []T, s int, dir Direction) {
+// scattered back to the same indices; leafBuf (2·leafN elements) holds
+// the gathered sub-transform and the kernel's scratch.
+func (p *Plan[T]) leafStage(cur []T, s int, dir Direction, leafBuf []T) {
 	leaf := p.leaf(dir)
-	buf, scratch := p.leafBuf[:p.leafN], p.leafBuf[p.leafN:]
+	buf, scratch := leafBuf[:p.leafN], leafBuf[p.leafN:]
 	for d := 0; d < s; d++ {
 		for j := 0; j < p.leafN; j++ {
 			buf[j] = cur[d+s*j]

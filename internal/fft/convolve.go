@@ -11,7 +11,7 @@ func Convolve[T Complex](a, b []T) ([]T, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("fft: convolve length mismatch %d vs %d", len(a), len(b))
 	}
-	p, err := NewPlan[T](len(a))
+	p, err := CachedPlan[T](len(a))
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,12 @@
 //
 // Transforms are generic over complex64 (the paper's single-precision
 // workload) and complex128.
+//
+// Every plan type (Plan, BatchPlan, BluesteinPlan, Plan2D, Plan3D) is
+// fixed at construction and safe for concurrent Transform calls —
+// FFTW's plan-execution contract: each call checks its scratch out of
+// the plan for its own use. The Cached* constructors return the shared
+// cached plan.
 package fft
 
 import (

@@ -1,10 +1,6 @@
 package fft
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Multidimensional transforms follow the paper's §IV organization
 // exactly: the FFT of every row (last axis) is computed, then the axes
@@ -18,9 +14,9 @@ import (
 // goroutines (see parallel.go).
 //
 // Plan2D and Plan3D are safe for concurrent Transform calls on one
-// plan: every call checks an execution context (rotation buffer,
-// per-worker row-plan clones and tiles) out for its own use — the
-// plan's idle one, else a pooled or new one — so calls never share
+// plan: every call checks an execution context (rotation buffer and
+// per-worker tiles) out of the plan for its own use, and every worker
+// range checks one out of the shared row plan, so calls never share
 // mutable scratch.
 
 // Plan2D transforms dense row-major d0×d1 arrays (index i*d1 + j).
@@ -84,33 +80,25 @@ type rotor[T Complex] struct {
 	maxdim  int
 	workers int
 	norm    Normalization
-	rounds  []*Plan[T] // master row plan per round (immutable tables)
-	// idle is the execution context of the last finished call, reused
-	// by the next; contexts of concurrent calls beyond it go to spare.
-	// The idle context is referenced from the plan alone, so it is freed
-	// with the plan: the runtime's pool registry would keep a pooled one
-	// alive for another GC cycle. spare is a separate object without a
-	// New func for the same reason — it must not reference the plan.
-	idle  atomic.Pointer[exec[T]]
-	spare *sync.Pool // *exec[T]
+	rounds  []*Plan[T] // row plan per round
+	ctx     checkout[exec[T]]
 }
 
 // exec is the per-Transform-call scratch of a rotor: the rotation
-// buffer, one row-plan clone per round per worker, and one tile per
-// worker. A context is never shared between simultaneous calls.
+// buffer and one tile per worker. A context is never shared between
+// simultaneous calls.
 type exec[T Complex] struct {
 	buf   []T
-	plans [][]*Plan[T] // [round][worker]
-	tiles [][]T        // [worker]
+	tiles [][]T // [worker]
 }
 
 func (r *rotor[T]) init(dims []int, opts []PlanOption) error {
 	cfg := newPlanConfig(opts)
 	// Row plans leave normalization to the rotor, which applies it once
-	// over the whole array. Equal axis lengths share one master plan.
+	// over the whole array. Equal axis lengths share one row plan.
 	rowOpts := append(opts[:len(opts):len(opts)], WithNorm(NormNone))
 	byLen := map[int]*Plan[T]{}
-	r.total, r.workers, r.norm, r.spare = 1, cfg.workers, cfg.norm, &sync.Pool{}
+	r.total, r.workers, r.norm = 1, cfg.workers, cfg.norm
 	for i := range dims {
 		n := dims[len(dims)-1-i]
 		p := byLen[n]
@@ -125,53 +113,29 @@ func (r *rotor[T]) init(dims []int, opts []PlanOption) error {
 		r.total *= n
 		r.maxdim = max(r.maxdim, n)
 	}
+	r.ctx.init(r.newExec)
 	return nil
 }
 
-// get checks an execution context out for one Transform call.
-func (r *rotor[T]) get() *exec[T] {
-	if e := r.idle.Swap(nil); e != nil {
-		return e
-	}
-	if e, ok := r.spare.Get().(*exec[T]); ok {
-		return e
-	}
-	e := &exec[T]{
-		buf:   make([]T, r.total),
-		plans: make([][]*Plan[T], len(r.rounds)),
-		tiles: make([][]T, r.workers),
-	}
-	for round, master := range r.rounds {
-		e.plans[round] = make([]*Plan[T], r.workers)
-		for w := range e.plans[round] {
-			e.plans[round][w] = master.Clone()
-		}
-	}
+// newExec allocates one execution context for the rotor.
+func (r *rotor[T]) newExec() *exec[T] {
+	e := &exec[T]{buf: make([]T, r.total), tiles: make([][]T, r.workers)}
 	for w := range e.tiles {
 		e.tiles[w] = make([]T, DefaultBlockSize*r.maxdim)
 	}
 	return e
 }
 
-// put returns a context checked out by get.
-func (r *rotor[T]) put(e *exec[T]) {
-	if !r.idle.CompareAndSwap(nil, e) {
-		r.spare.Put(e)
-	}
-}
-
 func (r *rotor[T]) transform(x []T, dir Direction) error {
 	if len(x) != r.total {
 		return fmt.Errorf("fft: input length %d, want %d", len(x), r.total)
 	}
-	e := r.get()
-	defer r.put(e)
+	e := r.ctx.get()
+	defer r.ctx.put(e)
 	src, dst := x, e.buf
-	for round, master := range r.rounds {
-		n := master.N()
-		if err := fusedRound(dst, src, r.total/n, n, DefaultBlockSize, e.plans[round], e.tiles, dir); err != nil {
-			return err
-		}
+	for _, plan := range r.rounds {
+		n := plan.N()
+		fusedRound(dst, src, r.total/n, n, DefaultBlockSize, plan, e.tiles, dir)
 		src, dst = dst, src
 	}
 	// After an odd number of rounds (3D) the transformed data lives in

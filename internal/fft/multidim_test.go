@@ -262,56 +262,6 @@ func TestParallel3DMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelRows1D(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	const n, rows = 64, 37
-	x := randVec128(rng, n*rows)
-	want := append([]complex128(nil), x...)
-	plan, _ := NewPlan[complex128](n)
-	for r := 0; r < rows; r++ {
-		plan.Transform(want[r*n:(r+1)*n], Forward)
-	}
-	got := append([]complex128(nil), x...)
-	if err := ParallelRows1D(got, plan, Forward, 4); err != nil {
-		t.Fatal(err)
-	}
-	if e := relErr(got, want); e > tol128 {
-		t.Errorf("parallel rows differ: %g", e)
-	}
-	if err := ParallelRows1D(make([]complex128, n+1), plan, Forward, 2); err == nil {
-		t.Error("ragged buffer accepted")
-	}
-}
-
-func TestPlanCloneConcurrentSafe(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	base, _ := NewPlan[complex128](128)
-	x := randVec128(rng, 128)
-	want := make([]complex128, 128)
-	base.TransformTo(want, x, Forward)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			p := base.Clone()
-			for it := 0; it < 50; it++ {
-				got := append([]complex128(nil), x...)
-				if err := p.Transform(got, Forward); err != nil {
-					t.Error(err)
-					return
-				}
-				if e := relErr(got, want); e > tol128 {
-					t.Errorf("clone result differs: %g", e)
-					return
-				}
-			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-}
-
 func TestNewPlanDimensionErrors(t *testing.T) {
 	if _, err := NewPlan2D[complex128](3, 8); err == nil {
 		t.Error("2D non-power-of-two accepted")

@@ -276,14 +276,14 @@ func rowsAndRotate[T Complex](dst, src []T, rows, n int, plan *Plan[T], dir Dire
 }
 
 // naiveTransform computes r's multi-dimensional transform of x with
-// every fused round in its naive form, on private clones of r's row
-// plans, using buf (len(x) elements) as the rotation buffer: the
-// bit-exact oracle for Plan2D/Plan3D.Transform at any worker count.
+// every fused round in its naive form, on r's row plans, using buf
+// (len(x) elements) as the rotation buffer: the bit-exact oracle for
+// Plan2D/Plan3D.Transform at any worker count.
 func naiveTransform[T Complex](r *rotor[T], x, buf []T, dir Direction) error {
 	src, dst := x, buf
-	for _, master := range r.rounds {
-		n := master.N()
-		if err := rowsAndRotate(dst, src, len(x)/n, n, master.Clone(), dir); err != nil {
+	for _, plan := range r.rounds {
+		n := plan.N()
+		if err := rowsAndRotate(dst, src, len(x)/n, n, plan, dir); err != nil {
 			return err
 		}
 		src, dst = dst, src
@@ -299,8 +299,8 @@ func naiveTransform[T Complex](r *rotor[T], x, buf []T, dir Direction) error {
 // with an explicit radix decomposition rs (values in {2,4,8}, product
 // n): the radix ablation, reaching pass orders Radices never emits.
 func planWithRadices[T Complex](n int, rs []int) *Plan[T] {
-	p := &Plan[T]{n: n, radices: rs, norm: NormByN, tw: map[Direction][][]T{}, scratch: make([]T, n)}
-	p.tables(Forward)
-	p.tables(Inverse)
+	p := &Plan[T]{n: n, radices: rs, norm: NormByN}
+	p.tw = map[Direction][][]T{Forward: p.tables(Forward), Inverse: p.tables(Inverse)}
+	p.ctx.init(p.newExec)
 	return p
 }

@@ -67,17 +67,21 @@ func TestMultiDimPlansForwardRadices(t *testing.T) {
 }
 
 // checkConcurrentTransforms transforms a distinct input per goroutine
-// on one shared plan from 8 goroutines (10 times each) and requires
-// every output bit-identical to the naive-round oracle. Distinct inputs
-// keep shared scratch from hiding as identical results; run under
-// -race in CI.
-func checkConcurrentTransforms[T Complex](t *testing.T, transform func([]T, Direction) error, r *rotor[T], inputs [][]T) {
+// on one shared plan from 8 goroutines (10 times each, in both
+// directions) and requires every output bit-identical to oracle, run
+// serially beforehand. Distinct inputs keep shared scratch from hiding
+// as identical results; run under -race in CI.
+func checkConcurrentTransforms[T Complex](t *testing.T, label string, transform, oracle func([]T, Direction) error, inputs [][]T) {
 	t.Helper()
-	wants := make([][]T, len(inputs))
-	for g, in := range inputs {
-		wants[g] = append([]T(nil), in...)
-		if err := naiveTransform(r, wants[g], make([]T, len(in)), Forward); err != nil {
-			t.Fatal(err)
+	dirs := []Direction{Forward, Inverse}
+	wants := make([][][]T, len(dirs))
+	for d, dir := range dirs {
+		for _, in := range inputs {
+			want := append([]T(nil), in...)
+			if err := oracle(want, dir); err != nil {
+				t.Fatal(err)
+			}
+			wants[d] = append(wants[d], want)
 		}
 	}
 	var wg sync.WaitGroup
@@ -87,15 +91,17 @@ func checkConcurrentTransforms[T Complex](t *testing.T, transform func([]T, Dire
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < 10; it++ {
-				got := append([]T(nil), inputs[g]...)
-				if err := transform(got, Forward); err != nil {
-					errs <- err
-					return
-				}
-				for i := range got {
-					if got[i] != wants[g][i] {
-						errs <- fmt.Errorf("goroutine %d iter %d: element %d is %v, naive oracle %v", g, it, i, got[i], wants[g][i])
+				for d, dir := range dirs {
+					got := append([]T(nil), inputs[g]...)
+					if err := transform(got, dir); err != nil {
+						errs <- err
 						return
+					}
+					for i, w := range wants[d][g] {
+						if got[i] != w {
+							errs <- fmt.Errorf("%s: goroutine %d iter %d dir %d: element %d is %v, oracle %v", label, g, it, dir, i, got[i], w)
+							return
+						}
 					}
 				}
 			}
@@ -106,6 +112,23 @@ func checkConcurrentTransforms[T Complex](t *testing.T, transform func([]T, Dire
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// naiveOracle is the naive-round oracle of r as a transform function.
+func naiveOracle[T Complex](r *rotor[T]) func([]T, Direction) error {
+	return func(x []T, dir Direction) error { return naiveTransform(r, x, make([]T, len(x)), dir) }
+}
+
+// concurrentInputs returns 8 distinct random inputs of n elements.
+func concurrentInputs[T Complex](rng *rand.Rand, n int) [][]T {
+	inputs := make([][]T, 8)
+	for g := range inputs {
+		inputs[g] = make([]T, n)
+		for i := range inputs[g] {
+			inputs[g][i] = T(complex(rng.NormFloat64(), rng.NormFloat64()))
+		}
+	}
+	return inputs
 }
 
 // TestPlan3DConcurrentTransforms guards the merged plan's concurrency
@@ -119,11 +142,8 @@ func TestPlan3DConcurrentTransforms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs := make([][]complex64, 8)
-		for g := range inputs {
-			inputs[g] = randVec64(rng, d0*d1*d2)
-		}
-		checkConcurrentTransforms(t, p.Transform, &p.r, inputs)
+		checkConcurrentTransforms(t, fmt.Sprintf("3D workers=%d", workers), p.Transform, naiveOracle(&p.r),
+			concurrentInputs[complex64](rng, d0*d1*d2))
 	}
 }
 
@@ -136,10 +156,216 @@ func TestPlan2DConcurrentTransforms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs := make([][]complex128, 8)
-		for g := range inputs {
-			inputs[g] = randVec128(rng, d0*d1)
+		checkConcurrentTransforms(t, fmt.Sprintf("2D workers=%d", workers), p.Transform, naiveOracle(&p.r),
+			concurrentInputs[complex128](rng, d0*d1))
+	}
+}
+
+// planShapes are the 1D plan shapes of the shared-plan tests: one
+// codelet leaf covering the whole transform, prefix passes ahead of a
+// leaf, and the pure pass loop (three passes, so the result ends in
+// the scratch buffer and is copied back).
+var planShapes = []struct {
+	n    int
+	opts []PlanOption
+}{
+	{64, nil},
+	{4096, nil},
+	{256, []PlanOption{WithCodelets(false)}},
+}
+
+// batchLayouts are the (howMany, stride, dist) BatchPlan layouts of the
+// shared-plan tests for n-point rows: two contiguous rows and two
+// interleaved channels (the gather path).
+func batchLayouts(n int) [][3]int { return [][3]int{{2, 1, n}, {2, 2, 1}} }
+
+// checkSharedPlan runs checkConcurrentTransforms on one shared Plan of
+// every plan shape against a private plan of the same shape run
+// serially.
+func checkSharedPlan[T Complex](t *testing.T, rng *rand.Rand) {
+	for _, sh := range planShapes {
+		shared, err := NewPlan[T](sh.n, sh.opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		checkConcurrentTransforms(t, p.Transform, &p.r, inputs)
+		private, err := NewPlan[T](sh.n, sh.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%T n=%d codelets=%v", T(0), sh.n, shared.UsesCodelets())
+		checkConcurrentTransforms(t, label, shared.Transform, private.Transform, concurrentInputs[T](rng, sh.n))
+	}
+}
+
+// checkSharedBatchPlan does the same for one shared BatchPlan per
+// layout, each wrapping the one shared row plan of its shape.
+func checkSharedBatchPlan[T Complex](t *testing.T, rng *rand.Rand) {
+	for _, sh := range planShapes {
+		shared, err := NewPlan[T](sh.n, sh.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range batchLayouts(sh.n) {
+			sharedB, err := NewBatchPlanOf(shared, l[0], l[1], l[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			privateB, err := NewBatchPlan[T](sh.n, l[0], l[1], l[2], sh.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%T n=%d codelets=%v batch %v", T(0), sh.n, shared.UsesCodelets(), l)
+			checkConcurrentTransforms(t, label, sharedB.Transform, privateB.Transform,
+				concurrentInputs[T](rng, sharedB.MinLen()))
+		}
+	}
+}
+
+// TestPlanCloneConcurrentSafe extends the contract to the 1D Plan: one
+// shared plan serves 8 goroutines at once, with no clone per goroutine,
+// bit for bit like a private plan run serially, for every plan shape
+// and both element types.
+func TestPlanCloneConcurrentSafe(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	checkSharedPlan[complex64](t, rng)
+	checkSharedPlan[complex128](t, rng)
+}
+
+// TestBatchPlanCloneConcurrentSafe is the BatchPlan analog, for
+// contiguous rows and for interleaved channels (the gather path).
+func TestBatchPlanCloneConcurrentSafe(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	checkSharedBatchPlan[complex64](t, rng)
+	checkSharedBatchPlan[complex128](t, rng)
+}
+
+// TestPlanCloneBehavioralEquivalence checks the execution context a
+// call draws while another call holds the plan's idle one: the clone of
+// the plan's per-call state. For every plan shape it must share no
+// scratch with the held context and give bit-identical results in both
+// directions.
+func TestPlanCloneBehavioralEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	for _, sh := range planShapes {
+		p, err := NewPlan[complex128](sh.n, append([]PlanOption{WithNorm(NormUnitary)}, sh.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One finished call leaves its context idle; hold it as a
+		// running call would.
+		if err := p.Transform(make([]complex128, sh.n), Forward); err != nil {
+			t.Fatal(err)
+		}
+		held := p.ctx.get()
+		for _, dir := range []Direction{Forward, Inverse} {
+			x := randVec128(rng, sh.n)
+			want := append([]complex128(nil), x...)
+			p.transform(want, dir, held)
+			got := append([]complex128(nil), x...)
+			if err := p.Transform(got, dir); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d dir %d: second context gives %v at %d, held context %v", sh.n, dir, got[i], i, want[i])
+				}
+			}
+		}
+		second := p.ctx.get()
+		if second == held || &second.scratch[0] == &held.scratch[0] {
+			t.Errorf("n=%d: second context shares scratch with the held one", sh.n)
+		}
+		if held.leafBuf != nil && &second.leafBuf[0] == &held.leafBuf[0] {
+			t.Errorf("n=%d: second context shares the leaf buffer with the held one", sh.n)
+		}
+		p.ctx.put(second)
+		p.ctx.put(held)
+	}
+}
+
+// TestBatchPlanCloneBehavioralEquivalence is the BatchPlan analog: with
+// the row plan's idle context held, a strided batch draws a second
+// context, gathers its rows there and matches a private BatchPlan bit
+// for bit, leaving the held context untouched.
+func TestBatchPlanCloneBehavioralEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	p, err := NewPlan[complex128](8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := NewBatchPlanOf(p, 3, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := NewBatchPlan[complex128](8, 3, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Transform(make([]complex128, 8), Forward); err != nil {
+		t.Fatal(err)
+	}
+	held := p.ctx.get()
+	for _, dir := range []Direction{Forward, Inverse} {
+		x := randVec128(rng, bp.MinLen())
+		want := append([]complex128(nil), x...)
+		if err := private.Transform(want, dir); err != nil {
+			t.Fatal(err)
+		}
+		got := append([]complex128(nil), x...)
+		if err := bp.Transform(got, dir); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("dir %d: shared batch gives %v at %d, private %v", dir, got[i], i, want[i])
+			}
+		}
+	}
+	if held.gather != nil {
+		t.Error("the strided batch gathered into the held context")
+	}
+	p.ctx.put(held)
+}
+
+// TestBluesteinConcurrentTransforms shares one fresh Bluestein plan
+// between 8 goroutines: its chirps are built at construction and its
+// inner power-of-two plan is itself shared-safe.
+func TestBluesteinConcurrentTransforms(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	shared, err := NewBluestein[complex128](1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := NewBluestein[complex128](1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConcurrentTransforms(t, "bluestein n=1000", shared.Transform, private.Transform, concurrentInputs[complex128](rng, 1000))
+}
+
+// TestPlanTransformsAllocateNothing pins the checkout's steady state:
+// once a plan's execution context exists, Plan.Transform and
+// BatchPlan.Transform (contiguous and strided) allocate nothing per
+// call — no per-call context, closure or gather buffer.
+func TestPlanTransformsAllocateNothing(t *testing.T) {
+	for _, sh := range planShapes {
+		p, err := NewPlan[complex64](sh.n, sh.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]complex64, sh.n)
+		if a := testing.AllocsPerRun(20, func() { p.Transform(x, Forward) }); a != 0 {
+			t.Errorf("n=%d codelets=%v: Plan.Transform allocates %v times per call", sh.n, p.UsesCodelets(), a)
+		}
+		for _, l := range batchLayouts(sh.n) {
+			bp, err := NewBatchPlanOf(p, l[0], l[1], l[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			xb := make([]complex64, bp.MinLen())
+			if a := testing.AllocsPerRun(20, func() { bp.Transform(xb, Forward) }); a != 0 {
+				t.Errorf("n=%d codelets=%v batch %v: BatchPlan.Transform allocates %v times per call", sh.n, p.UsesCodelets(), l, a)
+			}
+		}
 	}
 }

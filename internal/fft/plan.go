@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Plan holds the precomputed state (pass radices and per-pass twiddle
@@ -12,12 +14,15 @@ import (
 // mixed-radix decimation-in-frequency algorithm described in §IV-A:
 // every pass exposes N/r independent butterflies, the organization the
 // paper chooses for XMT because maximum parallelism is always available.
+//
+// A Plan's tables and kernels are fixed by NewPlan, and the plan is
+// safe for concurrent Transform calls: each call checks its scratch
+// out of the plan (see checkout) for its own use.
 type Plan[T Complex] struct {
 	n       int
 	radices []int
 	norm    Normalization
 	tw      map[Direction][][]T // per-direction, per-pass tables
-	scratch []T
 
 	// Codelet leaf (see codelets.go). leafN == n means the whole
 	// transform runs as one generated straight-line kernel; 0 < leafN < n
@@ -28,7 +33,52 @@ type Plan[T Complex] struct {
 	leafN   int
 	leafFwd func(x, scratch []T)
 	leafInv func(x, scratch []T)
+
+	ctx checkout[planExec[T]]
+}
+
+// planExec is the per-Transform-call scratch of a Plan. A context is
+// never shared between simultaneous calls.
+type planExec[T Complex] struct {
+	scratch []T // Stockham ping-pong buffer, or the leaf kernel's scratch
 	leafBuf []T // gather/scatter + kernel scratch for composed plans
+	gather  []T // BatchPlan's strided-row buffer, made on first use
+}
+
+// checkout lends each call on a shared plan an execution context (its
+// per-call scratch) of its own: the context of the last finished call,
+// else a spare, else a fresh one. The idle context is referenced from
+// the plan alone, so it is freed with the plan: the runtime's pool
+// registry would keep a pooled one alive for another GC cycle, which
+// shows in the peak RSS of programs that build large throwaway 3D
+// plans. spare is a separate object without a New func for the same
+// reason — it must not reference the plan.
+type checkout[E any] struct {
+	idle  atomic.Pointer[E]
+	spare *sync.Pool // *E
+	fresh func() *E
+}
+
+// init readies the checkout; fresh allocates a context when none is
+// idle or spare.
+func (c *checkout[E]) init(fresh func() *E) { c.spare, c.fresh = &sync.Pool{}, fresh }
+
+// get checks a context out for one call.
+func (c *checkout[E]) get() *E {
+	if e := c.idle.Swap(nil); e != nil {
+		return e
+	}
+	if e, ok := c.spare.Get().(*E); ok {
+		return e
+	}
+	return c.fresh()
+}
+
+// put returns a context checked out by get.
+func (c *checkout[E]) put(e *E) {
+	if !c.idle.CompareAndSwap(nil, e) {
+		c.spare.Put(e)
+	}
 }
 
 // PlanOption configures plan construction.
@@ -85,23 +135,24 @@ func NewPlan[T Complex](n int, opts ...PlanOption) (*Plan[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan[T]{
-		n:       n,
-		radices: rs,
-		norm:    cfg.norm,
-		tw:      map[Direction][][]T{},
-		scratch: make([]T, n),
-	}
+	p := &Plan[T]{n: n, radices: rs, norm: cfg.norm}
 	if cfg.codelets {
 		p.initCodelets()
 	}
-	// Build both directions eagerly: the table map is immutable from
-	// here on, so plans and their Clones can be shared across
-	// goroutines without synchronization. Codelet plans only table the
-	// generic prefix passes (none at all when the leaf covers n).
-	p.tables(Forward)
-	p.tables(Inverse)
+	// Codelet plans only table the generic prefix passes (none at all
+	// when the leaf covers n).
+	p.tw = map[Direction][][]T{Forward: p.tables(Forward), Inverse: p.tables(Inverse)}
+	p.ctx.init(p.newExec)
 	return p, nil
+}
+
+// newExec allocates one execution context for the plan.
+func (p *Plan[T]) newExec() *planExec[T] {
+	e := &planExec[T]{scratch: make([]T, p.n)}
+	if p.leafN > 0 && p.leafN < p.n {
+		e.leafBuf = make([]T, 2*p.leafN)
+	}
+	return e
 }
 
 // N returns the transform size.
@@ -124,15 +175,12 @@ func (p *Plan[T]) LeafN() int { return p.leafN }
 // straight-line kernels.
 func (p *Plan[T]) UsesCodelets() bool { return p.leafN > 0 }
 
-// tables returns (building if needed) the per-pass twiddle tables for
-// dir. The pass over sub-transforms of length L uses the table
-// {ω_L^{dir·e}}_{e<L}: pass 0 holds the N distinct Nth roots of unity,
-// pass 1 the N/r-th roots, and so on — the decimation-in-frequency decay
-// the paper exploits in its replication scheme (§IV-A).
+// tables builds the per-pass twiddle tables for dir. The pass over
+// sub-transforms of length L uses the table {ω_L^{dir·e}}_{e<L}: pass 0
+// holds the N distinct Nth roots of unity, pass 1 the N/r-th roots, and
+// so on — the decimation-in-frequency decay the paper exploits in its
+// replication scheme (§IV-A).
 func (p *Plan[T]) tables(dir Direction) [][]T {
-	if t, ok := p.tw[dir]; ok {
-		return t
-	}
 	t := make([][]T, len(p.radices))
 	l := p.n
 	for pass, r := range p.radices {
@@ -143,7 +191,6 @@ func (p *Plan[T]) tables(dir Direction) [][]T {
 		t[pass] = tab
 		l /= r
 	}
-	p.tw[dir] = t
 	return t
 }
 
@@ -153,16 +200,26 @@ func (p *Plan[T]) Transform(x []T, dir Direction) error {
 	if len(x) != p.n {
 		return fmt.Errorf("fft: input length %d does not match plan size %d", len(x), p.n)
 	}
+	e := p.ctx.get()
+	p.transform(x, dir, e)
+	p.ctx.put(e)
+	return nil
+}
+
+// transform computes the in-place transform of x (len(x) == p.n) on the
+// execution context e, which the caller holds checked out: the entry
+// point of batched callers, which check out once for many rows.
+func (p *Plan[T]) transform(x []T, dir Direction, e *planExec[T]) {
 	if p.leafN == p.n && p.leafN > 0 {
 		// Fully covered: one straight-line kernel call, in place.
-		p.leaf(dir)(x, p.scratch)
+		p.leaf(dir)(x, e.scratch)
 		codeletLeafCalls.Add(1)
 		applyNorm(x, p.n, dir, p.norm)
-		return nil
+		return
 	}
-	src, dst := x, p.scratch
+	src, dst := x, e.scratch
 	s, l := 1, p.n
-	tw := p.tables(dir)
+	tw := p.tw[dir]
 	for pass, r := range p.radices {
 		stockhamPass(dst, src, s, l, r, tw[pass], dir)
 		src, dst = dst, src
@@ -170,13 +227,12 @@ func (p *Plan[T]) Transform(x []T, dir Direction) error {
 		l /= r
 	}
 	if p.leafN > 0 {
-		p.leafStage(src, s, dir)
+		p.leafStage(src, s, dir, e.leafBuf)
 	}
 	if &src[0] != &x[0] {
 		copy(x, src)
 	}
 	applyNorm(x, p.n, dir, p.norm)
-	return nil
 }
 
 // TransformTo computes the transform of src into dst without modifying

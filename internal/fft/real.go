@@ -32,7 +32,7 @@ func RealForward[C Complex, F Float](x []F) ([]C, error) {
 	for j := 0; j < half; j++ {
 		z[j] = C(complex(float64(x[2*j]), float64(x[2*j+1])))
 	}
-	p, err := NewPlan[C](half, WithNorm(NormNone))
+	p, err := CachedPlan[C](half, WithNorm(NormNone))
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func RealInverse[C Complex, F Float](spec []C, n int) ([]F, error) {
 		o := (xk - xc) * C(complex(0.5, 0)) * cis[C](2*math.Pi*float64(k)/float64(n))
 		z[k] = e + o*C(complex(0, 1))
 	}
-	p, err := NewPlan[C](half, WithNorm(NormNone))
+	p, err := CachedPlan[C](half, WithNorm(NormNone))
 	if err != nil {
 		return nil, err
 	}

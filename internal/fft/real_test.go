@@ -316,3 +316,22 @@ func TestPrecisionGrowth(t *testing.T) {
 		prev64 = e64
 	}
 }
+
+// TestRealForwardReusesCachedPlan bounds RealForward's bytes per call
+// at n=8192 by what it must allocate — the n/2-point packed input and
+// the n/2+1-bin result, with room for the runtime's page rounding of
+// large objects — so no per-call half-size plan (scratch and twiddle
+// tables) fits.
+func TestRealForwardReusesCachedPlan(t *testing.T) {
+	defer ResetPlanCache()
+	const n = 8192
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(float64(i))
+	}
+	got := cacheHitBytes(t, func() error { _, err := RealForward[complex128](x); return err })
+	t.Logf("RealForward at n=%d allocates %d B per call", n, got)
+	if limit := uint64(3 * n / 2 * 16); got > limit {
+		t.Errorf("RealForward at n=%d allocates %d B per call, want at most %d", n, got, limit)
+	}
+}

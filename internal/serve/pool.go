@@ -2,16 +2,13 @@ package serve
 
 // Per-size worker pools with request coalescing. Every (size, dtype,
 // direction, normalization) key owns one worker goroutine fed by a
-// buffered channel. The worker blocks for the first job, then gathers
-// more of the same key — greedily, or for a short CoalesceWait window —
-// up to MaxBatch, packs them into one contiguous buffer and runs a
-// single fft.BatchPlan pass (stride 1, dist n). BatchPlan applies the
-// cached 1D plan row by row, the exact code path a lone request takes,
-// so coalesced outputs are bit-identical to serial execution while the
-// plan dispatch overhead (and the per-pass twiddle-table walk locality)
-// is paid once per batch instead of once per request — the
-// many-same-size-requests shape the model-based 2D-DFT routing work
-// optimizes for.
+// buffered channel, so a key's transforms run one at a time however
+// many handlers submit them. The worker blocks for the first job, then
+// gathers more of the same key — greedily, or for a short CoalesceWait
+// window — up to MaxBatch, transforms each job's data in place on the
+// shared cached 1D plan, the exact call a lone request makes (so
+// coalesced outputs are bit-identical to serial execution), and
+// updates the pass metrics once per batch.
 
 import (
 	"sync"
@@ -91,27 +88,20 @@ func (ps *poolSet[C]) close() {
 	}
 }
 
-// pool is one key's worker: a private cached-plan clone, a reusable
-// batch wrapper around it, and the job queue.
+// pool is one key's worker: the shared cached plan and the job queue.
 type pool[C fft.Complex] struct {
 	srv     *Server
 	key     poolKey
 	plan    *fft.Plan[C]
-	bp      *fft.BatchPlan[C]
-	buf     []C // contiguous pack buffer, grown to maxBatch*n
 	ch      chan *job[C]
 	quit    chan struct{}
 	stopped chan struct{}
 }
 
-// newPool builds the key's plan (from the shared cache; the clone's
-// scratch is private to the worker) and starts the worker goroutine.
+// newPool looks the key's plan up in the shared cache and starts the
+// worker goroutine.
 func newPool[C fft.Complex](s *Server, key poolKey) (*pool[C], error) {
 	plan, err := fft.CachedPlan[C](key.n, fft.WithNorm(key.norm))
-	if err != nil {
-		return nil, err
-	}
-	bp, err := fft.NewBatchPlanOf(plan, 1, 1, key.n)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +109,6 @@ func newPool[C fft.Complex](s *Server, key poolKey) (*pool[C], error) {
 		srv:  s,
 		key:  key,
 		plan: plan,
-		bp:   bp,
 		// Capacity MaxInflight: admission control bounds the jobs that
 		// can exist at once, so a send never blocks a handler forever.
 		ch:      make(chan *job[C], s.cfg.MaxInflight),
@@ -186,29 +175,11 @@ func (p *pool[C]) gather(batch []*job[C]) []*job[C] {
 	return batch
 }
 
-// execute runs the batch as one plan pass and completes every job.
+// execute transforms every job of the batch in place, records the
+// batch as one plan pass, and completes the jobs.
 func (p *pool[C]) execute(batch []*job[C]) {
-	n := p.key.n
-	var err error
-	if len(batch) == 1 {
-		err = p.plan.Transform(batch[0].data, p.key.dir)
-	} else {
-		need := n * len(batch)
-		if cap(p.buf) < need {
-			p.buf = make([]C, need)
-		}
-		buf := p.buf[:need]
-		for i, j := range batch {
-			copy(buf[i*n:(i+1)*n], j.data)
-		}
-		p.bp.HowMany = len(batch)
-		p.bp.Stride, p.bp.Dist = 1, n
-		err = p.bp.Transform(buf, p.key.dir)
-		if err == nil {
-			for i, j := range batch {
-				copy(j.data, buf[i*n:(i+1)*n])
-			}
-		}
+	for _, j := range batch {
+		j.err = p.plan.Transform(j.data, p.key.dir)
 	}
 	m := p.srv.met
 	m.planPasses.Inc()
@@ -219,7 +190,6 @@ func (p *pool[C]) execute(batch []*job[C]) {
 	}
 	for _, j := range batch {
 		j.batched = len(batch)
-		j.err = err
 		close(j.done)
 	}
 }

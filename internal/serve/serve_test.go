@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -434,5 +436,45 @@ func TestOverflowingOutputGets400(t *testing.T) {
 		if v, ok := exp.Value("xmtserve_requests_total", map[string]string{"route": route, "code": "200"}); ok {
 			t.Errorf("%s: overflowing request counted as a 200 (%g)", route, v)
 		}
+	}
+}
+
+// TestBatchTransformBytesIndependentOfN pins explicit-batch execution
+// to the shared cached plan: one strided (gather-path) request costs
+// the same bytes at n=4096 as at n=64, so nothing n-sized — no plan
+// scratch, no gather buffer — is allocated per request. Each size
+// takes the minimum of 5 trials of 100 calls; the slack absorbs the
+// race detector, under which sync.Pool drops items at random and fmt's
+// printer pool reallocates now and then.
+func TestBatchTransformBytesIndependentOfN(t *testing.T) {
+	defer fft.ResetPlanCache()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const slack = 128
+	b := &BatchSpec{HowMany: 2, Stride: 2, Dist: 1}
+	perCall := func(n int) uint64 {
+		x := make([]complex64, (b.HowMany-1)*b.Dist+(n-1)*b.Stride+1)
+		run := func() {
+			if err := batchTransform(x, n, b, fft.Forward, fft.NormByN); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		const calls = 100
+		best := uint64(math.MaxUint64)
+		for trial := 0; trial < 5; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/calls)
+		}
+		return best
+	}
+	small, large := perCall(64), perCall(4096)
+	t.Logf("bytes per explicit-batch transform: %d at n=64, %d at n=4096", small, large)
+	if large > small+slack {
+		t.Errorf("explicit-batch transform allocates %d B at n=64 but %d B at n=4096", small, large)
 	}
 }

@@ -355,8 +355,7 @@ func (s *Server) execute(c *codec) error {
 }
 
 // batchTransform runs an explicit advanced-layout request through a
-// cached plan (the clone's scratch is private, so this is safe from
-// any handler goroutine).
+// batch layout around the shared cached plan.
 func batchTransform[C fft.Complex](x []C, n int, b *BatchSpec, dir fft.Direction, norm fft.Normalization) error {
 	plan, err := fft.CachedPlan[C](n, fft.WithNorm(norm))
 	if err != nil {
