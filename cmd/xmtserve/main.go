@@ -1,16 +1,16 @@
 // Command xmtserve is the FFT-as-a-service front end: an HTTP server
 // that executes 1D/2D/3D transform requests (complex64/complex128,
-// forward/inverse, optionally batched) from the concurrency-safe plan
-// cache, coalescing concurrent same-size 1D requests into single batch
-// passes, with admission control (429 + Retry-After past the in-flight
-// budget) and graceful drain on SIGTERM/SIGINT. Live observability —
-// /metrics (OpenMetrics), /progress, /debug/pprof/* — rides on the same
-// port via the harness observability surface.
+// forward/inverse, optionally batched), each in its own handler on the
+// shared plan from the concurrency-safe plan cache, with admission
+// control (429 + Retry-After past the in-flight budget) and graceful
+// drain on SIGTERM/SIGINT. Live observability — /metrics (OpenMetrics),
+// /progress, /debug/pprof/* — rides on the same port via the harness
+// observability surface.
 //
 // Usage:
 //
 //	xmtserve                              # serve on :8123
-//	xmtserve -addr :9000 -max-inflight 64 -coalesce-wait 500us
+//	xmtserve -addr :9000 -max-inflight 64
 //	xmtserve -selftest -bench-out BENCH_serve.json
 //	xmtserve -load http://host:8123 -load-concurrency 16 -bench-requests 500
 //
@@ -43,8 +43,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8123", "listen address for serve mode")
 	maxInflight := flag.Int("max-inflight", 256, "admitted-but-unfinished request budget; arrivals beyond it get 429 + Retry-After")
-	maxBatch := flag.Int("max-batch", 32, "coalescing cap: requests one 1D plan pass may carry")
-	coalesceWait := flag.Duration("coalesce-wait", 0, "how long a pool holds a short batch open for stragglers (0 = coalesce only queued work)")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff hint on 429/503 responses (rounded up to whole seconds)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-drain budget after SIGTERM before in-flight requests are abandoned")
 	maxBody := flag.Int64("max-body", 1<<28, "request body size limit in bytes")
@@ -67,8 +65,7 @@ func main() {
 		usageError(err)
 	}
 	f := cliFlags{
-		maxInflight: *maxInflight, maxBatch: *maxBatch,
-		coalesceWait: *coalesceWait, retryAfter: *retryAfter,
+		maxInflight: *maxInflight, retryAfter: *retryAfter,
 		drainTimeout: *drainTimeout, maxBody: *maxBody,
 		selftest: *selftest, benchOut: *benchOut, benchN: *benchN,
 		benchDtype: *benchDtype, benchRequests: *benchRequests,
@@ -100,8 +97,6 @@ func runServe(addr string, f cliFlags) error {
 	obs := harness.NewObs()
 	srv := serve.New(serve.Config{
 		MaxInflight:  f.maxInflight,
-		MaxBatch:     f.maxBatch,
-		CoalesceWait: f.coalesceWait,
 		MaxBodyBytes: f.maxBody,
 		RetryAfter:   f.retryAfter,
 		Registry:     obs.Registry,
@@ -114,9 +109,7 @@ func runServe(addr string, f cliFlags) error {
 	hs := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
-	slog.Info("xmtserve listening", "addr", ln.Addr().String(),
-		"max_inflight", f.maxInflight, "max_batch", f.maxBatch,
-		"coalesce_wait", f.coalesceWait.String())
+	slog.Info("xmtserve listening", "addr", ln.Addr().String(), "max_inflight", f.maxInflight)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -148,23 +141,19 @@ func runSelftest(f cliFlags) error {
 		return err
 	}
 	rec, err := harness.RunServeBench(harness.ServeBenchOptions{
-		N:            f.benchN,
-		Dtype:        f.benchDtype,
-		Requests:     f.benchRequests,
-		Concurrency:  conc,
-		MaxInflight:  f.maxInflight,
-		MaxBatch:     f.maxBatch,
-		CoalesceWait: f.coalesceWait,
+		N:           f.benchN,
+		Dtype:       f.benchDtype,
+		Requests:    f.benchRequests,
+		Concurrency: conc,
+		MaxInflight: f.maxInflight,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("serve selftest: n=%d dtype=%s requests/level=%d\n", rec.N, rec.Dtype, rec.Requests)
-	fmt.Printf("%12s %10s %10s %10s %12s %10s %10s\n",
-		"concurrency", "p50 ms", "p99 ms", "max ms", "req/s", "passes", "coalesce")
+	fmt.Printf("%12s %10s %10s %10s %12s\n", "concurrency", "p50 ms", "p99 ms", "max ms", "req/s")
 	for _, l := range rec.Levels {
-		fmt.Printf("%12d %10.3f %10.3f %10.3f %12.1f %10d %9.1f%%\n",
-			l.Concurrency, l.P50Ms, l.P99Ms, l.MaxMs, l.Throughput, l.PlanPasses, 100*l.CoalesceRate)
+		fmt.Printf("%12d %10.3f %10.3f %10.3f %12.1f\n", l.Concurrency, l.P50Ms, l.P99Ms, l.MaxMs, l.Throughput)
 	}
 	if f.benchOut == "" {
 		return nil
@@ -189,8 +178,7 @@ func runLoad(f cliFlags) error {
 	}
 	fmt.Printf("load %s: concurrency=%d requests=%d\n", f.loadURL, res.Concurrency, res.Requests)
 	fmt.Printf("p50 %.3f ms  p90 %.3f ms  p99 %.3f ms  max %.3f ms\n", res.P50Ms, res.P90Ms, res.P99Ms, res.MaxMs)
-	fmt.Printf("throughput %.1f req/s, %d plan passes, coalesce rate %.1f%%, %d rejections retried\n",
-		res.Throughput, res.PlanPasses, 100*res.CoalesceRate, res.Rejected429)
+	fmt.Printf("throughput %.1f req/s, %d rejections retried\n", res.Throughput, res.Rejected429)
 	return nil
 }
 

@@ -19,8 +19,6 @@ import (
 // ways flag parsing itself does not catch.
 type cliFlags struct {
 	maxInflight  int
-	maxBatch     int
-	coalesceWait time.Duration
 	retryAfter   time.Duration
 	drainTimeout time.Duration
 	maxBody      int64
@@ -54,12 +52,6 @@ func parseIntList(flagName, list string) ([]int, error) {
 func validateFlags(f cliFlags) error {
 	if f.maxInflight < 1 {
 		return fmt.Errorf("-max-inflight must be >= 1, got %d", f.maxInflight)
-	}
-	if f.maxBatch < 1 {
-		return fmt.Errorf("-max-batch must be >= 1, got %d", f.maxBatch)
-	}
-	if f.coalesceWait < 0 {
-		return fmt.Errorf("-coalesce-wait must be >= 0, got %v", f.coalesceWait)
 	}
 	if f.retryAfter <= 0 {
 		return fmt.Errorf("-retry-after must be positive, got %v", f.retryAfter)

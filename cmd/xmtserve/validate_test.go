@@ -10,8 +10,6 @@ import (
 func okFlags() cliFlags {
 	return cliFlags{
 		maxInflight:   256,
-		maxBatch:      32,
-		coalesceWait:  200 * time.Microsecond,
 		retryAfter:    time.Second,
 		drainTimeout:  15 * time.Second,
 		maxBody:       1 << 28,
@@ -33,8 +31,6 @@ func TestValidateFlags(t *testing.T) {
 		{"selftest ok", func(f *cliFlags) { f.selftest = true }, ""},
 		{"load ok", func(f *cliFlags) { f.loadURL = "http://127.0.0.1:8123" }, ""},
 		{"zero max-inflight", func(f *cliFlags) { f.maxInflight = 0 }, "-max-inflight"},
-		{"zero max-batch", func(f *cliFlags) { f.maxBatch = 0 }, "-max-batch"},
-		{"negative coalesce-wait", func(f *cliFlags) { f.coalesceWait = -time.Millisecond }, "-coalesce-wait"},
 		{"zero retry-after", func(f *cliFlags) { f.retryAfter = 0 }, "-retry-after"},
 		{"zero drain-timeout", func(f *cliFlags) { f.drainTimeout = 0 }, "-drain-timeout"},
 		{"zero max-body", func(f *cliFlags) { f.maxBody = 0 }, "-max-body"},

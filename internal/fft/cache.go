@@ -1,7 +1,7 @@
 package fft
 
 import (
-	"fmt"
+	"reflect"
 	"sync"
 )
 
@@ -13,21 +13,30 @@ import (
 
 var (
 	planCacheMu sync.Mutex
-	planCache   = map[string]any{}
+	planCache   = map[planKey]any{}
 )
+
+// planKey identifies a cached plan. It is comparable, so a lookup
+// builds no string.
+type planKey struct {
+	kind string
+	elem reflect.Type
+	dims [3]int
+	cfg  planConfig
+}
 
 // cacheKey canonicalizes a plan identity: kind, element type, shape,
 // and the resolved option set.
-func cacheKey[T Complex](kind string, dims []int, opts []PlanOption) string {
-	cfg := newPlanConfig(opts)
-	var zero T
-	return fmt.Sprintf("%s %T %v n%d c%v w%d", kind, zero, dims, cfg.norm, cfg.codelets, cfg.workers)
+func cacheKey[T Complex](kind string, dims []int, opts []PlanOption) planKey {
+	k := planKey{kind: kind, elem: reflect.TypeFor[T](), cfg: newPlanConfig(opts)}
+	copy(k.dims[:], dims)
+	return k
 }
 
 // cachedBuild returns the cached value for key, building it outside the
 // lock on a miss. If two callers race to build the same key, the first
 // store wins and both receive the same value.
-func cachedBuild[V any](key string, build func() (V, error)) (V, error) {
+func cachedBuild[V any](key planKey, build func() (V, error)) (V, error) {
 	planCacheMu.Lock()
 	if v, ok := planCache[key]; ok {
 		planCacheMu.Unlock()
@@ -54,7 +63,7 @@ func cachedBuild[V any](key string, build func() (V, error)) (V, error) {
 func ResetPlanCache() {
 	planCacheMu.Lock()
 	defer planCacheMu.Unlock()
-	planCache = map[string]any{}
+	planCache = map[planKey]any{}
 }
 
 // CachedPlan returns the shared cached 1D plan for n and opts.

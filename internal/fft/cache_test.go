@@ -157,8 +157,7 @@ func cacheHitBytes(t *testing.T, hit func() error) uint64 {
 // the same bytes at 64³ as at 16³, and at n=8192 as at n=64 — no
 // array-sized scratch per call (a 16² complex64 array alone is 2 KiB).
 // The slack absorbs the race detector, under which sync.Pool drops
-// items at random and fmt's printer pool reallocates a few hundred
-// bytes now and then.
+// items at random.
 func TestCachedMultiDimPlanHitCostIndependentOfSize(t *testing.T) {
 	defer ResetPlanCache()
 	ResetPlanCache()
@@ -180,6 +179,30 @@ func TestCachedMultiDimPlanHitCostIndependentOfSize(t *testing.T) {
 	}
 	if small, large := cacheHitBytes(t, hit1D(64)), cacheHitBytes(t, hit1D(8192)); large > small+slack {
 		t.Errorf("CachedPlan hit allocates %d B at n=64 but %d B at n=8192", small, large)
+	}
+}
+
+// TestCachedPlanHitAllocs bounds the allocations of a cache hit, which
+// every 1D serve request makes. The key is a comparable struct, so a
+// hit formats no string: one WithNorm option costs at most 1
+// allocation for 1D and 2 for 2D, against 7 and 9 with a formatted key.
+func TestCachedPlanHitAllocs(t *testing.T) {
+	defer ResetPlanCache()
+	ResetPlanCache()
+	for _, tc := range []struct {
+		name string
+		max  float64
+		hit  func() error
+	}{
+		{"1d", 1, func() error { _, err := CachedPlan[complex64](1024, WithNorm(NormUnitary)); return err }},
+		{"2d", 2, func() error { _, err := CachedPlan2D[complex128](16, 16, WithNorm(NormUnitary)); return err }},
+	} {
+		if err := tc.hit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() { tc.hit() }); got > tc.max {
+			t.Errorf("%s cache hit: %v allocations, want <= %v", tc.name, got, tc.max)
+		}
 	}
 }
 

@@ -304,12 +304,12 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 		"workers2":   {WithWorkers(2)},
 		"workers4":   {WithWorkers(4)},
 	}
-	keys := map[string]string{}
+	keys := map[string]planKey{}
 	for name, opts := range variants {
 		k := cacheKey[complex64]("3d", []int{8, 8, 8}, opts)
 		for prev, pk := range keys {
 			if pk == k {
-				t.Errorf("option sets %q and %q produce the same cache key %q", name, prev, k)
+				t.Errorf("option sets %q and %q produce the same cache key %+v", name, prev, k)
 			}
 		}
 		keys[name] = k

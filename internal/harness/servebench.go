@@ -2,11 +2,9 @@ package harness
 
 // Serving benchmark: stand up the transform service in-process on a
 // loopback port and drive it with the loadgen client at several
-// concurrency levels, recording p50/p99 latency, throughput and the
-// coalesce rate per level as BENCH_serve.json. This is the
-// machine-readable form of the service's two claims: latency holds a
-// predictable shape as concurrency grows, and concurrent same-size
-// requests execute in fewer plan passes than requests (coalescing).
+// concurrency levels, recording p50/p99 latency and throughput per
+// level as BENCH_serve.json: the machine-readable form of how latency
+// and throughput move as concurrency grows.
 
 import (
 	"context"
@@ -24,13 +22,11 @@ import (
 
 // ServeBenchOptions configures RunServeBench.
 type ServeBenchOptions struct {
-	N            int           // 1D transform size (default 1024)
-	Dtype        string        // default "complex64"
-	Requests     int           // per level (default 400)
-	Concurrency  []int         // levels (default 1, 4, 16)
-	MaxInflight  int           // admission bound (default 256)
-	MaxBatch     int           // coalesce cap (default 32)
-	CoalesceWait time.Duration // straggler window (default 0, as serve.Config: coalesce only queued work)
+	N           int    // 1D transform size (default 1024)
+	Dtype       string // default "complex64"
+	Requests    int    // per level (default 400)
+	Concurrency []int  // levels (default 1, 4, 16)
+	MaxInflight int    // admission bound (default 256)
 }
 
 func (o ServeBenchOptions) withDefaults() ServeBenchOptions {
@@ -49,26 +45,21 @@ func (o ServeBenchOptions) withDefaults() ServeBenchOptions {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 32
-	}
 	return o
 }
 
 // ServeBenchRecord is the full BENCH_serve.json payload.
 type ServeBenchRecord struct {
-	Kind           string           `json:"kind"` // "xmt-serve-bench"
-	N              int              `json:"n"`
-	Dtype          string           `json:"dtype"`
-	Requests       int              `json:"requests_per_level"`
-	MaxInflight    int              `json:"max_inflight"`
-	MaxBatch       int              `json:"max_batch"`
-	CoalesceWaitUs float64          `json:"coalesce_wait_us"`
-	GoMaxProcs     int              `json:"go_max_procs"`
-	NumCPU         int              `json:"num_cpu"`
-	GOOS           string           `json:"goos"`
-	GOARCH         string           `json:"goarch"`
-	Levels         []loadgen.Result `json:"levels"`
+	Kind        string           `json:"kind"` // "xmt-serve-bench"
+	N           int              `json:"n"`
+	Dtype       string           `json:"dtype"`
+	Requests    int              `json:"requests_per_level"`
+	MaxInflight int              `json:"max_inflight"`
+	GoMaxProcs  int              `json:"go_max_procs"`
+	NumCPU      int              `json:"num_cpu"`
+	GOOS        string           `json:"goos"`
+	GOARCH      string           `json:"goarch"`
+	Levels      []loadgen.Result `json:"levels"`
 }
 
 // Write emits the record as indented JSON.
@@ -83,11 +74,7 @@ func (r *ServeBenchRecord) Write(w io.Writer) error {
 // after the first — the steady state a long-lived service runs in).
 func RunServeBench(opts ServeBenchOptions) (*ServeBenchRecord, error) {
 	opts = opts.withDefaults()
-	srv := serve.New(serve.Config{
-		MaxInflight:  opts.MaxInflight,
-		MaxBatch:     opts.MaxBatch,
-		CoalesceWait: opts.CoalesceWait,
-	})
+	srv := serve.New(serve.Config{MaxInflight: opts.MaxInflight})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("serve bench listen: %w", err)
@@ -103,9 +90,8 @@ func RunServeBench(opts ServeBenchOptions) (*ServeBenchRecord, error) {
 
 	rec := &ServeBenchRecord{
 		Kind: "xmt-serve-bench", N: opts.N, Dtype: opts.Dtype,
-		Requests: opts.Requests, MaxInflight: opts.MaxInflight, MaxBatch: opts.MaxBatch,
-		CoalesceWaitUs: float64(opts.CoalesceWait.Nanoseconds()) / 1e3,
-		GoMaxProcs:     runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
+		Requests: opts.Requests, MaxInflight: opts.MaxInflight,
+		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 	}
 	base := "http://" + ln.Addr().String()

@@ -4,17 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 )
 
 // TestRunServeBench runs a deliberately small bench end to end: server
 // up, three load levels, record populated, JSON round-trip.
 func TestRunServeBench(t *testing.T) {
 	rec, err := RunServeBench(ServeBenchOptions{
-		N:            64,
-		Requests:     24,
-		Concurrency:  []int{1, 2, 4},
-		CoalesceWait: 100 * time.Microsecond,
+		N:           64,
+		Requests:    24,
+		Concurrency: []int{1, 2, 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +42,6 @@ func TestRunServeBench(t *testing.T) {
 		if lvl.Throughput <= 0 {
 			t.Errorf("level %d: throughput %g", i, lvl.Throughput)
 		}
-		if lvl.PlanPasses < 1 || lvl.PlanPasses > lvl.Requests {
-			t.Errorf("level %d: plan passes %d", i, lvl.PlanPasses)
-		}
 	}
 	want := []int{1, 2, 4}
 	for i, lvl := range rec.Levels {
@@ -65,21 +60,5 @@ func TestRunServeBench(t *testing.T) {
 	}
 	if back.Kind != rec.Kind || len(back.Levels) != len(rec.Levels) {
 		t.Errorf("round-trip lost fields: %+v", back)
-	}
-}
-
-// TestRunServeBenchMeasuresZeroCoalesceWait pins the bench default to
-// the server's: a zero CoalesceWait is measured as given (coalesce only
-// queued work) and recorded as 0, not replaced by a straggler window.
-func TestRunServeBenchMeasuresZeroCoalesceWait(t *testing.T) {
-	rec, err := RunServeBench(ServeBenchOptions{N: 64, Requests: 8, Concurrency: []int{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CoalesceWaitUs != 0 {
-		t.Errorf("coalesce_wait_us = %g, want 0", rec.CoalesceWaitUs)
-	}
-	if len(rec.Levels) != 1 || rec.Levels[0].Errors != 0 {
-		t.Errorf("levels = %+v", rec.Levels)
 	}
 }

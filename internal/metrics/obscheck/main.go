@@ -4,8 +4,8 @@
 // counts and rates, utilization, faults and the watchdog heartbeat —
 // CI feeds it the mid-run scrape and the final snapshot of an
 // xmtbench -serve-obs run. With -serve it instead checks a transform
-// service scrape: request/latency series, admission-control gauges and
-// the coalescing counters exported by cmd/xmtserve.
+// service scrape: the request/latency series and admission-control
+// gauges exported by cmd/xmtserve.
 //
 // Usage: go run ./internal/metrics/obscheck [-serve] file.prom [file.prom ...]
 package main
@@ -47,10 +47,6 @@ var requiredServe = []series{
 	{"xmtserve_queue_depth", nil},
 	{"xmtserve_queue_limit", nil},
 	{"xmtserve_requests_rejected_total", nil},
-	{"xmtserve_plan_passes_total", nil},
-	{"xmtserve_requests_coalesced_total", nil},
-	{"xmtserve_batch_size_count", nil},
-	{"xmtserve_pools", nil},
 	{"xmtserve_draining", nil},
 }
 
@@ -64,17 +60,17 @@ func check(path string, serveMode bool) error {
 	if err != nil {
 		return fmt.Errorf("%s: invalid exposition: %w", path, err)
 	}
-	required, activity := requiredSim, "xmtfft_sim_events_total"
+	required, activity := requiredSim, series{"xmtfft_sim_events_total", nil}
 	if serveMode {
-		required, activity = requiredServe, "xmtserve_plan_passes_total"
+		required, activity = requiredServe, series{"xmtserve_requests_total", map[string]string{"route": "1d", "code": "200"}}
 	}
 	for _, r := range required {
 		if _, ok := exp.Value(r.name, r.labels); !ok {
 			return fmt.Errorf("%s: required series %s %v missing", path, r.name, r.labels)
 		}
 	}
-	if v, _ := exp.Value(activity, nil); v <= 0 {
-		return fmt.Errorf("%s: %s = %g, want > 0", path, activity, v)
+	if v, _ := exp.Value(activity.name, activity.labels); v <= 0 {
+		return fmt.Errorf("%s: %s %v = %g, want > 0", path, activity.name, activity.labels, v)
 	}
 	fmt.Printf("%s: ok (%d families)\n", path, len(exp.Families))
 	return nil

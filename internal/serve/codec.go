@@ -438,10 +438,11 @@ func (d *decoder) str() ([]byte, error) {
 
 // appendResponse appends the response to q carrying the transformed
 // samples x: the bytes json.Encoder.Encode writes for
-// Response{q.Dims, q.Dtype, q.Dir, batched, x as interleaved float64s}.
-// A sample the transform overflowed to ±Inf or NaN has no JSON encoding
-// and is a *RequestError; dst is then returned as it came.
-func appendResponse[C complex64 | complex128](dst []byte, q *Request, batched int, x []C) ([]byte, error) {
+// Response{Dims: q.Dims, Dtype: q.Dtype, Dir: q.Dir, Data: x as
+// interleaved float64s}. A sample the transform overflowed to ±Inf or
+// NaN has no JSON encoding and is a *RequestError; dst is then returned
+// as it came.
+func appendResponse[C complex64 | complex128](dst []byte, q *Request, x []C) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `{"dims":[`...)
 	for i, n := range q.Dims {
@@ -455,12 +456,7 @@ func appendResponse[C complex64 | complex128](dst []byte, q *Request, batched in
 	dst = append(dst, q.Dtype...)
 	dst = append(dst, `","dir":"`...)
 	dst = append(dst, q.Dir...)
-	dst = append(dst, '"')
-	if batched != 0 {
-		dst = append(dst, `,"batched":`...)
-		dst = strconv.AppendInt(dst, int64(batched), 10)
-	}
-	dst = append(dst, `,"data":[`...)
+	dst = append(dst, `","data":[`...)
 	for i, v := range x {
 		// Widening complex64 is exact: each part goes out as the
 		// float64 equal to its float32, which round-trips bit for bit.

@@ -40,7 +40,7 @@ func referenceDecode(r io.Reader) (*Request, error) {
 
 // referenceEncode is the encoding/json response encoder the service ran
 // before the wire codec.
-func referenceEncode[C complex64 | complex128](q *Request, batched int, x []C) ([]byte, error) {
+func referenceEncode[C complex64 | complex128](q *Request, x []C) ([]byte, error) {
 	data := make([]float64, 0, 2*len(x))
 	switch x := any(x).(type) {
 	case []complex64:
@@ -53,7 +53,7 @@ func referenceEncode[C complex64 | complex128](q *Request, batched int, x []C) (
 		}
 	}
 	var buf bytes.Buffer
-	err := json.NewEncoder(&buf).Encode(&Response{Dims: q.Dims, Dtype: q.Dtype, Dir: q.Dir, Batched: batched, Data: data})
+	err := json.NewEncoder(&buf).Encode(&Response{Dims: q.Dims, Dtype: q.Dtype, Dir: q.Dir, Data: data})
 	return buf.Bytes(), err
 }
 
@@ -259,13 +259,11 @@ func TestEncoderMatchesReferenceBytes(t *testing.T) {
 	for i, v := range f64 {
 		x128[i] = complex(v, f64[len(f64)-1-i])
 	}
-	for _, batched := range []int{0, 1, 7} {
-		for _, dims := range [][]int{{len(f32)}, {2, 11}, {1, 2, 11}} {
-			q := &Request{Dims: dims, Dtype: dtypeC64, Dir: "forward"}
-			checkEncoding(t, q, batched, x64)
-			q = &Request{Dims: dims, Dtype: dtypeC128, Dir: "inverse"}
-			checkEncoding(t, q, batched, x128)
-		}
+	for _, dims := range [][]int{{len(f32)}, {2, 11}, {1, 2, 11}} {
+		q := &Request{Dims: dims, Dtype: dtypeC64, Dir: "forward"}
+		checkEncoding(t, q, x64)
+		q = &Request{Dims: dims, Dtype: dtypeC128, Dir: "inverse"}
+		checkEncoding(t, q, x128)
 	}
 
 	// A non-finite sample has no JSON encoding: both encoders refuse,
@@ -273,10 +271,10 @@ func TestEncoderMatchesReferenceBytes(t *testing.T) {
 	for _, bad := range []complex128{complex(math.Inf(1), 0), complex(0, math.Inf(-1)), complex(math.NaN(), 0)} {
 		q := &Request{Dims: []int{2}, Dtype: dtypeC128, Dir: "forward"}
 		x := []complex128{1, bad}
-		if _, err := referenceEncode(q, 1, x); err == nil {
+		if _, err := referenceEncode(q, x); err == nil {
 			t.Fatalf("encoding/json encoded %v", bad)
 		}
-		dst, err := appendResponse([]byte("prefix"), q, 1, x)
+		dst, err := appendResponse([]byte("prefix"), q, x)
 		var reqErr *RequestError
 		if !errors.As(err, &reqErr) || string(dst) != "prefix" {
 			t.Fatalf("sample %v: err %v, dst %q; want a *RequestError and dst untouched", bad, err, dst)
@@ -284,18 +282,18 @@ func TestEncoderMatchesReferenceBytes(t *testing.T) {
 	}
 }
 
-func checkEncoding[C complex64 | complex128](t *testing.T, q *Request, batched int, x []C) {
+func checkEncoding[C complex64 | complex128](t *testing.T, q *Request, x []C) {
 	t.Helper()
-	want, err := referenceEncode(q, batched, x)
+	want, err := referenceEncode(q, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := appendResponse([]byte("prefix"), q, batched, x)
+	got, err := appendResponse([]byte("prefix"), q, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[len("prefix"):], want) {
-		t.Fatalf("%s dims %v batched %d:\ngot  %s\nwant %s", q.Dtype, q.Dims, batched, got[len("prefix"):], want)
+		t.Fatalf("%s dims %v:\ngot  %s\nwant %s", q.Dtype, q.Dims, got[len("prefix"):], want)
 	}
 }
 
@@ -317,7 +315,7 @@ func TestCodecAllocsIndependentOfN(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.c64 = toComplex(c.c64, q.Data)
-			if c.buf, err = appendResponse(c.buf[:0], q, 1, c.c64); err != nil {
+			if c.buf, err = appendResponse(c.buf[:0], q, c.c64); err != nil {
 				t.Fatal(err)
 			}
 		})

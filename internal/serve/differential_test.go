@@ -2,23 +2,32 @@ package serve
 
 // Differential contract: a server response is bit-identical to calling
 // the plan directly — across a grid of sizes, ranks, element types and
-// directions, through the JSON wire format. This is what makes the
-// service a drop-in boundary in front of the library: clients migrating
-// from direct fft calls observe exactly the same bits. (The coalesced-
-// batch half of the contract lives in coalesce_test.go.)
+// directions, through the JSON wire format, and for concurrent requests
+// sharing one plan. This is what makes the service a drop-in boundary
+// in front of the library: clients migrating from direct fft calls
+// observe exactly the same bits.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"xmtfft/internal/fft"
 )
 
-// directRef computes the reference output for any validated request via
-// the same plan constructors the server uses, but called directly.
+// transformer is the method every plan kind shares.
+type transformer[C fft.Complex] interface {
+	Transform(x []C, dir fft.Direction) error
+}
+
+// directRef computes the reference output for any validated request by
+// calling the cached plans the server uses directly.
 func directRef[C fft.Complex](t *testing.T, q *Request, in []C) []C {
 	t.Helper()
 	dir, err := q.direction()
@@ -30,27 +39,29 @@ func directRef[C fft.Complex](t *testing.T, q *Request, in []C) []C {
 		t.Fatal(err)
 	}
 	out := append([]C(nil), in...)
-	switch {
-	case q.Batch != nil:
-		if err := batchTransform(out, q.Dims[0], q.Batch, dir, norm); err != nil {
-			t.Fatal(err)
+	d, opt := q.Dims, fft.WithNorm(norm)
+	run := func(plan transformer[C], err error) {
+		t.Helper()
+		if err == nil {
+			err = plan.Transform(out, dir)
 		}
-	case len(q.Dims) == 1:
-		plan, err := fft.CachedPlan[C](q.Dims[0], fft.WithNorm(norm))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := plan.Transform(out, dir); err != nil {
+	}
+	switch {
+	case q.Batch != nil:
+		plan, err := fft.CachedPlan[C](d[0], opt)
+		if err != nil {
 			t.Fatal(err)
 		}
-	case len(q.Dims) == 2:
-		if err := plan2DTransform(out, q.Dims, dir, norm); err != nil {
-			t.Fatal(err)
-		}
+		run(fft.NewBatchPlanOf(plan, q.Batch.HowMany, q.Batch.Stride, q.Batch.Dist))
+	case len(d) == 1:
+		run(fft.CachedPlan[C](d[0], opt))
+	case len(d) == 2:
+		run(fft.CachedPlan2D[C](d[0], d[1], opt))
 	default:
-		if err := plan3DTransform(out, q.Dims, dir, norm); err != nil {
-			t.Fatal(err)
-		}
+		run(fft.CachedPlan3D[C](d[0], d[1], d[2], opt))
 	}
 	return out
 }
@@ -116,6 +127,78 @@ func TestServerMatchesDirectTransformBitwise(t *testing.T) {
 					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
 					t.Fatalf("%s: element %d differs: got %v want %v", name, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestConcurrentSameKeyBitIdentical sends clients at once, each with
+// its own payload of one shape, so their handlers transform on one
+// shared cached plan at the same time. Every response must match that
+// plan called directly, bit for bit: no request's samples or scratch
+// leak into another's.
+func TestConcurrentSameKeyBitIdentical(t *testing.T) {
+	const (
+		n       = 64
+		clients = 8
+	)
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer shutdownServer(t, srv)
+
+	reqs := make([]*Request, clients)
+	docs := make([][]byte, clients)
+	for c := range reqs {
+		data := make([]float64, 2*n)
+		fillSignal(data, c+1)
+		reqs[c] = &Request{Dims: []int{n}, Dtype: "complex64", Dir: "forward", Data: data}
+		var err error
+		if docs[c], err = json.Marshal(reqs[c]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bodies := make([][]byte, clients)
+	errs := make([]error, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range docs {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-start
+			resp, err := ts.Client().Post(ts.URL+"/v1/transform", "application/json", bytes.NewReader(docs[c]))
+			if err != nil {
+				errs[c] = err
+				return
+			}
+			defer resp.Body.Close()
+			bodies[c], errs[c] = io.ReadAll(resp.Body)
+			if errs[c] == nil && resp.StatusCode != http.StatusOK {
+				errs[c] = fmt.Errorf("status %d: %s", resp.StatusCode, bodies[c])
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+
+	for c, q := range reqs {
+		if errs[c] != nil {
+			t.Fatalf("client %d: %v", c, errs[c])
+		}
+		var out Response
+		if err := json.Unmarshal(bodies[c], &out); err != nil {
+			t.Fatalf("client %d: decode response: %v", c, err)
+		}
+		want := directRef(t, q, toComplex[complex64](nil, q.Data))
+		got := toComplex[complex64](nil, out.Data)
+		if len(got) != len(want) {
+			t.Fatalf("client %d: %d elements back, want %d", c, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float32bits(real(got[i])) != math.Float32bits(real(want[i])) ||
+				math.Float32bits(imag(got[i])) != math.Float32bits(imag(want[i])) {
+				t.Fatalf("client %d: element %d differs from the direct plan: got %v want %v", c, i, got[i], want[i])
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package loadgen is the transform service's load-generator client:
 // a fixed worker count fires a fixed request total at a live server and
-// reports latency quantiles, throughput and the coalescing it observed.
+// reports latency quantiles and throughput.
 // It is the measurement half of the serving story — used by
 // `xmtserve -selftest`, by `xmtserve -load` against a remote server,
 // and by harness.RunServeBench to emit BENCH_serve.json.
@@ -60,9 +60,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Result is one load level's measurement. Latencies are end-to-end
-// (marshal, POST, decode) in milliseconds. PlanPasses is recovered
-// exactly from the per-response batch sizes: a pass of size k produces
-// k responses reporting batched=k, so count[k]/k passes.
+// (marshal, POST, decode) in milliseconds.
 type Result struct {
 	Concurrency int     `json:"concurrency"`
 	Requests    int     `json:"requests"`
@@ -75,18 +73,13 @@ type Result struct {
 	P99Ms       float64 `json:"p99_ms"`
 	MaxMs       float64 `json:"max_ms"`
 	MeanMs      float64 `json:"mean_ms"`
-
-	Coalesced    int     `json:"coalesced_requests"` // requests that rode a multi-request pass
-	PlanPasses   int     `json:"plan_passes"`
-	CoalesceRate float64 `json:"coalesce_rate"` // coalesced / completed
 }
 
 // workerState collects one worker's observations, merged after the run.
 type workerState struct {
-	latMs      []float64
-	errs       int
-	rejected   int
-	batchSizes map[int]int
+	latMs    []float64
+	errs     int
+	rejected int
 }
 
 // Run fires opts.Requests requests and blocks until they are resolved.
@@ -103,7 +96,6 @@ func Run(opts Options) (*Result, error) {
 		wg.Add(1)
 		go func(st *workerState) {
 			defer wg.Done()
-			st.batchSizes = make(map[int]int)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= opts.Requests {
@@ -118,15 +110,11 @@ func Run(opts Options) (*Result, error) {
 
 	res := &Result{Concurrency: opts.Concurrency, Requests: opts.Requests, ElapsedSec: elapsed}
 	var lat []float64
-	sizes := make(map[int]int)
 	for i := range states {
 		st := &states[i]
 		lat = append(lat, st.latMs...)
 		res.Errors += st.errs
 		res.Rejected429 += st.rejected
-		for k, c := range st.batchSizes {
-			sizes[k] += c
-		}
 	}
 	if len(lat) == 0 {
 		return nil, fmt.Errorf("loadgen: no request completed (%d errors)", res.Errors)
@@ -144,13 +132,6 @@ func Run(opts Options) (*Result, error) {
 	if elapsed > 0 {
 		res.Throughput = float64(len(lat)) / elapsed
 	}
-	for k, c := range sizes {
-		res.PlanPasses += c / k
-		if k > 1 {
-			res.Coalesced += c
-		}
-	}
-	res.CoalesceRate = float64(res.Coalesced) / float64(len(lat))
 	return res, nil
 }
 
@@ -189,8 +170,8 @@ func runOne(client *http.Client, url string, opts Options, seq int, st *workerSt
 	}
 }
 
-// decodeOne consumes a non-429 response, tallying the batch size on
-// success.
+// decodeOne consumes a non-429 response and reports whether it was a
+// well-formed 200.
 func decodeOne(resp *http.Response, st *workerState) bool {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -203,11 +184,6 @@ func decodeOne(resp *http.Response, st *workerState) bool {
 		st.errs++
 		return false
 	}
-	k := out.Batched
-	if k < 1 {
-		k = 1
-	}
-	st.batchSizes[k]++
 	return true
 }
 

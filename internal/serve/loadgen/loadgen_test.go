@@ -2,7 +2,10 @@ package loadgen
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,7 +13,7 @@ import (
 )
 
 func TestLoadgenAgainstLiveServer(t *testing.T) {
-	srv := serve.New(serve.Config{CoalesceWait: 100 * time.Microsecond})
+	srv := serve.New(serve.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer func() {
@@ -33,26 +36,37 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d/%d requests failed", res.Errors, res.Requests)
 	}
-	if res.PlanPasses < 1 || res.PlanPasses > res.Requests {
-		t.Fatalf("plan passes %d outside [1, %d]", res.PlanPasses, res.Requests)
-	}
 	if res.P50Ms <= 0 || res.P99Ms < res.P50Ms || res.MaxMs < res.P99Ms {
 		t.Fatalf("latency quantiles inconsistent: p50=%g p99=%g max=%g", res.P50Ms, res.P99Ms, res.MaxMs)
 	}
 	if res.Throughput <= 0 {
 		t.Fatalf("throughput %g", res.Throughput)
 	}
-	if res.CoalesceRate < 0 || res.CoalesceRate > 1 {
-		t.Fatalf("coalesce rate %g outside [0, 1]", res.CoalesceRate)
-	}
+}
+
+// slowBody delays the server's first read of a request body, so each
+// admitted request holds its in-flight slot for a few milliseconds, as
+// the upload and transform of a large request would.
+type slowBody struct {
+	io.ReadCloser
+	once sync.Once
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	b.once.Do(func() { time.Sleep(5 * time.Millisecond) })
+	return b.ReadCloser.Read(p)
 }
 
 // TestLoadgenRetriesBackpressure drives a deliberately tiny admission
 // budget: the run must still complete every request by honoring 429 +
 // Retry-After, and report the rejections it absorbed.
 func TestLoadgenRetriesBackpressure(t *testing.T) {
-	srv := serve.New(serve.Config{MaxInflight: 2, CoalesceWait: 5 * time.Millisecond, RetryAfter: time.Second})
-	ts := httptest.NewServer(srv.Handler())
+	srv := serve.New(serve.Config{MaxInflight: 2, RetryAfter: time.Second})
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = &slowBody{ReadCloser: r.Body}
+		h.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -72,6 +86,9 @@ func TestLoadgenRetriesBackpressure(t *testing.T) {
 	}
 	if res.Errors != 0 {
 		t.Fatalf("%d requests lost despite retries", res.Errors)
+	}
+	if res.Rejected429 == 0 {
+		t.Fatal("no request was refused with 429, so the retry path never ran")
 	}
 	t.Logf("completed %d requests through a budget of 2 with %d rejections retried", res.Requests, res.Rejected429)
 }

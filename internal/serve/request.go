@@ -49,14 +49,16 @@ type BatchSpec struct {
 }
 
 // Response mirrors the request geometry and carries the transformed
-// samples. Batched reports how many requests the server executed in the
-// same coalesced plan pass (1 = ran alone); clients use it to observe
-// coalescing without scraping metrics. The server writes this shape
-// without building one (appendResponse); clients decode into it.
+// samples. The server writes this shape without building one
+// (appendResponse); clients decode into it.
 type Response struct {
-	Dims    []int     `json:"dims"`
-	Dtype   string    `json:"dtype"`
-	Dir     string    `json:"dir"`
+	Dims  []int  `json:"dims"`
+	Dtype string `json:"dtype"`
+	Dir   string `json:"dir"`
+	// Batched is never sent, so a decoded response leaves it 0.
+	//
+	// Deprecated: requests are not coalesced, so there is no shared
+	// pass to report.
 	Batched int       `json:"batched,omitempty"`
 	Data    []float64 `json:"data"`
 }

@@ -150,22 +150,69 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl429 fills the in-flight budget with a request
-// parked in a coalesce window, then shows the next arrival is refused
-// with 429 and a Retry-After hint instead of queueing without bound.
+// holdRequest posts q with a body the test controls: the server admits
+// the request, then its decoder waits for a body that does not come.
+// holdRequest returns once xmtserve_queue_depth shows the request
+// admitted; release sends the body and returns the response status.
+// Tests also defer release, so a failing test does not leave the
+// request open and hang the test server's Close.
+func holdRequest(t *testing.T, ts *httptest.Server, srv *Server, q *Request) (release func() int) {
+	t.Helper()
+	body, err := json.Marshal(q)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	pr, pw := io.Pipe()
+	status := make(chan int, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/transform", "application/json", pr)
+		if err != nil {
+			t.Errorf("held request: %v", err)
+			status <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	waitForValue(t, srv, "xmtserve_queue_depth", 1)
+	return sync.OnceValue(func() int {
+		// A failed write means the client already gave up on the
+		// request; the status it reports says so.
+		pw.Write(body)
+		pw.Close()
+		return <-status
+	})
+}
+
+// waitForValue polls the server's registry until the unlabeled series
+// name reads want.
+func waitForValue(t *testing.T, srv *Server, name string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if v, _ := scrape(t, srv).Value(name, nil); v == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never reached %g", name, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAdmissionControl429 fills the in-flight budget with a held
+// request, then shows the next arrival is refused with 429 and a
+// Retry-After hint instead of queueing without bound.
 func TestAdmissionControl429(t *testing.T) {
-	srv := New(Config{MaxInflight: 1, CoalesceWait: 300 * time.Millisecond, RetryAfter: 2 * time.Second})
+	srv := New(Config{MaxInflight: 1, RetryAfter: 2 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer shutdownServer(t, srv)
 
 	q := &Request{Dims: []int{8}, Dtype: "complex64", Dir: "forward", Data: impulse(8)}
-	first := make(chan int, 1)
-	go func() {
-		resp, _, _ := postJSON(t, ts, q)
-		first <- resp.StatusCode
-	}()
-	time.Sleep(100 * time.Millisecond) // let the first request park in its window
+	release := holdRequest(t, ts, srv, q)
+	defer release()
 	resp, _, eb := postJSON(t, ts, q)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second request status %d, want 429", resp.StatusCode)
@@ -176,7 +223,7 @@ func TestAdmissionControl429(t *testing.T) {
 	if eb.Error == "" {
 		t.Fatal("429 without a JSON error body")
 	}
-	if code := <-first; code != http.StatusOK {
+	if code := release(); code != http.StatusOK {
 		t.Fatalf("first request status %d, want 200", code)
 	}
 
@@ -190,21 +237,17 @@ func TestAdmissionControl429(t *testing.T) {
 // during Shutdown new work gets 503 + Retry-After, /healthz flips to
 // draining, and in-flight requests complete.
 func TestGracefulDrain(t *testing.T) {
-	srv := New(Config{CoalesceWait: 200 * time.Millisecond})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	q := &Request{Dims: []int{8}, Dtype: "complex64", Dir: "forward", Data: impulse(8)}
-	inflight := make(chan int, 1)
-	go func() {
-		resp, _, _ := postJSON(t, ts, q)
-		inflight <- resp.StatusCode
-	}()
-	time.Sleep(50 * time.Millisecond)
+	release := holdRequest(t, ts, srv, q)
+	defer release()
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Shutdown(context.Background()) }()
-	time.Sleep(50 * time.Millisecond)
+	waitForValue(t, srv, "xmtserve_draining", 1)
 
 	resp, _, _ := postJSON(t, ts, q)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -221,7 +264,12 @@ func TestGracefulDrain(t *testing.T) {
 	if hresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz during drain: status %d, want 503", hresp.StatusCode)
 	}
-	if code := <-inflight; code != http.StatusOK {
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned (%v) while a request was in flight", err)
+	default:
+	}
+	if code := release(); code != http.StatusOK {
 		t.Fatalf("in-flight request finished with %d, want 200", code)
 	}
 	if err := <-done; err != nil {
@@ -230,23 +278,64 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestShutdownTimeoutReportsInflight(t *testing.T) {
-	srv := New(Config{CoalesceWait: time.Second})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	q := &Request{Dims: []int{8}, Dtype: "complex64", Dir: "forward", Data: impulse(8)}
-	got := make(chan int, 1)
-	go func() {
-		resp, _, _ := postJSON(t, ts, q)
-		got <- resp.StatusCode
-	}()
-	time.Sleep(50 * time.Millisecond)
+	release := holdRequest(t, ts, srv, q)
+	defer release()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err == nil {
 		t.Fatal("Shutdown with an expired context and an in-flight request returned nil")
 	}
-	<-got // let the worker finish before the test tears down
+}
+
+// TestResponseJSONShape locks the wire shape the clients depend on:
+// exactly dims, dtype, dir and data.
+func TestResponseJSONShape(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer shutdownServer(t, srv)
+
+	body, _ := json.Marshal(&Request{Dims: []int{8}, Dtype: "complex64", Dir: "forward", Data: impulse(8)})
+	resp, err := ts.Client().Post(ts.URL+"/v1/transform", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"dims", "dtype", "dir", "data"} {
+		if _, ok := doc[key]; !ok {
+			t.Errorf("response missing %q", key)
+		}
+	}
+	if v, ok := doc["batched"]; ok {
+		t.Errorf("response carries \"batched\": %v", v)
+	}
+}
+
+// TestCodeletGaugeAfter2DRequest: the codelet-leaf gauge is refreshed
+// by every route, so a server that has served one 2D request shows the
+// leaves that request ran.
+func TestCodeletGaugeAfter2DRequest(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer shutdownServer(t, srv)
+
+	resp, _, eb := postJSON(t, ts, &Request{Dims: []int{16, 16}, Dtype: "complex64", Dir: "forward", Data: impulse(256)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("2D request: status %d (%+v)", resp.StatusCode, eb)
+	}
+	if v, ok := scrape(t, srv).Value("xmtserve_codelet_leaf_calls", nil); !ok || v <= 0 {
+		t.Fatalf("xmtserve_codelet_leaf_calls = %g, %v after a 2D request; want > 0", v, ok)
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -285,9 +374,9 @@ func TestFallbackHandlerServesUnknownPaths(t *testing.T) {
 }
 
 // TestConcurrentMixedLoad hammers every route from many goroutines —
-// the -race workhorse for the handler, pools and metrics.
+// the -race workhorse for the handler, the shared plans and metrics.
 func TestConcurrentMixedLoad(t *testing.T) {
-	srv := New(Config{MaxInflight: 128, CoalesceWait: 100 * time.Microsecond})
+	srv := New(Config{MaxInflight: 128})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer shutdownServer(t, srv)
@@ -444,8 +533,7 @@ func TestOverflowingOutputGets400(t *testing.T) {
 // the same bytes at n=4096 as at n=64, so nothing n-sized — no plan
 // scratch, no gather buffer — is allocated per request. Each size
 // takes the minimum of 5 trials of 100 calls; the slack absorbs the
-// race detector, under which sync.Pool drops items at random and fmt's
-// printer pool reallocates now and then.
+// race detector, under which sync.Pool drops items at random.
 func TestBatchTransformBytesIndependentOfN(t *testing.T) {
 	defer fft.ResetPlanCache()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -453,8 +541,9 @@ func TestBatchTransformBytesIndependentOfN(t *testing.T) {
 	b := &BatchSpec{HowMany: 2, Stride: 2, Dist: 1}
 	perCall := func(n int) uint64 {
 		x := make([]complex64, (b.HowMany-1)*b.Dist+(n-1)*b.Stride+1)
+		q := &Request{Dims: []int{n}, Dtype: dtypeC64, Dir: "forward", Batch: b}
 		run := func() {
-			if err := batchTransform(x, n, b, fft.Forward, fft.NormByN); err != nil {
+			if err := transform(x, q); err != nil {
 				t.Fatal(err)
 			}
 		}

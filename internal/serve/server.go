@@ -1,17 +1,16 @@
 // Package serve is the FFT-as-a-service layer: an HTTP server in front
 // of the concurrency-safe fft plan cache. It accepts 1D/2D/3D transform
 // requests (complex64/complex128, forward/inverse, optionally batched)
-// on POST /v1/transform, executes them through fft.CachedPlan* — with
-// per-size worker pools that coalesce concurrent same-size 1D requests
-// into single fft.BatchPlan passes (pool.go) — and applies admission
-// control: a bounded in-flight budget whose overflow is answered with
-// 429 + Retry-After instead of unbounded queueing. Shutdown drains
-// gracefully: new work is refused with 503 while accepted requests
-// finish.
+// on POST /v1/transform, transforms each one in its own handler
+// goroutine on the shared plan from fft.CachedPlan*, and applies
+// admission control: a bounded in-flight budget whose overflow is
+// answered with 429 + Retry-After instead of unbounded queueing.
+// Shutdown drains gracefully: new work is refused with 503 while
+// accepted requests finish.
 //
 // Observability rides on internal/metrics: per-route latency
-// histograms, request/rejection counters, queue-depth gauges and
-// coalescing counters, registered on the registry the caller passes in
+// histograms, request/rejection counters, queue-depth gauges and the
+// codelet-leaf gauge, registered on the registry the caller passes in
 // (cmd/xmtserve passes harness.Obs's registry, so the series appear on
 // the same /metrics endpoint as the rest of the repo's surface).
 package serve
@@ -37,12 +36,15 @@ type Config struct {
 	// MaxInflight bounds admitted-but-unfinished requests (queued +
 	// executing). Arrivals beyond it get 429 + Retry-After. Default 256.
 	MaxInflight int
-	// MaxBatch caps how many coalesced requests one plan pass may
-	// carry. Default 32.
+	// MaxBatch is ignored.
+	//
+	// Deprecated: requests are not coalesced, so there is no batch to
+	// cap.
 	MaxBatch int
-	// CoalesceWait is how long a pool worker holds a formed-but-short
-	// batch open for stragglers. 0 (the default) coalesces only work
-	// already queued — no added latency, batching only under pressure.
+	// CoalesceWait is ignored.
+	//
+	// Deprecated: requests are not coalesced, so there is no batch to
+	// hold open.
 	CoalesceWait time.Duration
 	// MaxBodyBytes bounds a request body. Default 1<<28.
 	MaxBodyBytes int64
@@ -63,9 +65,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 256
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 28
 	}
@@ -85,13 +84,9 @@ type serverMetrics struct {
 	queueDepth *metrics.Gauge
 	queueLimit *metrics.Gauge
 	rejected   *metrics.Counter
-	planPasses *metrics.Counter
-	coalesced  *metrics.Counter
-	batchSize  *metrics.Histogram
-	pools      *metrics.Gauge
 	draining   *metrics.Gauge
 	// codeletLeaves mirrors the fft package's process-wide codelet-leaf
-	// invocation counter (refreshed after every plan pass), so the obs
+	// invocation counter (refreshed after every transform), so the obs
 	// surface shows how much of the serve traffic runs on generated
 	// straight-line kernels.
 	codeletLeaves *metrics.Gauge
@@ -107,13 +102,9 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		queueDepth: reg.Gauge("xmtserve_queue_depth", "Admitted requests currently queued or executing."),
 		queueLimit: reg.Gauge("xmtserve_queue_limit", "Admission bound; arrivals beyond it are rejected with 429."),
 		rejected:   reg.Counter("xmtserve_requests_rejected", "Requests refused by admission control (429)."),
-		planPasses: reg.Counter("xmtserve_plan_passes", "Plan executions in the 1D pools; coalescing makes this smaller than the request count."),
-		coalesced:  reg.Counter("xmtserve_requests_coalesced", "Requests that executed inside a multi-request batch pass."),
-		batchSize:  reg.Histogram("xmtserve_batch_size", "Requests per 1D pool plan pass.", 1, 2, 4, 8, 16, 32, 64),
-		pools:      reg.Gauge("xmtserve_pools", "Live per-size worker pools."),
 		draining:   reg.Gauge("xmtserve_draining", "1 while the server refuses new work to drain for shutdown."),
 		codeletLeaves: reg.Gauge("xmtserve_codelet_leaf_calls",
-			"Process-wide generated-kernel (codelet leaf) invocations, sampled after each plan pass."),
+			"Process-wide generated-kernel (codelet leaf) invocations, sampled after each transform."),
 	}
 }
 
@@ -123,17 +114,13 @@ type Server struct {
 	cfg Config
 	met *serverMetrics
 
-	inflight  atomic.Int64
-	poolCount atomic.Int64
-	draining  atomic.Bool
+	inflight atomic.Int64
+	draining atomic.Bool
 	// drainMu orders wg.Add against Shutdown's wg.Wait: handlers add
 	// under RLock with draining false, Shutdown flips draining under the
 	// write lock, so no Add can start from zero once Wait begins.
 	drainMu sync.RWMutex
 	wg      sync.WaitGroup
-
-	p64  *poolSet[complex64]
-	p128 *poolSet[complex128]
 }
 
 // New builds a server from cfg (zero value fine).
@@ -141,8 +128,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, met: newServerMetrics(cfg.Registry)}
 	s.met.queueLimit.Set(float64(cfg.MaxInflight))
-	s.p64 = newPoolSet[complex64](s)
-	s.p128 = newPoolSet[complex128](s)
 	return s
 }
 
@@ -161,9 +146,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Shutdown drains the server: new requests are refused with 503,
-// admitted ones run to completion (or ctx expires), then the pool
-// workers stop. Safe to call once.
+// Shutdown drains the server: new requests are refused with 503 and
+// admitted ones run to completion, or ctx expires first. Safe to call
+// once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
@@ -179,8 +164,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain interrupted with %d requests in flight: %w", s.inflight.Load(), ctx.Err())
 	}
-	s.p64.close()
-	s.p128.close()
 	return nil
 }
 
@@ -236,7 +219,6 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		s.met.queueDepth.Set(float64(s.inflight.Add(-1)))
 	}()
-	s.met.queueDepth.Set(float64(cur))
 	if int(cur) > s.cfg.MaxInflight {
 		s.met.rejected.Inc()
 		code = http.StatusTooManyRequests
@@ -260,6 +242,9 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.drainMu.RUnlock()
 	defer s.wg.Done()
+	// Published only past both gates, so a depth of k means k requests
+	// that Shutdown waits for.
+	s.met.queueDepth.Set(float64(cur))
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	c := getCodec(r.ContentLength)
@@ -306,84 +291,58 @@ func routeOf(q *Request) string {
 // execute runs c's validated request on c's buffers and leaves the
 // encoded response in c.buf.
 func (s *Server) execute(c *codec) error {
-	q := &c.q
-	dir, _ := q.direction()
-	norm, _ := q.normalization()
-
-	run := func(exec64 func([]complex64) (int, error), exec128 func([]complex128) (int, error)) error {
-		var batched int
-		var err error
-		if q.Dtype == dtypeC64 {
-			c.c64 = toComplex(c.c64, q.Data)
-			if batched, err = exec64(c.c64); err == nil {
-				c.buf, err = appendResponse(c.buf[:0], q, batched, c.c64)
-			}
-			return err
-		}
-		c.c128 = toComplex(c.c128, q.Data)
-		if batched, err = exec128(c.c128); err == nil {
-			c.buf, err = appendResponse(c.buf[:0], q, batched, c.c128)
-		}
-		return err
+	if c.q.Dtype == dtypeC64 {
+		c.c64 = toComplex(c.c64, c.q.Data)
+		return respond(s, c, c.c64)
 	}
-
-	switch {
-	case q.Batch != nil:
-		// Explicit batch layout: one request, one pass, no coalescing.
-		b := q.Batch
-		return run(
-			func(x []complex64) (int, error) { return 1, batchTransform(x, q.Dims[0], b, dir, norm) },
-			func(x []complex128) (int, error) { return 1, batchTransform(x, q.Dims[0], b, dir, norm) },
-		)
-	case len(q.Dims) == 1:
-		key := poolKey{n: q.Dims[0], dir: dir, norm: norm}
-		return run(
-			func(x []complex64) (int, error) { return s.p64.submit(key, x) },
-			func(x []complex128) (int, error) { return s.p128.submit(key, x) },
-		)
-	case len(q.Dims) == 2:
-		return run(
-			func(x []complex64) (int, error) { return 1, plan2DTransform(x, q.Dims, dir, norm) },
-			func(x []complex128) (int, error) { return 1, plan2DTransform(x, q.Dims, dir, norm) },
-		)
-	default:
-		return run(
-			func(x []complex64) (int, error) { return 1, plan3DTransform(x, q.Dims, dir, norm) },
-			func(x []complex128) (int, error) { return 1, plan3DTransform(x, q.Dims, dir, norm) },
-		)
-	}
+	c.c128 = toComplex(c.c128, c.q.Data)
+	return respond(s, c, c.c128)
 }
 
-// batchTransform runs an explicit advanced-layout request through a
-// batch layout around the shared cached plan.
-func batchTransform[C fft.Complex](x []C, n int, b *BatchSpec, dir fft.Direction, norm fft.Normalization) error {
-	plan, err := fft.CachedPlan[C](n, fft.WithNorm(norm))
+// respond transforms x, the request's samples, in place and encodes the
+// response into c.buf.
+func respond[C complex64 | complex128](s *Server, c *codec, x []C) (err error) {
+	if err = transform(x, &c.q); err != nil {
+		return err
+	}
+	s.met.codeletLeaves.Set(float64(fft.CodeletLeafCalls()))
+	c.buf, err = appendResponse(c.buf[:0], &c.q, x)
+	return err
+}
+
+// transform runs the validated request q on its samples x, in place, on
+// the shared cached plan for q's shape. Every plan is safe for
+// concurrent Transform calls, so each handler calls it directly.
+func transform[C fft.Complex](x []C, q *Request) error {
+	dir, _ := q.direction()
+	norm, _ := q.normalization()
+	opt, d := fft.WithNorm(norm), q.Dims
+	switch len(d) {
+	case 3:
+		plan, err := fft.CachedPlan3D[C](d[0], d[1], d[2], opt)
+		if err != nil {
+			return err
+		}
+		return plan.Transform(x, dir)
+	case 2:
+		plan, err := fft.CachedPlan2D[C](d[0], d[1], opt)
+		if err != nil {
+			return err
+		}
+		return plan.Transform(x, dir)
+	}
+	plan, err := fft.CachedPlan[C](d[0], opt)
 	if err != nil {
 		return err
 	}
+	b := q.Batch
+	if b == nil {
+		return plan.Transform(x, dir)
+	}
+	// Explicit batch layout: a batch view over the same shared plan.
 	bp, err := fft.NewBatchPlanOf(plan, b.HowMany, b.Stride, b.Dist)
 	if err != nil {
 		return err
 	}
 	return bp.Transform(x, dir)
-}
-
-// plan2DTransform executes a 2D request on the shared cached plan, which
-// is safe for concurrent Transform calls.
-func plan2DTransform[C fft.Complex](x []C, dims []int, dir fft.Direction, norm fft.Normalization) error {
-	plan, err := fft.CachedPlan2D[C](dims[0], dims[1], fft.WithNorm(norm))
-	if err != nil {
-		return err
-	}
-	return plan.Transform(x, dir)
-}
-
-// plan3DTransform executes a 3D request on the shared cached plan, which
-// is safe for concurrent Transform calls.
-func plan3DTransform[C fft.Complex](x []C, dims []int, dir fft.Direction, norm fft.Normalization) error {
-	plan, err := fft.CachedPlan3D[C](dims[0], dims[1], dims[2], fft.WithNorm(norm))
-	if err != nil {
-		return err
-	}
-	return plan.Transform(x, dir)
 }
