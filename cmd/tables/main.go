@@ -68,7 +68,7 @@ func main() {
 
 	if *ablation {
 		fmt.Println()
-		if err := harness.AblationReport(os.Stdout, 1024, 32); err != nil {
+		if _, err := harness.AblationReport(os.Stdout, 1024, 32, harness.AblationOptions{}); err != nil {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}

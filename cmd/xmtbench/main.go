@@ -14,9 +14,8 @@
 // into a CI perf ratchet.
 //
 // With -sim-bench the simulator itself is measured: the same FFT
-// workload runs on the legacy serial engine and on the sharded parallel
-// engine at several -sim-bench-workers counts, and the wall-clock
-// results are written as a BENCH_sim.json perf record.
+// workload runs at several -sim-bench-workers counts, and the
+// wall-clock results are written as a BENCH_sim.json perf record.
 //
 // With -obs-bench the observability layer itself is measured: the same
 // workload with observability off, with engine telemetry, and with the
@@ -33,13 +32,12 @@
 //
 //	xmtbench                  # defaults: 4k scaled to 1024 TCUs, 32^3
 //	xmtbench -tcus 512 -n 16  # small size (the CI smoke path)
-//	xmtbench -sim-workers 4   # ablations on the sharded engine
+//	xmtbench -sim-workers 4   # ablations on 4 simulation workers
 //	xmtbench -serve-obs :9100 # watch the run: curl :9100/metrics
 //	xmtbench -trace /tmp/bench.json -util-svg /tmp/bench.svg
 //	xmtbench -host-bench BENCH_fft.json -host-n 128,256
 //	xmtbench -host-bench BENCH_fft.json -fft-gate 1.2  # codelet perf ratchet
 //	xmtbench -sim-bench BENCH_sim.json -sim-bench-workers 1,2,4
-//	xmtbench -sim-bench BENCH_sim.json -sim-gate 1.5   # CI perf ratchet
 //	xmtbench -fault-bench BENCH_fault.json -fault-rates 0.005,0.02,0.05
 //	xmtbench -obs-bench BENCH_obs.json
 package main
@@ -62,11 +60,10 @@ import (
 func main() {
 	tcus := flag.Int("tcus", 1024, "machine size in TCUs (scaled 4k configuration)")
 	n := flag.Int("n", 32, "points per dimension (power of two)")
-	simWorkers := flag.Int("sim-workers", 0, "simulation worker count: 0 = legacy serial engine, >= 1 = sharded parallel engine")
-	simBench := flag.String("sim-bench", "", "measure the simulator (legacy vs sharded engine) on the FFT workload and write a BENCH_sim.json perf record to this path ('-' for stdout)")
-	simBenchWorkers := flag.String("sim-bench-workers", "1,2,4", "comma-separated sharded worker counts for -sim-bench")
+	simWorkers := flag.Int("sim-workers", 1, "simulation worker count (>= 1; results are identical at every count, 1 runs the shards inline)")
+	simBench := flag.String("sim-bench", "", "measure the simulator at each -sim-bench-workers count on the FFT workload and write a BENCH_sim.json perf record to this path ('-' for stdout)")
+	simBenchWorkers := flag.String("sim-bench-workers", "1,2,4", "comma-separated simulation worker counts for -sim-bench")
 	simReps := flag.Int("sim-reps", 3, "repetitions per -sim-bench point (best run kept)")
-	simGate := flag.Float64("sim-gate", 0, "with -sim-bench: exit non-zero when sharded workers=1 wall-clock exceeds this multiple of legacy (0 disables the gate)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the baseline variant to this path")
@@ -96,7 +93,7 @@ func main() {
 		tcus: *tcus, n: *n, simWorkers: *simWorkers, simReps: *simReps,
 		hostWorkers: *hostWorkers, hostReps: *hostReps,
 		tracePath: *tracePath, utilSVG: *utilSVG, traceEpoch: *traceEpoch,
-		simBench: *simBench, simBenchWorkers: *simBenchWorkers, simGate: *simGate,
+		simBench: *simBench, simBenchWorkers: *simBenchWorkers,
 		hostBench: *hostBench, hostSizes: *hostSizes, fftGate: *fftGate,
 		faultBench: *faultBench, faultRates: *faultRates,
 		serveObs: *serveObs, obsSnapshot: *obsSnapshot,
@@ -139,7 +136,7 @@ func main() {
 		return
 	}
 	if *simBench != "" {
-		if err := runSimBench(*simBench, *simBenchWorkers, *tcus, *n, *simReps, *simGate); err != nil {
+		if err := runSimBench(*simBench, *simBenchWorkers, *tcus, *n, *simReps); err != nil {
 			fatal(err)
 		}
 		return
@@ -213,7 +210,9 @@ func main() {
 				"variants_done", c.Meta.Stage)
 		}
 	}
-	rec, err := harness.AblationReportCkpt(os.Stdout, *tcus, *n, epoch, *simWorkers, obs, ck)
+	rec, err := harness.AblationReport(os.Stdout, *tcus, *n, harness.AblationOptions{
+		Epoch: epoch, Workers: *simWorkers, Obs: obs, Ckpt: ck,
+	})
 	interrupted := errors.Is(err, harness.ErrInterrupted)
 	if err != nil && !interrupted {
 		fatal(err)
@@ -260,7 +259,7 @@ func writeRecord(path string, write func(io.Writer) error) error {
 
 // runHostBench measures the host FFT, writes the perf record, and (when
 // gate > 0) fails if any serial 1D codelet-on/off speedup falls below
-// the gate — the host-FFT analog of the -sim-gate CI ratchet.
+// the gate — a CI perf ratchet.
 func runHostBench(path, sizeList string, workers, reps int, gate float64) error {
 	sizes, err := parseIntList("-host-n", sizeList)
 	if err != nil {
@@ -305,10 +304,9 @@ func runHostBench(path, sizeList string, workers, reps int, gate float64) error 
 	return nil
 }
 
-// runSimBench measures the simulation engines, writes BENCH_sim.json,
-// and (when gate > 0) fails if the 1-worker sharded run costs more than
-// gate times the legacy engine's wall-clock — the CI perf ratchet.
-func runSimBench(path, workerList string, tcus, n, reps int, gate float64) error {
+// runSimBench measures the simulator at each worker count and writes
+// BENCH_sim.json.
+func runSimBench(path, workerList string, tcus, n, reps int) error {
 	workers, err := parseIntList("-sim-bench-workers", workerList)
 	if err != nil {
 		return err
@@ -318,15 +316,8 @@ func runSimBench(path, workerList string, tcus, n, reps int, gate float64) error
 		return err
 	}
 	for _, r := range rec.Results {
-		label := r.Engine
-		if r.Engine == "sharded" {
-			label = fmt.Sprintf("%s workers=%d", r.Engine, r.Workers)
-		}
-		fmt.Printf("%-20s %10.4fs  %12d cycles  %9.0f useful-events/s  (%d engine events)\n",
-			label, r.ElapsedSec, r.Cycles, r.UsefulEventsPerSec, r.Events)
-	}
-	if rec.OverheadVsLegacy > 0 {
-		fmt.Printf("overhead vs legacy (sharded workers=1): %.2fx\n", rec.OverheadVsLegacy)
+		fmt.Printf("workers=%-3d %10.4fs  %12d cycles  %9.0f useful-events/s  (%d engine events)\n",
+			r.Workers, r.ElapsedSec, r.Cycles, r.UsefulEventsPerSec, r.Events)
 	}
 	for k, v := range rec.SpeedupVsSerialDriver {
 		fmt.Printf("speedup %s: %.2fx\n", k, v)
@@ -334,19 +325,7 @@ func runSimBench(path, workerList string, tcus, n, reps int, gate float64) error
 	if rec.Note != "" {
 		fmt.Println("note:", rec.Note)
 	}
-	if err := writeRecord(path, rec.Write); err != nil {
-		return err
-	}
-	if gate > 0 {
-		if rec.OverheadVsLegacy == 0 {
-			return fmt.Errorf("-sim-gate %.2f: overhead_vs_legacy is unavailable (no workers=1 run or sub-resolution timings); gate cannot be evaluated", gate)
-		}
-		if rec.OverheadVsLegacy > gate {
-			return fmt.Errorf("-sim-gate %.2f exceeded: sharded workers=1 is %.2fx legacy wall-clock", gate, rec.OverheadVsLegacy)
-		}
-		fmt.Printf("sim-gate ok: %.2fx <= %.2fx\n", rec.OverheadVsLegacy, gate)
-	}
-	return nil
+	return writeRecord(path, rec.Write)
 }
 
 // runObsBench measures observability overhead and writes BENCH_obs.json.

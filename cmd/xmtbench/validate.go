@@ -29,7 +29,6 @@ type cliFlags struct {
 
 	simBench        string
 	simBenchWorkers string
-	simGate         float64
 	hostBench       string
 	hostSizes       string
 	fftGate         float64
@@ -85,8 +84,8 @@ func validateFlags(f cliFlags) error {
 	if !fft.IsPowerOfTwo(f.n) {
 		return fmt.Errorf("-n must be a power of two, got %d", f.n)
 	}
-	if f.simWorkers < 0 {
-		return fmt.Errorf("-sim-workers must be >= 0 (0 selects the legacy serial engine), got %d", f.simWorkers)
+	if f.simWorkers < 1 {
+		return fmt.Errorf("-sim-workers must be >= 1 (the legacy serial engine that 0 selected has been removed), got %d", f.simWorkers)
 	}
 	if f.simReps < 1 {
 		return fmt.Errorf("-sim-reps must be >= 1, got %d", f.simReps)
@@ -100,28 +99,15 @@ func validateFlags(f cliFlags) error {
 	if (f.tracePath != "" || f.utilSVG != "") && f.traceEpoch == 0 {
 		return fmt.Errorf("-trace-epoch must be positive when -trace or -util-svg is set")
 	}
-	if f.simGate < 0 {
-		return fmt.Errorf("-sim-gate must be >= 0 (0 disables the gate), got %g", f.simGate)
-	}
-	if f.simGate > 0 && f.simBench == "" {
-		return fmt.Errorf("-sim-gate requires -sim-bench")
-	}
 	if f.simBench != "" {
 		workers, err := parseIntList("-sim-bench-workers", f.simBenchWorkers)
 		if err != nil {
 			return err
 		}
-		hasSerial := false
 		for _, w := range workers {
 			if w < 1 {
 				return fmt.Errorf("-sim-bench-workers entries must be >= 1, got %d", w)
 			}
-			if w == 1 {
-				hasSerial = true
-			}
-		}
-		if f.simGate > 0 && !hasSerial {
-			return fmt.Errorf("-sim-gate compares the workers=1 sharded run against legacy; -sim-bench-workers must include 1")
 		}
 	}
 	if f.fftGate < 0 {

@@ -8,7 +8,7 @@ import (
 // okFlags returns a runnable baseline flag set; tests mutate one field.
 func okFlags() cliFlags {
 	return cliFlags{
-		tcus: 1024, n: 32, simReps: 3, hostReps: 1, traceEpoch: 256,
+		tcus: 1024, n: 32, simWorkers: 1, simReps: 3, hostReps: 1, traceEpoch: 256,
 		simBenchWorkers: "1,2,4", hostSizes: "128,256", faultRates: "0.005,0.02",
 	}
 }
@@ -23,6 +23,7 @@ func TestValidateFlags(t *testing.T) {
 		{"zero tcus", func(f *cliFlags) { f.tcus = 0 }, "-tcus"},
 		{"n not power of two", func(f *cliFlags) { f.n = 100 }, "power of two"},
 		{"negative sim workers", func(f *cliFlags) { f.simWorkers = -2 }, "-sim-workers"},
+		{"zero sim workers", func(f *cliFlags) { f.simWorkers = 0 }, "legacy serial engine"},
 		{"zero sim reps", func(f *cliFlags) { f.simReps = 0 }, "-sim-reps"},
 		{"negative host workers", func(f *cliFlags) { f.hostWorkers = -1 }, "-host-workers"},
 		{"zero host reps", func(f *cliFlags) { f.hostReps = 0 }, "-host-reps"},
@@ -30,10 +31,6 @@ func TestValidateFlags(t *testing.T) {
 		{"bad sim-bench workers entry", func(f *cliFlags) { f.simBench = "-"; f.simBenchWorkers = "1,x" }, "-sim-bench-workers"},
 		{"zero sim-bench workers entry", func(f *cliFlags) { f.simBench = "-"; f.simBenchWorkers = "0" }, ">= 1"},
 		{"sim-bench list ignored when off", func(f *cliFlags) { f.simBenchWorkers = "garbage" }, ""},
-		{"negative sim gate", func(f *cliFlags) { f.simBench = "-"; f.simGate = -1 }, "-sim-gate"},
-		{"sim gate without bench", func(f *cliFlags) { f.simGate = 1.5 }, "requires -sim-bench"},
-		{"sim gate without workers=1", func(f *cliFlags) { f.simBench = "-"; f.simGate = 1.5; f.simBenchWorkers = "2,4" }, "must include 1"},
-		{"sim gate ok", func(f *cliFlags) { f.simBench = "-"; f.simGate = 1.5 }, ""},
 		{"bad host size entry", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "128,nope" }, "-host-n"},
 		{"tiny host size", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "1" }, ">= 2"},
 		{"host size not power of two", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "64,100" }, "powers of two"},

@@ -101,12 +101,11 @@ func dimsOf(dims, n int) [3]int {
 // resumeView is the subset of flag values checked against checkpoint
 // meta on resume.
 type resumeView struct {
-	cfgName    string
-	tcus       int
-	n          int
-	dims       int
-	radix      int
-	simWorkers int
+	cfgName string
+	tcus    int
+	n       int
+	dims    int
+	radix   int
 
 	watchdogWindow uint64
 
@@ -151,11 +150,6 @@ func checkResumeConflicts(meta ckpt.Meta, set map[string]bool, f resumeView) err
 		if cfg.Name != meta.Config.Name {
 			return conflict("config/-tcus", cfg.Name, meta.Config.Name)
 		}
-	}
-	if set["sim-workers"] && (f.simWorkers == 0) != (meta.Workers == 0) {
-		return &ckpt.MismatchError{Path: "-sim-workers", Reason: fmt.Sprintf(
-			"engine kind: checkpoint captured with %d workers, flag requests %d (0 = legacy serial; the two engines' cycle counts differ)",
-			meta.Workers, f.simWorkers)}
 	}
 	if set["watchdog-window"] && f.watchdogWindow != meta.WatchdogWindow {
 		return conflict("watchdog-window", f.watchdogWindow, meta.WatchdogWindow)

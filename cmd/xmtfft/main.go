@@ -8,7 +8,7 @@
 // Examples:
 //
 //	xmtfft -config 4k -tcus 1024 -n 32 -dims 3
-//	xmtfft -config 4k -tcus 1024 -n 32 -sim-workers 4   # sharded engine
+//	xmtfft -config 4k -tcus 1024 -n 32 -sim-workers 4   # 4 simulation workers
 //	xmtfft -config "128k x4" -model -n 512
 package main
 
@@ -50,7 +50,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace to this path (detailed mode)")
 	traceEpoch := flag.Uint64("trace-epoch", 256, "utilization sampling interval in cycles for -trace / -util-svg")
 	utilSVG := flag.String("util-svg", "", "write an epoch-utilization heat-strip SVG to this path (detailed mode)")
-	simWorkers := flag.Int("sim-workers", 0, "simulation worker count: 0 = legacy serial engine, >= 1 = sharded parallel engine")
+	simWorkers := flag.Int("sim-workers", 1, "simulation worker count (>= 1; results are identical at every count, 1 runs the shards inline)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	serveObs := flag.String("serve-obs", "", "serve live observability (/metrics, /progress, /debug/pprof) on this address while the simulation runs, e.g. :9100")
@@ -142,8 +142,7 @@ func main() {
 			fatal(err)
 		}
 		if err := checkResumeConflicts(c.Meta, set, resumeView{
-			cfgName: *cfgName, tcus: *tcus, n: *n, dims: *dims, radix: *radix,
-			simWorkers: *simWorkers, watchdogWindow: *watchdogWindow,
+			cfgName: *cfgName, tcus: *tcus, n: *n, dims: *dims, radix: *radix, watchdogWindow: *watchdogWindow,
 			faultSeed: *faultSeed, faultNoCDrop: *faultNoCDrop, faultNoCCorrupt: *faultNoCCorrupt,
 			faultDRAMBER: *faultDRAMBER, faultDRAMDBER: *faultDRAMDBER,
 			faultNoECC: *faultNoECC, faultKill: *faultKill,
@@ -179,11 +178,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if *simWorkers > 0 {
-			m, err = xmt.NewParallel(cfg, *simWorkers)
-		} else {
-			m, err = xmt.New(cfg)
-		}
+		m, err = xmt.NewParallel(cfg, *simWorkers)
 		if err != nil {
 			fatal(err)
 		}
@@ -257,7 +252,7 @@ func main() {
 
 	// Checkpoint meta describes this run; it is also the post-mortem
 	// header. On resume the original meta carries forward (only the
-	// worker count may differ within the same engine kind).
+	// worker count may differ).
 	meta := ckpt.Meta{
 		Config: cfg, Workers: *simWorkers,
 		DimCount: *dims, Dims: dimsOf(*dims, *n), Radix: *radix, Dir: int(fft.Forward),

@@ -7,7 +7,7 @@ import (
 
 // ok returns a runnable baseline flag set; tests mutate one field each.
 func okFlags() cliFlags {
-	return cliFlags{n: 32, dims: 3, traceEpoch: 256}
+	return cliFlags{n: 32, dims: 3, simWorkers: 1, traceEpoch: 256}
 }
 
 func TestValidateFlags(t *testing.T) {
@@ -23,6 +23,7 @@ func TestValidateFlags(t *testing.T) {
 		{"radix odd", func(f *cliFlags) { f.radix = 3 }, "-radix"},
 		{"radix 8 ok", func(f *cliFlags) { f.radix = 8 }, ""},
 		{"negative workers", func(f *cliFlags) { f.simWorkers = -1 }, "-sim-workers"},
+		{"zero workers", func(f *cliFlags) { f.simWorkers = 0 }, "legacy serial engine"},
 		{"negative tcus", func(f *cliFlags) { f.tcus = -4 }, "-tcus"},
 		{"trace with zero epoch", func(f *cliFlags) { f.tracePath = "t.json"; f.traceEpoch = 0 }, "-trace-epoch"},
 		{"trace under model", func(f *cliFlags) { f.model = true; f.tracePath = "t.json" }, "-model"},

@@ -28,7 +28,7 @@ const (
 type Meta struct {
 	// Machine construction parameters.
 	Config  config.Config
-	Workers int // -sim-workers at capture (0 = legacy serial engine)
+	Workers int // -sim-workers at capture; 0 marks the removed legacy serial engine
 
 	// Workload construction parameters.
 	DimCount int    // 1, 2 or 3
@@ -144,10 +144,9 @@ func Capture(m *xmt.Machine, t *core.Transform, meta Meta, partial *core.ResumeS
 }
 
 // Restore rebuilds a machine and transform from the checkpoint at the
-// given worker count and restores their state. The worker count may
-// differ from the captured one but must select the same engine kind
-// (0 = legacy serial; >= 1 = sharded — whose states are
-// worker-invariant). path is used only for error messages.
+// given worker count (as for xmt.NewParallel) and restores their state.
+// Machine state is worker-invariant, so the count may differ from the
+// captured one. path is used only for error messages.
 func (c *Checkpoint) Restore(path string, workers int) (*xmt.Machine, *core.Transform, error) {
 	if c.Meta.PostMortem {
 		return nil, nil, ErrPostMortem
@@ -155,20 +154,10 @@ func (c *Checkpoint) Restore(path string, workers int) (*xmt.Machine, *core.Tran
 	if c.Machine == nil || c.Workload == nil {
 		return nil, nil, &MismatchError{Path: path, Reason: "meta-only checkpoint has no machine state"}
 	}
-	if (c.Meta.Workers == 0) != (workers == 0) {
-		return nil, nil, &MismatchError{Path: path, Reason: fmt.Sprintf(
-			"engine kind: checkpoint captured with -sim-workers %d, resume requested %d (serial and sharded cycle counts differ; use workers 0 for legacy checkpoints, >= 1 for sharded ones)",
-			c.Meta.Workers, workers)}
+	if c.Meta.Workers == 0 {
+		return nil, nil, &MismatchError{Path: path, Reason: "engine kind: checkpoint captured on the legacy serial engine (-sim-workers 0), which has been removed; its cycle counts differ from the sharded engine's, so rerun from the start"}
 	}
-	var (
-		m   *xmt.Machine
-		err error
-	)
-	if workers == 0 {
-		m, err = xmt.New(c.Meta.Config)
-	} else {
-		m, err = xmt.NewParallel(c.Meta.Config, workers)
-	}
+	m, err := xmt.NewParallel(c.Meta.Config, workers)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,7 +4,7 @@
 // state (internal/core.ResumeState) and enough metadata to rebuild an
 // identical machine, so a run killed mid-flight resumes bit-identical
 // to an uninterrupted one — same FFT output, cycle counts and stats, at
-// any worker count of the same engine kind.
+// any worker count.
 //
 // The on-disk container is deliberately dumb: a magic string, a format
 // version, and named sections each carrying a CRC32 of its payload.
@@ -70,8 +70,8 @@ func (e *VersionError) Error() string {
 }
 
 // MismatchError reports a well-formed checkpoint that cannot restore
-// onto the requested machine: wrong engine kind, wrong configuration,
-// or a workload shape conflict.
+// onto the requested machine: one written by the removed legacy engine,
+// wrong configuration, or a workload shape conflict.
 type MismatchError struct {
 	Path   string
 	Reason string

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xmtfft/internal/config"
@@ -46,15 +47,7 @@ func faultyPlan(clusters int) fault.Plan {
 
 func buildMachine(t *testing.T, cfg config.Config, workers int, plan fault.Plan, watchdog uint64) (*xmt.Machine, *core.Transform) {
 	t.Helper()
-	var (
-		m   *xmt.Machine
-		err error
-	)
-	if workers == 0 {
-		m, err = xmt.New(cfg)
-	} else {
-		m, err = xmt.NewParallel(cfg, workers)
-	}
+	m, err := xmt.NewParallel(cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +178,7 @@ func compareRuns(t *testing.T, label string, ref, got runResult) {
 
 func TestResumeBitIdentical(t *testing.T) {
 	cfg := rtConfig(t)
-	for _, workers := range []int{0, 1, 4} {
+	for _, workers := range []int{1, 4} {
 		for _, faulty := range []bool{false, true} {
 			label := "clean"
 			plan := fault.Plan{}
@@ -208,7 +201,7 @@ func TestResumeBitIdentical(t *testing.T) {
 }
 
 // TestResumeAcrossWorkerCounts checks the worker-invariance contract:
-// a sharded checkpoint restores at any worker count >= 1 with identical
+// a checkpoint restores at any worker count >= 1 with identical
 // results, because shard state is independent of how shards are mapped
 // to OS threads.
 func TestResumeAcrossWorkerCounts(t *testing.T) {
@@ -219,6 +212,9 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 	compareRuns(t, "capture@4 resume@1", ref, killAndResume(t, 4, 1, plan, 0))
 }
 
+// TestResumeRejectsEngineKindMismatch refuses checkpoints of the removed
+// legacy serial engine — marked by Meta.Workers 0, and carrying no
+// sharded engine state — with a *MismatchError that names the engine.
 func TestResumeRejectsEngineKindMismatch(t *testing.T) {
 	cfg := rtConfig(t)
 	capture := func(workers int) (*Checkpoint, string) {
@@ -251,13 +247,29 @@ func TestResumeRejectsEngineKindMismatch(t *testing.T) {
 		return c, path
 	}
 	var me *MismatchError
-	sharded, path := capture(2)
-	if _, _, err := sharded.Restore(path, 0); !errors.As(err, &me) {
-		t.Fatalf("sharded checkpoint onto serial engine: %v, want *MismatchError", err)
+	c, path := capture(2)
+	if _, _, err := c.Restore(path, 1); err != nil {
+		t.Fatalf("checkpoint captured at 2 workers does not resume at 1: %v", err)
 	}
-	serial, path := capture(0)
-	if _, _, err := serial.Restore(path, 2); !errors.As(err, &me) {
-		t.Fatalf("serial checkpoint onto sharded engine: %v, want *MismatchError", err)
+	legacy := *c
+	legacy.Meta.Workers = 0
+	for _, workers := range []int{1, 2} {
+		_, _, err := legacy.Restore(path, workers)
+		if !errors.As(err, &me) {
+			t.Fatalf("legacy-engine checkpoint at %d workers: %v, want *MismatchError", workers, err)
+		}
+		if !strings.Contains(err.Error(), "legacy serial engine") {
+			t.Fatalf("error %q does not name the removed engine", err)
+		}
+	}
+	// A state without sharded engine state is refused too, whatever the
+	// meta claims.
+	stateless := *c
+	ms := *c.Machine
+	ms.Parallel = nil
+	stateless.Machine = &ms
+	if _, _, err := stateless.Restore(path, 1); !errors.As(err, &me) {
+		t.Fatalf("machine state without engine state: %v, want *MismatchError", err)
 	}
 }
 

@@ -8,11 +8,9 @@ import (
 	"xmtfft/internal/xmt"
 )
 
-// The full 3D FFT as a differential workload for the sharded engine:
+// The full 3D FFT as a differential workload across worker counts:
 // functional output and phase-by-phase cycle counts must be identical at
-// every worker count, and the functional output must also match the
-// legacy serial engine exactly (the instruction streams are the same;
-// only event tie-breaking differs, which affects timing, not values).
+// every worker count.
 
 func fillTest(data []complex64) {
 	for i := range data {
@@ -68,49 +66,5 @@ func TestTransform3DShardedWorkerInvariance(t *testing.T) {
 					workers, i, got.data[i], ref.data[i])
 			}
 		}
-	}
-}
-
-func TestTransform3DShardedMatchesLegacyFunctionally(t *testing.T) {
-	cfg, err := config.FourK().Scaled(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leg, err := xmt.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shd, err := xmt.NewParallel(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trL, err := New3D(leg, 4, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trS, err := New3D(shd, 4, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillTest(trL.Data)
-	fillTest(trS.Data)
-	rl, err := trL.Run(fft.Forward)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := trS.Run(fft.Forward)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range trL.Data {
-		if trL.Data[i] != trS.Data[i] {
-			t.Fatalf("output diverges at %d: legacy %v, sharded %v",
-				i, trL.Data[i], trS.Data[i])
-		}
-	}
-	lc, sc := float64(rl.TotalCycles()), float64(rs.TotalCycles())
-	if ratio := sc / lc; ratio < 0.75 || ratio > 1.25 {
-		t.Errorf("cycle counts diverged beyond tolerance: legacy %d, sharded %d",
-			rl.TotalCycles(), rs.TotalCycles())
 	}
 }

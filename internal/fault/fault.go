@@ -107,7 +107,7 @@ type Plan struct {
 	// NoCDropNth lists explicit packet-attempt sequence numbers
 	// (1-based, in network send order) to drop, independent of the
 	// rates — the "(cycle, site) list" form of a schedule, expressed in
-	// the one coordinate that is deterministic across engines.
+	// the one coordinate that is deterministic across worker counts.
 	NoCDropNth []uint64
 
 	// DRAMBitErr is the per-line-fetch probability of a single-bit

@@ -42,7 +42,7 @@ type FaultBenchRecord struct {
 	TCUs    int                `json:"tcus"`
 	N       int                `json:"n"` // points per dimension, n^3 total
 	Seed    uint64             `json:"seed"`
-	Workers int                `json:"workers"` // 0 = legacy serial engine
+	Workers int                `json:"workers"` // simulation worker count
 	Results []FaultBenchResult `json:"results"`
 	Note    string             `json:"note,omitempty"`
 }
@@ -57,13 +57,7 @@ func (r *FaultBenchRecord) Write(w io.Writer) error {
 // faultBenchOnce runs one n^3 FFT under the given plan and returns the
 // measurement plus the raw output bits (for the protection check).
 func faultBenchOnce(cfg config.Config, n, workers int, plan *fault.Plan) (FaultBenchResult, []complex64, error) {
-	var m *xmt.Machine
-	var err error
-	if workers > 0 {
-		m, err = xmt.NewParallel(cfg, workers)
-	} else {
-		m, err = xmt.New(cfg)
-	}
+	m, err := xmt.NewParallel(cfg, workers)
 	if err != nil {
 		return FaultBenchResult{}, nil, err
 	}
@@ -104,6 +98,7 @@ func faultBenchOnce(cfg config.Config, n, workers int, plan *fault.Plan) (FaultB
 // corruption with probability r/2 and DRAM single-bit errors with
 // probability r per line fetch, all protected (retransmit + SECDED).
 // Rate 0 is always measured (and prepended if absent) as the baseline.
+// workers is the simulation worker count, as for xmt.NewParallel.
 func RunFaultBench(tcus, n, workers int, seed uint64, rates []float64) (*FaultBenchRecord, error) {
 	cfg, err := config.FourK().Scaled(tcus)
 	if err != nil {

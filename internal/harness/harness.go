@@ -315,20 +315,15 @@ func WeakScalingReport(w io.Writer) error {
 // Fig3Detailed runs the detailed event simulator on a scaled-down
 // machine and prints the same Roofline markers as Fig. 3, measured
 // rather than modeled — the cross-validation artifact. tcus selects the
-// scaled machine size and n the (small) cube size.
-func Fig3Detailed(w io.Writer, base config.Config, tcus, n int) error {
-	return Fig3DetailedWorkers(w, base, tcus, n, 0)
-}
-
-// Fig3DetailedWorkers is Fig3Detailed with an explicit simulation worker
-// count: 0 runs the legacy serial engine, >= 1 the sharded parallel
-// engine with that many workers (1 being its serial driver).
-func Fig3DetailedWorkers(w io.Writer, base config.Config, tcus, n, workers int) error {
+// scaled machine size, n the (small) cube size and workers the
+// simulation worker count, as for xmt.NewParallel (results do not
+// depend on it).
+func Fig3Detailed(w io.Writer, base config.Config, tcus, n, workers int) error {
 	cfg, err := base.Scaled(tcus)
 	if err != nil {
 		return err
 	}
-	m, err := newMachine(cfg, workers)
+	m, err := xmt.NewParallel(cfg, workers)
 	if err != nil {
 		return err
 	}
@@ -389,47 +384,26 @@ func PriorWorkComparison(w io.Writer) error {
 	return t.Flush()
 }
 
-// AblationReport runs the §IV-A design ablations on the detailed
-// simulator (radix 2/4/8, fine vs coarse granularity, prefetch) at the
-// given scaled machine size and cube size, printing one table.
-func AblationReport(w io.Writer, tcus, n int) error {
-	_, err := AblationReportTrace(w, tcus, n, 0)
-	return err
-}
-
-// newMachine builds a machine on the legacy serial engine (workers == 0)
-// or the sharded parallel engine (workers >= 1; see xmt.NewParallel).
-func newMachine(cfg config.Config, workers int) (*xmt.Machine, error) {
-	if workers == 0 {
-		return xmt.New(cfg)
-	}
-	return xmt.NewParallel(cfg, workers)
-}
-
-// AblationReportTrace is AblationReport with tracing: when epoch is
-// non-zero, the baseline ("paper") variant runs with a trace recorder
-// sampling utilization every epoch cycles, and the recorder is returned
-// for export (Perfetto JSON, utilization SVG, text summary). The other
-// variants run untraced so the table's relative timings are unaffected
-// either way — attaching a recorder never alters simulated cycles.
-func AblationReportTrace(w io.Writer, tcus, n int, epoch uint64) (*trace.Recorder, error) {
-	return AblationReportTraceWorkers(w, tcus, n, epoch, 0)
-}
-
-// AblationReportTraceWorkers is AblationReportTrace with an explicit
-// simulation worker count (0 = legacy serial engine, >= 1 = sharded
-// parallel engine).
-func AblationReportTraceWorkers(w io.Writer, tcus, n int, epoch uint64, workers int) (*trace.Recorder, error) {
-	return AblationReportObs(w, tcus, n, epoch, workers, nil)
-}
-
-// AblationReportObs is AblationReportTraceWorkers with an optional live
-// observability surface: when obs is non-nil, every variant's machine
-// is attached to it (live metrics sampling plus engine telemetry, both
-// cumulative across the sweep) and each finished variant ticks one work
-// unit so /progress can show an ETA. A nil obs is the plain report.
-func AblationReportObs(w io.Writer, tcus, n int, epoch uint64, workers int, obs *Obs) (*trace.Recorder, error) {
-	return AblationReportCkpt(w, tcus, n, epoch, workers, obs, nil)
+// AblationOptions configures AblationReport; the zero value is the
+// plain report on the inline driver.
+type AblationOptions struct {
+	// Epoch, when non-zero, runs the baseline ("paper") variant with a
+	// trace recorder sampling utilization every Epoch cycles; the
+	// recorder is returned for export (Perfetto JSON, utilization SVG,
+	// text summary). The other variants run untraced — attaching a
+	// recorder never alters simulated cycles either way.
+	Epoch uint64
+	// Workers is the simulation worker count (values below 1 select 1,
+	// the inline driver); results do not depend on it.
+	Workers int
+	// Obs, when non-nil, is attached to every variant's machine (live
+	// metrics sampling plus engine telemetry, both cumulative across the
+	// sweep), and each finished variant ticks one work unit so /progress
+	// can show an ETA.
+	Obs *Obs
+	// Ckpt, when non-nil, enables checkpoint/resume at variant
+	// granularity.
+	Ckpt *AblationCkpt
 }
 
 // AblationCkpt configures checkpoint/resume for an ablation sweep. The
@@ -458,9 +432,12 @@ type AblationCkpt struct {
 // a resumable checkpoint was written. CLIs map it to exit code 3.
 var ErrInterrupted = errors.New("harness: run interrupted by signal")
 
-// AblationReportCkpt is AblationReportObs with checkpoint/resume at
-// variant granularity (nil ck = plain report).
-func AblationReportCkpt(w io.Writer, tcus, n int, epoch uint64, workers int, obs *Obs, ck *AblationCkpt) (*trace.Recorder, error) {
+// AblationReport runs the §IV-A design ablations on the detailed
+// simulator (radix 2/4/8, fine vs coarse granularity, prefetch) at the
+// given scaled machine size and cube size, printing one table.
+func AblationReport(w io.Writer, tcus, n int, opts AblationOptions) (*trace.Recorder, error) {
+	epoch, obs, ck := opts.Epoch, opts.Obs, opts.Ckpt
+	workers := max(opts.Workers, 1)
 	cfg, err := config.FourK().Scaled(tcus)
 	if err != nil {
 		return nil, err
@@ -491,9 +468,8 @@ func AblationReportCkpt(w io.Writer, tcus, n int, epoch uint64, workers int, obs
 			return nil, fmt.Errorf("harness: ablation resume at variant %d with %d cycle records (sweep has %d variants)",
 				meta.Stage, len(meta.StageCycles), len(variants))
 		}
-		if (meta.Workers == 0) != (workers == 0) {
-			return nil, fmt.Errorf("harness: ablation resume: checkpoint captured with %d sim workers, run has %d (serial and sharded cycle counts differ)",
-				meta.Workers, workers)
+		if meta.Workers == 0 {
+			return nil, fmt.Errorf("harness: ablation resume: checkpoint captured on the removed legacy serial engine (-sim-workers 0), whose cycle counts differ; rerun the sweep")
 		}
 		start = meta.Stage
 		stageCycles = append(stageCycles, meta.StageCycles...)
@@ -549,7 +525,7 @@ func AblationReportCkpt(w io.Writer, tcus, n int, epoch uint64, workers int, obs
 	var rec *trace.Recorder
 	for vi := start; vi < len(variants); vi++ {
 		v := variants[vi]
-		m, err := newMachine(cfg, workers)
+		m, err := xmt.NewParallel(cfg, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -124,7 +124,7 @@ func TestWeakScalingReport(t *testing.T) {
 
 func TestFig3Detailed(t *testing.T) {
 	out := render(t, func(b *bytes.Buffer) error {
-		return Fig3Detailed(b, config.FourK(), 256, 16)
+		return Fig3Detailed(b, config.FourK(), 256, 16, 1)
 	})
 	for _, want := range []string{"DETAILED-SIM ROOFLINE", "rotation", "non-rotation", "overall", "GFLOPS actual"} {
 		if !strings.Contains(out, want) {
@@ -178,7 +178,10 @@ func TestPriorWorkComparison(t *testing.T) {
 }
 
 func TestAblationReport(t *testing.T) {
-	out := render(t, func(b *bytes.Buffer) error { return AblationReport(b, 256, 8) })
+	out := render(t, func(b *bytes.Buffer) error {
+		_, err := AblationReport(b, 256, 8, AblationOptions{})
+		return err
+	})
 	for _, want := range []string{"ABLATIONS", "radix 8, fine (paper)", "coarse", "prefetch", "1.00x"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation report missing %q:\n%s", want, out)

@@ -47,7 +47,7 @@ func TestObsEndToEnd(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := AblationReportObs(io.Discard, 64, 8, 0, 2, obs)
+		_, err := AblationReport(io.Discard, 64, 8, AblationOptions{Workers: 2, Obs: obs})
 		done <- err
 	}()
 

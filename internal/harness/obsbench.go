@@ -69,9 +69,8 @@ func (r *ObsBenchRecord) Write(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// obsBenchOnce runs one n^3 FFT on a fresh serial machine — the serial
-// engine is the worst case for the per-event telemetry branch — in the
-// given observability mode.
+// obsBenchOnce runs one n^3 FFT on a fresh machine at the default one
+// worker in the given observability mode.
 func obsBenchOnce(cfg config.Config, n int, mode string) (ObsBenchResult, error) {
 	m, err := xmt.New(cfg)
 	if err != nil {

@@ -1,31 +1,23 @@
 package harness
 
-// Simulator-performance benchmark: the same 3D-FFT workload simulated on
-// the legacy serial engine and on the sharded parallel engine at several
-// worker counts, with wall-clock times and engine statistics written as
-// a machine-readable BENCH_sim.json record (the simulator counterpart of
-// the host-FFT BENCH_fft.json).
+// Simulator-performance benchmark: the same 3D-FFT workload simulated at
+// several worker counts, with wall-clock times and engine statistics
+// written as a machine-readable BENCH_sim.json record (the simulator
+// counterpart of the host-FFT BENCH_fft.json).
 //
-// Measurements are honest, in two specific ways that earlier revisions
-// got wrong:
-//
-//   - Throughput is derived from *useful* (model-level) work — loads,
-//     stores, FP/ALU/prefix-sum operations and threads — which is
-//     identical across engines for the same workload. Raw engine event
-//     counts are still recorded, but dividing by them rewarded the
-//     engine that executed the most bookkeeping: the old sharded path
-//     churned through 10x the legacy engine's events for the same FFT
-//     and so reported 3x the "throughput" while being 3x slower.
-//   - The sharded-vs-legacy comparison is explicit: overhead_vs_legacy
-//     is the wall-clock ratio of the 1-worker sharded run to the legacy
-//     run. The speedup_vs_serial_driver table only compares sharded
-//     runs with each other and cannot surface (or bury) that ratio.
+// Throughput is derived from *useful* (model-level) work — loads,
+// stores, FP/ALU/prefix-sum operations and threads — which is a property
+// of the workload, not of how the engine schedules it. Raw engine event
+// counts are still recorded, but dividing by them rewards whichever
+// design executes the most bookkeeping: an earlier sharded design
+// churned through 10x the events of the same FFT and so reported 3x the
+// "throughput" while being 3x slower.
 //
 // The record embeds the host's GOMAXPROCS and CPU count, because
 // wall-clock speedup from workers > 1 only materializes when the host
 // actually has spare cores. Simulated cycle counts are asserted
 // identical across worker counts as a built-in sanity check (the
-// sharded engine's determinism contract).
+// engine's determinism contract).
 
 import (
 	"encoding/json"
@@ -41,24 +33,24 @@ import (
 	"xmtfft/internal/xmt"
 )
 
-// SimBenchResult is one engine/worker-count measurement (best of reps).
+// SimBenchResult is one worker-count measurement (best of reps).
 type SimBenchResult struct {
-	Engine     string  `json:"engine"`  // "legacy" or "sharded"
-	Workers    int     `json:"workers"` // 0 for the legacy engine
+	Engine     string  `json:"engine"` // always "sharded", the one engine
+	Workers    int     `json:"workers"`
 	ElapsedSec float64 `json:"elapsed_sec"`
 	Cycles     uint64  `json:"cycles"` // simulated cycles of the FFT
-	// Events counts raw engine events (pops from the event queues) —
-	// an engine-internal quantity that differs between engines for the
-	// same workload. UsefulEvents counts model-level operations (loads,
-	// stores, FP/ALU/PS ops, threads), identical across engines, and is
-	// the denominator-neutral basis for throughput comparison.
+	// Events counts raw engine events (pops from the shard queues) — an
+	// engine-internal quantity that depends on how the engine schedules
+	// the work. UsefulEvents counts model-level operations (loads,
+	// stores, FP/ALU/PS ops, threads), a property of the workload, and
+	// is the denominator-neutral basis for throughput comparison.
 	Events             uint64  `json:"events"`
 	UsefulEvents       uint64  `json:"useful_events"`
 	UsefulEventsPerSec float64 `json:"useful_events_per_sec"`
 	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
-	Windows            uint64  `json:"windows,omitempty"`  // sharded only
-	Barriers           uint64  `json:"barriers,omitempty"` // sharded windows that delivered messages
-	Messages           uint64  `json:"messages,omitempty"` // sharded only
+	Windows            uint64  `json:"windows,omitempty"`
+	Barriers           uint64  `json:"barriers,omitempty"` // windows that delivered messages
+	Messages           uint64  `json:"messages,omitempty"`
 }
 
 // SimBenchRecord is the full BENCH_sim.json payload.
@@ -73,15 +65,8 @@ type SimBenchRecord struct {
 	GOOS       string           `json:"goos"`
 	GOARCH     string           `json:"goarch"`
 	Results    []SimBenchResult `json:"results"`
-	// OverheadVsLegacy is the wall-clock ratio of the 1-worker sharded
-	// run to the legacy run (1.0 = parity, 2.0 = twice as slow). This is
-	// the serial-driver efficiency number the sharded engine is gated
-	// on; it is omitted when either elapsed time is zero/sub-resolution.
-	OverheadVsLegacy float64 `json:"overhead_vs_legacy,omitempty"`
 	// SpeedupVsSerialDriver maps "workers=K" to the wall-clock speedup of
-	// the K-worker sharded run over the 1-worker sharded run (the
-	// parallelization factor among sharded runs only; the legacy
-	// comparison lives in OverheadVsLegacy).
+	// the K-worker run over the 1-worker (inline driver) run.
 	SpeedupVsSerialDriver map[string]float64 `json:"speedup_vs_serial_driver,omitempty"`
 	Note                  string             `json:"note,omitempty"`
 }
@@ -94,20 +79,14 @@ func (r *SimBenchRecord) Write(w io.Writer) error {
 }
 
 // usefulEvents reduces a counter set to the model-level operation count:
-// the work a run performs regardless of which engine simulated it.
+// the work a run performs regardless of how the engine scheduled it.
 func usefulEvents(c stats.Counters) uint64 {
 	return c.Loads + c.Stores + c.FPOps + c.ALUOps + c.PSOps + c.Threads
 }
 
 // simBenchOnce runs one n^3 FFT on a fresh machine and measures it.
-func simBenchOnce(cfg config.Config, n, workers int, legacy bool) (SimBenchResult, error) {
-	var m *xmt.Machine
-	var err error
-	if legacy {
-		m, err = xmt.New(cfg)
-	} else {
-		m, err = xmt.NewParallel(cfg, workers)
-	}
+func simBenchOnce(cfg config.Config, n, workers int) (SimBenchResult, error) {
+	m, err := xmt.NewParallel(cfg, workers)
 	if err != nil {
 		return SimBenchResult{}, err
 	}
@@ -131,9 +110,6 @@ func simBenchOnce(cfg config.Config, n, workers int, legacy bool) (SimBenchResul
 		UsefulEvents: usefulEvents(m.Counters),
 		Windows:      st.Windows, Barriers: st.Barriers, Messages: st.Messages,
 	}
-	if legacy {
-		res.Engine, res.Workers = "legacy", 0
-	}
 	if elapsed > 0 {
 		res.UsefulEventsPerSec = float64(res.UsefulEvents) / elapsed
 		res.EngineEventsPerSec = float64(st.Events) / elapsed
@@ -141,9 +117,9 @@ func simBenchOnce(cfg config.Config, n, workers int, legacy bool) (SimBenchResul
 	return res, nil
 }
 
-// RunSimBench measures the legacy engine and the sharded engine at each
-// of the given worker counts (each the best of reps runs) on an n^3 FFT
-// at the scaled 4k machine size.
+// RunSimBench measures the engine at each of the given worker counts
+// (each the best of reps runs) on an n^3 FFT at the scaled 4k machine
+// size.
 func RunSimBench(tcus, n int, workerCounts []int, reps int) (*SimBenchRecord, error) {
 	cfg, err := config.FourK().Scaled(tcus)
 	if err != nil {
@@ -157,10 +133,10 @@ func RunSimBench(tcus, n int, workerCounts []int, reps int) (*SimBenchRecord, er
 		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 	}
-	measure := func(workers int, legacy bool) (SimBenchResult, error) {
+	measure := func(workers int) (SimBenchResult, error) {
 		var best SimBenchResult
 		for r := 0; r < reps; r++ {
-			res, err := simBenchOnce(cfg, n, workers, legacy)
+			res, err := simBenchOnce(cfg, n, workers)
 			if err != nil {
 				return SimBenchResult{}, err
 			}
@@ -170,44 +146,31 @@ func RunSimBench(tcus, n int, workerCounts []int, reps int) (*SimBenchRecord, er
 		}
 		return best, nil
 	}
-	leg, err := measure(0, true)
-	if err != nil {
-		return nil, err
-	}
-	rec.Results = append(rec.Results, leg)
 	for _, wc := range workerCounts {
 		if wc < 1 {
 			return nil, fmt.Errorf("harness: sim-bench worker count %d must be >= 1", wc)
 		}
-		res, err := measure(wc, false)
+		res, err := measure(wc)
 		if err != nil {
 			return nil, err
 		}
 		rec.Results = append(rec.Results, res)
 	}
-	// Determinism sanity check, legacy overhead ratio, and the speedup
-	// table over the sharded runs. Sub-resolution timings (elapsed == 0
-	// on fast configs) simply omit the affected ratios instead of
-	// producing 0 or +Inf entries.
+	// Determinism sanity check and the speedup table. Sub-resolution
+	// timings (elapsed == 0 on fast configs) simply omit the affected
+	// ratios instead of producing 0 or +Inf entries.
 	var serialDriver *SimBenchResult
 	for i := range rec.Results {
-		r := &rec.Results[i]
-		if r.Engine == "sharded" && r.Workers == 1 {
+		if r := &rec.Results[i]; r.Workers == 1 {
 			serialDriver = r
 			break
 		}
 	}
 	if serialDriver != nil {
-		if leg.ElapsedSec > 0 && serialDriver.ElapsedSec > 0 {
-			rec.OverheadVsLegacy = serialDriver.ElapsedSec / leg.ElapsedSec
-		}
 		rec.SpeedupVsSerialDriver = map[string]float64{}
 		for _, r := range rec.Results {
-			if r.Engine != "sharded" {
-				continue
-			}
 			if r.Cycles != serialDriver.Cycles {
-				return nil, fmt.Errorf("harness: sharded runs disagree on cycles (%d vs %d) — determinism violated",
+				return nil, fmt.Errorf("harness: runs disagree on cycles (%d vs %d) — determinism violated",
 					r.Cycles, serialDriver.Cycles)
 			}
 			if r.Workers > 1 && r.ElapsedSec > 0 && serialDriver.ElapsedSec > 0 {

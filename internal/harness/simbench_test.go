@@ -14,28 +14,41 @@ import (
 // command flags.
 
 func TestFig3DetailedWorkers(t *testing.T) {
-	for _, workers := range []int{0, 1, 2} {
+	// The worker count changes wall-clock time only: the report is
+	// identical at one and two workers.
+	var ref string
+	for _, workers := range []int{1, 2} {
 		out := render(t, func(b *bytes.Buffer) error {
-			return Fig3DetailedWorkers(b, config.FourK(), 256, 8, workers)
+			return Fig3Detailed(b, config.FourK(), 256, 8, workers)
 		})
 		if !strings.Contains(out, "DETAILED-SIM ROOFLINE") {
 			t.Errorf("workers=%d: report missing header:\n%s", workers, out)
+		}
+		if ref == "" {
+			ref = out
+		} else if out != ref {
+			t.Errorf("workers=%d: report differs from workers=1:\n%s\nvs\n%s", workers, out, ref)
 		}
 	}
 }
 
 func TestAblationReportWorkers(t *testing.T) {
-	// The sharded engine must produce the same table shape; cycle values
-	// differ from the legacy engine (different canonical semantics) but
-	// the baseline row is still normalized to 1.00x.
-	out := render(t, func(b *bytes.Buffer) error {
-		_, err := AblationReportTraceWorkers(b, 256, 8, 0, 2)
-		return err
-	})
+	// The worker count changes wall-clock time only: the table is
+	// identical at one and two workers.
+	render2 := func(workers int) string {
+		return render(t, func(b *bytes.Buffer) error {
+			_, err := AblationReport(b, 256, 8, AblationOptions{Workers: workers})
+			return err
+		})
+	}
+	out := render2(2)
 	for _, want := range []string{"ABLATIONS", "radix 8, fine (paper)", "1.00x"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("sharded ablation report missing %q:\n%s", want, out)
+			t.Errorf("2-worker ablation report missing %q:\n%s", want, out)
 		}
+	}
+	if ref := render2(1); out != ref {
+		t.Errorf("ablation table differs between 1 and 2 workers:\n%s\nvs\n%s", ref, out)
 	}
 }
 
@@ -47,11 +60,8 @@ func TestRunSimBench(t *testing.T) {
 	if rec.Kind != "xmt-sim-bench" || rec.NumCPU < 1 || rec.GoMaxProcs < 1 {
 		t.Fatalf("bad record header: %+v", rec)
 	}
-	if len(rec.Results) != 3 { // legacy + 2 sharded
-		t.Fatalf("got %d results, want 3", len(rec.Results))
-	}
-	if rec.Results[0].Engine != "legacy" || rec.Results[0].Workers != 0 {
-		t.Fatalf("first result should be the legacy engine: %+v", rec.Results[0])
+	if len(rec.Results) != 2 {
+		t.Fatalf("got %d results, want 2", len(rec.Results))
 	}
 	var shardedCycles, usefulRef uint64
 	for _, r := range rec.Results {
@@ -59,15 +69,15 @@ func TestRunSimBench(t *testing.T) {
 			t.Errorf("%s workers=%d: empty measurement %+v", r.Engine, r.Workers, r)
 		}
 		// Useful (model-level) events are a property of the workload, not
-		// the engine: every row must agree, or the throughput comparison
-		// is not apples-to-apples.
+		// the worker count: every row must agree, or the throughput
+		// comparison is not apples-to-apples.
 		if r.UsefulEvents == 0 {
 			t.Errorf("%s workers=%d: zero useful events", r.Engine, r.Workers)
 		}
 		if usefulRef == 0 {
 			usefulRef = r.UsefulEvents
 		} else if r.UsefulEvents != usefulRef {
-			t.Errorf("%s workers=%d: useful events %d differ from %d — engines disagree on model work",
+			t.Errorf("%s workers=%d: useful events %d differ from %d — runs disagree on model work",
 				r.Engine, r.Workers, r.UsefulEvents, usefulRef)
 		}
 		if r.ElapsedSec > 0 && r.UsefulEventsPerSec == 0 {
@@ -82,11 +92,6 @@ func TestRunSimBench(t *testing.T) {
 			if r.Windows == 0 {
 				t.Errorf("sharded run reports zero windows")
 			}
-		}
-	}
-	if rec.Results[0].ElapsedSec > 0 && rec.Results[1].ElapsedSec > 0 {
-		if rec.OverheadVsLegacy <= 0 {
-			t.Errorf("overhead_vs_legacy missing despite measurable timings: %+v", rec)
 		}
 	}
 	if _, ok := rec.SpeedupVsSerialDriver["workers=2"]; !ok {

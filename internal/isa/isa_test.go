@@ -412,6 +412,59 @@ done:
 	}
 }
 
+// TestSSpawnChainOnBothConstructors runs the sspawn chain on xmt.New
+// and on xmt.NewParallel(cfg, 1): the same inline-driver machine, so
+// both must run all 21 threads in the same number of cycles.
+func TestSSpawnChainOnBothConstructors(t *testing.T) {
+	prog, err := Assemble(`
+	li r2, 1
+	spawn r2, body
+	halt
+body:
+	slli r5, r1, 2
+	sw r1, r5, 0
+	li r6, 20
+	bge r1, r6, done
+	sspawn r7, body
+done:
+	join
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := config.FourK().Scaled(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cycles []uint64
+	for _, build := range []func() (*xmt.Machine, error){
+		func() (*xmt.Machine, error) { return xmt.New(cfg) },
+		func() (*xmt.Machine, error) { return xmt.NewParallel(cfg, 1) },
+	} {
+		m, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm := NewVM(m, prog, 4096)
+		c, err := vm.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id <= 20; id++ {
+			if got := vm.LoadWord(id * 4); got != int32(id) {
+				t.Fatalf("slot %d = %d, want %d", id, got, id)
+			}
+		}
+		if m.Counters.Threads != 21 {
+			t.Fatalf("ran %d threads, want 21", m.Counters.Threads)
+		}
+		cycles = append(cycles, c)
+	}
+	if cycles[0] != cycles[1] {
+		t.Fatalf("xmt.New ran %d cycles, NewParallel(cfg, 1) %d", cycles[0], cycles[1])
+	}
+}
+
 func TestSSpawnChildEntryDiffers(t *testing.T) {
 	// Parent body and child body are different labels; the parent
 	// receives the child id.

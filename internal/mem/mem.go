@@ -228,9 +228,9 @@ func (s *System) ChannelOf(mi int) int { return mi / s.cfg.MMsPerDRAMCtrl }
 // Access performs one word access to addr arriving at its memory module
 // at cycle t (NoC traversal time is the caller's concern) and returns
 // when it completes. Write accesses allocate on miss (fetch-on-write)
-// and mark the line dirty. This is the serial-engine entry point: with
-// prefetching enabled the miss path fills the next line immediately,
-// wherever it hashes to.
+// and mark the line dirty. This is the machine's entry point (the
+// engine's coordinator calls it): with prefetching enabled the miss path
+// fills the next line immediately, wherever it hashes to.
 func (s *System) Access(t uint64, addr uint64, write bool) AccessResult {
 	mi := HashAddress(addr, len(s.modules))
 	res, missStart := s.accessModule(mi, t, addr, write)

@@ -14,11 +14,11 @@ package noc
 // protecting both directions would only scale the same overhead).
 //
 // Determinism: drop/corrupt outcomes come from one fault.Stream drawn
-// once per send attempt, in network send order. Both engines call into
-// the wrapper from a deterministic serialization point (the serial
-// event loop, or the sharded coordinator's barrier, which merges
-// messages in (time, shard, seq) order), so for a fixed seed every run
-// experiences the identical fault sequence at every -sim-workers count.
+// once per send attempt, in network send order. The simulation engine
+// calls into the wrapper from a deterministic serialization point (the
+// coordinator's barrier, which merges messages in (time, shard, seq)
+// order), so for a fixed seed every run experiences the identical fault
+// sequence at every -sim-workers count.
 
 import (
 	"fmt"
@@ -65,7 +65,7 @@ type FaultObserver func(cycle uint64, ev FaultEvent, src, dst, attempt int)
 // Network by delegation so machine-level accounting (Packets, Latency)
 // keeps a single source of truth; the protected request path is
 // TraverseReliable. Like the underlying networks it is not safe for
-// concurrent use — both engines call it from a single goroutine.
+// concurrent use — the engine's coordinator calls it from one goroutine.
 type Reliable struct {
 	inner   Network
 	rng     *fault.Stream

@@ -59,8 +59,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is one load level's measurement. Latencies are end-to-end
-// (marshal, POST, decode) in milliseconds.
+// Result is one load level's measurement. Latencies, in milliseconds,
+// run from sending the already-marshalled request to the last byte of
+// the response body, 429 retries included; the response is validated
+// after the clock stops, so the client's own JSON decode is not timed.
 type Result struct {
 	Concurrency int     `json:"concurrency"`
 	Requests    int     `json:"requests"`
@@ -162,29 +164,23 @@ func runOne(client *http.Client, url string, opts Options, seq int, st *workerSt
 			time.Sleep(wait)
 			continue
 		}
-		ok := decodeOne(resp, st)
-		if ok {
-			st.latMs = append(st.latMs, float64(time.Since(begin).Nanoseconds())/1e6)
+		payload, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		lat := time.Since(begin)
+		if err != nil || !wellFormed(resp.StatusCode, payload) {
+			st.errs++
+			return
 		}
+		st.latMs = append(st.latMs, float64(lat.Nanoseconds())/1e6)
 		return
 	}
 }
 
-// decodeOne consumes a non-429 response and reports whether it was a
-// well-formed 200.
-func decodeOne(resp *http.Response, st *workerState) bool {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		st.errs++
-		return false
-	}
+// wellFormed reports whether a non-429 response is a 200 whose body
+// decodes as a transform response.
+func wellFormed(status int, payload []byte) bool {
 	var out serve.Response
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		st.errs++
-		return false
-	}
-	return true
+	return status == http.StatusOK && json.Unmarshal(payload, &out) == nil
 }
 
 // retryAfter parses the Retry-After seconds hint, defaulting to 50ms

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +42,23 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	}
 	if res.Throughput <= 0 {
 		t.Fatalf("throughput %g", res.Throughput)
+	}
+}
+
+// TestLoadgenCountsMalformedOKAsError serves a 200 whose body is not a
+// transform response: validation after the clock stops must still count
+// every such request as an error, so the run reports no latency.
+func TestLoadgenCountsMalformedOKAsError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"dims": [64], "data": [1, 2`)
+	}))
+	defer ts.Close()
+
+	res, err := Run(Options{BaseURL: ts.URL, Concurrency: 2, Requests: 6, N: 64})
+	if err == nil || !strings.Contains(err.Error(), "(6 errors)") {
+		t.Fatalf("run over malformed 200s: %+v, %v; want no completed request and 6 errors", res, err)
 	}
 }
 

@@ -1,3 +1,15 @@
+// Package sim provides the deterministic discrete-event simulation
+// engine beneath the XMT machine model, measured in clock cycles. Model
+// state is partitioned into shards that advance in conservative
+// lookahead windows and interact only through boundary messages merged
+// at window barriers; hardware structures with per-cycle grant limits
+// (cluster ports, cache module ports, DRAM channel slots, NoC switches)
+// are modelled as Ports.
+//
+// Determinism: events scheduled for the same cycle on a shard fire in
+// the order they were scheduled (FIFO within a cycle), and barrier
+// messages merge in (time, shard, send order), so repeated runs of the
+// same workload produce identical cycle counts at every worker count.
 package sim
 
 import "fmt"
@@ -25,6 +37,15 @@ import "fmt"
 // because the previous ring of 2048 independent []evRec slices put a
 // cache miss on nearly every push (it was the single hottest function
 // in the engine profile).
+
+// Hook observes simulation-clock advances: the engine fires it once per
+// window with the window's bounds, after the window's events have
+// executed, and across every AdvanceTo gap. Hooks must not schedule
+// events; they are the read-only observation point used by the trace
+// epoch sampler and the live metrics sampler.
+type Hook interface {
+	Advance(prev, now uint64)
+}
 
 // Message is one cross-shard event, emitted by a shard during a window
 // and delivered to the coordinator's barrier function at the end of that
@@ -422,6 +443,11 @@ func NewParallelEngine(p Partition, workers int) *ParallelEngine {
 	}
 	return e
 }
+
+// Inline reports whether Run advances every shard on the calling
+// goroutine (the serial driver): fewer than two workers, or a single
+// shard. Shard handlers may then touch coordinator state directly.
+func (e *ParallelEngine) Inline() bool { return e.Workers < 2 || len(e.shards) < 2 }
 
 // Shard returns shard i, for handler assignment and event insertion by
 // the coordinator (only between windows).

@@ -268,3 +268,24 @@ func TestBucketQueueRandomized(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkShardSchedule measures the engine's schedule/dispatch hot
+// path: Shard.At into the calendar queue and a Run that drains it.
+func BenchmarkShardSchedule(b *testing.B) {
+	e := NewParallelEngine(staticPartition{1, 16}, 1)
+	var sum uint64
+	e.SetHandler(0, handlerFunc(func(sh *Shard, t uint64, op uint8, a, bb uint64) {
+		sum += a
+	}))
+	sh := e.Shard(0)
+	const batch = 1024
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += batch {
+		base := e.Now()
+		for j := 0; j < batch; j++ {
+			sh.At(base+uint64(j%16), 0, uint64(j), 0)
+		}
+		e.Run()
+	}
+	_ = sum
+}

@@ -1,16 +1,16 @@
 package sim
 
-// Checkpoint state capture for both engines (internal/ckpt).
+// Checkpoint state capture for the engine (internal/ckpt).
 //
-// Engines are only capturable at quiescent points: every queued event
+// The engine is only capturable at quiescent points: every queued event
 // executed, every shard parked, every outbox drained. At such a point
 // the entire engine state reduces to clocks and counters — the event
 // queues are empty by definition, so "capturing the queues" is the
 // precondition, not a serialization problem. The XMT machine reaches
 // quiescence at every spawn boundary (Machine.Spawn runs its section to
 // completion before returning), which is where checkpoints are taken;
-// closure events and in-flight thread programs therefore never need to
-// cross a checkpoint. See DESIGN.md §12.
+// in-flight thread programs therefore never need to cross a checkpoint.
+// See DESIGN.md §12.
 
 import "fmt"
 
@@ -30,36 +30,6 @@ func (p *Port) State() PortState {
 // RestoreState restores occupancy state captured by State.
 func (p *Port) RestoreState(s PortState) {
 	p.nextFree, p.used, p.Busy = s.NextFree, s.Used, s.Busy
-}
-
-// EngineState is the serializable state of a quiescent serial Engine.
-type EngineState struct {
-	Now       uint64
-	Seq       uint64
-	Processed uint64
-}
-
-// CaptureState captures the engine's state. The engine must be
-// quiescent: pending events cannot be serialized (they may hold
-// closures), and the machine model guarantees none exist at spawn
-// boundaries.
-func (e *Engine) CaptureState() (EngineState, error) {
-	if n := len(e.events); n != 0 {
-		return EngineState{}, fmt.Errorf("sim: capture with %d pending events (engine not at a quiescent point)", n)
-	}
-	return EngineState{Now: e.now, Seq: e.seq, Processed: e.Processed}, nil
-}
-
-// RestoreState restores a captured state onto a fresh (or quiescent)
-// engine, so that subsequent scheduling and execution continue exactly
-// where the captured run left off.
-func (e *Engine) RestoreState(s EngineState) error {
-	if n := len(e.events); n != 0 {
-		return fmt.Errorf("sim: restore with %d pending events (engine not at a quiescent point)", n)
-	}
-	e.now, e.seq, e.Processed = s.Now, s.Seq, s.Processed
-	e.telFlushed = s.Processed
-	return nil
 }
 
 // ShardState is the serializable state of one quiescent shard.

@@ -9,9 +9,9 @@ import (
 // capture/restore cycle and that the restored engine keeps scheduling
 // from the captured instant.
 func TestEngineStateRoundTrip(t *testing.T) {
-	e := New()
+	e := newFuncEngine(4)
 	for i := uint64(1); i <= 5; i++ {
-		e.Schedule(i*10, func() {})
+		e.at(i*10, func() {})
 	}
 	e.Run()
 
@@ -19,39 +19,39 @@ func TestEngineStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Now != 50 || st.Processed != 5 {
+	if st.Now != 54 || st.Windows != 5 || len(st.Shards) != 1 || st.Shards[0].Processed != 5 {
 		t.Fatalf("captured state %+v", st)
 	}
 
-	fresh := New()
+	fresh := newFuncEngine(4)
 	if err := fresh.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Now() != 50 {
-		t.Fatalf("restored clock %d, want 50", fresh.Now())
+	if fresh.Now() != 54 || fresh.Shard(0).Now() != 54 {
+		t.Fatalf("restored clock %d (shard %d), want 54", fresh.Now(), fresh.Shard(0).Now())
 	}
-	ran := false
-	fresh.Schedule(7, func() { ran = true })
-	if end := fresh.Run(); end != 57 || !ran {
-		t.Fatalf("restored engine ran to %d (ran=%v), want 57", end, ran)
+	var ran uint64
+	fresh.at(61, func() { ran = fresh.now() })
+	if end := fresh.Run(); end != 65 || ran != 61 {
+		t.Fatalf("restored engine ran to %d (event at %d), want 65 (61)", end, ran)
 	}
-	if fresh.Processed != 6 {
-		t.Fatalf("restored Processed = %d, want 6", fresh.Processed)
+	if fresh.Shard(0).Processed != 6 || fresh.Windows != 6 {
+		t.Fatalf("restored Processed = %d, Windows = %d, want 6/6", fresh.Shard(0).Processed, fresh.Windows)
 	}
 }
 
 // TestCaptureRefusesPendingEvents pins the quiescence precondition:
-// pending events may hold closures, which cannot be serialized, so
+// pending events and undelivered messages are not serialized, so
 // capture and restore must both refuse a non-drained engine.
 func TestCaptureRefusesPendingEvents(t *testing.T) {
-	e := New()
-	e.Schedule(1, func() {})
+	e := newFuncEngine(4)
+	e.at(1, func() {})
 	if _, err := e.CaptureState(); err == nil {
 		t.Fatal("capture with a pending event succeeded")
 	} else if !strings.Contains(err.Error(), "quiescent") {
 		t.Fatalf("capture error %q does not name the quiescence precondition", err)
 	}
-	if err := e.RestoreState(EngineState{Now: 9}); err == nil {
+	if err := e.RestoreState(ParallelEngineState{Now: 9, Shards: make([]ShardState, 1)}); err == nil {
 		t.Fatal("restore onto an engine with a pending event succeeded")
 	}
 }

@@ -6,21 +6,18 @@ import (
 	"time"
 )
 
-// Telemetry is the engines' live publication surface: a set of atomic
+// Telemetry is the engine's live publication surface: a set of atomic
 // counters a concurrent observer (the harness's /metrics HTTP server)
 // may read at any time while the simulation runs. It deliberately knows
 // nothing about metric names or exposition formats — internal/harness
 // bridges it onto an internal/metrics registry.
 //
 // The contract mirrors tracing's zero-overhead-when-off guarantee
-// (DESIGN.md §5): a nil telemetry sink costs the serial engine one
-// predictable branch per event and the parallel engine one per window,
-// and an installed sink is write-only from the engine side — it can
-// never change event order, cycle counts, or statistics. The serial
-// engine batches its publishes (every telemetryBatch events, plus on
-// queue drain) so the per-event cost stays a counter increment; the
-// parallel engine publishes at window barriers, where all shards are
-// parked and coordinator-side reads of shard state are race-free.
+// (DESIGN.md §5): a nil telemetry sink costs the engine one predictable
+// branch per window, and an installed sink is write-only from the
+// engine side — it can never change event order, cycle counts, or
+// statistics. The engine publishes at window barriers, where all shards
+// are parked and coordinator-side reads of shard state are race-free.
 //
 // Counters (Events, Windows, Messages, per-shard Events) are deltas
 // accumulated with Add, so one Telemetry can be shared across a
@@ -50,21 +47,15 @@ type Telemetry struct {
 	shards atomic.Pointer[[]*ShardTelemetry]
 }
 
-// ShardTelemetry is one shard's live counters. The serial engine
-// publishes itself as shard 0 so observers always see a per-shard view.
+// ShardTelemetry is one shard's live counters.
 type ShardTelemetry struct {
 	Cycle   atomic.Uint64 // shard clock at last publish
 	Events  atomic.Uint64 // events executed on this shard (cumulative)
 	Pending atomic.Uint64 // events queued on this shard at last publish
 }
 
-// telemetryBatch is the serial engine's publish stride in events: large
-// enough that the amortized publish cost vanishes, small enough that a
-// scrape is never more than a few microseconds of simulation stale.
-const telemetryBatch = 1024
-
-// telemetryWindowStride is the parallel engine's full-shard-sweep
-// stride in windows; the cheap frontier counters publish every window.
+// telemetryWindowStride is the engine's full-shard-sweep stride in
+// windows; the cheap frontier counters publish every window.
 const telemetryWindowStride = 16
 
 // EnsureShards grows the per-shard slice to at least n entries,
@@ -116,44 +107,8 @@ func (t *Telemetry) HeartbeatAge(now time.Time) (time.Duration, bool) {
 	return now.Sub(time.Unix(0, ns)), true
 }
 
-// --- serial engine ---
-
-// SetTelemetry installs (or, with nil, removes) a live telemetry sink
-// on the serial engine. The engine publishes itself as shard 0. Like
-// SetHook, the nil check is one branch per event, so the off state
-// keeps the engine's zero-overhead contract.
-func (e *Engine) SetTelemetry(t *Telemetry) {
-	e.tel = t
-	e.telFlushed = e.Processed
-	if t != nil {
-		t.EnsureShards(1)
-		e.publishTelemetry()
-	}
-}
-
-// publishTelemetry flushes the serial engine's state to the sink.
-func (e *Engine) publishTelemetry() {
-	t := e.tel
-	delta := e.Processed - e.telFlushed
-	e.telFlushed = e.Processed
-	t.Events.Add(delta)
-	t.Cycle.Store(e.now)
-	t.Pending.Store(uint64(len(e.events)))
-	if e.wd != nil {
-		t.WatchdogLast.Store(e.wd.last)
-		t.WatchdogWindow.Store(e.wd.Window)
-	}
-	sh := t.ShardView()[0]
-	sh.Events.Add(delta)
-	sh.Cycle.Store(e.now)
-	sh.Pending.Store(uint64(len(e.events)))
-	t.Beat()
-}
-
-// --- parallel engine ---
-
 // SetTelemetry installs (or removes) a live telemetry sink on the
-// parallel engine: cheap frontier counters publish at every window
+// engine: cheap frontier counters publish at every window
 // barrier, a full per-shard sweep every telemetryWindowStride windows
 // and when Run returns. Publishes happen only while worker goroutines
 // are parked at the barrier, so shard reads are race-free.

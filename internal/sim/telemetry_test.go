@@ -6,43 +6,57 @@ import (
 	"time"
 )
 
-// chainCaller schedules a follow-up event until n events have run.
-type chainCaller struct {
-	e    *Engine
+// chainHandler schedules a follow-up event until left events have run:
+// a single-shard event chain on the inline driver.
+type chainHandler struct {
 	left int
 	gap  uint64
 }
 
-func (c *chainCaller) Call(t uint64, op uint8, a, b uint64) {
+func (c *chainHandler) Event(sh *Shard, t uint64, op uint8, a, b uint64) {
 	c.left--
 	if c.left > 0 {
-		c.e.AtCall(t+c.gap, c, 0, 0, 0)
+		sh.At(t+c.gap, 0, 0, 0)
 	}
 }
 
+// newChain builds a one-shard engine on the inline driver running a
+// chain of n events gap cycles apart.
+func newChain(n int, gap uint64) *ParallelEngine {
+	e := NewParallelEngine(staticPart{n: 1, w: 4}, 1)
+	e.SetHandler(0, &chainHandler{left: n, gap: gap})
+	e.SetBarrier(func([]Message) {})
+	e.Shard(0).At(0, 0, 0, 0)
+	return e
+}
+
+// The inline (serial) driver publishes exactly like the goroutine
+// driver: totals, frontier, drained queue and a per-shard view.
 func TestSerialEngineTelemetryPublishes(t *testing.T) {
-	e := New()
+	e := newChain(5000, 3)
 	tel := &Telemetry{}
 	e.SetTelemetry(tel)
-	c := &chainCaller{e: e, left: 5000, gap: 3}
-	e.AtCall(0, c, 0, 0, 0)
 	end := e.Run()
 
-	if got := tel.Events.Load(); got != e.Processed {
-		t.Fatalf("telemetry events = %d, want %d", got, e.Processed)
+	processed := e.Shard(0).Processed
+	if got := tel.Events.Load(); got != processed || processed != 5000 {
+		t.Fatalf("telemetry events = %d, shard processed %d, want 5000", got, processed)
 	}
 	if got := tel.Cycle.Load(); got != end {
 		t.Fatalf("telemetry cycle = %d, want %d", got, end)
+	}
+	if got := tel.Windows.Load(); got != e.Windows {
+		t.Fatalf("telemetry windows = %d, want %d", got, e.Windows)
 	}
 	if got := tel.Pending.Load(); got != 0 {
 		t.Fatalf("telemetry pending = %d, want 0 after drain", got)
 	}
 	view := tel.ShardView()
 	if len(view) != 1 {
-		t.Fatalf("serial engine should publish as shard 0, got %d shards", len(view))
+		t.Fatalf("one-shard engine published %d shards", len(view))
 	}
-	if got := view[0].Events.Load(); got != e.Processed {
-		t.Fatalf("shard 0 events = %d, want %d", got, e.Processed)
+	if got := view[0].Events.Load(); got != processed {
+		t.Fatalf("shard 0 events = %d, want %d", got, processed)
 	}
 	if _, ok := tel.HeartbeatAge(time.Now()); !ok {
 		t.Fatal("heartbeat never stamped")
@@ -50,15 +64,17 @@ func TestSerialEngineTelemetryPublishes(t *testing.T) {
 }
 
 func TestSerialEngineTelemetryWatchdogSeries(t *testing.T) {
-	e := New()
+	e := newChain(2000, 1)
 	wd := NewWatchdog(1 << 20)
 	e.SetWatchdog(wd)
 	tel := &Telemetry{}
 	e.SetTelemetry(tel)
-	c := &chainCaller{e: e, left: 2000, gap: 1}
-	e.AtCall(0, c, 0, 0, 0)
-	mid := uint64(0)
-	e.Schedule(500, func() { wd.Progress(e.Now()); mid = e.Now() })
+	const mid = 500
+	e.SetHook(hookFunc(func(prev, now uint64) {
+		if prev < mid && mid <= now {
+			wd.Progress(mid)
+		}
+	}))
 	e.Run()
 	if got := tel.WatchdogLast.Load(); got != mid {
 		t.Fatalf("watchdog last = %d, want %d", got, mid)
@@ -72,14 +88,12 @@ func TestTelemetrySharedAcrossEngines(t *testing.T) {
 	tel := &Telemetry{}
 	var total uint64
 	for i := 0; i < 3; i++ {
-		e := New()
+		e := newChain(100, 2)
 		e.SetTelemetry(tel)
-		c := &chainCaller{e: e, left: 100, gap: 2}
-		e.AtCall(0, c, 0, 0, 0)
 		e.Run()
-		total += e.Processed
+		total += e.Shard(0).Processed
 	}
-	if got := tel.Events.Load(); got != total {
+	if got := tel.Events.Load(); got != total || total != 300 {
 		t.Fatalf("shared telemetry events = %d, want %d (cumulative across engines)", got, total)
 	}
 }
@@ -245,19 +259,17 @@ func (h *pingHandler) Event(sh *Shard, t uint64, op uint8, a, b uint64) {
 }
 
 // The benchmark pair backing the zero-overhead-when-off contract for
-// telemetry, mirroring the tracing-overhead benchmarks: the Off variant
-// must match the historical no-hook numbers, the On variant shows the
-// amortized publish cost.
+// telemetry on the inline driver, mirroring the tracing-overhead
+// benchmarks: the Off variant must match the historical no-hook
+// numbers, the On variant shows the amortized publish cost.
 
 func benchSerialChain(b *testing.B, tel *Telemetry) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := New()
+		e := newChain(100000, 2)
 		if tel != nil {
 			e.SetTelemetry(tel)
 		}
-		c := &chainCaller{e: e, left: 100000, gap: 2}
-		e.AtCall(0, c, 0, 0, 0)
 		e.Run()
 	}
 }

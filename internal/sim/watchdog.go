@@ -8,7 +8,7 @@ import (
 // Watchdog detects no-progress windows (livelock) in a simulation: the
 // model marks forward progress (Progress) at semantically meaningful
 // points — thread completions, load-group completions, section starts —
-// and the engines abort when simulated time runs more than Window
+// and the engine aborts when simulated time runs more than Window
 // cycles past the last mark. The canonical livelock this catches is a
 // NoC retransmit storm: events keep firing (so the queue never drains)
 // but no thread ever completes, and without the watchdog the process
@@ -17,9 +17,9 @@ import (
 // The abort is a typed panic carrying a *WatchdogError with a dump of
 // engine queue state; xmt.Machine.Spawn recovers it and returns it as
 // an ordinary error. A watchdog never fires while progress marks keep
-// arriving, and checking it costs one nil-guarded compare per event
-// (serial engine) or per window (parallel engine), so an installed but
-// untriggered watchdog cannot change a run's cycle counts.
+// arriving, and checking it costs one nil-guarded compare per window,
+// so an installed but untriggered watchdog cannot change a run's cycle
+// counts.
 type Watchdog struct {
 	// Window is the abort threshold: the maximum simulated-cycle gap
 	// allowed between a progress mark and the next event or window.
@@ -35,8 +35,8 @@ func NewWatchdog(window uint64) *Watchdog {
 
 // Progress records forward progress at the given cycle. Calls are
 // monotonic-max: marking an earlier cycle than the latest is a no-op.
-// Not safe for concurrent use — call only from the serial event loop
-// or the parallel engine's coordinator.
+// Not safe for concurrent use — call only from the engine's coordinator
+// (the barrier function, a hook, or inline-driver shard events).
 func (w *Watchdog) Progress(cycle uint64) {
 	if cycle > w.last {
 		w.last = cycle
@@ -68,25 +68,8 @@ func (e *WatchdogError) Error() string {
 		e.Now-e.LastProgress, e.LastProgress, e.Now, e.Window, e.Dump)
 }
 
-// SetWatchdog installs (or, with nil, removes) a livelock watchdog on
-// the serial engine. The check is one nil-guarded compare in Step, so
-// the disabled path keeps the engine's zero-overhead contract.
-func (e *Engine) SetWatchdog(w *Watchdog) { e.wd = w }
-
-// dumpState renders the serial engine's queue state for a watchdog
-// abort: clock, events executed, and the pending-event horizon.
-func (e *Engine) dumpState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "serial engine: now=%d processed=%d pending=%d", e.now, e.Processed, len(e.events))
-	if len(e.events) > 0 {
-		fmt.Fprintf(&b, " next=%d", e.events[0].time)
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
-
-// SetWatchdog installs (or removes) a livelock watchdog on the parallel
-// engine; it is checked once per window in Run.
+// SetWatchdog installs (or, with nil, removes) a livelock watchdog; it
+// is checked once per window in Run.
 func (e *ParallelEngine) SetWatchdog(w *Watchdog) { e.wd = w }
 
 // dumpState renders per-shard queue state for a watchdog abort: each

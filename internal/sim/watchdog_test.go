@@ -5,26 +5,18 @@ import (
 	"testing"
 )
 
-// rescheduler models a livelock: every event schedules another one a
-// fixed delay later, forever, without ever marking progress.
-type rescheduler struct {
-	e     *Engine
-	delay uint64
-	fired int
-}
-
-func (r *rescheduler) tick() {
-	r.fired++
-	r.e.Schedule(r.delay, r.tick)
-}
-
+// TestEngineWatchdogAbortsLivelock runs a livelock on the inline driver
+// — one shard whose every event reschedules itself a fixed delay later,
+// forever, without marking progress — and requires a typed abort with
+// the queue-state dump.
 func TestEngineWatchdogAbortsLivelock(t *testing.T) {
-	e := New()
+	e := NewParallelEngine(wdPartition{n: 1}, 1)
 	wd := NewWatchdog(1000)
 	e.SetWatchdog(wd)
 	wd.Progress(0)
-	r := &rescheduler{e: e, delay: 64}
-	e.Schedule(0, r.tick)
+	e.SetHandler(0, &wdShardHandler{respawn: 64})
+	e.SetBarrier(func([]Message) {})
+	e.Shard(0).At(0, 0, 0, 0)
 
 	var got *WatchdogError
 	func() {
@@ -45,7 +37,7 @@ func TestEngineWatchdogAbortsLivelock(t *testing.T) {
 	if got.Now <= got.LastProgress+got.Window {
 		t.Fatalf("fired too early: now %d, last %d, window %d", got.Now, got.LastProgress, got.Window)
 	}
-	if !strings.Contains(got.Dump, "serial engine") || !strings.Contains(got.Dump, "pending=") {
+	if !strings.Contains(got.Dump, "shard 0") || !strings.Contains(got.Dump, "pending=") {
 		t.Fatalf("dump missing queue state: %q", got.Dump)
 	}
 	if !strings.Contains(got.Error(), "watchdog") {
@@ -53,18 +45,21 @@ func TestEngineWatchdogAbortsLivelock(t *testing.T) {
 	}
 }
 
+// TestEngineWatchdogQuietWithProgress marks progress from the running
+// events themselves — allowed on the inline driver, where shard events
+// run on the coordinator's goroutine.
 func TestEngineWatchdogQuietWithProgress(t *testing.T) {
-	e := New()
+	e := NewParallelEngine(wdPartition{n: 1}, 1)
 	wd := NewWatchdog(300)
 	e.SetWatchdog(wd)
+	e.SetHandler(0, &wdShardHandler{progress: wd.Progress})
+	e.SetBarrier(func([]Message) {})
 	// Events spaced just inside the window, each marking progress.
 	for i := uint64(1); i <= 10; i++ {
-		at := i * 250
-		e.At(at, func() { wd.Progress(e.Now()) })
+		e.Shard(0).At(i*250, 0, 0, 0)
 	}
-	end := e.Run()
-	if end != 2500 {
-		t.Fatalf("run ended at %d, want 2500", end)
+	if end := e.Run(); end != 2508 {
+		t.Fatalf("run ended at %d, want 2508", end)
 	}
 }
 

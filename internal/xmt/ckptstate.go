@@ -2,7 +2,7 @@ package xmt
 
 // Checkpoint state capture for the whole machine (internal/ckpt).
 // Capturable only at spawn boundaries — the machine's quiescent points,
-// where no parallel section is active, every engine queue is drained and
+// where no parallel section is active, every shard queue is drained and
 // every shard is parked. At such a point a machine's future behaviour is
 // fully determined by the clocks, resource-port occupancy, counters,
 // memory/NoC state and fault-stream positions captured here; thread
@@ -26,26 +26,23 @@ type PortTriple struct {
 	MDU sim.PortState
 }
 
-// ShardMachineState is one cluster-shard's serializable state (sharded
-// engine only).
+// ShardMachineState is one cluster-shard's serializable state.
 type ShardMachineState struct {
 	Ports    PortTriple
 	Counters stats.Counters
 }
 
 // MachineState is the complete serializable state of a quiescent
-// Machine. Exactly one of Serial/Parallel is non-nil, recording which
-// engine kind the capture came from; a sharded-engine state restores at
-// any worker count (per-shard state is worker-invariant) but never onto
-// the legacy serial engine, whose event interleaving differs.
+// Machine. Per-shard state is worker-invariant, so a state restores at
+// any worker count.
 type MachineState struct {
-	Serial   *sim.EngineState
+	// Parallel is the engine state. It is nil only in states written by
+	// the removed legacy serial engine, which cannot be restored.
 	Parallel *sim.ParallelEngineState
 
-	Now      uint64              // machine clock (sharded: shardedMachine.now)
-	PSOps    uint64              // sharded coordinator's prefix-sum tally
-	Clusters []PortTriple        // serial engine: per-cluster ports
-	Shards   []ShardMachineState // sharded engine: per-shard ports+counters
+	Now    uint64              // machine clock
+	PSOps  uint64              // coordinator's prefix-sum tally
+	Shards []ShardMachineState // per-shard ports and counters
 
 	Counters stats.Counters
 	Memory   mem.SystemState
@@ -65,31 +62,16 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 	if m.prog != nil || m.outstanding != 0 {
 		return nil, fmt.Errorf("xmt: capture while a parallel section is active")
 	}
-	st := &MachineState{Now: m.Now(), Counters: m.Counters}
-	if m.par != nil {
-		es, err := m.par.eng.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		st.Parallel = &es
-		st.PSOps = m.par.psOps
-		st.Shards = make([]ShardMachineState, len(m.par.shards))
-		for i, sh := range m.par.shards {
-			st.Shards[i] = ShardMachineState{
-				Ports:    PortTriple{FPU: sh.fpu.State(), LSU: sh.lsu.State(), MDU: sh.mdu.State()},
-				Counters: sh.counters,
-			}
-		}
-	} else {
-		es, err := m.engine.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		st.Serial = &es
-		st.Clusters = make([]PortTriple, len(m.clusters))
-		for i := range m.clusters {
-			c := &m.clusters[i]
-			st.Clusters[i] = PortTriple{FPU: c.fpu.State(), LSU: c.lsu.State(), MDU: c.mdu.State()}
+	es, err := m.eng.CaptureState()
+	if err != nil {
+		return nil, err
+	}
+	st := &MachineState{Parallel: &es, Now: m.now, PSOps: m.psOps, Counters: m.Counters,
+		Shards: make([]ShardMachineState, len(m.shards))}
+	for i, sh := range m.shards {
+		st.Shards[i] = ShardMachineState{
+			Ports:    PortTriple{FPU: sh.fpu.State(), LSU: sh.lsu.State(), MDU: sh.mdu.State()},
+			Counters: sh.counters,
 		}
 	}
 	st.Memory = m.memory.CaptureState()
@@ -109,52 +91,33 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 }
 
 // RestoreState restores a captured state onto a freshly built machine of
-// the same configuration and engine kind. If the captured run had fault
-// injection armed, the caller must have armed this machine with the same
-// plan (EnableFaults) before restoring — the plan owns rates and
-// schedules; this method restores stream positions and tallies. A
-// captured watchdog is reinstalled with its progress mark (overriding
-// any watchdog the caller set).
+// the same configuration. If the captured run had fault injection armed,
+// the caller must have armed this machine with the same plan
+// (EnableFaults) before restoring — the plan owns rates and schedules;
+// this method restores stream positions and tallies. A captured
+// watchdog is reinstalled with its progress mark (overriding any
+// watchdog the caller set).
 func (m *Machine) RestoreState(st *MachineState) error {
 	if m.prog != nil || m.outstanding != 0 {
 		return fmt.Errorf("xmt: restore while a parallel section is active")
 	}
-	if (st.Serial == nil) == (st.Parallel == nil) {
-		return fmt.Errorf("xmt: malformed machine state: exactly one engine state must be present")
+	if st.Parallel == nil {
+		return fmt.Errorf("xmt: machine state has no engine state (written by the removed legacy serial engine?)")
 	}
-	if wantSerial := st.Serial != nil; wantSerial != (m.par == nil) {
-		return fmt.Errorf("xmt: engine kind mismatch (checkpoint serial=%v, machine serial=%v); resume legacy-engine checkpoints with workers 0 and sharded ones with workers >= 1",
-			wantSerial, m.par == nil)
+	if len(st.Shards) != len(m.shards) {
+		return fmt.Errorf("xmt: restore with %d shard states onto %d shards", len(st.Shards), len(m.shards))
 	}
-	if m.par != nil {
-		if len(st.Shards) != len(m.par.shards) {
-			return fmt.Errorf("xmt: restore with %d shard states onto %d shards", len(st.Shards), len(m.par.shards))
-		}
-		if err := m.par.eng.RestoreState(*st.Parallel); err != nil {
-			return err
-		}
-		m.par.now = st.Now
-		m.par.psOps = st.PSOps
-		for i, sh := range m.par.shards {
-			ss := &st.Shards[i]
-			sh.fpu.RestoreState(ss.Ports.FPU)
-			sh.lsu.RestoreState(ss.Ports.LSU)
-			sh.mdu.RestoreState(ss.Ports.MDU)
-			sh.counters = ss.Counters
-		}
-	} else {
-		if len(st.Clusters) != len(m.clusters) {
-			return fmt.Errorf("xmt: restore with %d cluster states onto %d clusters", len(st.Clusters), len(m.clusters))
-		}
-		if err := m.engine.RestoreState(*st.Serial); err != nil {
-			return err
-		}
-		for i := range m.clusters {
-			c := &m.clusters[i]
-			c.fpu.RestoreState(st.Clusters[i].FPU)
-			c.lsu.RestoreState(st.Clusters[i].LSU)
-			c.mdu.RestoreState(st.Clusters[i].MDU)
-		}
+	if err := m.eng.RestoreState(*st.Parallel); err != nil {
+		return err
+	}
+	m.now = st.Now
+	m.psOps = st.PSOps
+	for i, sh := range m.shards {
+		ss := &st.Shards[i]
+		sh.fpu.RestoreState(ss.Ports.FPU)
+		sh.lsu.RestoreState(ss.Ports.LSU)
+		sh.mdu.RestoreState(ss.Ports.MDU)
+		sh.counters = ss.Counters
 	}
 	if err := m.memory.RestoreState(st.Memory); err != nil {
 		return err

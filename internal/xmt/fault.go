@@ -48,8 +48,7 @@ func (m *Machine) EnableFaults(plan fault.Plan) error {
 // the survivors — graceful degradation with no workload change. Dead
 // clusters keep serving the memory modules co-located with them: module
 // placement is an address-hash property of the memory system, not of
-// the cluster's compute resources (and in sharded mode the co-location
-// is purely a simulator partitioning artifact).
+// the cluster's compute resources.
 func (m *Machine) KillClusters(ids []int) error {
 	for _, c := range ids {
 		if c < 0 || c >= m.cfg.Clusters {
@@ -95,15 +94,11 @@ func (m *Machine) SetWatchdog(window uint64) {
 	} else {
 		m.wd = sim.NewWatchdog(window)
 	}
-	if m.par != nil {
-		m.par.eng.SetWatchdog(m.wd)
-	} else {
-		m.engine.SetWatchdog(m.wd)
-	}
+	m.eng.SetWatchdog(m.wd)
 }
 
 // runGuarded invokes run, converting a watchdog abort (a typed panic
-// from the engines) into an ordinary error. Any other panic is
+// from the engine) into an ordinary error. Any other panic is
 // re-raised. When an OnWatchdog callback is installed, it fires with the
 // error before runGuarded returns — the post-mortem hook.
 func (m *Machine) runGuarded(run func()) (err error) {

@@ -31,30 +31,24 @@ func faultSuiteRun(t *testing.T, m *Machine) ([]SpawnResult, interface{}) {
 
 // TestZeroRatePlanIsZeroOverhead is the first determinism contract:
 // enabling an empty fault plan (and an untriggered watchdog) must leave
-// every cycle count and counter bit-identical on both engines.
+// every cycle count and counter bit-identical at every worker count.
 func TestZeroRatePlanIsZeroOverhead(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(sharded bool) *Machine {
-		var m *Machine
-		var err error
-		if sharded {
-			m, err = NewParallel(cfg, 2)
-		} else {
-			m, err = New(cfg)
-		}
+	build := func(workers int) *Machine {
+		m, err := NewParallel(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	for _, sharded := range []bool{false, true} {
-		base := build(sharded)
+	for _, workers := range []int{1, 2} {
+		base := build(workers)
 		baseRes, baseCtr := faultSuiteRun(t, base)
 
-		armed := build(sharded)
+		armed := build(workers)
 		if err := armed.EnableFaults(fault.Plan{Seed: 123}); err != nil {
 			t.Fatal(err)
 		}
@@ -62,12 +56,12 @@ func TestZeroRatePlanIsZeroOverhead(t *testing.T) {
 		gotRes, gotCtr := faultSuiteRun(t, armed)
 
 		if !reflect.DeepEqual(gotRes, baseRes) {
-			t.Errorf("sharded=%v: zero-rate plan changed SpawnResults\n got %+v\nwant %+v",
-				sharded, gotRes, baseRes)
+			t.Errorf("workers=%d: zero-rate plan changed SpawnResults\n got %+v\nwant %+v",
+				workers, gotRes, baseRes)
 		}
 		if !reflect.DeepEqual(gotCtr, baseCtr) {
-			t.Errorf("sharded=%v: zero-rate plan changed counters\n got %+v\nwant %+v",
-				sharded, gotCtr, baseCtr)
+			t.Errorf("workers=%d: zero-rate plan changed counters\n got %+v\nwant %+v",
+				workers, gotCtr, baseCtr)
 		}
 	}
 }
@@ -108,15 +102,9 @@ func TestKillClustersRemapsThreads(t *testing.T) {
 	}
 	n := 3*cfg.TCUs + 11
 
-	for _, workers := range []int{0, 1, 4} { // 0 = legacy engine
+	for _, workers := range []int{1, 4} {
 		build := func() *Machine {
-			var m *Machine
-			var err error
-			if workers == 0 {
-				m, err = New(cfg)
-			} else {
-				m, err = NewParallel(cfg, workers)
-			}
+			m, err := NewParallel(cfg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +199,7 @@ func TestAllClustersDeadFailsSpawn(t *testing.T) {
 
 // TestWatchdogAbortsRetransmitLivelock induces the canonical livelock —
 // a 100% packet-loss NoC, so every load escalates forever — and checks
-// both engines convert it into a clean *sim.WatchdogError carrying a
+// every worker count converts it into a clean *sim.WatchdogError carrying a
 // queue-state dump, within a wall-clock deadline. Afterwards the
 // machine is poisoned: further spawns fail.
 func TestWatchdogAbortsRetransmitLivelock(t *testing.T) {
@@ -219,14 +207,8 @@ func TestWatchdogAbortsRetransmitLivelock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 3} { // 0 = legacy engine
-		var m *Machine
-		var err error
-		if workers == 0 {
-			m, err = New(cfg)
-		} else {
-			m, err = NewParallel(cfg, workers)
-		}
+	for _, workers := range []int{1, 3} {
+		m, err := NewParallel(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,11 +244,7 @@ func TestWatchdogAbortsRetransmitLivelock(t *testing.T) {
 		if !strings.Contains(we.Error(), "watchdog") {
 			t.Errorf("workers=%d: error text missing watchdog: %q", workers, we.Error())
 		}
-		wantDump := "serial engine"
-		if workers > 0 {
-			wantDump = "shard 0"
-		}
-		if !strings.Contains(we.Dump, wantDump) || !strings.Contains(we.Dump, "pending=") {
+		if !strings.Contains(we.Dump, "shard 0") || !strings.Contains(we.Dump, "pending=") {
 			t.Errorf("workers=%d: dump missing queue state: %q", workers, we.Dump)
 		}
 		if _, err := m.Spawn(4, ProgramFunc(func(id int, buf []Op) []Op {

@@ -10,10 +10,9 @@ package xmt
 // attached the machine's hot paths see only nil-guarded branches, and
 // an attached sink is strictly read-only with respect to simulation
 // results — cycle counts, counters and trace streams are bit-identical
-// with live metrics on or off, which live_test.go asserts. On the
-// sharded engine the hook fires at window barriers where every shard is
-// parked, so coordinator-side reads (snapshots, counter reductions) are
-// race-free; publication into the MachineSet is atomic stores that a
+// with live metrics on or off, which live_test.go asserts. The hook
+// fires at window barriers where every shard is parked, so
+// coordinator-side reads (snapshots, counter reductions) are race-free; publication into the MachineSet is atomic stores that a
 // concurrent scraper may read at any time.
 
 import (
@@ -46,12 +45,10 @@ func (l *liveMetrics) Advance(prev, now uint64) {
 // ending at cycle.
 func (l *liveMetrics) publish(cycle uint64) {
 	m := l.m
-	if m.par != nil {
-		// Shards are parked (hook fires at barriers / between sections),
-		// so the reduction is race-free; it is a pure function of shard
-		// state, leaving the spawn's own accounting untouched.
-		m.par.reduceCounters()
-	}
+	// Shards are parked (hook fires at barriers / between sections), so
+	// the reduction is race-free; it is a pure function of shard state,
+	// leaving the spawn's own accounting untouched.
+	m.reduceCounters()
 	m.syncMemCounters()
 	l.ms.SetCounters(m.Counters)
 	l.ms.SetSample(m.utilSample(cycle, l.epoch, &l.st))
@@ -92,16 +89,9 @@ func (m *Machine) FlushLiveMetrics() {
 }
 
 // SetTelemetry installs (or, with nil, removes) an engine-level
-// telemetry sink — per-shard event counts, the simulated-cycle
-// frontier, queue depths and watchdog heartbeat — on whichever engine
-// this machine runs. The serial engine reports as shard 0.
-func (m *Machine) SetTelemetry(t *sim.Telemetry) {
-	if m.par != nil {
-		m.par.eng.SetTelemetry(t)
-		return
-	}
-	m.engine.SetTelemetry(t)
-}
+// telemetry sink: per-shard event counts, the simulated-cycle frontier,
+// queue depths and watchdog heartbeat.
+func (m *Machine) SetTelemetry(t *sim.Telemetry) { m.eng.SetTelemetry(t) }
 
 // CurrentPhase returns the label of the most recent Section while a
 // live sink is attached ("" otherwise). Safe to call concurrently with
@@ -130,8 +120,8 @@ func (h hookChain) Advance(prev, now uint64) {
 }
 
 // installHook wires the composed observer hook (trace epoch sampler
-// and/or live metrics sampler) into the active engine. A single nil
-// hook branch remains when neither is attached.
+// and/or live metrics sampler) into the engine. A single nil hook
+// branch remains when neither is attached.
 func (m *Machine) installHook() {
 	var h sim.Hook
 	switch {
@@ -142,9 +132,5 @@ func (m *Machine) installHook() {
 	case m.live != nil:
 		h = m.live
 	}
-	if m.par != nil {
-		m.par.eng.SetHook(h)
-		return
-	}
-	m.engine.SetHook(h)
+	m.eng.SetHook(h)
 }

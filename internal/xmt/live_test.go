@@ -15,13 +15,7 @@ import (
 // the requested observers attached and returns everything comparable.
 func liveRun(t *testing.T, cfg config.Config, workers int, withTrace, withLive bool) (shardedRun, *metrics.Registry, *Machine) {
 	t.Helper()
-	var m *Machine
-	var err error
-	if workers > 0 {
-		m, err = NewParallel(cfg, workers)
-	} else {
-		m, err = New(cfg)
-	}
+	m, err := NewParallel(cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +52,13 @@ func liveRun(t *testing.T, cfg config.Config, workers int, withTrace, withLive b
 // TestLiveMetricsZeroPerturbation is the bit-identical off-state test:
 // attaching the live metrics sampler (alone or chained after the trace
 // sampler) must not change spawn results, counters, or — when tracing —
-// the recorded event and sample streams, on either engine.
+// the recorded event and sample streams, at any worker count.
 func TestLiveMetricsZeroPerturbation(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 4} {
+	for _, workers := range []int{1, 4} {
 		ref, _, _ := liveRun(t, cfg, workers, true, false)
 		got, _, _ := liveRun(t, cfg, workers, true, true)
 		if !reflect.DeepEqual(got.results, ref.results) {

@@ -14,6 +14,7 @@ package xmt
 
 import (
 	"fmt"
+	"runtime"
 
 	"xmtfft/internal/config"
 	"xmtfft/internal/mem"
@@ -45,34 +46,45 @@ const (
 	ThreadStartOverhead = 2
 )
 
-// cluster groups the per-cluster shared resources.
-type cluster struct {
-	fpu sim.Port // width = FPUsPerCluster
-	lsu sim.Port // width = LSUsPerCluster
-	mdu sim.Port // width = MDUsPerCluster (unused by FFT, kept for ISA)
-}
-
-// Machine is one configured XMT processor.
+// Machine is one configured XMT processor. It simulates on the sharded
+// engine (sim.ParallelEngine) with one shard per cluster: the shards
+// run the TCUs and their cluster-local ports, and the coordinator (the
+// engine's barrier function) serves the NoC, the memory system and the
+// prefix-sum unit. See parallel.go and DESIGN.md §7.
 type Machine struct {
-	cfg      config.Config
-	engine   *sim.Engine
-	memory   *mem.System
-	network  noc.Network
-	clusters []cluster
+	cfg     config.Config
+	memory  *mem.System
+	network noc.Network
+
+	eng    *sim.ParallelEngine
+	shards []*machineShard
+	// tcuShard/tcuLocal map a global TCU id to its owning shard and
+	// local index without the div/mod pair tcuOf used to pay on every
+	// barrier message (the divisor is not a compile-time constant, so
+	// the hardware division showed up in the merge-path profile).
+	tcuShard []int32
+	tcuLocal []int32
+	now      uint64 // machine clock: the end of the last section or serial gap
+	psOps    uint64 // cumulative thread re-allocation prefix-sums
 
 	// Counters accumulates operation counts across all parallel sections
-	// run on this machine. Memory-system and NoC counters (DRAMBytes,
-	// NoCPackets, Prefetches, RowHits, RowMisses) are synchronized from
-	// their owning subsystems at spawn boundaries rather than tallied
-	// here — the subsystem is the single source of truth.
+	// run on this machine. The shard-local tallies are reduced into it at
+	// spawn boundaries (reduceCounters), and memory-system and NoC
+	// counters (DRAMBytes, NoCPackets, Prefetches, RowHits, RowMisses)
+	// are synchronized from their owning subsystems — the subsystem is
+	// the single source of truth.
 	Counters stats.Counters
 
 	// Tracing state: rec is nil unless a recorder is attached; every
 	// emission site is guarded by a nil check so the disabled path costs
 	// one predictable branch (DESIGN.md §5). live follows the same
 	// contract for the observability layer (see live.go); both observers
-	// share the engine's clock hook via installHook.
+	// share the engine's clock hook via installHook. coordRec collects
+	// the coordinator's trace events (NoC traversals and memory accesses)
+	// during a traced spawn; it is merged with the shard recorders at the
+	// join.
 	rec          *trace.Recorder
+	coordRec     *trace.Recorder
 	sampler      *epochSampler
 	live         *liveMetrics
 	pendingLabel string
@@ -82,16 +94,12 @@ type Machine struct {
 	totalTh     int
 	nextTh      int
 	outstanding int
-	lastDone    uint64 // completion time of the latest op (incl. stores)
 
-	// tcus holds the per-TCU execution state, reused across spawns so the
-	// record-event scheduling path (sim.Caller) can address TCUs by index
-	// without per-event closures.
-	tcus []tcuState
-
-	// par is non-nil when the machine runs on the sharded parallel engine
-	// (NewParallel); the legacy single-queue path above is bypassed.
-	par *shardedMachine
+	// retries holds escalated (give-up) memory requests awaiting their
+	// sopRetransmit events. Appended only by the coordinator between
+	// windows and read by shard events during windows, so the engine's
+	// barrier ordering is the only synchronization needed.
+	retries []retryRec
 
 	// Resilience state (see fault.go): rnet is non-nil when NoC fault
 	// injection wraps the network (m.network aliases it), wd is the
@@ -108,8 +116,15 @@ type Machine struct {
 	onWatchdog func(*sim.WatchdogError)
 }
 
-// New builds a machine for cfg with a fresh memory system and network.
-func New(cfg config.Config) (*Machine, error) {
+// New builds a machine for cfg with a fresh memory system and network,
+// simulating on the inline driver (one worker): NewParallel(cfg, 1).
+func New(cfg config.Config) (*Machine, error) { return NewParallel(cfg, 1) }
+
+// NewParallel builds a machine whose shards advance on the given number
+// of worker goroutines (<= 0 selects GOMAXPROCS; 1 is the inline driver
+// that New uses). Simulation results are identical for every worker
+// count; only wall-clock time changes.
+func NewParallel(cfg config.Config, workers int) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -121,19 +136,45 @@ func New(cfg config.Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		cfg:      cfg,
-		engine:   sim.New(),
-		memory:   memory,
-		network:  network,
-		clusters: make([]cluster, cfg.Clusters),
+	// The lookahead window is the minimum delay between a cross-shard
+	// message and its earliest effect: requests and replies cross the
+	// NoC (>= one-way latency), thread re-allocation crosses the
+	// prefix-sum unit (PSLatency).
+	window := network.Latency()
+	if window > PSLatency {
+		window = PSLatency
 	}
-	for i := range m.clusters {
-		m.clusters[i] = cluster{
-			fpu: sim.Port{Width: uint64(cfg.FPUsPerCluster)},
-			lsu: sim.Port{Width: uint64(cfg.LSUsPerCluster)},
-			mdu: sim.Port{Width: uint64(cfg.MDUsPerCluster)},
+	if window == 0 {
+		return nil, fmt.Errorf("xmt: configuration %q has zero NoC latency", cfg.Name)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	m := &Machine{cfg: cfg, memory: memory, network: network}
+	m.eng = sim.NewParallelEngine(clusterPartition{shards: cfg.Clusters, window: window}, workers)
+	m.eng.SetBarrier(m.onBarrier)
+	m.shards = make([]*machineShard, cfg.Clusters)
+	for i := range m.shards {
+		sh := &machineShard{
+			m:    m,
+			id:   i,
+			fpu:  sim.Port{Width: uint64(cfg.FPUsPerCluster)},
+			lsu:  sim.Port{Width: uint64(cfg.LSUsPerCluster)},
+			mdu:  sim.Port{Width: uint64(cfg.MDUsPerCluster)},
+			tcus: make([]shardTCU, cfg.TCUsPerCluster),
 		}
+		for j := range sh.tcus {
+			sh.tcus[j].id = i*cfg.TCUsPerCluster + j
+			sh.tcus[j].local = j
+		}
+		m.shards[i] = sh
+		m.eng.SetHandler(i, sh)
+	}
+	m.tcuShard = make([]int32, cfg.TCUs)
+	m.tcuLocal = make([]int32, cfg.TCUs)
+	for t := 0; t < cfg.TCUs; t++ {
+		m.tcuShard[t] = int32(t / cfg.TCUsPerCluster)
+		m.tcuLocal[t] = int32(t % cfg.TCUsPerCluster)
 	}
 	return m, nil
 }
@@ -148,26 +189,15 @@ func (m *Machine) Memory() *mem.System { return m.memory }
 func (m *Machine) Network() noc.Network { return m.network }
 
 // Now returns the machine's current cycle.
-func (m *Machine) Now() uint64 {
-	if m.par != nil {
-		return m.par.now
-	}
-	return m.engine.Now()
-}
+func (m *Machine) Now() uint64 { return m.now }
 
-// Workers returns the simulation worker count: 0 for the legacy serial
-// engine, >= 1 for the sharded engine (1 being its serial driver).
-func (m *Machine) Workers() int {
-	if m.par == nil {
-		return 0
-	}
-	return m.par.eng.Workers
-}
+// Workers returns the simulation worker count (1 is the inline driver).
+func (m *Machine) Workers() int { return m.eng.Workers }
 
-// SimStats reports engine-level execution statistics: events executed
-// and, on the sharded engine, windows advanced, barrier synchronizations
-// that delivered messages, and boundary messages merged. Purely
-// diagnostic — used by the simulator benchmark record.
+// SimStats reports engine-level execution statistics: events executed,
+// windows advanced, barrier synchronizations that delivered messages,
+// and boundary messages merged. Purely diagnostic — used by the
+// simulator benchmark record.
 type SimStats struct {
 	Events   uint64
 	Windows  uint64
@@ -177,15 +207,11 @@ type SimStats struct {
 
 // SimStats returns the machine's engine statistics so far.
 func (m *Machine) SimStats() SimStats {
-	if m.par != nil {
-		s := SimStats{Windows: m.par.eng.Windows, Barriers: m.par.eng.Barriers,
-			Messages: m.par.eng.Messages}
-		for i := 0; i < m.par.eng.Shards(); i++ {
-			s.Events += m.par.eng.Shard(i).Processed
-		}
-		return s
+	s := SimStats{Windows: m.eng.Windows, Barriers: m.eng.Barriers, Messages: m.eng.Messages}
+	for i := 0; i < m.eng.Shards(); i++ {
+		s.Events += m.eng.Shard(i).Processed
 	}
-	return SimStats{Events: m.engine.Processed}
+	return s
 }
 
 // AttachRecorder connects a trace recorder (nil detaches). When the
@@ -223,11 +249,8 @@ func (m *Machine) Section(name string) {
 // AdvanceSerial models serial-mode MTCU work of the given length
 // (e.g. setup between parallel sections).
 func (m *Machine) AdvanceSerial(cycles uint64) {
-	if m.par != nil {
-		m.par.advance(cycles)
-		return
-	}
-	m.engine.RunUntil(m.engine.Now() + cycles)
+	m.eng.AdvanceTo(m.now + cycles)
+	m.now += cycles
 }
 
 // SpawnResult summarizes one parallel section.
@@ -241,14 +264,6 @@ type SpawnResult struct {
 
 // Cycles returns the section's duration.
 func (r SpawnResult) Cycles() uint64 { return r.End - r.Start }
-
-// tcuState tracks one TCU between events.
-type tcuState struct {
-	id      int
-	cluster int
-	tid     int // virtual thread currently executing
-	buf     []Op
-}
 
 // Spawn executes a parallel section of n threads described by prog,
 // running the simulation to completion (until the join), and returns
@@ -264,9 +279,6 @@ func (m *Machine) Spawn(n int, prog Program) (SpawnResult, error) {
 	if m.outstanding != 0 || m.prog != nil {
 		return SpawnResult{}, fmt.Errorf("xmt: spawn while a parallel section is active")
 	}
-	if m.par != nil {
-		return m.par.spawn(n, prog)
-	}
 	alive, err := m.aliveTCUs()
 	if err != nil {
 		return SpawnResult{}, err
@@ -274,22 +286,29 @@ func (m *Machine) Spawn(n int, prog Program) (SpawnResult, error) {
 	m.syncMemCounters()
 	before := m.Counters
 	snap := m.Snapshot()
-	start := m.engine.Now()
+	start := m.now
 	m.prog = prog
 	m.totalTh = n
 	m.nextTh = 0
-	m.lastDone = 0
 	m.Counters.Spawns++
 	if m.rec != nil {
 		m.rec.Spawn(start, n, m.pendingLabel)
 		m.pendingLabel = ""
+		m.coordRec = trace.NewRecorder(0)
+		for _, sh := range m.shards {
+			sh.rec = trace.NewRecorder(0)
+		}
 	}
 	m.emitDeadClusters(start)
 	if m.rnet != nil {
-		m.rnet.Observer = nocFaultObserver(m.rec)
+		m.rnet.Observer = nocFaultObserver(m.coordRec)
 	}
 	if m.wd != nil {
 		m.wd.Progress(start)
+	}
+	m.retries = m.retries[:0]
+	for _, sh := range m.shards {
+		sh.lastDone = 0
 	}
 
 	avail := m.cfg.TCUs
@@ -301,17 +320,6 @@ func (m *Machine) Spawn(n int, prog Program) (SpawnResult, error) {
 		wave = n
 	}
 	m.outstanding = wave
-	need := wave
-	if alive != nil && wave > 0 {
-		need = alive[wave-1] + 1
-	}
-	if len(m.tcus) < need {
-		m.tcus = append(m.tcus, make([]tcuState, need-len(m.tcus))...)
-		for i := range m.tcus {
-			m.tcus[i].id = i
-			m.tcus[i].cluster = i / m.cfg.TCUsPerCluster
-		}
-	}
 	begin := start + SpawnBroadcastLatency
 	for k := 0; k < wave; k++ {
 		tcu := k
@@ -320,23 +328,36 @@ func (m *Machine) Spawn(n int, prog Program) (SpawnResult, error) {
 		}
 		tid := m.nextTh
 		m.nextTh++
-		m.engine.AtCall(begin, m, opStart, uint64(tcu), uint64(tid))
+		sh, local := m.tcuOf(tcu)
+		m.eng.Shard(sh.id).At(begin, sopStart, uint64(local), uint64(tid))
 	}
-	if err := m.runGuarded(func() { m.engine.Run() }); err != nil {
+	if err := m.runGuarded(func() { m.eng.Run() }); err != nil {
 		return SpawnResult{}, err
 	}
 
-	end := m.lastDone
-	if end < begin {
-		end = begin
+	end := begin
+	for _, sh := range m.shards {
+		if sh.lastDone > end {
+			end = sh.lastDone
+		}
 	}
 	end += JoinLatency
-	// Advance the clock through the join.
-	m.engine.RunUntil(end)
+	// Advance every shard's clock through the join.
+	m.eng.AdvanceTo(end)
+	m.now = end
 	m.prog = nil
 
+	m.reduceCounters()
 	m.syncMemCounters()
 	if m.rec != nil {
+		parts := make([]*trace.Recorder, 0, len(m.shards)+1)
+		for _, sh := range m.shards {
+			parts = append(parts, sh.rec)
+			sh.rec = nil
+		}
+		parts = append(parts, m.coordRec)
+		m.coordRec = nil
+		m.rec.MergeFrom(parts...)
 		m.rec.Join(end)
 	}
 	ops := m.Counters
@@ -370,22 +391,24 @@ func (m *Machine) syncMemCounters() {
 // Program.Thread callback of the active section; the new ids are picked
 // up by TCUs through the same prefix-sum allocation path as the
 // original thread range.
+//
+// The new ids are allocated at once, which needs the inline driver
+// (one simulation worker, New's default): there Program.Thread runs on
+// the coordinator's goroutine, between the barriers that allocate ids.
+// With more workers it runs on worker goroutines and ExtendSpawn fails.
 func (m *Machine) ExtendSpawn(k int) (int, error) {
-	if m.par != nil {
-		// Threads run concurrently on worker goroutines in sharded mode;
-		// letting them grow the shared id space mid-flight would race.
-		// The ISA VM (the only sspawn user) runs on the legacy engine.
-		return 0, fmt.Errorf("xmt: ExtendSpawn is not supported on the sharded parallel engine")
-	}
 	if m.prog == nil {
 		return 0, fmt.Errorf("xmt: ExtendSpawn outside a parallel section")
+	}
+	if !m.eng.Inline() {
+		return 0, fmt.Errorf("xmt: ExtendSpawn needs the inline driver (1 simulation worker), machine runs %d", m.eng.Workers)
 	}
 	if k <= 0 {
 		return 0, fmt.Errorf("xmt: ExtendSpawn count %d must be positive", k)
 	}
 	first := m.totalTh
 	m.totalTh += k
-	m.Counters.PSOps++ // the parent's allocation prefix-sum
+	m.psOps++ // the parent's allocation prefix-sum
 	return first, nil
 }
 
@@ -410,195 +433,6 @@ func subtract(c *stats.Counters, base stats.Counters) {
 	c.ECCCorrected -= base.ECCCorrected
 	c.ECCUncorrectable -= base.ECCUncorrectable
 	c.SilentFaults -= base.SilentFaults
-}
-
-// runThread generates thread tid's ops and begins executing its first
-// segment at the current cycle.
-func (m *Machine) runThread(t *tcuState, tid int) {
-	m.Counters.Threads++
-	t.tid = tid
-	if m.rec != nil {
-		m.rec.ThreadStart(m.engine.Now(), t.id, t.cluster, tid)
-	}
-	t.buf = m.prog.Thread(tid, t.buf[:0])
-	m.execSegments(t, 0, m.engine.Now()+ThreadStartOverhead)
-}
-
-// execSegments executes the op stream starting at index i with the
-// thread ready at cycle "now". Each segment (a run of related ops)
-// computes its completion and schedules the continuation, so concurrent
-// TCUs interleave correctly through the shared resource ports.
-func (m *Machine) execSegments(t *tcuState, i int, now uint64) {
-	for {
-		if i >= len(t.buf) {
-			m.threadDone(t, now)
-			return
-		}
-		op := t.buf[i]
-		cl := &m.clusters[t.cluster]
-		switch op.Kind {
-		case OpALU:
-			// One ALU per TCU: pure latency, no contention. Cheap enough
-			// to fold into the loop without rescheduling.
-			m.Counters.ALUOps += uint64(op.N)
-			now += uint64(op.N)
-			i++
-		case OpFLOP:
-			m.Counters.FPOps += uint64(op.N)
-			done := cl.fpu.GrantNLast(now, uint64(op.N)) + FPULatency
-			if m.rec != nil {
-				m.rec.Segment(now, done, t.id, trace.SegFLOP)
-			}
-			i++
-			m.schedule(t, i, done)
-			return
-		case OpPS:
-			m.Counters.PSOps++
-			if m.rec != nil {
-				m.rec.Segment(now, now+PSLatency, t.id, trace.SegPS)
-			}
-			i++
-			m.schedule(t, i, now+PSLatency)
-			return
-		case OpLoad:
-			// Gather the load group. Packet counting happens inside the
-			// network (Traverse for the request, Reply for the response):
-			// the NoC is the single source of truth for NoCPackets.
-			j := i
-			start := now
-			var done uint64
-			for j < len(t.buf) && t.buf[j].Kind == OpLoad {
-				addr := t.buf[j].Addr
-				issue := cl.lsu.Grant(now)
-				dst := mem.HashAddress(addr, m.cfg.MemModules)
-				arrive, ok := m.traverse(issue, t.cluster, dst)
-				if !ok {
-					// Retransmit protocol gave up: escalate to an
-					// event-level retry that re-issues the whole group
-					// (requests already served in this pass are reissued —
-					// the group is the unit of recovery).
-					m.schedule(t, i, arrive)
-					return
-				}
-				res := m.memory.Access(arrive, addr, false)
-				ret := m.network.Reply(res.Done)
-				if ret > done {
-					done = ret
-				}
-				m.Counters.Loads++
-				m.countHit(res.Hit)
-				if m.rec != nil {
-					m.rec.NoC(issue, arrive, t.cluster, dst)
-					m.rec.MemAccess(arrive, res.Done, t.id, dst, addr, false, res.Hit)
-				}
-				recordMemFault(m.rec, res.Done, res.Fault, dst, addr)
-				j++
-			}
-			if m.rec != nil {
-				m.rec.Segment(start, done, t.id, trace.SegLoad)
-			}
-			if m.wd != nil {
-				m.wd.Progress(done)
-			}
-			m.schedule(t, j, done)
-			return
-		case OpStore:
-			// Issue the store group without blocking the thread.
-			j := i
-			start := now
-			issue := now
-			for j < len(t.buf) && t.buf[j].Kind == OpStore {
-				addr := t.buf[j].Addr
-				issue = cl.lsu.Grant(issue)
-				dst := mem.HashAddress(addr, m.cfg.MemModules)
-				arrive, ok := m.traverse(issue, t.cluster, dst)
-				if !ok {
-					// Give-up: event-level retry re-issues the store group.
-					m.schedule(t, i, arrive)
-					return
-				}
-				res := m.memory.Access(arrive, addr, true)
-				if res.Done > m.lastDone {
-					m.lastDone = res.Done // join waits for store completion
-				}
-				m.Counters.Stores++
-				m.countHit(res.Hit)
-				if m.rec != nil {
-					m.rec.NoC(issue, arrive, t.cluster, dst)
-					m.rec.MemAccess(arrive, res.Done, t.id, dst, addr, true, res.Hit)
-				}
-				recordMemFault(m.rec, res.Done, res.Fault, dst, addr)
-				j++
-			}
-			now = issue + 1
-			if m.rec != nil {
-				m.rec.Segment(start, now, t.id, trace.SegStore)
-			}
-			i = j
-		default:
-			panic(fmt.Sprintf("xmt: unknown op kind %d", op.Kind))
-		}
-	}
-}
-
-func (m *Machine) countHit(hit bool) {
-	if hit {
-		m.Counters.CacheHits++
-	} else {
-		m.Counters.CacheMisses++
-	}
-}
-
-// Record-event opcodes dispatched through Call (sim.Caller). Using
-// pooled records instead of closures keeps the hot scheduling paths
-// allocation-free; see BenchmarkEngineSchedule in internal/sim.
-const (
-	opStart uint8 = iota // a = TCU index, b = thread id: runThread
-	opExec               // a = TCU index, b = op index: execSegments
-)
-
-// Call implements sim.Caller, dispatching pooled record events.
-func (m *Machine) Call(t uint64, op uint8, a, b uint64) {
-	switch op {
-	case opStart:
-		m.runThread(&m.tcus[a], int(b))
-	case opExec:
-		m.execSegments(&m.tcus[a], int(b), t)
-	default:
-		panic(fmt.Sprintf("xmt: unknown event op %d", op))
-	}
-}
-
-// schedule resumes thread execution at index i at cycle "at".
-func (m *Machine) schedule(t *tcuState, i int, at uint64) {
-	if at < m.engine.Now() {
-		at = m.engine.Now()
-	}
-	m.engine.AtCall(at, m, opExec, uint64(t.id), uint64(i))
-}
-
-// threadDone records completion and allocates the TCU's next thread via
-// the prefix-sum unit, or retires the TCU when the id space is
-// exhausted (it then waits for the join, causing no busy-wait for any
-// other TCU).
-func (m *Machine) threadDone(t *tcuState, now uint64) {
-	if now > m.lastDone {
-		m.lastDone = now
-	}
-	if m.wd != nil {
-		m.wd.Progress(now)
-	}
-	if m.rec != nil {
-		m.rec.ThreadRetire(now, t.id, t.tid)
-	}
-	if m.nextTh < m.totalTh {
-		tid := m.nextTh
-		m.nextTh++
-		m.Counters.PSOps++
-		m.engine.AtCall(now+PSLatency, m, opStart, uint64(t.id), uint64(tid))
-		return
-	}
-	m.outstanding--
 }
 
 // DRAMUtilization returns the fraction of total DRAM channel slots busy

@@ -362,6 +362,10 @@ func TestExtendSpawn(t *testing.T) {
 	if m.Counters.Threads != 4 {
 		t.Fatalf("thread counter = %d", m.Counters.Threads)
 	}
+	// One prefix-sum for the extension, one per re-allocated thread id.
+	if m.Counters.PSOps != 4 {
+		t.Fatalf("prefix-sum counter = %d, want 4", m.Counters.PSOps)
+	}
 }
 
 func TestExtendSpawnChain(t *testing.T) {

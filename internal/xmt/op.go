@@ -65,9 +65,11 @@ type Program interface {
 	// here, since threads within a parallel section are independent by
 	// the PRAM contract.
 	//
-	// On the sharded parallel engine (NewParallel) Thread is invoked
-	// from worker goroutines, concurrently for threads on different
-	// clusters. Implementations must tolerate that: compute purely from
+	// With one simulation worker (New, the default) Thread runs on the
+	// calling goroutine, one thread at a time, so it may touch shared
+	// state and call ExtendSpawn. With more workers (NewParallel) it is
+	// invoked from worker goroutines, concurrently for threads on
+	// different clusters; implementations must then compute purely from
 	// id, or touch only id-indexed disjoint data — which the PRAM
 	// independence contract already requires of a correct XMT program.
 	Thread(id int, buf []Op) []Op

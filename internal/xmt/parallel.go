@@ -20,10 +20,8 @@ package xmt
 //
 // The coordinator (the engine's barrier function) consumes each group
 // inline: it walks the requests in issue order, traverses the NoC,
-// performs the memory access and computes the reply arrival — exactly
-// the legacy engine's memory path — then schedules a single resume
-// event on the requesting shard. This is what makes the sharded
-// engine's per-event cost comparable to the legacy engine's: an earlier
+// performs the memory access and computes the reply arrival, then
+// schedules a single resume event on the requesting shard. An earlier
 // design bounced every request through module-owner shards and every
 // reply through its own message, which tripled wall-clock purely on
 // message transport (1.86M messages for a run with 0.9M accesses). The
@@ -38,15 +36,13 @@ package xmt
 // a run's cycle counts, counters and trace streams are bit-identical
 // for every worker count, which the differential tests assert.
 //
-// Programs executed in sharded mode must be safe for concurrent
+// Programs run with more than one worker must be safe for concurrent
 // Program.Thread calls (see Program); the FFT kernels are, by the PRAM
 // independence contract.
 
 import (
 	"fmt"
-	"runtime"
 
-	"xmtfft/internal/config"
 	"xmtfft/internal/mem"
 	"xmtfft/internal/sim"
 	"xmtfft/internal/stats"
@@ -74,7 +70,7 @@ const (
 	sopStart uint8 = iota
 	// sopResume: a = local TCU index, b = op index to resume at.
 	sopResume
-	// sopRetransmit: a = index into shardedMachine.retries. Fires on the
+	// sopRetransmit: a = index into Machine.retries. Fires on the
 	// source shard after the retransmit protocol gave up on a request;
 	// re-emits the request with the event's cycle as the new issue time,
 	// keeping the event loop turning (so a pathological loss rate becomes
@@ -113,7 +109,7 @@ type shardTCU struct {
 // are touched only by the shard's own events during windows and by the
 // coordinator between windows.
 type machineShard struct {
-	sm *shardedMachine
+	m  *Machine
 	id int // cluster index == shard index
 
 	fpu, lsu, mdu sim.Port
@@ -125,33 +121,6 @@ type machineShard struct {
 	rec      *trace.Recorder // per-spawn recorder; nil when not tracing
 }
 
-// shardedMachine drives a Machine on the windowed parallel engine.
-type shardedMachine struct {
-	m      *Machine
-	eng    *sim.ParallelEngine
-	shards []*machineShard
-	// tcuShard/tcuLocal map a global TCU id to its owning shard and
-	// local index without the div/mod pair tcuOf used to pay on every
-	// barrier message (the divisor is not a compile-time constant, so
-	// the hardware division showed up in the merge-path profile).
-	tcuShard []int32
-	tcuLocal []int32
-	window   uint64
-	now      uint64
-	psOps    uint64 // cumulative thread re-allocation prefix-sums
-
-	// coordRec collects coordinator-side trace events (NoC traversals
-	// and memory accesses) during a spawn; merged with the shard
-	// recorders at the join.
-	coordRec *trace.Recorder
-
-	// retries holds escalated (give-up) memory requests awaiting their
-	// sopRetransmit events. Appended only by the coordinator between
-	// windows and read by shard events during windows, so the engine's
-	// barrier ordering is the only synchronization needed.
-	retries []retryRec
-}
-
 // retryRec is one escalated memory request: the payload its
 // sopRetransmit event re-issues with a fresh issue cycle.
 type retryRec struct {
@@ -160,166 +129,22 @@ type retryRec struct {
 	write bool
 }
 
-// Shards implements sim.Partition: one shard per cluster.
-func (sm *shardedMachine) Shards() int { return sm.m.cfg.Clusters }
-
-// Lookahead implements sim.Partition: the minimum delay between a
-// cross-shard message and its earliest effect. Requests and replies
-// cross the NoC (>= one-way latency); thread re-allocation crosses the
-// prefix-sum unit (PSLatency). The window is their minimum.
-func (sm *shardedMachine) Lookahead() uint64 { return sm.window }
-
-// NewParallel builds a machine that simulates on the sharded parallel
-// engine with the given worker count (<= 0 selects GOMAXPROCS; 1 is the
-// serial driver of the same windowed execution, useful as the reference
-// side of differential tests). Simulation results are identical for
-// every worker count; only wall-clock time changes.
-func NewParallel(cfg config.Config, workers int) (*Machine, error) {
-	m, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sm := &shardedMachine{m: m}
-	sm.window = m.network.Latency()
-	if sm.window > PSLatency {
-		sm.window = PSLatency
-	}
-	if sm.window == 0 {
-		return nil, fmt.Errorf("xmt: configuration %q has zero NoC latency", cfg.Name)
-	}
-	sm.eng = sim.NewParallelEngine(sm, workers)
-	sm.eng.SetBarrier(sm.onBarrier)
-	sm.shards = make([]*machineShard, cfg.Clusters)
-	for i := range sm.shards {
-		sh := &machineShard{
-			sm:   sm,
-			id:   i,
-			fpu:  sim.Port{Width: uint64(cfg.FPUsPerCluster)},
-			lsu:  sim.Port{Width: uint64(cfg.LSUsPerCluster)},
-			mdu:  sim.Port{Width: uint64(cfg.MDUsPerCluster)},
-			tcus: make([]shardTCU, cfg.TCUsPerCluster),
-		}
-		for j := range sh.tcus {
-			sh.tcus[j].id = i*cfg.TCUsPerCluster + j
-			sh.tcus[j].local = j
-		}
-		sm.shards[i] = sh
-		sm.eng.SetHandler(i, sh)
-	}
-	sm.tcuShard = make([]int32, cfg.TCUs)
-	sm.tcuLocal = make([]int32, cfg.TCUs)
-	for t := 0; t < cfg.TCUs; t++ {
-		sm.tcuShard[t] = int32(t / cfg.TCUsPerCluster)
-		sm.tcuLocal[t] = int32(t % cfg.TCUsPerCluster)
-	}
-	m.par = sm
-	return m, nil
+// clusterPartition is the machine's sim.Partition: one shard per
+// cluster, advancing in windows of the machine's lookahead.
+type clusterPartition struct {
+	shards int
+	window uint64
 }
 
-// advance models serial-mode MTCU work between parallel sections.
-func (sm *shardedMachine) advance(cycles uint64) {
-	sm.eng.AdvanceTo(sm.now + cycles)
-	sm.now += cycles
-}
+// Shards implements sim.Partition.
+func (p clusterPartition) Shards() int { return p.shards }
+
+// Lookahead implements sim.Partition.
+func (p clusterPartition) Lookahead() uint64 { return p.window }
 
 // tcuOf returns the shard and local index of a global TCU id.
-func (sm *shardedMachine) tcuOf(tcu int) (*machineShard, int) {
-	return sm.shards[sm.tcuShard[tcu]], int(sm.tcuLocal[tcu])
-}
-
-// spawn runs one parallel section to completion on the sharded engine.
-// Validation (n >= 0, no active section) happened in Machine.Spawn.
-func (sm *shardedMachine) spawn(n int, prog Program) (SpawnResult, error) {
-	m := sm.m
-	alive, err := m.aliveTCUs()
-	if err != nil {
-		return SpawnResult{}, err
-	}
-	m.syncMemCounters()
-	before := m.Counters
-	snap := m.Snapshot()
-	start := sm.now
-	m.prog = prog
-	m.totalTh = n
-	m.nextTh = 0
-	m.Counters.Spawns++
-	if m.rec != nil {
-		m.rec.Spawn(start, n, m.pendingLabel)
-		m.pendingLabel = ""
-		sm.coordRec = trace.NewRecorder(0)
-		for _, sh := range sm.shards {
-			sh.rec = trace.NewRecorder(0)
-		}
-	}
-	m.emitDeadClusters(start)
-	if m.rnet != nil {
-		m.rnet.Observer = nocFaultObserver(sm.coordRec)
-	}
-	if m.wd != nil {
-		m.wd.Progress(start)
-	}
-	sm.retries = sm.retries[:0]
-	for _, sh := range sm.shards {
-		sh.lastDone = 0
-	}
-
-	avail := m.cfg.TCUs
-	if alive != nil {
-		avail = len(alive)
-	}
-	wave := avail
-	if n < wave {
-		wave = n
-	}
-	m.outstanding = wave
-	begin := start + SpawnBroadcastLatency
-	for k := 0; k < wave; k++ {
-		tcu := k
-		if alive != nil {
-			tcu = alive[k]
-		}
-		tid := m.nextTh
-		m.nextTh++
-		sh, local := sm.tcuOf(tcu)
-		sm.eng.Shard(sh.id).At(begin, sopStart, uint64(local), uint64(tid))
-	}
-	if err := m.runGuarded(func() { sm.eng.Run() }); err != nil {
-		return SpawnResult{}, err
-	}
-
-	end := begin
-	for _, sh := range sm.shards {
-		if sh.lastDone > end {
-			end = sh.lastDone
-		}
-	}
-	end += JoinLatency
-	// Advance every shard's clock through the join.
-	sm.eng.AdvanceTo(end)
-	sm.now = end
-	m.prog = nil
-
-	sm.reduceCounters()
-	m.syncMemCounters()
-	if m.rec != nil {
-		parts := make([]*trace.Recorder, 0, len(sm.shards)+1)
-		for _, sh := range sm.shards {
-			parts = append(parts, sh.rec)
-			sh.rec = nil
-		}
-		parts = append(parts, sm.coordRec)
-		sm.coordRec = nil
-		m.rec.MergeFrom(parts...)
-		m.rec.Join(end)
-	}
-	ops := m.Counters
-	subtract(&ops, before)
-	u := m.UtilizationSince(snap)
-	return SpawnResult{Start: start, End: end, Threads: n, Ops: ops,
-		Util: stats.Util{FPU: u.FPU, LSU: u.LSU, DRAM: u.DRAM}}, nil
+func (m *Machine) tcuOf(tcu int) (*machineShard, int) {
+	return m.shards[m.tcuShard[tcu]], int(m.tcuLocal[tcu])
 }
 
 // reduceCounters rebuilds the machine's shard-summed counters. The
@@ -327,12 +152,12 @@ func (sm *shardedMachine) spawn(n int, prog Program) (SpawnResult, error) {
 // a pure deterministic reduction, valid whenever the shards are parked.
 // (Cache hits and misses live in the requesting cluster's shard
 // counters; the coordinator credits them while serving groups.)
-func (sm *shardedMachine) reduceCounters() {
-	c := &sm.m.Counters
+func (m *Machine) reduceCounters() {
+	c := &m.Counters
 	c.FPOps, c.ALUOps, c.Loads, c.Stores, c.Threads = 0, 0, 0, 0, 0
 	c.CacheHits, c.CacheMisses = 0, 0
-	c.PSOps = sm.psOps
-	for _, sh := range sm.shards {
+	c.PSOps = m.psOps
+	for _, sh := range m.shards {
 		c.FPOps += sh.counters.FPOps
 		c.ALUOps += sh.counters.ALUOps
 		c.Loads += sh.counters.Loads
@@ -349,21 +174,20 @@ func (sm *shardedMachine) reduceCounters() {
 // It is the only place the shared network and memory objects are
 // touched, so their internal state (hybrid switch ports, cache sets,
 // DRAM channel timing, packet counters) needs no locking.
-func (sm *shardedMachine) onBarrier(msgs []sim.Message) {
-	m := sm.m
+func (m *Machine) onBarrier(msgs []sim.Message) {
 	for _, msg := range msgs {
 		switch msg.Kind {
 		case msgMemGroup:
-			sh := sm.shards[msg.Src]
+			sh := m.shards[msg.Src]
 			recs := sh.reqs[msg.A : msg.A+msg.B]
 			if msg.C&1 == 1 {
-				sm.storeGroup(sh, recs, int(msg.D))
+				m.storeGroup(sh, recs, int(msg.D))
 			} else {
-				sm.loadGroup(sh, recs, msg.C>>1, int(msg.D))
+				m.loadGroup(sh, recs, msg.C>>1, int(msg.D))
 			}
 		case msgMemRetry:
-			sh := sm.shards[msg.Src]
-			sm.memRetry(sh, sh.reqs[msg.A], msg.B == 1, int(msg.D))
+			sh := m.shards[msg.Src]
+			m.memRetry(sh, sh.reqs[msg.A], msg.B == 1, int(msg.D))
 		case msgThreadDone:
 			// The prefix-sum unit combines concurrent requests, so every
 			// retiring TCU gets the next id in deterministic merge order
@@ -374,9 +198,9 @@ func (sm *shardedMachine) onBarrier(msgs []sim.Message) {
 			if m.nextTh < m.totalTh {
 				tid := m.nextTh
 				m.nextTh++
-				sm.psOps++
-				sh, local := sm.tcuOf(int(msg.D))
-				sm.eng.Shard(sh.id).At(msg.A+PSLatency, sopStart, uint64(local), uint64(tid))
+				m.psOps++
+				sh, local := m.tcuOf(int(msg.D))
+				m.eng.Shard(sh.id).At(msg.A+PSLatency, sopStart, uint64(local), uint64(tid))
 			} else {
 				m.outstanding--
 			}
@@ -388,29 +212,27 @@ func (sm *shardedMachine) onBarrier(msgs []sim.Message) {
 	// consumed (a request is always paired with a message in the same
 	// event, and the barrier receives all of a window's messages), so
 	// the buffers reset for the next window.
-	for _, sh := range sm.shards {
+	for _, sh := range m.shards {
 		sh.reqs = sh.reqs[:0]
 	}
 }
 
 // serveRequest performs the coordinator side of one memory request —
-// NoC traversal, module access, counters, tracing — mirroring the
-// legacy engine's per-request path. ok=false means the retransmit
+// NoC traversal, module access, counters, tracing. ok=false means the retransmit
 // protocol gave up; the request has been queued for an event-level
 // retry on the source shard and res is meaningless.
-func (sm *shardedMachine) serveRequest(sh *machineShard, r memReq, write bool, tcu int) (mem.AccessResult, bool) {
-	m := sm.m
+func (m *Machine) serveRequest(sh *machineShard, r memReq, write bool, tcu int) (mem.AccessResult, bool) {
 	dst := mem.HashAddress(r.addr, m.cfg.MemModules)
 	arrive, ok := m.traverse(r.issue, sh.id, dst)
 	if !ok {
 		// Give-up: schedule the event-level retry on the source shard,
 		// which re-issues the request with a fresh issue cycle.
 		at := arrive
-		if now := sm.eng.Now(); at < now {
+		if now := m.eng.Now(); at < now {
 			at = now
 		}
-		sm.eng.Shard(sh.id).At(at, sopRetransmit, uint64(len(sm.retries)), 0)
-		sm.retries = append(sm.retries, retryRec{addr: r.addr, tcu: uint64(tcu), write: write})
+		m.eng.Shard(sh.id).At(at, sopRetransmit, uint64(len(m.retries)), 0)
+		m.retries = append(m.retries, retryRec{addr: r.addr, tcu: uint64(tcu), write: write})
 		return mem.AccessResult{}, false
 	}
 	res := m.memory.Access(arrive, r.addr, write)
@@ -419,11 +241,11 @@ func (sm *shardedMachine) serveRequest(sh *machineShard, r memReq, write bool, t
 	} else {
 		sh.counters.CacheMisses++
 	}
-	if sm.coordRec != nil {
-		sm.coordRec.NoC(r.issue, arrive, sh.id, dst)
-		sm.coordRec.MemAccess(arrive, res.Done, tcu, dst, r.addr, write, res.Hit)
+	if m.coordRec != nil {
+		m.coordRec.NoC(r.issue, arrive, sh.id, dst)
+		m.coordRec.MemAccess(arrive, res.Done, tcu, dst, r.addr, write, res.Hit)
 	}
-	recordMemFault(sm.coordRec, res.Done, res.Fault, dst, r.addr)
+	recordMemFault(m.coordRec, res.Done, res.Fault, dst, r.addr)
 	return res, true
 }
 
@@ -431,14 +253,13 @@ func (sm *shardedMachine) serveRequest(sh *machineShard, r memReq, write bool, t
 // traversed and accessed in issue order, and the thread resumes when
 // the last reply is in (immediately computable unless a request
 // escalated into the retry path).
-func (sm *shardedMachine) loadGroup(sh *machineShard, recs []memReq, segStart uint64, tcu int) {
-	m := sm.m
-	tc := &sh.tcus[sm.tcuLocal[tcu]]
+func (m *Machine) loadGroup(sh *machineShard, recs []memReq, segStart uint64, tcu int) {
+	tc := &sh.tcus[m.tcuLocal[tcu]]
 	tc.segStart = segStart
 	done := uint64(0)
 	pending := 0
 	for _, r := range recs {
-		res, ok := sm.serveRequest(sh, r, false, tcu)
+		res, ok := m.serveRequest(sh, r, false, tcu)
 		if !ok {
 			pending++
 			continue
@@ -450,27 +271,27 @@ func (sm *shardedMachine) loadGroup(sh *machineShard, recs []memReq, segStart ui
 	tc.maxRet = done
 	tc.waiting = pending
 	if pending == 0 {
-		sm.finishLoadGroup(sh, tc)
+		m.finishLoadGroup(sh, tc)
 	}
 }
 
 // finishLoadGroup records the load segment and schedules the parked
 // thread's resume at the last reply arrival.
-func (sm *shardedMachine) finishLoadGroup(sh *machineShard, tc *shardTCU) {
+func (m *Machine) finishLoadGroup(sh *machineShard, tc *shardTCU) {
 	if sh.rec != nil {
 		sh.rec.Segment(tc.segStart, tc.maxRet, tc.id, trace.SegLoad)
 	}
-	if sm.m.wd != nil {
-		sm.m.wd.Progress(tc.maxRet)
+	if m.wd != nil {
+		m.wd.Progress(tc.maxRet)
 	}
-	sm.eng.Shard(sh.id).At(tc.maxRet, sopResume, uint64(tc.local), uint64(tc.i))
+	m.eng.Shard(sh.id).At(tc.maxRet, sopResume, uint64(tc.local), uint64(tc.i))
 }
 
 // storeGroup serves a store group; the issuing thread already continued
 // (stores do not block), so only the join's completion bound advances.
-func (sm *shardedMachine) storeGroup(sh *machineShard, recs []memReq, tcu int) {
+func (m *Machine) storeGroup(sh *machineShard, recs []memReq, tcu int) {
 	for _, r := range recs {
-		res, ok := sm.serveRequest(sh, r, true, tcu)
+		res, ok := m.serveRequest(sh, r, true, tcu)
 		if !ok {
 			continue
 		}
@@ -481,8 +302,8 @@ func (sm *shardedMachine) storeGroup(sh *machineShard, recs []memReq, tcu int) {
 }
 
 // memRetry serves a single re-issued request from the retransmit path.
-func (sm *shardedMachine) memRetry(sh *machineShard, r memReq, write bool, tcu int) {
-	res, ok := sm.serveRequest(sh, r, write, tcu)
+func (m *Machine) memRetry(sh *machineShard, r memReq, write bool, tcu int) {
+	res, ok := m.serveRequest(sh, r, write, tcu)
 	if !ok {
 		return // escalated again; a fresh retry event is scheduled
 	}
@@ -492,13 +313,13 @@ func (sm *shardedMachine) memRetry(sh *machineShard, r memReq, write bool, tcu i
 		}
 		return
 	}
-	tc := &sh.tcus[sm.tcuLocal[tcu]]
-	if ret := sm.m.network.Reply(res.Done); ret > tc.maxRet {
+	tc := &sh.tcus[m.tcuLocal[tcu]]
+	if ret := m.network.Reply(res.Done); ret > tc.maxRet {
 		tc.maxRet = ret
 	}
 	tc.waiting--
 	if tc.waiting == 0 {
-		sm.finishLoadGroup(sh, tc)
+		m.finishLoadGroup(sh, tc)
 	}
 }
 
@@ -510,7 +331,7 @@ func (sh *machineShard) Event(s *sim.Shard, t uint64, op uint8, a, b uint64) {
 	case sopResume:
 		sh.exec(s, &sh.tcus[a], int(b), t)
 	case sopRetransmit:
-		r := sh.sm.retries[a]
+		r := sh.m.retries[a]
 		off := len(sh.reqs)
 		sh.reqs = append(sh.reqs, memReq{addr: r.addr, issue: t})
 		var wbit uint64
@@ -532,14 +353,15 @@ func (sh *machineShard) runThread(s *sim.Shard, tc *shardTCU, tid int, now uint6
 	if sh.rec != nil {
 		sh.rec.ThreadStart(now, tc.id, sh.id, tid)
 	}
-	tc.buf = sh.sm.m.prog.Thread(tid, tc.buf[:0])
+	tc.buf = sh.m.prog.Thread(tid, tc.buf[:0])
 	sh.exec(s, tc, 0, now+ThreadStartOverhead)
 }
 
-// exec is the sharded counterpart of Machine.execSegments: it executes
-// the op stream from index i with the thread ready at cycle now,
-// emitting one boundary message per load/store group where the legacy
-// path called into the network and memory system directly.
+// exec executes the op stream from index i with the thread ready at
+// cycle now. Each segment (a run of related ops) computes its completion
+// on the cluster's ports and schedules the continuation, so concurrent
+// TCUs interleave correctly; a load or store group leaves the cluster as
+// one boundary message for the coordinator.
 func (sh *machineShard) exec(s *sim.Shard, tc *shardTCU, i int, now uint64) {
 	local := uint64(tc.local)
 	for {

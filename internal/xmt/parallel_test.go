@@ -2,9 +2,11 @@ package xmt
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"xmtfft/internal/config"
+	"xmtfft/internal/stats"
 	"xmtfft/internal/trace"
 )
 
@@ -149,57 +151,85 @@ func TestShardedWorkerInvarianceHybridNoC(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesLegacyAggregates cross-checks the sharded machine
-// against the legacy serial engine. The two are distinct canonical
-// semantics (DESIGN.md §7): same-cycle tie-breaking, module port grant
-// order and prefetch timing differ, so cycle counts are close but not
-// identical. Order-independent aggregates must match exactly.
-func TestShardedMatchesLegacyAggregates(t *testing.T) {
+// opOracle walks every thread's op stream straight from the Program and
+// sums what the machine must count: FLOP and ALU ops, loads, stores and
+// PS ops, threads and the one spawn. It shares no code with the engine,
+// so the comparison below holds whatever the event order.
+func opOracle(threads int, prog Program) stats.Counters {
+	c := stats.Counters{Threads: uint64(threads), Spawns: 1}
+	var buf []Op
+	for id := 0; id < threads; id++ {
+		buf = prog.Thread(id, buf[:0])
+		for _, op := range buf {
+			switch op.Kind {
+			case OpFLOP:
+				c.FPOps += uint64(op.N)
+			case OpALU:
+				c.ALUOps += uint64(op.N)
+			case OpLoad:
+				c.Loads++
+			case OpStore:
+				c.Stores++
+			case OpPS:
+				c.PSOps++
+			}
+		}
+	}
+	return c
+}
+
+// TestOpCountsMatchProgramOracle checks every workload's section
+// counters exactly against the op-stream oracle. PSOps adds one
+// allocation prefix-sum per thread beyond the first wave; the NoC
+// carries one request per load or store plus one reply per load; every
+// access is a cache hit or a miss; and each FLOP and each LSU issue
+// books exactly one port slot.
+func TestOpCountsMatchProgramOracle(t *testing.T) {
 	cfg, err := config.FourK().Scaled(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range diffWorkloads(cfg.TCUs) {
-		leg, err := New(cfg)
+	for _, workers := range []int{1, 4} {
+		m, err := NewParallel(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shd, err := NewParallel(cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leg.EnablePrefetch(w.prefetch)
-		shd.EnablePrefetch(w.prefetch)
-		rl, err := leg.Spawn(w.threads, w.prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := shd.Spawn(w.threads, w.prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, so := rl.Ops, rs.Ops
-		if lo.FPOps != so.FPOps || lo.ALUOps != so.ALUOps ||
-			lo.Loads != so.Loads || lo.Stores != so.Stores ||
-			lo.PSOps != so.PSOps || lo.Threads != so.Threads ||
-			lo.Spawns != so.Spawns {
-			t.Errorf("%s: op counts diverged\nlegacy  %+v\nsharded %+v", w.name, lo, so)
-		}
-		// The NoC invariant holds on both engines: one request packet per
-		// load/store plus one reply per load.
-		wantPkts := 2*so.Loads + so.Stores
-		if so.NoCPackets != wantPkts {
-			t.Errorf("%s: sharded NoC packets = %d, want %d", w.name, so.NoCPackets, wantPkts)
-		}
-		if lo.NoCPackets != wantPkts {
-			t.Errorf("%s: legacy NoC packets = %d, want %d", w.name, lo.NoCPackets, wantPkts)
-		}
-		// Cycle counts: same model, different tie-breaking — require
-		// agreement within 25%.
-		lc, sc := float64(rl.Cycles()), float64(rs.Cycles())
-		if ratio := sc / lc; ratio < 0.75 || ratio > 1.25 {
-			t.Errorf("%s: cycles diverged beyond tolerance: legacy %d, sharded %d",
-				w.name, rl.Cycles(), rs.Cycles())
+		for _, w := range diffWorkloads(cfg.TCUs) {
+			m.EnablePrefetch(w.prefetch)
+			before := m.Snapshot()
+			r, err := m.Spawn(w.threads, w.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := m.Snapshot()
+			want := opOracle(w.threads, w.prog)
+			if w.threads > cfg.TCUs {
+				want.PSOps += uint64(w.threads - cfg.TCUs)
+			}
+			got := r.Ops
+			if got.FPOps != want.FPOps || got.ALUOps != want.ALUOps ||
+				got.Loads != want.Loads || got.Stores != want.Stores ||
+				got.PSOps != want.PSOps || got.Threads != want.Threads ||
+				got.Spawns != want.Spawns {
+				t.Errorf("workers=%d %s: op counts diverged from the op-stream oracle\n got %+v\nwant %+v",
+					workers, w.name, got, want)
+			}
+			if pkts := 2*want.Loads + want.Stores; got.NoCPackets != pkts {
+				t.Errorf("workers=%d %s: NoC packets = %d, want 2*Loads+Stores = %d",
+					workers, w.name, got.NoCPackets, pkts)
+			}
+			if acc := want.Loads + want.Stores; got.CacheHits+got.CacheMisses != acc {
+				t.Errorf("workers=%d %s: cache hits+misses = %d, want %d accesses",
+					workers, w.name, got.CacheHits+got.CacheMisses, acc)
+			}
+			if fpu := after.FPUBusy - before.FPUBusy; fpu != want.FPOps {
+				t.Errorf("workers=%d %s: FPU slots %d, want FPOps %d", workers, w.name, fpu, want.FPOps)
+			}
+			if lsu := after.LSUBusy - before.LSUBusy; lsu != want.Loads+want.Stores {
+				t.Errorf("workers=%d %s: LSU slots %d, want Loads+Stores %d",
+					workers, w.name, lsu, want.Loads+want.Stores)
+			}
+			m.AdvanceSerial(50)
 		}
 	}
 }
@@ -209,16 +239,15 @@ func TestShardedExtendSpawnRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewParallel(cfg, 2)
+	m, err := NewParallel(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := false
+	var ran atomic.Bool
 	_, err = m.Spawn(4, ProgramFunc(func(id int, buf []Op) []Op {
-		if id == 0 && !ran {
-			ran = true
+		if id == 0 && !ran.Swap(true) {
 			if _, err := m.ExtendSpawn(2); err == nil {
-				t.Error("ExtendSpawn succeeded on the sharded engine")
+				t.Error("ExtendSpawn succeeded with 4 simulation workers")
 			}
 		}
 		return append(buf, ALU(1))
@@ -226,7 +255,7 @@ func TestShardedExtendSpawnRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
+	if !ran.Load() {
 		t.Fatal("workload thread 0 never ran")
 	}
 }

@@ -61,13 +61,7 @@ func envWorkers(t *testing.T) int {
 // bits, total cycles, and the machine counters.
 func fftRun(t *testing.T, cfg config.Config, workers int, plan *fault.Plan) ([]complex64, uint64, xmt.Machine) {
 	t.Helper()
-	var m *xmt.Machine
-	var err error
-	if workers == 0 {
-		m, err = xmt.New(cfg)
-	} else {
-		m, err = xmt.NewParallel(cfg, workers)
-	}
+	m, err := xmt.NewParallel(cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +99,7 @@ func sameBits(a, b []complex64) bool {
 }
 
 // TestResilienceProtectionContract injects NoC drops/corruption and
-// DRAM single-bit errors with full protection on both engines: output
+// DRAM single-bit errors with full protection at two worker counts: output
 // must be bit-identical to the fault-free run, cycles must strictly
 // grow, and the recovery must be visible in the counters.
 func TestResilienceProtectionContract(t *testing.T) {
@@ -116,7 +110,7 @@ func TestResilienceProtectionContract(t *testing.T) {
 	seed := envSeed(t)
 	plan := &fault.Plan{Seed: seed, NoCDrop: 0.02, NoCCorrupt: 0.01, DRAMBitErr: 0.05}
 
-	for _, workers := range []int{0, 1, envWorkers(t)} { // 0 = legacy engine
+	for _, workers := range []int{1, envWorkers(t)} {
 		cleanOut, cleanCycles, _ := fftRun(t, cfg, workers, nil)
 		faultOut, faultCycles, fm := fftRun(t, cfg, workers, plan)
 
@@ -199,7 +193,7 @@ func TestQuarterClustersKilledFFTCompletes(t *testing.T) {
 	}
 	plan := &fault.Plan{Seed: seed, KillClusters: kills}
 
-	for _, workers := range []int{0, envWorkers(t)} {
+	for _, workers := range []int{1, envWorkers(t)} {
 		cleanOut, _, _ := fftRun(t, cfg, workers, nil)
 		out, _, m := fftRun(t, cfg, workers, plan)
 		if !sameBits(cleanOut, out) {

@@ -15,25 +15,16 @@ type Snapshot struct {
 	NoCPackets uint64
 }
 
-// Snapshot returns the machine's cumulative counters now. In sharded
-// mode the cluster ports live on the shards; reading them is safe at
-// spawn boundaries and window barriers, where all shards are parked.
+// Snapshot returns the machine's cumulative counters now. The cluster
+// ports live on the shards; reading them is safe at spawn boundaries
+// and window barriers, where all shards are parked.
 func (m *Machine) Snapshot() Snapshot {
 	s := Snapshot{Cycle: m.Now(), NoCPackets: m.network.Packets(),
 		DRAMBusy: m.memory.ChannelBusy()}
-	if m.par != nil {
-		for i := range m.par.shards {
-			sh := m.par.shards[i]
-			s.FPUBusy += sh.fpu.Busy
-			s.LSUBusy += sh.lsu.Busy
-			s.MDUBusy += sh.mdu.Busy
-		}
-		return s
-	}
-	for i := range m.clusters {
-		s.FPUBusy += m.clusters[i].fpu.Busy
-		s.LSUBusy += m.clusters[i].lsu.Busy
-		s.MDUBusy += m.clusters[i].mdu.Busy
+	for _, sh := range m.shards {
+		s.FPUBusy += sh.fpu.Busy
+		s.LSUBusy += sh.lsu.Busy
+		s.MDUBusy += sh.mdu.Busy
 	}
 	return s
 }

@@ -6,10 +6,10 @@ import (
 	"xmtfft/internal/config"
 )
 
-// Snapshot coverage for sharded mode: snapshots are defined to be read
-// at spawn boundaries (all shards parked), where they must be
-// bit-identical across worker counts, and the counters with an exact
-// cross-engine meaning must match the legacy serial engine too.
+// Snapshot coverage: snapshots are defined to be read at spawn
+// boundaries (all shards parked), where they must be bit-identical
+// across worker counts, and the counters with an exact definition must
+// match the op-stream oracle.
 
 // snapshotSuite runs the differential workload suite, capturing a
 // snapshot at every spawn boundary.
@@ -59,47 +59,36 @@ func TestShardedSnapshotWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestSnapshotMatchesSerialEngineAtBoundaries compares the snapshot
-// counters with an exact cross-engine definition: FPUBusy (one slot per
-// FLOP), LSUBusy (one slot per load/store issue) and NoCPackets
-// (request + reply per load, request per store). DRAMBusy is excluded —
-// channel interleaving legitimately differs between the two engines'
-// canonical event orders (DESIGN.md §7).
-func TestSnapshotMatchesSerialEngineAtBoundaries(t *testing.T) {
+// TestSnapshotMatchesOpOracleAtBoundaries ties the snapshot counters
+// with an exact definition to the op-stream oracle at every spawn
+// boundary: FPUBusy (one slot per FLOP), LSUBusy (one slot per load or
+// store issue) and NoCPackets (request + reply per load, request per
+// store). DRAMBusy has no engine-independent definition and is pinned
+// by the core package's table test instead.
+func TestSnapshotMatchesOpOracleAtBoundaries(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg, err := New(cfg)
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shd, err := NewParallel(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legSnaps := snapshotSuite(t, leg)
-	shdSnaps := snapshotSuite(t, shd)
-	for i := range legSnaps {
-		l, s := legSnaps[i], shdSnaps[i]
-		if l.FPUBusy != s.FPUBusy || l.LSUBusy != s.LSUBusy || l.NoCPackets != s.NoCPackets {
-			t.Errorf("boundary %d: legacy (fpu=%d lsu=%d noc=%d) vs sharded (fpu=%d lsu=%d noc=%d)",
-				i, l.FPUBusy, l.LSUBusy, l.NoCPackets, s.FPUBusy, s.LSUBusy, s.NoCPackets)
+	snaps := snapshotSuite(t, m)
+	var want Snapshot
+	for i, w := range diffWorkloads(cfg.TCUs) {
+		o := opOracle(w.threads, w.prog)
+		want.FPUBusy += o.FPOps
+		want.LSUBusy += o.Loads + o.Stores
+		want.NoCPackets += 2*o.Loads + o.Stores
+		s := snaps[i+1]
+		if s.FPUBusy != want.FPUBusy || s.LSUBusy != want.LSUBusy || s.NoCPackets != want.NoCPackets {
+			t.Errorf("boundary %d: snapshot (fpu=%d lsu=%d noc=%d), oracle (fpu=%d lsu=%d noc=%d)",
+				i+1, s.FPUBusy, s.LSUBusy, s.NoCPackets, want.FPUBusy, want.LSUBusy, want.NoCPackets)
 		}
 	}
-	lc, sc := leg.Counters, shd.Counters
-	if lc.FPOps != sc.FPOps || lc.Loads != sc.Loads || lc.Stores != sc.Stores {
-		t.Errorf("op counts diverged: legacy %+v vs sharded %+v", lc, sc)
-	}
-	// The busy counters tie back to the op counts exactly.
-	last := shdSnaps[len(shdSnaps)-1]
-	if last.FPUBusy != sc.FPOps {
-		t.Errorf("FPUBusy %d != FPOps %d", last.FPUBusy, sc.FPOps)
-	}
-	if last.LSUBusy != sc.Loads+sc.Stores {
-		t.Errorf("LSUBusy %d != Loads+Stores %d", last.LSUBusy, sc.Loads+sc.Stores)
-	}
-	if want := 2*sc.Loads + sc.Stores; last.NoCPackets != want {
-		t.Errorf("NoCPackets %d != 2*Loads+Stores %d", last.NoCPackets, want)
+	c := m.Counters
+	if c.FPOps != want.FPUBusy || c.Loads+c.Stores != want.LSUBusy {
+		t.Errorf("machine counters %+v disagree with the oracle totals %+v", c, want)
 	}
 }
