@@ -13,9 +13,9 @@
 // a BENCH_fft.json perf record. -fft-gate turns the 1D codelet speedups
 // into a CI perf ratchet.
 //
-// With -sim-bench the simulator itself is measured: the same FFT
-// workload runs at several -sim-bench-workers counts, and the
-// wall-clock results are written as a BENCH_sim.json perf record.
+// With -sim-bench the simulator itself is measured on the FFT
+// workload, and the wall-clock result is written as a BENCH_sim.json
+// perf record.
 //
 // With -obs-bench the observability layer itself is measured: the same
 // workload with observability off, with engine telemetry, and with the
@@ -32,12 +32,11 @@
 //
 //	xmtbench                  # defaults: 4k scaled to 1024 TCUs, 32^3
 //	xmtbench -tcus 512 -n 16  # small size (the CI smoke path)
-//	xmtbench -sim-workers 4   # ablations on 4 simulation workers
 //	xmtbench -serve-obs :9100 # watch the run: curl :9100/metrics
 //	xmtbench -trace /tmp/bench.json -util-svg /tmp/bench.svg
 //	xmtbench -host-bench BENCH_fft.json -host-n 128,256
 //	xmtbench -host-bench BENCH_fft.json -fft-gate 1.2  # codelet perf ratchet
-//	xmtbench -sim-bench BENCH_sim.json -sim-bench-workers 1,2,4
+//	xmtbench -sim-bench BENCH_sim.json
 //	xmtbench -fault-bench BENCH_fault.json -fault-rates 0.005,0.02,0.05
 //	xmtbench -obs-bench BENCH_obs.json
 package main
@@ -60,10 +59,8 @@ import (
 func main() {
 	tcus := flag.Int("tcus", 1024, "machine size in TCUs (scaled 4k configuration)")
 	n := flag.Int("n", 32, "points per dimension (power of two)")
-	simWorkers := flag.Int("sim-workers", 1, "simulation worker count (>= 1; results are identical at every count, 1 runs the shards inline)")
-	simBench := flag.String("sim-bench", "", "measure the simulator at each -sim-bench-workers count on the FFT workload and write a BENCH_sim.json perf record to this path ('-' for stdout)")
-	simBenchWorkers := flag.String("sim-bench-workers", "1,2,4", "comma-separated simulation worker counts for -sim-bench")
-	simReps := flag.Int("sim-reps", 3, "repetitions per -sim-bench point (best run kept)")
+	simBench := flag.String("sim-bench", "", "measure the simulator on the FFT workload and write a BENCH_sim.json perf record to this path ('-' for stdout)")
+	simReps := flag.Int("sim-reps", 3, "repetitions for -sim-bench and for each -obs-bench mode (best run kept)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the baseline variant to this path")
@@ -90,10 +87,10 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(cliFlags{
-		tcus: *tcus, n: *n, simWorkers: *simWorkers, simReps: *simReps,
+		tcus: *tcus, n: *n, simReps: *simReps,
 		hostWorkers: *hostWorkers, hostReps: *hostReps,
 		tracePath: *tracePath, utilSVG: *utilSVG, traceEpoch: *traceEpoch,
-		simBench: *simBench, simBenchWorkers: *simBenchWorkers,
+		simBench:  *simBench,
 		hostBench: *hostBench, hostSizes: *hostSizes, fftGate: *fftGate,
 		faultBench: *faultBench, faultRates: *faultRates,
 		serveObs: *serveObs, obsSnapshot: *obsSnapshot,
@@ -136,13 +133,13 @@ func main() {
 		return
 	}
 	if *simBench != "" {
-		if err := runSimBench(*simBench, *simBenchWorkers, *tcus, *n, *simReps); err != nil {
+		if err := runSimBench(*simBench, *tcus, *n, *simReps); err != nil {
 			fatal(err)
 		}
 		return
 	}
 	if *faultBench != "" {
-		if err := runFaultBench(*faultBench, *faultRates, *tcus, *n, *simWorkers, *faultSeed); err != nil {
+		if err := runFaultBench(*faultBench, *faultRates, *tcus, *n, *faultSeed); err != nil {
 			fatal(err)
 		}
 		return
@@ -203,15 +200,12 @@ func main() {
 			if !set["n"] {
 				*n = c.Meta.Dims[2]
 			}
-			if !set["sim-workers"] {
-				*simWorkers = c.Meta.Workers
-			}
 			slog.Info("resuming ablation sweep", "path", *resumePath,
 				"variants_done", c.Meta.Stage)
 		}
 	}
 	rec, err := harness.AblationReport(os.Stdout, *tcus, *n, harness.AblationOptions{
-		Epoch: epoch, Workers: *simWorkers, Obs: obs, Ckpt: ck,
+		Epoch: epoch, Obs: obs, Ckpt: ck,
 	})
 	interrupted := errors.Is(err, harness.ErrInterrupted)
 	if err != nil && !interrupted {
@@ -304,26 +298,15 @@ func runHostBench(path, sizeList string, workers, reps int, gate float64) error 
 	return nil
 }
 
-// runSimBench measures the simulator at each worker count and writes
-// BENCH_sim.json.
-func runSimBench(path, workerList string, tcus, n, reps int) error {
-	workers, err := parseIntList("-sim-bench-workers", workerList)
-	if err != nil {
-		return err
-	}
-	rec, err := harness.RunSimBench(tcus, n, workers, reps)
+// runSimBench measures the simulator and writes BENCH_sim.json.
+func runSimBench(path string, tcus, n, reps int) error {
+	rec, err := harness.RunSimBench(tcus, n, nil, reps)
 	if err != nil {
 		return err
 	}
 	for _, r := range rec.Results {
-		fmt.Printf("workers=%-3d %10.4fs  %12d cycles  %9.0f useful-events/s  (%d engine events)\n",
-			r.Workers, r.ElapsedSec, r.Cycles, r.UsefulEventsPerSec, r.Events)
-	}
-	for k, v := range rec.SpeedupVsSerialDriver {
-		fmt.Printf("speedup %s: %.2fx\n", k, v)
-	}
-	if rec.Note != "" {
-		fmt.Println("note:", rec.Note)
+		fmt.Printf("%10.4fs  %12d cycles  %9.0f useful-events/s  (%d engine events)\n",
+			r.ElapsedSec, r.Cycles, r.UsefulEventsPerSec, r.Events)
 	}
 	return writeRecord(path, rec.Write)
 }
@@ -349,12 +332,12 @@ func runObsBench(path string, tcus, n, reps int) error {
 }
 
 // runFaultBench measures resilience overhead and writes BENCH_fault.json.
-func runFaultBench(path, rateList string, tcus, n, workers int, seed uint64) error {
+func runFaultBench(path, rateList string, tcus, n int, seed uint64) error {
 	rates, err := parseRateList("-fault-rates", rateList)
 	if err != nil {
 		return err
 	}
-	rec, err := harness.RunFaultBench(tcus, n, workers, seed, rates)
+	rec, err := harness.RunFaultBench(tcus, n, seed, rates)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 type cliFlags struct {
 	tcus        int
 	n           int
-	simWorkers  int
 	simReps     int
 	hostWorkers int
 	hostReps    int
@@ -27,14 +26,13 @@ type cliFlags struct {
 	utilSVG     string
 	traceEpoch  uint64
 
-	simBench        string
-	simBenchWorkers string
-	hostBench       string
-	hostSizes       string
-	fftGate         float64
-	faultBench      string
-	faultRates      string
-	obsBench        string
+	simBench   string
+	hostBench  string
+	hostSizes  string
+	fftGate    float64
+	faultBench string
+	faultRates string
+	obsBench   string
 
 	serveObs         string
 	obsSnapshot      string
@@ -84,9 +82,6 @@ func validateFlags(f cliFlags) error {
 	if !fft.IsPowerOfTwo(f.n) {
 		return fmt.Errorf("-n must be a power of two, got %d", f.n)
 	}
-	if f.simWorkers < 1 {
-		return fmt.Errorf("-sim-workers must be >= 1 (the legacy serial engine that 0 selected has been removed), got %d", f.simWorkers)
-	}
 	if f.simReps < 1 {
 		return fmt.Errorf("-sim-reps must be >= 1, got %d", f.simReps)
 	}
@@ -98,17 +93,6 @@ func validateFlags(f cliFlags) error {
 	}
 	if (f.tracePath != "" || f.utilSVG != "") && f.traceEpoch == 0 {
 		return fmt.Errorf("-trace-epoch must be positive when -trace or -util-svg is set")
-	}
-	if f.simBench != "" {
-		workers, err := parseIntList("-sim-bench-workers", f.simBenchWorkers)
-		if err != nil {
-			return err
-		}
-		for _, w := range workers {
-			if w < 1 {
-				return fmt.Errorf("-sim-bench-workers entries must be >= 1, got %d", w)
-			}
-		}
 	}
 	if f.fftGate < 0 {
 		return fmt.Errorf("-fft-gate must be >= 0 (0 disables the gate), got %g", f.fftGate)

@@ -8,8 +8,8 @@ import (
 // okFlags returns a runnable baseline flag set; tests mutate one field.
 func okFlags() cliFlags {
 	return cliFlags{
-		tcus: 1024, n: 32, simWorkers: 1, simReps: 3, hostReps: 1, traceEpoch: 256,
-		simBenchWorkers: "1,2,4", hostSizes: "128,256", faultRates: "0.005,0.02",
+		tcus: 1024, n: 32, simReps: 3, hostReps: 1, traceEpoch: 256,
+		hostSizes: "128,256", faultRates: "0.005,0.02",
 	}
 }
 
@@ -22,15 +22,10 @@ func TestValidateFlags(t *testing.T) {
 		{"baseline", func(f *cliFlags) {}, ""},
 		{"zero tcus", func(f *cliFlags) { f.tcus = 0 }, "-tcus"},
 		{"n not power of two", func(f *cliFlags) { f.n = 100 }, "power of two"},
-		{"negative sim workers", func(f *cliFlags) { f.simWorkers = -2 }, "-sim-workers"},
-		{"zero sim workers", func(f *cliFlags) { f.simWorkers = 0 }, "legacy serial engine"},
 		{"zero sim reps", func(f *cliFlags) { f.simReps = 0 }, "-sim-reps"},
 		{"negative host workers", func(f *cliFlags) { f.hostWorkers = -1 }, "-host-workers"},
 		{"zero host reps", func(f *cliFlags) { f.hostReps = 0 }, "-host-reps"},
 		{"trace with zero epoch", func(f *cliFlags) { f.tracePath = "t.json"; f.traceEpoch = 0 }, "-trace-epoch"},
-		{"bad sim-bench workers entry", func(f *cliFlags) { f.simBench = "-"; f.simBenchWorkers = "1,x" }, "-sim-bench-workers"},
-		{"zero sim-bench workers entry", func(f *cliFlags) { f.simBench = "-"; f.simBenchWorkers = "0" }, ">= 1"},
-		{"sim-bench list ignored when off", func(f *cliFlags) { f.simBenchWorkers = "garbage" }, ""},
 		{"bad host size entry", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "128,nope" }, "-host-n"},
 		{"tiny host size", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "1" }, ">= 2"},
 		{"host size not power of two", func(f *cliFlags) { f.hostBench = "-"; f.hostSizes = "64,100" }, "powers of two"},

@@ -27,8 +27,11 @@ const (
 // unset ones adopt it.
 type Meta struct {
 	// Machine construction parameters.
-	Config  config.Config
-	Workers int // -sim-workers at capture; 0 marks the removed legacy serial engine
+	Config config.Config
+	// Workers is 1 in every checkpoint written now. Earlier writers
+	// recorded their simulation worker count, which Restore ignores;
+	// 0 marks the removed legacy serial engine, which Restore refuses.
+	Workers int
 
 	// Workload construction parameters.
 	DimCount int    // 1, 2 or 3
@@ -133,21 +136,20 @@ func Read(path string) (*Checkpoint, error) {
 
 // Capture snapshots a quiescent machine and the transform's workload
 // state into a Checkpoint. meta supplies the construction parameters;
-// Cycle is stamped here from the machine clock.
+// Cycle is stamped here from the machine clock, and Workers as 1.
 func Capture(m *xmt.Machine, t *core.Transform, meta Meta, partial *core.ResumeState) (*Checkpoint, error) {
 	ms, err := m.CaptureState()
 	if err != nil {
 		return nil, err
 	}
 	meta.Cycle = m.Now()
+	meta.Workers = 1
 	return &Checkpoint{Meta: meta, Machine: ms, Workload: partial}, nil
 }
 
-// Restore rebuilds a machine and transform from the checkpoint at the
-// given worker count (as for xmt.NewParallel) and restores their state.
-// Machine state is worker-invariant, so the count may differ from the
-// captured one. path is used only for error messages.
-func (c *Checkpoint) Restore(path string, workers int) (*xmt.Machine, *core.Transform, error) {
+// Restore rebuilds a machine and transform from the checkpoint and
+// restores their state. path is used only for error messages.
+func (c *Checkpoint) Restore(path string) (*xmt.Machine, *core.Transform, error) {
 	if c.Meta.PostMortem {
 		return nil, nil, ErrPostMortem
 	}
@@ -157,7 +159,7 @@ func (c *Checkpoint) Restore(path string, workers int) (*xmt.Machine, *core.Tran
 	if c.Meta.Workers == 0 {
 		return nil, nil, &MismatchError{Path: path, Reason: "engine kind: checkpoint captured on the legacy serial engine (-sim-workers 0), which has been removed; its cycle counts differ from the sharded engine's, so rerun from the start"}
 	}
-	m, err := xmt.NewParallel(c.Meta.Config, workers)
+	m, err := xmt.New(c.Meta.Config)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,5 +200,6 @@ func (c *Checkpoint) Restore(path string, workers int) (*xmt.Machine, *core.Tran
 func WritePostMortem(path string, meta Meta, note string) (int64, error) {
 	meta.PostMortem = true
 	meta.Note = note
+	meta.Workers = 1
 	return Write(path, &Checkpoint{Meta: meta})
 }

@@ -3,8 +3,7 @@
 // machine (internal/xmt.MachineState) plus the workload's host-side
 // state (internal/core.ResumeState) and enough metadata to rebuild an
 // identical machine, so a run killed mid-flight resumes bit-identical
-// to an uninterrupted one — same FFT output, cycle counts and stats, at
-// any worker count.
+// to an uninterrupted one — same FFT output, cycle counts and stats.
 //
 // The on-disk container is deliberately dumb: a magic string, a format
 // version, and named sections each carrying a CRC32 of its payload.

@@ -138,7 +138,7 @@ func TestPostMortemRefusedOnResume(t *testing.T) {
 	if !c.Meta.PostMortem || c.Meta.Note != "watchdog: no progress" {
 		t.Fatalf("post-mortem meta: %+v", c.Meta)
 	}
-	if _, _, err := c.Restore(path, 2); !errors.Is(err, ErrPostMortem) {
+	if _, _, err := c.Restore(path); !errors.Is(err, ErrPostMortem) {
 		t.Fatalf("Restore(post-mortem) = %v, want ErrPostMortem", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestMetaOnlyRefusedOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var me *MismatchError
-	if _, _, err := c.Restore(path, 2); !errors.As(err, &me) {
+	if _, _, err := c.Restore(path); !errors.As(err, &me) {
 		t.Fatalf("Restore(meta-only) = %v, want *MismatchError", err)
 	}
 }

@@ -1,11 +1,11 @@
 package ckpt
 
 // The checkpoint contract: a run checkpointed at a quiescent point and
-// resumed — in a fresh process, at any worker count of the same engine
-// kind — produces bit-identical results to an uninterrupted run: same
-// FFT output, same per-phase cycle counts, same machine clock, same
-// stats counters. Verified here across engine kinds and with active
-// fault injection; the CI kill-and-resume lane verifies the same
+// resumed in a fresh process produces bit-identical results to an
+// uninterrupted run: same FFT output, same per-phase cycle counts, same
+// machine clock, same stats counters. Verified here with and without
+// fault injection, and for checkpoints whose meta records an earlier
+// writer's worker count; the CI kill-and-resume lane verifies the same
 // contract across a real kill -9.
 
 import (
@@ -45,9 +45,9 @@ func faultyPlan(clusters int) fault.Plan {
 	}
 }
 
-func buildMachine(t *testing.T, cfg config.Config, workers int, plan fault.Plan, watchdog uint64) (*xmt.Machine, *core.Transform) {
+func buildMachine(t *testing.T, cfg config.Config, plan fault.Plan, watchdog uint64) (*xmt.Machine, *core.Transform) {
 	t.Helper()
-	m, err := xmt.NewParallel(cfg, workers)
+	m, err := xmt.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,9 @@ func result(m *xmt.Machine, tr *core.Transform, run stats.Run) runResult {
 }
 
 // reference runs uninterrupted.
-func reference(t *testing.T, workers int, plan fault.Plan, watchdog uint64) runResult {
+func reference(t *testing.T, plan fault.Plan, watchdog uint64) runResult {
 	t.Helper()
-	m, tr := buildMachine(t, rtConfig(t), workers, plan, watchdog)
+	m, tr := buildMachine(t, rtConfig(t), plan, watchdog)
 	run, err := tr.Run(fft.Forward)
 	if err != nil {
 		t.Fatal(err)
@@ -98,17 +98,18 @@ func reference(t *testing.T, workers int, plan fault.Plan, watchdog uint64) runR
 
 var errStop = errors.New("stop for checkpoint")
 
-// killAndResume runs until rtStopAt phases, checkpoints to disk,
-// abandons the first machine (the "killed process"), then reads the
-// file back, restores at resumeWorkers and finishes the run.
-func killAndResume(t *testing.T, captureWorkers, resumeWorkers int, plan fault.Plan, watchdog uint64) runResult {
+// killAndResume runs until rtStopAt phases, checkpoints to disk with
+// metaWorkers recorded as the worker count, abandons the first machine
+// (the "killed process"), then reads the file back, restores it and
+// finishes the run.
+func killAndResume(t *testing.T, metaWorkers int, plan fault.Plan, watchdog uint64) runResult {
 	t.Helper()
 	cfg := rtConfig(t)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 
-	m, tr := buildMachine(t, cfg, captureWorkers, plan, watchdog)
+	m, tr := buildMachine(t, cfg, plan, watchdog)
 	meta := Meta{
-		Config: cfg, Workers: captureWorkers,
+		Config:   cfg,
 		DimCount: 3, Dims: [3]int{rtN, rtN, rtN}, Dir: int(fft.Forward),
 		Plan: plan, WatchdogWindow: watchdog,
 	}
@@ -126,6 +127,7 @@ func killAndResume(t *testing.T, captureWorkers, resumeWorkers int, plan fault.P
 			if cerr != nil {
 				return cerr
 			}
+			c.Meta.Workers = metaWorkers
 			if _, cerr := Write(path, c); cerr != nil {
 				return cerr
 			}
@@ -140,10 +142,10 @@ func killAndResume(t *testing.T, captureWorkers, resumeWorkers int, plan fault.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Meta.PhasesDone != rtStopAt || c.Meta.Cycle == 0 {
+	if c.Meta.PhasesDone != rtStopAt || c.Meta.Cycle == 0 || c.Meta.Workers != metaWorkers {
 		t.Fatalf("checkpoint meta: %+v", c.Meta)
 	}
-	m2, tr2, err := c.Restore(path, resumeWorkers)
+	m2, tr2, err := c.Restore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,38 +180,34 @@ func compareRuns(t *testing.T, label string, ref, got runResult) {
 
 func TestResumeBitIdentical(t *testing.T) {
 	cfg := rtConfig(t)
-	for _, workers := range []int{1, 4} {
-		for _, faulty := range []bool{false, true} {
-			label := "clean"
-			plan := fault.Plan{}
-			var wd uint64
-			if faulty {
-				label = "faulty"
-				plan = faultyPlan(cfg.Clusters)
-				wd = 1 << 30 // armed but never firing: its state must survive the round trip
-			}
-			t.Run(label+"/workers="+itoa(workers), func(t *testing.T) {
-				ref := reference(t, workers, plan, wd)
-				if want, _ := wantPhases(t); len(ref.run.Phases) != want {
-					t.Fatalf("reference ran %d phases, NumPhases says %d", len(ref.run.Phases), want)
-				}
-				got := killAndResume(t, workers, workers, plan, wd)
-				compareRuns(t, label, ref, got)
-			})
+	for _, faulty := range []bool{false, true} {
+		label := "clean"
+		plan := fault.Plan{}
+		var wd uint64
+		if faulty {
+			label = "faulty"
+			plan = faultyPlan(cfg.Clusters)
+			wd = 1 << 30 // armed but never firing: its state must survive the round trip
 		}
+		t.Run(label+"/workers=1", func(t *testing.T) {
+			ref := reference(t, plan, wd)
+			if want, _ := wantPhases(t); len(ref.run.Phases) != want {
+				t.Fatalf("reference ran %d phases, NumPhases says %d", len(ref.run.Phases), want)
+			}
+			got := killAndResume(t, 1, plan, wd)
+			compareRuns(t, label, ref, got)
+		})
 	}
 }
 
-// TestResumeAcrossWorkerCounts checks the worker-invariance contract:
-// a checkpoint restores at any worker count >= 1 with identical
-// results, because shard state is independent of how shards are mapped
-// to OS threads.
+// TestResumeAcrossWorkerCounts resumes a checkpoint whose meta records 4
+// workers, as one written by a run at -sim-workers 4 did before the
+// engine had a single driver: the count is ignored and the run finishes
+// bit-identically to an uninterrupted one.
 func TestResumeAcrossWorkerCounts(t *testing.T) {
 	cfg := rtConfig(t)
 	plan := faultyPlan(cfg.Clusters)
-	ref := reference(t, 4, plan, 0)
-	compareRuns(t, "capture@1 resume@4", ref, killAndResume(t, 1, 4, plan, 0))
-	compareRuns(t, "capture@4 resume@1", ref, killAndResume(t, 4, 1, plan, 0))
+	compareRuns(t, "meta workers 4", reference(t, plan, 0), killAndResume(t, 4, plan, 0))
 }
 
 // TestResumeRejectsEngineKindMismatch refuses checkpoints of the removed
@@ -217,10 +215,10 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 // sharded engine state — with a *MismatchError that names the engine.
 func TestResumeRejectsEngineKindMismatch(t *testing.T) {
 	cfg := rtConfig(t)
-	capture := func(workers int) (*Checkpoint, string) {
+	capture := func() (*Checkpoint, string) {
 		path := filepath.Join(t.TempDir(), "kind.ckpt")
-		m, tr := buildMachine(t, cfg, workers, fault.Plan{}, 0)
-		meta := Meta{Config: cfg, Workers: workers, DimCount: 3, Dims: [3]int{rtN, rtN, rtN}, Dir: int(fft.Forward)}
+		m, tr := buildMachine(t, cfg, fault.Plan{}, 0)
+		meta := Meta{Config: cfg, DimCount: 3, Dims: [3]int{rtN, rtN, rtN}, Dir: int(fft.Forward)}
 		_, err := tr.RunCheckpointed(fft.Forward, core.RunControl{
 			AfterPhase: func(done int, partial *stats.Run) error {
 				if done != 1 {
@@ -247,20 +245,18 @@ func TestResumeRejectsEngineKindMismatch(t *testing.T) {
 		return c, path
 	}
 	var me *MismatchError
-	c, path := capture(2)
-	if _, _, err := c.Restore(path, 1); err != nil {
-		t.Fatalf("checkpoint captured at 2 workers does not resume at 1: %v", err)
+	c, path := capture()
+	if _, _, err := c.Restore(path); err != nil {
+		t.Fatalf("checkpoint does not resume: %v", err)
 	}
 	legacy := *c
 	legacy.Meta.Workers = 0
-	for _, workers := range []int{1, 2} {
-		_, _, err := legacy.Restore(path, workers)
-		if !errors.As(err, &me) {
-			t.Fatalf("legacy-engine checkpoint at %d workers: %v, want *MismatchError", workers, err)
-		}
-		if !strings.Contains(err.Error(), "legacy serial engine") {
-			t.Fatalf("error %q does not name the removed engine", err)
-		}
+	_, _, err := legacy.Restore(path)
+	if !errors.As(err, &me) {
+		t.Fatalf("legacy-engine checkpoint: %v, want *MismatchError", err)
+	}
+	if !strings.Contains(err.Error(), "legacy serial engine") {
+		t.Fatalf("error %q does not name the removed engine", err)
 	}
 	// A state without sharded engine state is refused too, whatever the
 	// meta claims.
@@ -268,7 +264,7 @@ func TestResumeRejectsEngineKindMismatch(t *testing.T) {
 	ms := *c.Machine
 	ms.Parallel = nil
 	stateless.Machine = &ms
-	if _, _, err := stateless.Restore(path, 1); !errors.As(err, &me) {
+	if _, _, err := stateless.Restore(path); !errors.As(err, &me) {
 		t.Fatalf("machine state without engine state: %v, want *MismatchError", err)
 	}
 }
@@ -285,16 +281,4 @@ func wantPhases(t *testing.T) (int, error) {
 		t.Fatal(err)
 	}
 	return tr.NumPhases()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

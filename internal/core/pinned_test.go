@@ -18,10 +18,12 @@ var pinnedFaults = fault.Plan{Seed: 3, NoCDrop: 0.02, NoCCorrupt: 0.01, DRAMBitE
 
 // TestPinnedCyclesCountersAndSimStats pins the simulated machine and the
 // engine's work on a grid of 3D FFTs — 4k scaled to 64, 256 and 1024
-// TCUs at n = 8, 16 and 32, plus one row under pinnedFaults — at one and
-// four workers. Any change to cycles, counters or SimStats fails here,
-// including a regression in boundary-message traffic: an earlier
-// sharded design sent 1.86M messages where 112k suffice.
+// TCUs at n = 8, 16 and 32, plus one row under pinnedFaults. Any change
+// to cycles, counters or SimStats fails here, including a regression in
+// boundary-message traffic: an earlier sharded design sent 1.86M
+// messages where 112k suffice. The 4k/64 n=8 row also pins the adaptive
+// window driver to the fixed-window reference, which gave the same
+// 14,865 cycles and counters on this FFT.
 func TestPinnedCyclesCountersAndSimStats(t *testing.T) {
 	rows := []struct {
 		tcus, n int
@@ -42,40 +44,44 @@ func TestPinnedCyclesCountersAndSimStats(t *testing.T) {
 		{tcus: 256, n: 16, faults: true, cycles: 47222, sim: xmt.SimStats{Events: 23412, Windows: 4030, Barriers: 3532, Messages: 23496}, ops: stats.Counters{FPOps: 231168, ALUOps: 123636, Loads: 83112, Stores: 49512, PSOps: 6336, Threads: 7872, Spawns: 12, CacheHits: 130568, CacheMisses: 2056, DRAMBytes: 65792, NoCPackets: 219897, RowHits: 1547, RowMisses: 509, NoCDropped: 2799, NoCCorrupted: 1362, NoCRetransmits: 4161, ECCCorrected: 40}},
 	}
 	for _, r := range rows {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("tcus=%d/n=%d/faults=%v/workers=%d", r.tcus, r.n, r.faults, workers), func(t *testing.T) {
-				cfg, err := config.FourK().Scaled(r.tcus)
-				if err != nil {
+		t.Run(fmt.Sprintf("tcus=%d/n=%d/faults=%v/workers=1", r.tcus, r.n, r.faults), func(t *testing.T) {
+			cfg, err := config.FourK().Scaled(r.tcus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := xmt.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.faults {
+				if err := m.EnableFaults(pinnedFaults); err != nil {
 					t.Fatal(err)
 				}
-				m, err := xmt.NewParallel(cfg, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.faults {
-					if err := m.EnableFaults(pinnedFaults); err != nil {
-						t.Fatal(err)
-					}
-				}
-				tr, err := New3D(m, r.n, r.n, r.n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fillTest(tr.Data)
-				run, err := tr.Run(fft.Forward)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := run.TotalCycles(); got != r.cycles {
-					t.Errorf("cycles = %d, want %d", got, r.cycles)
-				}
-				if got := m.SimStats(); got != r.sim {
-					t.Errorf("SimStats = %+v, want %+v", got, r.sim)
-				}
-				if m.Counters != r.ops {
-					t.Errorf("counters diverged\n got %+v\nwant %+v", m.Counters, r.ops)
-				}
-			})
-		}
+			}
+			tr, err := New3D(m, r.n, r.n, r.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillTest(tr.Data)
+			run, err := tr.Run(fft.Forward)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := run.TotalCycles(); got != r.cycles {
+				t.Errorf("cycles = %d, want %d", got, r.cycles)
+			}
+			if got := m.SimStats(); got != r.sim {
+				t.Errorf("SimStats = %+v, want %+v", got, r.sim)
+			}
+			if m.Counters != r.ops {
+				t.Errorf("counters diverged\n got %+v\nwant %+v", m.Counters, r.ops)
+			}
+		})
+	}
+}
+
+func fillTest(data []complex64) {
+	for i := range data {
+		data[i] = complex(float32(i%17)-8, float32(i%11)-5)
 	}
 }

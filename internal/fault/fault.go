@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection engine of the
 // simulator's robustness subsystem. It provides seed-driven random
 // streams (one independent splitmix64 stream per fault domain and site,
-// so shards can draw concurrently without sharing state) and the Plan
+// so no site's draws depend on another's) and the Plan
 // describing which faults to inject: rates (per-packet NoC drop or
 // corruption probability, per-line-fetch DRAM bit-error rates) and
 // explicit schedules (drop the Nth packet, kill a listed cluster).
@@ -10,10 +10,9 @@
 // a run experiences. Streams are keyed by (seed, domain, site) so the
 // draw sequence of one site never depends on activity at another —
 // DRAM module 7's errors are the same whether module 3 was busy or
-// idle, and the same for every -sim-workers count, because each stream
-// is only ever advanced from one deterministically-ordered call site
-// (the NoC stream from the coordinator / serial event loop, each DRAM
-// stream from its owning shard). The resilience mechanisms that absorb
+// idle, because each stream is only ever advanced from one
+// deterministically-ordered call site (the machine's coordinator, in
+// barrier merge order). The resilience mechanisms that absorb
 // these faults live with the hardware they protect: the retransmit
 // protocol in internal/noc, the SECDED ECC model in internal/mem, the
 // spawn-boundary cluster failover in internal/xmt, and the livelock
@@ -107,7 +106,7 @@ type Plan struct {
 	// NoCDropNth lists explicit packet-attempt sequence numbers
 	// (1-based, in network send order) to drop, independent of the
 	// rates — the "(cycle, site) list" form of a schedule, expressed in
-	// the one coordinate that is deterministic across worker counts.
+	// network send order, which is deterministic.
 	NoCDropNth []uint64
 
 	// DRAMBitErr is the per-line-fetch probability of a single-bit

@@ -315,15 +315,13 @@ func WeakScalingReport(w io.Writer) error {
 // Fig3Detailed runs the detailed event simulator on a scaled-down
 // machine and prints the same Roofline markers as Fig. 3, measured
 // rather than modeled — the cross-validation artifact. tcus selects the
-// scaled machine size, n the (small) cube size and workers the
-// simulation worker count, as for xmt.NewParallel (results do not
-// depend on it).
-func Fig3Detailed(w io.Writer, base config.Config, tcus, n, workers int) error {
+// scaled machine size and n the (small) cube size.
+func Fig3Detailed(w io.Writer, base config.Config, tcus, n int) error {
 	cfg, err := base.Scaled(tcus)
 	if err != nil {
 		return err
 	}
-	m, err := xmt.NewParallel(cfg, workers)
+	m, err := xmt.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -385,7 +383,7 @@ func PriorWorkComparison(w io.Writer) error {
 }
 
 // AblationOptions configures AblationReport; the zero value is the
-// plain report on the inline driver.
+// plain report.
 type AblationOptions struct {
 	// Epoch, when non-zero, runs the baseline ("paper") variant with a
 	// trace recorder sampling utilization every Epoch cycles; the
@@ -393,9 +391,6 @@ type AblationOptions struct {
 	// text summary). The other variants run untraced — attaching a
 	// recorder never alters simulated cycles either way.
 	Epoch uint64
-	// Workers is the simulation worker count (values below 1 select 1,
-	// the inline driver); results do not depend on it.
-	Workers int
 	// Obs, when non-nil, is attached to every variant's machine (live
 	// metrics sampling plus engine telemetry, both cumulative across the
 	// sweep), and each finished variant ticks one work unit so /progress
@@ -437,7 +432,6 @@ var ErrInterrupted = errors.New("harness: run interrupted by signal")
 // given scaled machine size and cube size, printing one table.
 func AblationReport(w io.Writer, tcus, n int, opts AblationOptions) (*trace.Recorder, error) {
 	epoch, obs, ck := opts.Epoch, opts.Obs, opts.Ckpt
-	workers := max(opts.Workers, 1)
 	cfg, err := config.FourK().Scaled(tcus)
 	if err != nil {
 		return nil, err
@@ -491,7 +485,7 @@ func AblationReport(w io.Writer, tcus, n int, opts AblationOptions) (*trace.Reco
 			return nil
 		}
 		c := &ckpt.Checkpoint{Meta: ckpt.Meta{
-			Config: cfg, Workers: workers,
+			Config: cfg, Workers: 1,
 			DimCount: 3, Dims: [3]int{n, n, n},
 			Stage: done, StageCycles: stageCycles,
 			Cycle: stageCycles[done-1],
@@ -525,7 +519,7 @@ func AblationReport(w io.Writer, tcus, n int, opts AblationOptions) (*trace.Reco
 	var rec *trace.Recorder
 	for vi := start; vi < len(variants); vi++ {
 		v := variants[vi]
-		m, err := xmt.NewParallel(cfg, workers)
+		m, err := xmt.New(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -2,11 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"xmtfft/internal/ckpt"
 	"xmtfft/internal/config"
 )
 
@@ -124,7 +128,7 @@ func TestWeakScalingReport(t *testing.T) {
 
 func TestFig3Detailed(t *testing.T) {
 	out := render(t, func(b *bytes.Buffer) error {
-		return Fig3Detailed(b, config.FourK(), 256, 16, 1)
+		return Fig3Detailed(b, config.FourK(), 256, 16)
 	})
 	for _, want := range []string{"DETAILED-SIM ROOFLINE", "rotation", "non-rotation", "overall", "GFLOPS actual"} {
 		if !strings.Contains(out, want) {
@@ -186,6 +190,53 @@ func TestAblationReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestAblationResumeAcrossWorkerCounts resumes an interrupted sweep from
+// a checkpoint whose meta records 4 workers, as one written by a sweep at
+// -sim-workers 4 did before the engine had a single driver: the count is
+// ignored and the resumed table equals an uninterrupted run's. A sweep
+// checkpoint of the removed legacy serial engine (Workers 0) is refused.
+func TestAblationResumeAcrossWorkerCounts(t *testing.T) {
+	ref := render(t, func(b *bytes.Buffer) error {
+		_, err := AblationReport(b, 256, 8, AblationOptions{})
+		return err
+	})
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	variants := 0
+	_, err := AblationReport(io.Discard, 256, 8, AblationOptions{Ckpt: &AblationCkpt{
+		Path: path, Stop: func() bool { variants++; return variants == 2 },
+	}})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted sweep returned %v, want ErrInterrupted", err)
+	}
+	c, err := ckpt.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Meta.Stage != 2 || c.Meta.Workers != 1 {
+		t.Fatalf("sweep checkpoint meta: %+v", c.Meta)
+	}
+	c.Meta.Workers = 4
+	if _, err := ckpt.Write(path, c); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = ckpt.Read(path); err != nil {
+		t.Fatal(err)
+	}
+	got := render(t, func(b *bytes.Buffer) error {
+		_, err := AblationReport(b, 256, 8, AblationOptions{Ckpt: &AblationCkpt{Resume: c}})
+		return err
+	})
+	if got != ref {
+		t.Errorf("resumed table differs from the uninterrupted one:\n%s\nvs\n%s", got, ref)
+	}
+
+	c.Meta.Workers = 0
+	_, err = AblationReport(io.Discard, 256, 8, AblationOptions{Ckpt: &AblationCkpt{Resume: c}})
+	if err == nil || !strings.Contains(err.Error(), "legacy serial engine") {
+		t.Fatalf("legacy sweep checkpoint: %v, want a refusal naming the removed engine", err)
 	}
 }
 

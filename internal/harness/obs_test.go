@@ -47,7 +47,7 @@ func TestObsEndToEnd(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := AblationReport(io.Discard, 64, 8, AblationOptions{Workers: 2, Obs: obs})
+		_, err := AblationReport(io.Discard, 64, 8, AblationOptions{Obs: obs})
 		done <- err
 	}()
 
@@ -213,6 +213,13 @@ func TestRunObsBench(t *testing.T) {
 		if r.Cycles != rec.Results[0].Cycles {
 			t.Errorf("mode %q changed simulated cycles", mode)
 		}
+		if r.ElapsedMinSec != r.ElapsedSec || r.ElapsedMaxSec < r.ElapsedSec {
+			t.Errorf("mode %q: best %g outside its spread [%g, %g]", mode, r.ElapsedSec, r.ElapsedMinSec, r.ElapsedMaxSec)
+		}
+	}
+	// One rep measures no spread, so no overhead counts as resolved.
+	if !strings.Contains(rec.Note, "overhead unresolved") {
+		t.Errorf("one-rep record does not call its overheads unresolved: %q", rec.Note)
 	}
 	hp := rec.HotPath
 	if hp.CounterAddAllocs != 0 || hp.GaugeSetAllocs != 0 || hp.HistObserveAllocs != 0 {

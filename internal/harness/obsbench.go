@@ -8,12 +8,19 @@ package harness
 // and the on-state hot path (counter add, gauge set, histogram observe)
 // allocates nothing. Simulated cycles are asserted identical across
 // modes — observability never perturbs results.
+//
+// One untimed FFT warms the process up first, and every rep runs the
+// modes in a rotated order, so neither warm-up nor position in the
+// sequence lands on one mode; a mode's overhead inside the off mode's
+// own min–max spread is reported as unresolved.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"strings"
 	"time"
 
 	"xmtfft/internal/config"
@@ -24,14 +31,17 @@ import (
 	"xmtfft/internal/xmt"
 )
 
-// ObsBenchResult is one observability mode's measurement (best of reps).
+// ObsBenchResult is one observability mode's measurement: the best of
+// reps, with the spread of all reps beside it.
 type ObsBenchResult struct {
-	Mode         string  `json:"mode"` // "off", "telemetry", "live"
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	Cycles       uint64  `json:"cycles"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	OverheadPct  float64 `json:"overhead_pct"` // vs the "off" mode
+	Mode          string  `json:"mode"` // "off", "telemetry", "live"
+	ElapsedSec    float64 `json:"elapsed_sec"`
+	ElapsedMinSec float64 `json:"elapsed_min_sec"`
+	ElapsedMaxSec float64 `json:"elapsed_max_sec"`
+	Cycles        uint64  `json:"cycles"`
+	Events        uint64  `json:"events"`
+	EventsPerSec  float64 `json:"events_per_sec"`
+	OverheadPct   float64 `json:"overhead_pct"` // vs the "off" mode
 }
 
 // ObsHotPath holds microbenchmarks of the scrape-side primitives the
@@ -69,8 +79,8 @@ func (r *ObsBenchRecord) Write(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// obsBenchOnce runs one n^3 FFT on a fresh machine at the default one
-// worker in the given observability mode.
+// obsBenchOnce runs one n^3 FFT on a fresh machine in the given
+// observability mode.
 func obsBenchOnce(cfg config.Config, n int, mode string) (ObsBenchResult, error) {
 	m, err := xmt.New(cfg)
 	if err != nil {
@@ -171,20 +181,28 @@ func RunObsBench(tcus, n, reps int) (*ObsBenchRecord, error) {
 		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 	}
-	for _, mode := range []string{"off", "telemetry", "live"} {
-		var best ObsBenchResult
-		for r := 0; r < reps; r++ {
-			res, err := obsBenchOnce(cfg, n, mode)
+	modes := []string{"off", "telemetry", "live"}
+	if _, err := obsBenchOnce(cfg, n, "off"); err != nil { // warm-up, untimed
+		return nil, err
+	}
+	rec.Results = make([]ObsBenchResult, len(modes))
+	for r := 0; r < reps; r++ {
+		for k := range modes {
+			i := (r + k) % len(modes)
+			res, err := obsBenchOnce(cfg, n, modes[i])
 			if err != nil {
 				return nil, err
 			}
-			if r == 0 || res.ElapsedSec < best.ElapsedSec {
-				best = res
+			cur := &rec.Results[i]
+			worst := max(cur.ElapsedMaxSec, res.ElapsedSec)
+			if r == 0 || res.ElapsedSec < cur.ElapsedSec {
+				*cur = res
 			}
+			cur.ElapsedMinSec, cur.ElapsedMaxSec = cur.ElapsedSec, worst
 		}
-		rec.Results = append(rec.Results, best)
 	}
 	off := rec.Results[0]
+	var unresolved []string
 	for i := range rec.Results {
 		r := &rec.Results[i]
 		if r.Cycles != off.Cycles || r.Events != off.Events {
@@ -194,10 +212,17 @@ func RunObsBench(tcus, n, reps int) (*ObsBenchRecord, error) {
 		if off.ElapsedSec > 0 {
 			r.OverheadPct = (r.ElapsedSec - off.ElapsedSec) / off.ElapsedSec * 100
 		}
+		if i > 0 && (reps < 2 || math.Abs(r.ElapsedSec-off.ElapsedSec) <= off.ElapsedMaxSec-off.ElapsedMinSec) {
+			unresolved = append(unresolved, fmt.Sprintf("%s %+.1f%%", r.Mode, r.OverheadPct))
+		}
+	}
+	if len(unresolved) > 0 {
+		rec.Note = fmt.Sprintf("overhead unresolved, inside the off mode's own spread (%.4f-%.4f s over %d reps): %s",
+			off.ElapsedMinSec, off.ElapsedMaxSec, reps, strings.Join(unresolved, ", "))
 	}
 	rec.HotPath = hotPathBench()
 	if rec.HotPath.CounterAddAllocs != 0 || rec.HotPath.GaugeSetAllocs != 0 || rec.HotPath.HistObserveAllocs != 0 {
-		rec.Note = "WARNING: metric hot path allocated — zero-alloc contract violated"
+		rec.Note = strings.TrimPrefix(rec.Note+"; WARNING: metric hot path allocated — zero-alloc contract violated", "; ")
 	}
 	return rec, nil
 }

@@ -1,9 +1,9 @@
 package harness
 
-// Simulator-performance benchmark: the same 3D-FFT workload simulated at
-// several worker counts, with wall-clock times and engine statistics
-// written as a machine-readable BENCH_sim.json record (the simulator
-// counterpart of the host-FFT BENCH_fft.json).
+// Simulator-performance benchmark: one 3D-FFT workload simulated with
+// its wall-clock time and engine statistics written as a
+// machine-readable BENCH_sim.json record (the simulator counterpart of
+// the host-FFT BENCH_fft.json).
 //
 // Throughput is derived from *useful* (model-level) work — loads,
 // stores, FP/ALU/prefix-sum operations and threads — which is a property
@@ -13,11 +13,8 @@ package harness
 // churned through 10x the events of the same FFT and so reported 3x the
 // "throughput" while being 3x slower.
 //
-// The record embeds the host's GOMAXPROCS and CPU count, because
-// wall-clock speedup from workers > 1 only materializes when the host
-// actually has spare cores. Simulated cycle counts are asserted
-// identical across worker counts as a built-in sanity check (the
-// engine's determinism contract).
+// The record embeds the host's GOMAXPROCS and CPU count, so wall-clock
+// times from different hosts are not compared blind.
 
 import (
 	"encoding/json"
@@ -33,10 +30,9 @@ import (
 	"xmtfft/internal/xmt"
 )
 
-// SimBenchResult is one worker-count measurement (best of reps).
+// SimBenchResult is one measurement (best of reps).
 type SimBenchResult struct {
 	Engine     string  `json:"engine"` // always "sharded", the one engine
-	Workers    int     `json:"workers"`
 	ElapsedSec float64 `json:"elapsed_sec"`
 	Cycles     uint64  `json:"cycles"` // simulated cycles of the FFT
 	// Events counts raw engine events (pops from the shard queues) — an
@@ -65,10 +61,6 @@ type SimBenchRecord struct {
 	GOOS       string           `json:"goos"`
 	GOARCH     string           `json:"goarch"`
 	Results    []SimBenchResult `json:"results"`
-	// SpeedupVsSerialDriver maps "workers=K" to the wall-clock speedup of
-	// the K-worker run over the 1-worker (inline driver) run.
-	SpeedupVsSerialDriver map[string]float64 `json:"speedup_vs_serial_driver,omitempty"`
-	Note                  string             `json:"note,omitempty"`
 }
 
 // Write emits the record as indented JSON.
@@ -85,8 +77,8 @@ func usefulEvents(c stats.Counters) uint64 {
 }
 
 // simBenchOnce runs one n^3 FFT on a fresh machine and measures it.
-func simBenchOnce(cfg config.Config, n, workers int) (SimBenchResult, error) {
-	m, err := xmt.NewParallel(cfg, workers)
+func simBenchOnce(cfg config.Config, n int) (SimBenchResult, error) {
+	m, err := xmt.New(cfg)
 	if err != nil {
 		return SimBenchResult{}, err
 	}
@@ -105,7 +97,7 @@ func simBenchOnce(cfg config.Config, n, workers int) (SimBenchResult, error) {
 	elapsed := time.Since(begin).Seconds()
 	st := m.SimStats()
 	res := SimBenchResult{
-		Engine: "sharded", Workers: workers, ElapsedSec: elapsed,
+		Engine: "sharded", ElapsedSec: elapsed,
 		Cycles: run.TotalCycles(), Events: st.Events,
 		UsefulEvents: usefulEvents(m.Counters),
 		Windows:      st.Windows, Barriers: st.Barriers, Messages: st.Messages,
@@ -117,10 +109,16 @@ func simBenchOnce(cfg config.Config, n, workers int) (SimBenchResult, error) {
 	return res, nil
 }
 
-// RunSimBench measures the engine at each of the given worker counts
-// (each the best of reps runs) on an n^3 FFT at the scaled 4k machine
-// size.
+// RunSimBench measures the engine on an n^3 FFT at the scaled 4k
+// machine size, the best of reps runs, and records one result.
+// workerCounts is deprecated: it is accepted for existing callers, every
+// entry must be 1, and it does not change the record.
 func RunSimBench(tcus, n int, workerCounts []int, reps int) (*SimBenchRecord, error) {
+	for _, wc := range workerCounts {
+		if wc != 1 {
+			return nil, fmt.Errorf("harness: sim-bench worker count %d: the engine runs on one goroutine, so every count must be 1", wc)
+		}
+	}
 	cfg, err := config.FourK().Scaled(tcus)
 	if err != nil {
 		return nil, err
@@ -133,54 +131,16 @@ func RunSimBench(tcus, n int, workerCounts []int, reps int) (*SimBenchRecord, er
 		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 	}
-	measure := func(workers int) (SimBenchResult, error) {
-		var best SimBenchResult
-		for r := 0; r < reps; r++ {
-			res, err := simBenchOnce(cfg, n, workers)
-			if err != nil {
-				return SimBenchResult{}, err
-			}
-			if r == 0 || res.ElapsedSec < best.ElapsedSec {
-				best = res
-			}
-		}
-		return best, nil
-	}
-	for _, wc := range workerCounts {
-		if wc < 1 {
-			return nil, fmt.Errorf("harness: sim-bench worker count %d must be >= 1", wc)
-		}
-		res, err := measure(wc)
+	var best SimBenchResult
+	for r := 0; r < reps; r++ {
+		res, err := simBenchOnce(cfg, n)
 		if err != nil {
 			return nil, err
 		}
-		rec.Results = append(rec.Results, res)
-	}
-	// Determinism sanity check and the speedup table. Sub-resolution
-	// timings (elapsed == 0 on fast configs) simply omit the affected
-	// ratios instead of producing 0 or +Inf entries.
-	var serialDriver *SimBenchResult
-	for i := range rec.Results {
-		if r := &rec.Results[i]; r.Workers == 1 {
-			serialDriver = r
-			break
+		if r == 0 || res.ElapsedSec < best.ElapsedSec {
+			best = res
 		}
 	}
-	if serialDriver != nil {
-		rec.SpeedupVsSerialDriver = map[string]float64{}
-		for _, r := range rec.Results {
-			if r.Cycles != serialDriver.Cycles {
-				return nil, fmt.Errorf("harness: runs disagree on cycles (%d vs %d) — determinism violated",
-					r.Cycles, serialDriver.Cycles)
-			}
-			if r.Workers > 1 && r.ElapsedSec > 0 && serialDriver.ElapsedSec > 0 {
-				rec.SpeedupVsSerialDriver[fmt.Sprintf("workers=%d", r.Workers)] =
-					serialDriver.ElapsedSec / r.ElapsedSec
-			}
-		}
-	}
-	if rec.NumCPU == 1 || rec.GoMaxProcs == 1 {
-		rec.Note = "host has a single available CPU: worker parallelism cannot yield wall-clock speedup here; re-run on a multi-core host (see CI bench job)"
-	}
+	rec.Results = []SimBenchResult{best}
 	return rec, nil
 }

@@ -413,8 +413,10 @@ done:
 }
 
 // TestSSpawnChainOnBothConstructors runs the sspawn chain on xmt.New
-// and on xmt.NewParallel(cfg, 1): the same inline-driver machine, so
-// both must run all 21 threads in the same number of cycles.
+// and on xmt.NewParallel(cfg, 1), the deprecated constructor the
+// repository benchmark still calls: the same machine, so both must run
+// all 21 threads in the same number of cycles. NewParallel refuses any
+// other worker count.
 func TestSSpawnChainOnBothConstructors(t *testing.T) {
 	prog, err := Assemble(`
 	li r2, 1
@@ -462,6 +464,9 @@ done:
 	}
 	if cycles[0] != cycles[1] {
 		t.Fatalf("xmt.New ran %d cycles, NewParallel(cfg, 1) %d", cycles[0], cycles[1])
+	}
+	if _, err := xmt.NewParallel(cfg, 2); err == nil {
+		t.Fatal("NewParallel accepted 2 workers")
 	}
 }
 

@@ -15,13 +15,7 @@
 //     configuration), bounding off-chip bandwidth;
 //   - dirty evictions consume writeback bandwidth.
 //
-// Sharding: all mutable state and statistics are per-module or
-// per-channel, and AccessModule / PrefetchInto touch exactly one module
-// plus its channel. A caller that partitions modules so that modules
-// sharing a DRAM channel stay together (see ChannelOf) may therefore
-// drive disjoint module sets from concurrent shards without locks; the
-// aggregate statistics methods (Hits, Misses, ...) are only safe when
-// the shards are quiescent, e.g. at a synchronization barrier.
+// The machine's coordinator is the only caller, so nothing here locks.
 package mem
 
 import (
@@ -153,9 +147,8 @@ type module struct {
 	prefetches uint64
 
 	// Fault-injection state (nil stream = injection off for this
-	// module). The stream is per-module so concurrent shards draw
-	// independently and each module's error sequence depends only on
-	// its own access order — deterministic for any worker count.
+	// module). The stream is per-module so each module's error
+	// sequence depends only on its own access order.
 	faultStream  *fault.Stream
 	eccCorrected uint64
 	eccUncorrect uint64
@@ -220,11 +213,6 @@ func (s *System) Config() config.Config { return s.cfg }
 // Modules returns the number of memory modules.
 func (s *System) Modules() int { return len(s.modules) }
 
-// ChannelOf returns the DRAM channel index serving module mi. Shard
-// partitions must keep all modules of one channel on the same shard,
-// because the channel port and row-buffer state are shared among them.
-func (s *System) ChannelOf(mi int) int { return mi / s.cfg.MMsPerDRAMCtrl }
-
 // Access performs one word access to addr arriving at its memory module
 // at cycle t (NoC traversal time is the caller's concern) and returns
 // when it completes. Write accesses allocate on miss (fetch-on-write)
@@ -236,19 +224,8 @@ func (s *System) Access(t uint64, addr uint64, write bool) AccessResult {
 	res, missStart := s.accessModule(mi, t, addr, write)
 	if s.Prefetch && !res.Hit {
 		next := addr + config.CacheLineBytes
-		s.PrefetchInto(HashAddress(next, len(s.modules)), missStart, next)
+		s.prefetchInto(HashAddress(next, len(s.modules)), missStart, next)
 	}
-	return res
-}
-
-// AccessModule performs one word access to addr at module mi (the
-// caller has already hashed the address), touching only that module and
-// its DRAM channel — the shard-safe request path. It never prefetches:
-// in sharded operation the next line usually lives on another shard, so
-// the caller turns the miss into a boundary message and later calls
-// PrefetchInto on the owning shard.
-func (s *System) AccessModule(mi int, t uint64, addr uint64, write bool) AccessResult {
-	res, _ := s.accessModule(mi, t, addr, write)
 	return res
 }
 
@@ -330,12 +307,12 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 	return AccessResult{Done: done, Hit: false, Module: mi, Fault: fv}, start
 }
 
-// PrefetchInto fills the line containing addr into module mi (which the
+// prefetchInto fills the line containing addr into module mi (which the
 // caller has determined by hashing) if absent, starting the channel
 // transfer at cycle t. The demand access that triggered it does not
 // wait; the fill consumes channel bandwidth and a cache way like any
-// other fill. Touches only module mi and its channel.
-func (s *System) PrefetchInto(mi int, t uint64, addr uint64) {
+// other fill.
+func (s *System) prefetchInto(mi int, t uint64, addr uint64) {
 	m := s.modules[mi]
 	tag := addr / config.CacheLineBytes
 	set := m.sets[tag&m.setMask]

@@ -18,7 +18,7 @@ package noc
 // calls into the wrapper from a deterministic serialization point (the
 // coordinator's barrier, which merges messages in (time, shard, seq)
 // order), so for a fixed seed every run experiences the identical fault
-// sequence at every -sim-workers count.
+// sequence.
 
 import (
 	"fmt"

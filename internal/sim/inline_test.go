@@ -8,18 +8,17 @@ import (
 	"testing/quick"
 )
 
-// The engine's scheduling contract on its default configuration: the
-// inline driver (one worker) over one shard, which is how a one-cluster
-// machine runs and how every machine's shards advance at the default
-// worker count. funcEngine lets these tests schedule closures — event a
-// runs fns[a] — so each reads like the contract it pins.
+// The engine's scheduling contract on one shard, which is how a
+// one-cluster machine runs. funcEngine lets these tests schedule
+// closures — event a runs fns[a] — so each reads like the contract it
+// pins.
 type funcEngine struct {
 	*ParallelEngine
 	fns []func()
 }
 
 func newFuncEngine(lookahead uint64) *funcEngine {
-	f := &funcEngine{ParallelEngine: NewParallelEngine(staticPartition{1, lookahead}, 1)}
+	f := &funcEngine{ParallelEngine: NewParallelEngine(staticPartition{1, lookahead})}
 	f.SetHandler(0, f)
 	f.SetBarrier(func([]Message) {})
 	return f
@@ -147,7 +146,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 // Scheduling from the coordinator (the barrier function) before the
 // barrier's cycle would violate the lookahead contract and panics.
 func TestEngineAtPastPanics(t *testing.T) {
-	e := NewParallelEngine(staticPartition{1, 4}, 1)
+	e := NewParallelEngine(staticPartition{1, 4})
 	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
 		if op == 0 {
 			sh.Send(0, 0, 0, 0, 0)
@@ -240,7 +239,7 @@ func TestEngineProcessedCount(t *testing.T) {
 // handful of cycles, both from the coordinator between runs and from
 // within running events. Scheduling order must be preserved within each
 // cycle whichever side scheduled — the property the machine's
-// worker-count differential tests build on.
+// determinism builds on.
 func TestEngineSameCycleFIFOHeavy(t *testing.T) {
 	e := newFuncEngine(4)
 	var got, want []uint64

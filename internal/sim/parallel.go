@@ -9,7 +9,7 @@
 // Determinism: events scheduled for the same cycle on a shard fire in
 // the order they were scheduled (FIFO within a cycle), and barrier
 // messages merge in (time, shard, send order), so repeated runs of the
-// same workload produce identical cycle counts at every worker count.
+// same workload produce identical cycle counts.
 package sim
 
 import "fmt"
@@ -23,11 +23,10 @@ import "fmt"
 // exceed the minimum cross-shard effect latency, so no message ever
 // needs to take effect inside the window it was sent in — the classic
 // conservative-synchronization safety condition. Under that condition
-// the serial driver (shards advanced one after another) and the
-// parallel driver (shards advanced on worker goroutines) execute the
-// exact same events in the exact same per-shard order with the exact
-// same barrier merges, making cycle counts and statistics bit-identical
-// for every worker count. See DESIGN.md §7.
+// the shards of one window are independent, so Run advances them one
+// after another on the calling goroutine. Spreading them over several
+// goroutines does not pay: the coordinator's barrier work, which runs
+// serially either way, dominates the profile (DESIGN.md §7).
 //
 // Per-shard pending events live in a slab-backed calendar queue: per-
 // cycle FIFO bucket chains over a fixed horizon whose records live in
@@ -280,9 +279,8 @@ func (h *recHeap) pop() evRec {
 
 // Shard is one partition of simulation state: a clock, a calendar queue
 // of pending local events, and an outbox of messages for the next
-// barrier. During a window a shard is touched only by its own handler
-// (possibly on a worker goroutine); between windows only by the
-// coordinator.
+// barrier. During a window a shard is touched only by its own handler;
+// between windows only by the coordinator.
 type Shard struct {
 	ID int
 
@@ -381,7 +379,7 @@ func (s *Shard) runWindow(start, end uint64) {
 // ParallelEngine advances a set of shards under conservative time
 // windows. Construct with NewParallelEngine, assign a handler per shard
 // and a barrier function, then call Run. The engine is quiescent between
-// Run calls; Workers only changes wall-clock behaviour, never results.
+// Run calls.
 type ParallelEngine struct {
 	shards  []Shard
 	window  uint64
@@ -390,27 +388,9 @@ type ParallelEngine struct {
 	wd      *Watchdog
 	now     uint64
 
-	// Workers is the number of goroutines advancing shards inside a
-	// window (values < 2 select the inline serial driver). Because shard
-	// execution is identical either way, results do not depend on it.
-	Workers int
-
-	// WidenWindows (default true, set by NewParallelEngine) enables the
-	// adaptive window driver: the frontier jumps straight to the cached
-	// per-shard minimum instead of rescanning every bucket ring, shards
-	// with no events inside the window are skipped entirely, and windows
-	// that emitted no cross-shard traffic coalesce into the running
-	// stretch without barrier accounting. When false the engine uses the
-	// conservative reference driver — every window rescans every queue
-	// and steps every shard — which executes the exact same events in
-	// the exact same order; the differential tests assert bit-identical
-	// results between the two drivers at several worker counts.
-	WidenWindows bool
-
 	// Window/merge statistics for perf diagnostics. Windows counts
 	// [start, start+W) windows advanced; Barriers counts the subset that
-	// delivered messages (the true synchronization points — with
-	// WidenWindows the rest are coalesced frontier jumps).
+	// delivered messages (the true synchronization points).
 	Windows  uint64
 	Barriers uint64
 	Messages uint64
@@ -425,7 +405,7 @@ type ParallelEngine struct {
 }
 
 // NewParallelEngine builds an engine for p's shard count and lookahead.
-func NewParallelEngine(p Partition, workers int) *ParallelEngine {
+func NewParallelEngine(p Partition) *ParallelEngine {
 	n := p.Shards()
 	w := p.Lookahead()
 	if n <= 0 {
@@ -434,8 +414,7 @@ func NewParallelEngine(p Partition, workers int) *ParallelEngine {
 	if w == 0 || w >= horizonCycles {
 		panic("sim: lookahead window must be in [1, horizon)")
 	}
-	e := &ParallelEngine{shards: make([]Shard, n), window: w, Workers: workers,
-		WidenWindows: true}
+	e := &ParallelEngine{shards: make([]Shard, n), window: w}
 	for i := range e.shards {
 		e.shards[i].ID = i
 		e.shards[i].nextMin = noEvent
@@ -443,11 +422,6 @@ func NewParallelEngine(p Partition, workers int) *ParallelEngine {
 	}
 	return e
 }
-
-// Inline reports whether Run advances every shard on the calling
-// goroutine (the serial driver): fewer than two workers, or a single
-// shard. Shard handlers may then touch coordinator state directly.
-func (e *ParallelEngine) Inline() bool { return e.Workers < 2 || len(e.shards) < 2 }
 
 // Shard returns shard i, for handler assignment and event insertion by
 // the coordinator (only between windows).
@@ -497,68 +471,18 @@ func (e *ParallelEngine) minNext() (uint64, bool) {
 	return best, best != noEvent
 }
 
-// minNextScan recomputes the earliest pending event time by scanning
-// every shard queue — the pre-adaptive reference path, kept for the
-// WidenWindows=false driver and as the cross-check oracle in tests.
-func (e *ParallelEngine) minNextScan() (uint64, bool) {
-	best := noEvent
-	ok := false
-	for i := range e.shards {
-		if t, has := e.shards[i].q.min(); has && t < best {
-			best = t
-			ok = true
-		}
-	}
-	return best, ok
-}
-
 // Run advances windows until no shard has pending events, then returns
-// the engine clock. The first window starts at the earliest pending
-// event (idle gaps are skipped, so sparse schedules don't pay per-cycle
-// costs).
+// the engine clock. Every window starts at the earliest pending event,
+// read from the cached per-shard minima, so idle gaps are jumped in one
+// step instead of one lookahead at a time; and a shard with no event
+// before the window end is skipped without touching its queue (its
+// clock and ring floor catch up lazily on its next active window, which
+// runWindow tolerates). Jumps are safe because the lookahead condition
+// bounds a window's width, not its spacing. The tests hold this loop to
+// a fixed-window reference driver that rescans and steps every shard.
 func (e *ParallelEngine) Run() uint64 {
-	workers := e.Workers
-	if workers > len(e.shards) {
-		workers = len(e.shards)
-	}
-	adaptive := e.WidenWindows
-	var starts []chan [2]uint64
-	var done chan struct{}
-	if workers > 1 {
-		starts = make([]chan [2]uint64, workers)
-		done = make(chan struct{}, workers)
-		for w := 0; w < workers; w++ {
-			starts[w] = make(chan [2]uint64, 1)
-			go func(w int) {
-				for win := range starts[w] {
-					for si := w; si < len(e.shards); si += workers {
-						// Idle-shard skip: a shard with no events before
-						// the window end has nothing to run; its clock and
-						// ring floor catch up lazily on its next active
-						// window (runWindow tolerates a stale clock).
-						if !adaptive || e.shards[si].nextMin < win[1] {
-							e.shards[si].runWindow(win[0], win[1])
-						}
-					}
-					done <- struct{}{}
-				}
-			}(w)
-		}
-		defer func() {
-			for _, c := range starts {
-				close(c)
-			}
-		}()
-	}
-
 	for {
-		var start uint64
-		var ok bool
-		if adaptive {
-			start, ok = e.minNext()
-		} else {
-			start, ok = e.minNextScan()
-		}
+		start, ok := e.minNext()
 		if !ok {
 			if e.tel != nil {
 				e.publishShards()
@@ -571,18 +495,9 @@ func (e *ParallelEngine) Run() uint64 {
 		}
 		end := start + e.window
 		e.Windows++
-		if workers > 1 {
-			for _, c := range starts {
-				c <- [2]uint64{start, end}
-			}
-			for range starts {
-				<-done
-			}
-		} else {
-			for i := range e.shards {
-				if !adaptive || e.shards[i].nextMin < end {
-					e.shards[i].runWindow(start, end)
-				}
+		for i := range e.shards {
+			if e.shards[i].nextMin < end {
+				e.shards[i].runWindow(start, end)
 			}
 		}
 		prev := e.now
@@ -596,8 +511,8 @@ func (e *ParallelEngine) Run() uint64 {
 			e.barrier(msgs)
 		}
 		if e.tel != nil {
-			// Shards are parked at the barrier here, so a full sweep is
-			// race-free; the cheap frontier publish covers other windows.
+			// A full per-shard sweep every telemetryWindowStride windows;
+			// the cheap frontier publish covers the others.
 			if e.Windows%telemetryWindowStride == 0 {
 				e.publishShards()
 			} else {

@@ -28,9 +28,9 @@ type ringModel struct {
 	msgs      int
 }
 
-func newRingModel(shards int, lookahead uint64, workers int) *ringModel {
+func newRingModel(shards int, lookahead uint64) *ringModel {
 	m := &ringModel{lookahead: lookahead, perShard: make([][][3]uint64, shards)}
-	m.eng = NewParallelEngine(staticPartition{shards, lookahead}, workers)
+	m.eng = NewParallelEngine(staticPartition{shards, lookahead})
 	for i := 0; i < shards; i++ {
 		m.eng.SetHandler(i, (*ringShard)(m))
 	}
@@ -74,66 +74,80 @@ func (m *ringModel) barrier(msgs []Message) {
 	}
 }
 
-func (m *ringModel) run() {
+// run seeds every shard and drains the engine with drive.
+func (m *ringModel) run(drive func(*ParallelEngine) uint64) {
 	for i := 0; i < m.eng.Shards(); i++ {
 		m.eng.Shard(i).At(5, ringLocal, uint64(i), 12)
 	}
-	m.eng.Run()
+	drive(m.eng)
 	for _, s := range m.perShard {
 		m.log = append(m.log, s...)
 	}
 }
 
-func TestParallelEngineWorkerCountInvariance(t *testing.T) {
-	ref := newRingModel(7, 6, 1)
-	ref.run()
-	if len(ref.log) == 0 || ref.msgs == 0 {
-		t.Fatalf("degenerate reference run: %d events, %d messages", len(ref.log), ref.msgs)
-	}
-	for _, workers := range []int{2, 3, 8, 16} {
-		m := newRingModel(7, 6, workers)
-		m.run()
-		if !reflect.DeepEqual(m.log, ref.log) {
-			t.Fatalf("workers=%d: event log diverged from serial driver", workers)
+// runFixedWindows is the conservative reference driver Run is checked
+// against: every window starts at the minimum found by rescanning every
+// shard queue, and every shard steps through every window.
+func runFixedWindows(e *ParallelEngine) uint64 {
+	for {
+		start, ok := minNextScan(e)
+		if !ok {
+			return e.now
 		}
-		if m.msgs != ref.msgs || m.eng.Windows != ref.eng.Windows || m.eng.Now() != ref.eng.Now() {
-			t.Fatalf("workers=%d: msgs=%d windows=%d now=%d, want %d/%d/%d",
-				workers, m.msgs, m.eng.Windows, m.eng.Now(),
-				ref.msgs, ref.eng.Windows, ref.eng.Now())
+		end := start + e.window
+		e.Windows++
+		for i := range e.shards {
+			e.shards[i].runWindow(start, end)
+		}
+		e.now = end
+		if msgs := e.collect(start); len(msgs) > 0 {
+			e.Barriers++
+			e.Messages += uint64(len(msgs))
+			e.barrier(msgs)
 		}
 	}
 }
 
-// TestParallelEngineWidenWindowsDifferential pins the adaptive window
-// driver to the conservative reference driver: frontier jumps, idle-shard
-// skips and barrier elision may only change the window accounting, never
-// the executed events, the message stream or the final clock.
+// minNextScan finds the earliest pending event time by scanning every
+// shard queue, independently of the cached per-shard minima Run reads.
+func minNextScan(e *ParallelEngine) (uint64, bool) {
+	best := noEvent
+	ok := false
+	for i := range e.shards {
+		if t, has := e.shards[i].q.min(); has && t < best {
+			best = t
+			ok = true
+		}
+	}
+	return best, ok
+}
+
+// TestParallelEngineWidenWindowsDifferential pins Run to the
+// fixed-window reference driver: frontier jumps and idle-shard skips
+// may only change the window accounting, never the executed events,
+// the message stream or the final clock.
 func TestParallelEngineWidenWindowsDifferential(t *testing.T) {
-	ref := newRingModel(7, 6, 1)
-	ref.eng.WidenWindows = false
-	ref.run()
+	ref := newRingModel(7, 6)
+	ref.run(runFixedWindows)
 	if len(ref.log) == 0 || ref.msgs == 0 {
 		t.Fatalf("degenerate reference run: %d events, %d messages", len(ref.log), ref.msgs)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		m := newRingModel(7, 6, workers)
-		m.run() // WidenWindows defaults to true
-		if !reflect.DeepEqual(m.log, ref.log) {
-			t.Fatalf("widened workers=%d: event log diverged from fixed-window driver", workers)
-		}
-		if m.msgs != ref.msgs || m.eng.Now() != ref.eng.Now() {
-			t.Fatalf("widened workers=%d: msgs=%d now=%d, want %d/%d",
-				workers, m.msgs, m.eng.Now(), ref.msgs, ref.eng.Now())
-		}
-		if m.eng.Windows > ref.eng.Windows {
-			t.Fatalf("widening advanced more windows (%d) than the fixed driver (%d)",
-				m.eng.Windows, ref.eng.Windows)
-		}
+	m := newRingModel(7, 6)
+	m.run((*ParallelEngine).Run)
+	if !reflect.DeepEqual(m.log, ref.log) {
+		t.Fatal("event log diverged from the fixed-window driver")
+	}
+	if m.msgs != ref.msgs || m.eng.Now() != ref.eng.Now() {
+		t.Fatalf("msgs=%d now=%d, want %d/%d", m.msgs, m.eng.Now(), ref.msgs, ref.eng.Now())
+	}
+	if m.eng.Windows > ref.eng.Windows {
+		t.Fatalf("Run advanced more windows (%d) than the fixed driver (%d)",
+			m.eng.Windows, ref.eng.Windows)
 	}
 }
 
 func TestShardSameCycleFIFO(t *testing.T) {
-	e := NewParallelEngine(staticPartition{1, 4}, 1)
+	e := NewParallelEngine(staticPartition{1, 4})
 	var got []uint64
 	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
 		got = append(got, a)
@@ -159,7 +173,7 @@ type handlerFunc func(sh *Shard, t uint64, op uint8, a, b uint64)
 func (f handlerFunc) Event(sh *Shard, t uint64, op uint8, a, b uint64) { f(sh, t, op, a, b) }
 
 func TestShardAtPastPanics(t *testing.T) {
-	e := NewParallelEngine(staticPartition{1, 4}, 1)
+	e := NewParallelEngine(staticPartition{1, 4})
 	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
 		defer func() {
 			if recover() == nil {
@@ -175,7 +189,7 @@ func TestShardAtPastPanics(t *testing.T) {
 func TestParallelEngineOverflowPromotion(t *testing.T) {
 	// An event far beyond the horizon, alone in the queue: the window must
 	// jump to it (advanceBase promotion) rather than spin or drop it.
-	e := NewParallelEngine(staticPartition{2, 8}, 1)
+	e := NewParallelEngine(staticPartition{2, 8})
 	var fired []uint64
 	for i := 0; i < 2; i++ {
 		e.SetHandler(i, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
@@ -192,7 +206,7 @@ func TestParallelEngineOverflowPromotion(t *testing.T) {
 }
 
 func TestParallelEngineHookAndAdvanceTo(t *testing.T) {
-	e := NewParallelEngine(staticPartition{2, 5}, 1)
+	e := NewParallelEngine(staticPartition{2, 5})
 	log := &advanceLog{}
 	e.SetHook(log)
 	for i := 0; i < 2; i++ {
@@ -213,7 +227,7 @@ func TestParallelEngineHookAndAdvanceTo(t *testing.T) {
 }
 
 func TestParallelEngineAdvanceToPendingPanics(t *testing.T) {
-	e := NewParallelEngine(staticPartition{1, 5}, 1)
+	e := NewParallelEngine(staticPartition{1, 5})
 	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {}))
 	e.Shard(0).At(10, 0, 0, 0)
 	defer func() {
@@ -232,7 +246,7 @@ func TestParallelEngineLookaheadValidation(t *testing.T) {
 					t.Errorf("lookahead %d accepted", w)
 				}
 			}()
-			NewParallelEngine(staticPartition{1, w}, 1)
+			NewParallelEngine(staticPartition{1, w})
 		}()
 	}
 }
@@ -242,7 +256,7 @@ func TestParallelEngineLookaheadValidation(t *testing.T) {
 // nondecreasing time order.
 func TestBucketQueueRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	e := NewParallelEngine(staticPartition{1, 16}, 1)
+	e := NewParallelEngine(staticPartition{1, 16})
 	var fired []uint64
 	scheduled := 0
 	e.SetHandler(0, handlerFunc(func(sh *Shard, tm uint64, op uint8, a, b uint64) {
@@ -272,7 +286,7 @@ func TestBucketQueueRandomized(t *testing.T) {
 // BenchmarkShardSchedule measures the engine's schedule/dispatch hot
 // path: Shard.At into the calendar queue and a Run that drains it.
 func BenchmarkShardSchedule(b *testing.B) {
-	e := NewParallelEngine(staticPartition{1, 16}, 1)
+	e := NewParallelEngine(staticPartition{1, 16})
 	var sum uint64
 	e.SetHandler(0, handlerFunc(func(sh *Shard, t uint64, op uint8, a, bb uint64) {
 		sum += a

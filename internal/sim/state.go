@@ -39,9 +39,7 @@ type ShardState struct {
 }
 
 // ParallelEngineState is the serializable state of a quiescent
-// ParallelEngine. Per-shard state is independent of the worker count
-// (workers change wall-clock scheduling only), so a state captured at
-// one -sim-workers value restores onto an engine running any other.
+// ParallelEngine.
 type ParallelEngineState struct {
 	Now      uint64
 	Windows  uint64

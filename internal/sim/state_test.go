@@ -66,7 +66,7 @@ func (h countHandler) Event(sh *Shard, t uint64, op uint8, a, b uint64) { *h.n++
 // state only restores onto an engine with the same shard count.
 func TestParallelCaptureRefusesPendingEvents(t *testing.T) {
 	build := func(shards int) *ParallelEngine {
-		e := NewParallelEngine(staticPartition{shards, 8}, 2)
+		e := NewParallelEngine(staticPartition{shards, 8})
 		n := 0
 		for i := 0; i < shards; i++ {
 			e.SetHandler(i, countHandler{&n})

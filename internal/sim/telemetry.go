@@ -16,8 +16,8 @@ import (
 // (DESIGN.md §5): a nil telemetry sink costs the engine one predictable
 // branch per window, and an installed sink is write-only from the
 // engine side — it can never change event order, cycle counts, or
-// statistics. The engine publishes at window barriers, where all shards
-// are parked and coordinator-side reads of shard state are race-free.
+// statistics. The engine publishes at window barriers, on the goroutine
+// that runs it; observers read only the atomics.
 //
 // Counters (Events, Windows, Messages, per-shard Events) are deltas
 // accumulated with Add, so one Telemetry can be shared across a
@@ -110,8 +110,7 @@ func (t *Telemetry) HeartbeatAge(now time.Time) (time.Duration, bool) {
 // SetTelemetry installs (or removes) a live telemetry sink on the
 // engine: cheap frontier counters publish at every window
 // barrier, a full per-shard sweep every telemetryWindowStride windows
-// and when Run returns. Publishes happen only while worker goroutines
-// are parked at the barrier, so shard reads are race-free.
+// and when Run returns.
 func (e *ParallelEngine) SetTelemetry(t *Telemetry) {
 	e.tel = t
 	if t == nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // chainHandler schedules a follow-up event until left events have run:
-// a single-shard event chain on the inline driver.
+// a single-shard event chain.
 type chainHandler struct {
 	left int
 	gap  uint64
@@ -20,18 +20,18 @@ func (c *chainHandler) Event(sh *Shard, t uint64, op uint8, a, b uint64) {
 	}
 }
 
-// newChain builds a one-shard engine on the inline driver running a
-// chain of n events gap cycles apart.
+// newChain builds a one-shard engine running a chain of n events gap
+// cycles apart.
 func newChain(n int, gap uint64) *ParallelEngine {
-	e := NewParallelEngine(staticPart{n: 1, w: 4}, 1)
+	e := NewParallelEngine(staticPart{n: 1, w: 4})
 	e.SetHandler(0, &chainHandler{left: n, gap: gap})
 	e.SetBarrier(func([]Message) {})
 	e.Shard(0).At(0, 0, 0, 0)
 	return e
 }
 
-// The inline (serial) driver publishes exactly like the goroutine
-// driver: totals, frontier, drained queue and a per-shard view.
+// A one-shard engine publishes totals, frontier, drained queue and a
+// per-shard view.
 func TestSerialEngineTelemetryPublishes(t *testing.T) {
 	e := newChain(5000, 3)
 	tel := &Telemetry{}
@@ -116,8 +116,8 @@ func TestEnsureShardsPreservesCounts(t *testing.T) {
 
 func TestParallelEngineTelemetryPerShard(t *testing.T) {
 	const shards = 4
-	run := func(workers int, tel *Telemetry) *ParallelEngine {
-		e := NewParallelEngine(staticPart{n: shards, w: 8}, workers)
+	run := func(tel *Telemetry) *ParallelEngine {
+		e := NewParallelEngine(staticPart{n: shards, w: 8})
 		h := &pingHandler{e: e, limit: 4000}
 		for i := 0; i < shards; i++ {
 			e.SetHandler(i, h)
@@ -137,7 +137,7 @@ func TestParallelEngineTelemetryPerShard(t *testing.T) {
 	}
 
 	tel := &Telemetry{}
-	e := run(2, tel)
+	e := run(tel)
 
 	var wantEvents uint64
 	for i := 0; i < shards; i++ {
@@ -166,8 +166,8 @@ func TestParallelEngineTelemetryPerShard(t *testing.T) {
 	}
 
 	// Determinism: telemetry must not perturb results — same final cycle
-	// and event counts with telemetry off, and across worker counts.
-	base := run(1, nil)
+	// and event counts with telemetry off.
+	base := run(nil)
 	if base.Now() != e.Now() || base.Windows != e.Windows || base.Messages != e.Messages {
 		t.Fatalf("telemetry perturbed the run: now %d vs %d, windows %d vs %d, messages %d vs %d",
 			base.Now(), e.Now(), base.Windows, e.Windows, base.Messages, e.Messages)
@@ -180,12 +180,12 @@ func TestParallelEngineTelemetryPerShard(t *testing.T) {
 }
 
 // TestTelemetryConcurrentScrape reads telemetry from another goroutine
-// while the parallel engine runs with multiple workers — the exact
-// deployment shape of the /metrics server — under the race detector.
+// while the engine runs — the exact deployment shape of the /metrics
+// server — under the race detector.
 func TestTelemetryConcurrentScrape(t *testing.T) {
 	const shards = 4
 	tel := &Telemetry{}
-	e := NewParallelEngine(staticPart{n: shards, w: 8}, 2)
+	e := NewParallelEngine(staticPart{n: shards, w: 8})
 	h := &pingHandler{e: e, limit: 20000}
 	for i := 0; i < shards; i++ {
 		e.SetHandler(i, h)
@@ -259,7 +259,7 @@ func (h *pingHandler) Event(sh *Shard, t uint64, op uint8, a, b uint64) {
 }
 
 // The benchmark pair backing the zero-overhead-when-off contract for
-// telemetry on the inline driver, mirroring the tracing-overhead
+// telemetry, mirroring the tracing-overhead
 // benchmarks: the Off variant must match the historical no-hook
 // numbers, the On variant shows the amortized publish cost.
 

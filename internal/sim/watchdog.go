@@ -35,8 +35,8 @@ func NewWatchdog(window uint64) *Watchdog {
 
 // Progress records forward progress at the given cycle. Calls are
 // monotonic-max: marking an earlier cycle than the latest is a no-op.
-// Not safe for concurrent use — call only from the engine's coordinator
-// (the barrier function, a hook, or inline-driver shard events).
+// Not safe for concurrent use — call only from the goroutine running
+// the engine (the barrier function, a hook, or shard events).
 func (w *Watchdog) Progress(cycle uint64) {
 	if cycle > w.last {
 		w.last = cycle

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// TestEngineWatchdogAbortsLivelock runs a livelock on the inline driver
-// — one shard whose every event reschedules itself a fixed delay later,
+// TestEngineWatchdogAbortsLivelock runs a livelock — one shard whose every event reschedules itself a fixed delay later,
 // forever, without marking progress — and requires a typed abort with
 // the queue-state dump.
 func TestEngineWatchdogAbortsLivelock(t *testing.T) {
-	e := NewParallelEngine(wdPartition{n: 1}, 1)
+	e := NewParallelEngine(wdPartition{n: 1})
 	wd := NewWatchdog(1000)
 	e.SetWatchdog(wd)
 	wd.Progress(0)
@@ -46,10 +45,10 @@ func TestEngineWatchdogAbortsLivelock(t *testing.T) {
 }
 
 // TestEngineWatchdogQuietWithProgress marks progress from the running
-// events themselves — allowed on the inline driver, where shard events
-// run on the coordinator's goroutine.
+// events themselves — allowed because shard events run on the
+// coordinator's goroutine.
 func TestEngineWatchdogQuietWithProgress(t *testing.T) {
-	e := NewParallelEngine(wdPartition{n: 1}, 1)
+	e := NewParallelEngine(wdPartition{n: 1})
 	wd := NewWatchdog(300)
 	e.SetWatchdog(wd)
 	e.SetHandler(0, &wdShardHandler{progress: wd.Progress})
@@ -84,44 +83,42 @@ func (p wdPartition) Shards() int       { return p.n }
 func (p wdPartition) Lookahead() uint64 { return 8 }
 
 func TestParallelEngineWatchdogAbortsLivelock(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		e := NewParallelEngine(wdPartition{n: 3}, workers)
-		wd := NewWatchdog(500)
-		e.SetWatchdog(wd)
-		h := &wdShardHandler{respawn: 32}
-		for i := 0; i < 3; i++ {
-			e.SetHandler(i, h)
-			e.Shard(i).At(0, 0, 0, 0)
-		}
-		e.SetBarrier(func([]Message) {})
+	e := NewParallelEngine(wdPartition{n: 3})
+	wd := NewWatchdog(500)
+	e.SetWatchdog(wd)
+	h := &wdShardHandler{respawn: 32}
+	for i := 0; i < 3; i++ {
+		e.SetHandler(i, h)
+		e.Shard(i).At(0, 0, 0, 0)
+	}
+	e.SetBarrier(func([]Message) {})
 
-		var got *WatchdogError
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					we, ok := rec.(*WatchdogError)
-					if !ok {
-						t.Fatalf("workers=%d: panic was not a WatchdogError: %v", workers, rec)
-					}
-					got = we
+	var got *WatchdogError
+	func() {
+		defer func() {
+			if rec := recover(); rec != nil {
+				we, ok := rec.(*WatchdogError)
+				if !ok {
+					t.Fatalf("panic was not a WatchdogError: %v", rec)
 				}
-			}()
-			e.Run()
+				got = we
+			}
 		}()
-		if got == nil {
-			t.Fatalf("workers=%d: watchdog never fired", workers)
-		}
-		if !strings.Contains(got.Dump, "shard 0") || !strings.Contains(got.Dump, "shard 2") {
-			t.Fatalf("workers=%d: dump missing per-shard state: %q", workers, got.Dump)
-		}
-		if !strings.Contains(got.Dump, "next=") {
-			t.Fatalf("workers=%d: dump missing earliest pending times: %q", workers, got.Dump)
-		}
+		e.Run()
+	}()
+	if got == nil {
+		t.Fatal("watchdog never fired")
+	}
+	if !strings.Contains(got.Dump, "shard 0") || !strings.Contains(got.Dump, "shard 2") {
+		t.Fatalf("dump missing per-shard state: %q", got.Dump)
+	}
+	if !strings.Contains(got.Dump, "next=") {
+		t.Fatalf("dump missing earliest pending times: %q", got.Dump)
 	}
 }
 
 func TestParallelEngineWatchdogQuietWithProgress(t *testing.T) {
-	e := NewParallelEngine(wdPartition{n: 2}, 2)
+	e := NewParallelEngine(wdPartition{n: 2})
 	wd := NewWatchdog(1000)
 	e.SetWatchdog(wd)
 	// Progress is marked from the barrier (coordinator side), as the

@@ -33,8 +33,7 @@ type ShardMachineState struct {
 }
 
 // MachineState is the complete serializable state of a quiescent
-// Machine. Per-shard state is worker-invariant, so a state restores at
-// any worker count.
+// Machine.
 type MachineState struct {
 	// Parallel is the engine state. It is nil only in states written by
 	// the removed legacy serial engine, which cannot be restored.

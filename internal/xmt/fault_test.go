@@ -3,7 +3,6 @@ package xmt
 import (
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,38 +30,34 @@ func faultSuiteRun(t *testing.T, m *Machine) ([]SpawnResult, interface{}) {
 
 // TestZeroRatePlanIsZeroOverhead is the first determinism contract:
 // enabling an empty fault plan (and an untriggered watchdog) must leave
-// every cycle count and counter bit-identical at every worker count.
+// every cycle count and counter bit-identical.
 func TestZeroRatePlanIsZeroOverhead(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(workers int) *Machine {
-		m, err := NewParallel(cfg, workers)
+	build := func() *Machine {
+		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	for _, workers := range []int{1, 2} {
-		base := build(workers)
-		baseRes, baseCtr := faultSuiteRun(t, base)
+	base := build()
+	baseRes, baseCtr := faultSuiteRun(t, base)
 
-		armed := build(workers)
-		if err := armed.EnableFaults(fault.Plan{Seed: 123}); err != nil {
-			t.Fatal(err)
-		}
-		armed.SetWatchdog(1 << 40) // installed, never fires
-		gotRes, gotCtr := faultSuiteRun(t, armed)
+	armed := build()
+	if err := armed.EnableFaults(fault.Plan{Seed: 123}); err != nil {
+		t.Fatal(err)
+	}
+	armed.SetWatchdog(1 << 40) // installed, never fires
+	gotRes, gotCtr := faultSuiteRun(t, armed)
 
-		if !reflect.DeepEqual(gotRes, baseRes) {
-			t.Errorf("workers=%d: zero-rate plan changed SpawnResults\n got %+v\nwant %+v",
-				workers, gotRes, baseRes)
-		}
-		if !reflect.DeepEqual(gotCtr, baseCtr) {
-			t.Errorf("workers=%d: zero-rate plan changed counters\n got %+v\nwant %+v",
-				workers, gotCtr, baseCtr)
-		}
+	if !reflect.DeepEqual(gotRes, baseRes) {
+		t.Errorf("zero-rate plan changed SpawnResults\n got %+v\nwant %+v", gotRes, baseRes)
+	}
+	if !reflect.DeepEqual(gotCtr, baseCtr) {
+		t.Errorf("zero-rate plan changed counters\n got %+v\nwant %+v", gotCtr, baseCtr)
 	}
 }
 
@@ -102,75 +97,72 @@ func TestKillClustersRemapsThreads(t *testing.T) {
 	}
 	n := 3*cfg.TCUs + 11
 
-	for _, workers := range []int{1, 4} {
-		build := func() *Machine {
-			m, err := NewParallel(cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-		run := func(m *Machine) (SpawnResult, []uint32) {
-			ran := make([]uint32, n)
-			// Compute-bound threads: the makespan then scales with the
-			// surviving TCU count, so the degraded run is measurably
-			// slower (a memory-bound workload would hide the kills behind
-			// the DRAM bottleneck).
-			res, err := m.Spawn(n, ProgramFunc(func(id int, buf []Op) []Op {
-				atomic.AddUint32(&ran[id], 1)
-				return append(buf, ALU(2), FLOP(48), ALU(2))
-			}))
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			return res, ran
-		}
-
-		healthy := build()
-		hres, _ := run(healthy)
-
-		m := build()
-		rec := trace.NewRecorder(0)
-		m.AttachRecorder(rec)
-		if err := m.EnableFaults(fault.Plan{Seed: 7, KillClusters: kills}); err != nil {
+	build := func() *Machine {
+		m, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.DeadClusters(); !reflect.DeepEqual(got, kills) {
-			t.Fatalf("DeadClusters() = %v, want %v", got, kills)
+		return m
+	}
+	run := func(m *Machine) (SpawnResult, []uint32) {
+		ran := make([]uint32, n)
+		// Compute-bound threads: the makespan then scales with the
+		// surviving TCU count, so the degraded run is measurably
+		// slower (a memory-bound workload would hide the kills behind
+		// the DRAM bottleneck).
+		res, err := m.Spawn(n, ProgramFunc(func(id int, buf []Op) []Op {
+			ran[id]++
+			return append(buf, ALU(2), FLOP(48), ALU(2))
+		}))
+		if err != nil {
+			t.Fatal(err)
 		}
-		res, ran := run(m)
-		for id, c := range ran {
-			if c != 1 {
-				t.Fatalf("workers=%d: thread %d ran %d times, want 1", workers, id, c)
+		return res, ran
+	}
+
+	healthy := build()
+	hres, _ := run(healthy)
+
+	m := build()
+	rec := trace.NewRecorder(0)
+	m.AttachRecorder(rec)
+	if err := m.EnableFaults(fault.Plan{Seed: 7, KillClusters: kills}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.DeadClusters(); !reflect.DeepEqual(got, kills) {
+		t.Fatalf("DeadClusters() = %v, want %v", got, kills)
+	}
+	res, ran := run(m)
+	for id, c := range ran {
+		if c != 1 {
+			t.Fatalf("thread %d ran %d times, want 1", id, c)
+		}
+	}
+	if res.Ops.Threads != uint64(n) {
+		t.Errorf("Threads counter %d, want %d", res.Ops.Threads, n)
+	}
+	deadStarts := 0
+	sawDeadMark := false
+	for _, ev := range rec.Events {
+		switch ev.Kind {
+		case trace.EvThreadStart:
+			if deadSet[int(ev.Aux)] {
+				deadStarts++
+			}
+		case trace.EvFault:
+			if trace.FaultKind(ev.Aux) == trace.FaultClusterDead && deadSet[int(ev.TCU)] {
+				sawDeadMark = true
 			}
 		}
-		if res.Ops.Threads != uint64(n) {
-			t.Errorf("workers=%d: Threads counter %d, want %d", workers, res.Ops.Threads, n)
-		}
-		deadStarts := 0
-		sawDeadMark := false
-		for _, ev := range rec.Events {
-			switch ev.Kind {
-			case trace.EvThreadStart:
-				if deadSet[int(ev.Aux)] {
-					deadStarts++
-				}
-			case trace.EvFault:
-				if trace.FaultKind(ev.Aux) == trace.FaultClusterDead && deadSet[int(ev.TCU)] {
-					sawDeadMark = true
-				}
-			}
-		}
-		if deadStarts > 0 {
-			t.Errorf("workers=%d: %d threads started on dead clusters", workers, deadStarts)
-		}
-		if !sawDeadMark {
-			t.Errorf("workers=%d: no cluster-dead trace event", workers)
-		}
-		if res.Cycles() <= hres.Cycles() {
-			t.Errorf("workers=%d: degraded run (%d cyc) not slower than healthy (%d cyc)",
-				workers, res.Cycles(), hres.Cycles())
-		}
+	}
+	if deadStarts > 0 {
+		t.Errorf("%d threads started on dead clusters", deadStarts)
+	}
+	if !sawDeadMark {
+		t.Error("no cluster-dead trace event")
+	}
+	if res.Cycles() <= hres.Cycles() {
+		t.Errorf("degraded run (%d cyc) not slower than healthy (%d cyc)", res.Cycles(), hres.Cycles())
 	}
 }
 
@@ -199,7 +191,7 @@ func TestAllClustersDeadFailsSpawn(t *testing.T) {
 
 // TestWatchdogAbortsRetransmitLivelock induces the canonical livelock —
 // a 100% packet-loss NoC, so every load escalates forever — and checks
-// every worker count converts it into a clean *sim.WatchdogError carrying a
+// the machine converts it into a clean *sim.WatchdogError carrying a
 // queue-state dump, within a wall-clock deadline. Afterwards the
 // machine is poisoned: further spawns fail.
 func TestWatchdogAbortsRetransmitLivelock(t *testing.T) {
@@ -207,50 +199,48 @@ func TestWatchdogAbortsRetransmitLivelock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		m, err := NewParallel(cfg, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.EnableFaults(fault.Plan{Seed: 1, NoCDrop: 1.0}); err != nil {
-			t.Fatal(err)
-		}
-		m.SetWatchdog(200_000)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnableFaults(fault.Plan{Seed: 1, NoCDrop: 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	m.SetWatchdog(200_000)
 
-		type outcome struct {
-			res SpawnResult
-			err error
-		}
-		ch := make(chan outcome, 1)
-		go func() {
-			res, err := m.Spawn(cfg.TCUs, ProgramFunc(func(id int, buf []Op) []Op {
-				return append(buf, Load(uint64(id)*config.CacheLineBytes), FLOP(1))
-			}))
-			ch <- outcome{res, err}
-		}()
-		var got outcome
-		select {
-		case got = <-ch:
-		case <-time.After(60 * time.Second):
-			t.Fatalf("workers=%d: watchdog did not abort within deadline", workers)
-		}
-		if got.err == nil {
-			t.Fatalf("workers=%d: spawn under total packet loss succeeded: %+v", workers, got.res)
-		}
-		we, ok := got.err.(*sim.WatchdogError)
-		if !ok {
-			t.Fatalf("workers=%d: error is %T, want *sim.WatchdogError: %v", workers, got.err, got.err)
-		}
-		if !strings.Contains(we.Error(), "watchdog") {
-			t.Errorf("workers=%d: error text missing watchdog: %q", workers, we.Error())
-		}
-		if !strings.Contains(we.Dump, "shard 0") || !strings.Contains(we.Dump, "pending=") {
-			t.Errorf("workers=%d: dump missing queue state: %q", workers, we.Dump)
-		}
-		if _, err := m.Spawn(4, ProgramFunc(func(id int, buf []Op) []Op {
-			return append(buf, FLOP(1))
-		})); err == nil {
-			t.Errorf("workers=%d: poisoned machine accepted a new spawn", workers)
-		}
+	type outcome struct {
+		res SpawnResult
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := m.Spawn(cfg.TCUs, ProgramFunc(func(id int, buf []Op) []Op {
+			return append(buf, Load(uint64(id)*config.CacheLineBytes), FLOP(1))
+		}))
+		ch <- outcome{res, err}
+	}()
+	var got outcome
+	select {
+	case got = <-ch:
+	case <-time.After(60 * time.Second):
+		t.Fatal("watchdog did not abort within deadline")
+	}
+	if got.err == nil {
+		t.Fatalf("spawn under total packet loss succeeded: %+v", got.res)
+	}
+	we, ok := got.err.(*sim.WatchdogError)
+	if !ok {
+		t.Fatalf("error is %T, want *sim.WatchdogError: %v", got.err, got.err)
+	}
+	if !strings.Contains(we.Error(), "watchdog") {
+		t.Errorf("error text missing watchdog: %q", we.Error())
+	}
+	if !strings.Contains(we.Dump, "shard 0") || !strings.Contains(we.Dump, "pending=") {
+		t.Errorf("dump missing queue state: %q", we.Dump)
+	}
+	if _, err := m.Spawn(4, ProgramFunc(func(id int, buf []Op) []Op {
+		return append(buf, FLOP(1))
+	})); err == nil {
+		t.Error("poisoned machine accepted a new spawn")
 	}
 }

@@ -13,9 +13,9 @@ import (
 
 // liveRun executes the differential workload suite on a machine with
 // the requested observers attached and returns everything comparable.
-func liveRun(t *testing.T, cfg config.Config, workers int, withTrace, withLive bool) (shardedRun, *metrics.Registry, *Machine) {
+func liveRun(t *testing.T, cfg config.Config, withTrace, withLive bool) (shardedRun, *metrics.Registry, *Machine) {
 	t.Helper()
-	m, err := NewParallel(cfg, workers)
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,34 +52,32 @@ func liveRun(t *testing.T, cfg config.Config, workers int, withTrace, withLive b
 // TestLiveMetricsZeroPerturbation is the bit-identical off-state test:
 // attaching the live metrics sampler (alone or chained after the trace
 // sampler) must not change spawn results, counters, or — when tracing —
-// the recorded event and sample streams, at any worker count.
+// the recorded event and sample streams.
 func TestLiveMetricsZeroPerturbation(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		ref, _, _ := liveRun(t, cfg, workers, true, false)
-		got, _, _ := liveRun(t, cfg, workers, true, true)
-		if !reflect.DeepEqual(got.results, ref.results) {
-			t.Errorf("workers=%d: live metrics perturbed SpawnResults", workers)
-		}
-		if !reflect.DeepEqual(got.ctrs, ref.ctrs) {
-			t.Errorf("workers=%d: live metrics perturbed counters", workers)
-		}
-		if !reflect.DeepEqual(got.events, ref.events) {
-			t.Errorf("workers=%d: live metrics perturbed trace events", workers)
-		}
-		if !reflect.DeepEqual(got.samples, ref.samples) {
-			t.Errorf("workers=%d: live metrics perturbed epoch samples", workers)
-		}
+	ref, _, _ := liveRun(t, cfg, true, false)
+	got, _, _ := liveRun(t, cfg, true, true)
+	if !reflect.DeepEqual(got.results, ref.results) {
+		t.Error("live metrics perturbed SpawnResults")
+	}
+	if !reflect.DeepEqual(got.ctrs, ref.ctrs) {
+		t.Error("live metrics perturbed counters")
+	}
+	if !reflect.DeepEqual(got.events, ref.events) {
+		t.Error("live metrics perturbed trace events")
+	}
+	if !reflect.DeepEqual(got.samples, ref.samples) {
+		t.Error("live metrics perturbed epoch samples")
+	}
 
-		// Live metrics without tracing must also match the no-observer run.
-		bare, _, _ := liveRun(t, cfg, workers, false, false)
-		solo, _, _ := liveRun(t, cfg, workers, false, true)
-		if !reflect.DeepEqual(solo.results, bare.results) || !reflect.DeepEqual(solo.ctrs, bare.ctrs) {
-			t.Errorf("workers=%d: live metrics alone perturbed the run", workers)
-		}
+	// Live metrics without tracing must also match the no-observer run.
+	bare, _, _ := liveRun(t, cfg, false, false)
+	solo, _, _ := liveRun(t, cfg, false, true)
+	if !reflect.DeepEqual(solo.results, bare.results) || !reflect.DeepEqual(solo.ctrs, bare.ctrs) {
+		t.Error("live metrics alone perturbed the run")
 	}
 }
 
@@ -92,7 +90,7 @@ func TestLiveMetricsPublishedValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewParallel(cfg, 2)
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ package xmt
 
 import (
 	"fmt"
-	"runtime"
 
 	"xmtfft/internal/config"
 	"xmtfft/internal/mem"
@@ -116,15 +115,8 @@ type Machine struct {
 	onWatchdog func(*sim.WatchdogError)
 }
 
-// New builds a machine for cfg with a fresh memory system and network,
-// simulating on the inline driver (one worker): NewParallel(cfg, 1).
-func New(cfg config.Config) (*Machine, error) { return NewParallel(cfg, 1) }
-
-// NewParallel builds a machine whose shards advance on the given number
-// of worker goroutines (<= 0 selects GOMAXPROCS; 1 is the inline driver
-// that New uses). Simulation results are identical for every worker
-// count; only wall-clock time changes.
-func NewParallel(cfg config.Config, workers int) (*Machine, error) {
+// New builds a machine for cfg with a fresh memory system and network.
+func New(cfg config.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -147,11 +139,8 @@ func NewParallel(cfg config.Config, workers int) (*Machine, error) {
 	if window == 0 {
 		return nil, fmt.Errorf("xmt: configuration %q has zero NoC latency", cfg.Name)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	m := &Machine{cfg: cfg, memory: memory, network: network}
-	m.eng = sim.NewParallelEngine(clusterPartition{shards: cfg.Clusters, window: window}, workers)
+	m.eng = sim.NewParallelEngine(clusterPartition{shards: cfg.Clusters, window: window})
 	m.eng.SetBarrier(m.onBarrier)
 	m.shards = make([]*machineShard, cfg.Clusters)
 	for i := range m.shards {
@@ -179,6 +168,17 @@ func NewParallel(cfg config.Config, workers int) (*Machine, error) {
 	return m, nil
 }
 
+// NewParallel builds a machine like New; workers must be 1.
+//
+// Deprecated: use New. The engine has one driver, which advances every
+// shard on the calling goroutine, so any other worker count is an error.
+func NewParallel(cfg config.Config, workers int) (*Machine, error) {
+	if workers != 1 {
+		return nil, fmt.Errorf("xmt: %d simulation workers requested; the engine runs on the calling goroutine only (use New)", workers)
+	}
+	return New(cfg)
+}
+
 // Config returns the machine's configuration.
 func (m *Machine) Config() config.Config { return m.cfg }
 
@@ -190,9 +190,6 @@ func (m *Machine) Network() noc.Network { return m.network }
 
 // Now returns the machine's current cycle.
 func (m *Machine) Now() uint64 { return m.now }
-
-// Workers returns the simulation worker count (1 is the inline driver).
-func (m *Machine) Workers() int { return m.eng.Workers }
 
 // SimStats reports engine-level execution statistics: events executed,
 // windows advanced, barrier synchronizations that delivered messages,
@@ -392,16 +389,11 @@ func (m *Machine) syncMemCounters() {
 // up by TCUs through the same prefix-sum allocation path as the
 // original thread range.
 //
-// The new ids are allocated at once, which needs the inline driver
-// (one simulation worker, New's default): there Program.Thread runs on
-// the coordinator's goroutine, between the barriers that allocate ids.
-// With more workers it runs on worker goroutines and ExtendSpawn fails.
+// The new ids are allocated at once: Program.Thread runs on the
+// coordinator's goroutine, between the barriers that allocate ids.
 func (m *Machine) ExtendSpawn(k int) (int, error) {
 	if m.prog == nil {
 		return 0, fmt.Errorf("xmt: ExtendSpawn outside a parallel section")
-	}
-	if !m.eng.Inline() {
-		return 0, fmt.Errorf("xmt: ExtendSpawn needs the inline driver (1 simulation worker), machine runs %d", m.eng.Workers)
 	}
 	if k <= 0 {
 		return 0, fmt.Errorf("xmt: ExtendSpawn count %d must be positive", k)

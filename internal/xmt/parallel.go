@@ -25,20 +25,16 @@ package xmt
 // design bounced every request through module-owner shards and every
 // reply through its own message, which tripled wall-clock purely on
 // message transport (1.86M messages for a run with 0.9M accesses). The
-// trade, documented in DESIGN.md §7: memory-system model work is
-// serialized at the coordinator, so workers parallelize only
-// cluster-side work (thread generation, FLOP/ALU segments).
+// memory-system model work is serialized at the coordinator, and it
+// dominates the run, which is why the engine advances the shards inline
+// rather than on goroutines of their own (DESIGN.md §7).
 //
 // The lookahead window is min(NoC one-way latency, PSLatency), so every
 // cross-shard effect lands at or after the barrier that delivers it —
 // the conservative-PDES safety condition. Because the window sequence,
 // per-shard event order and barrier merge order are all deterministic,
 // a run's cycle counts, counters and trace streams are bit-identical
-// for every worker count, which the differential tests assert.
-//
-// Programs run with more than one worker must be safe for concurrent
-// Program.Thread calls (see Program); the FFT kernels are, by the PRAM
-// independence contract.
+// from run to run, which the pinned table test asserts.
 
 import (
 	"fmt"
@@ -345,8 +341,7 @@ func (sh *machineShard) Event(s *sim.Shard, t uint64, op uint8, a, b uint64) {
 }
 
 // runThread generates thread tid's ops and begins executing its first
-// segment. Program.Thread is called from worker goroutines here — the
-// concurrency contract is documented on Program.
+// segment.
 func (sh *machineShard) runThread(s *sim.Shard, tc *shardTCU, tid int, now uint64) {
 	sh.counters.Threads++
 	tc.tid = tid

@@ -1,21 +1,12 @@
 package xmt
 
 import (
-	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"xmtfft/internal/config"
 	"xmtfft/internal/stats"
 	"xmtfft/internal/trace"
 )
-
-// Differential harness for the sharded engine: the same machine
-// configuration and workload run at several worker counts must produce
-// bit-identical results — SpawnResult (including utilization floats),
-// machine counters, and, when a recorder is attached, the merged event
-// stream and epoch samples. Worker count may only change wall-clock
-// time, never simulation output.
 
 // diffWorkload is one workload of the differential suite.
 type diffWorkload struct {
@@ -65,90 +56,13 @@ func diffWorkloads(tcus int) []diffWorkload {
 	}
 }
 
-// runSharded executes the workload suite on a fresh sharded machine and
-// returns everything comparable: per-spawn results, final counters, and
-// the trace stream.
+// shardedRun is everything comparable about one run of the suite:
+// per-spawn results, final counters, and the trace stream.
 type shardedRun struct {
 	results []SpawnResult
 	ctrs    interface{}
 	events  []trace.Event
 	samples []trace.Sample
-}
-
-func runShardedSuite(t *testing.T, cfg config.Config, workers int) shardedRun {
-	t.Helper()
-	m, err := NewParallel(cfg, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Workers(); got != workers {
-		t.Fatalf("Workers() = %d, want %d", got, workers)
-	}
-	rec := trace.NewRecorder(64)
-	rec.Label = cfg.Name
-	m.AttachRecorder(rec)
-	var out shardedRun
-	for _, w := range diffWorkloads(cfg.TCUs) {
-		m.EnablePrefetch(w.prefetch)
-		m.Section(w.name)
-		res, err := m.Spawn(w.threads, w.prog)
-		if err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-		out.results = append(out.results, res)
-		m.AdvanceSerial(100)
-	}
-	out.ctrs = m.Counters
-	out.events = rec.Events
-	out.samples = rec.Samples
-	return out
-}
-
-func TestShardedWorkerCountInvariance(t *testing.T) {
-	for _, scale := range []int{64, 256} {
-		cfg, err := config.FourK().Scaled(scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := runShardedSuite(t, cfg, 1)
-		for _, workers := range []int{2, 4, 7} {
-			got := runShardedSuite(t, cfg, workers)
-			if !reflect.DeepEqual(got.results, ref.results) {
-				t.Errorf("%s workers=%d: SpawnResults diverged\n got %+v\nwant %+v",
-					cfg.Name, workers, got.results, ref.results)
-			}
-			if !reflect.DeepEqual(got.ctrs, ref.ctrs) {
-				t.Errorf("%s workers=%d: counters diverged\n got %+v\nwant %+v",
-					cfg.Name, workers, got.ctrs, ref.ctrs)
-			}
-			if !reflect.DeepEqual(got.events, ref.events) {
-				t.Errorf("%s workers=%d: trace events diverged (%d vs %d events)",
-					cfg.Name, workers, len(got.events), len(ref.events))
-			}
-			if !reflect.DeepEqual(got.samples, ref.samples) {
-				t.Errorf("%s workers=%d: epoch samples diverged (%d vs %d)",
-					cfg.Name, workers, len(got.samples), len(ref.samples))
-			}
-		}
-	}
-}
-
-// TestShardedWorkerInvarianceHybridNoC repeats the invariance check on a
-// configuration whose NoC has butterfly stages — the network model with
-// internal switch-port state, which only the coordinator may touch.
-func TestShardedWorkerInvarianceHybridNoC(t *testing.T) {
-	cfg, err := config.OneTwentyEightKx4().Scaled(256) // hybrid MoT+butterfly
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ButterflyLevels == 0 {
-		t.Fatalf("config %s lost its butterfly levels", cfg.Name)
-	}
-	ref := runShardedSuite(t, cfg, 1)
-	got := runShardedSuite(t, cfg, 4)
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("hybrid-NoC run diverged between workers=1 and workers=4")
-	}
 }
 
 // opOracle walks every thread's op stream straight from the Program and
@@ -189,74 +103,44 @@ func TestOpCountsMatchProgramOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		m, err := NewParallel(cfg, workers)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range diffWorkloads(cfg.TCUs) {
+		m.EnablePrefetch(w.prefetch)
+		before := m.Snapshot()
+		r, err := m.Spawn(w.threads, w.prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range diffWorkloads(cfg.TCUs) {
-			m.EnablePrefetch(w.prefetch)
-			before := m.Snapshot()
-			r, err := m.Spawn(w.threads, w.prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after := m.Snapshot()
-			want := opOracle(w.threads, w.prog)
-			if w.threads > cfg.TCUs {
-				want.PSOps += uint64(w.threads - cfg.TCUs)
-			}
-			got := r.Ops
-			if got.FPOps != want.FPOps || got.ALUOps != want.ALUOps ||
-				got.Loads != want.Loads || got.Stores != want.Stores ||
-				got.PSOps != want.PSOps || got.Threads != want.Threads ||
-				got.Spawns != want.Spawns {
-				t.Errorf("workers=%d %s: op counts diverged from the op-stream oracle\n got %+v\nwant %+v",
-					workers, w.name, got, want)
-			}
-			if pkts := 2*want.Loads + want.Stores; got.NoCPackets != pkts {
-				t.Errorf("workers=%d %s: NoC packets = %d, want 2*Loads+Stores = %d",
-					workers, w.name, got.NoCPackets, pkts)
-			}
-			if acc := want.Loads + want.Stores; got.CacheHits+got.CacheMisses != acc {
-				t.Errorf("workers=%d %s: cache hits+misses = %d, want %d accesses",
-					workers, w.name, got.CacheHits+got.CacheMisses, acc)
-			}
-			if fpu := after.FPUBusy - before.FPUBusy; fpu != want.FPOps {
-				t.Errorf("workers=%d %s: FPU slots %d, want FPOps %d", workers, w.name, fpu, want.FPOps)
-			}
-			if lsu := after.LSUBusy - before.LSUBusy; lsu != want.Loads+want.Stores {
-				t.Errorf("workers=%d %s: LSU slots %d, want Loads+Stores %d",
-					workers, w.name, lsu, want.Loads+want.Stores)
-			}
-			m.AdvanceSerial(50)
+		after := m.Snapshot()
+		want := opOracle(w.threads, w.prog)
+		if w.threads > cfg.TCUs {
+			want.PSOps += uint64(w.threads - cfg.TCUs)
 		}
-	}
-}
-
-func TestShardedExtendSpawnRejected(t *testing.T) {
-	cfg, err := config.FourK().Scaled(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewParallel(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Bool
-	_, err = m.Spawn(4, ProgramFunc(func(id int, buf []Op) []Op {
-		if id == 0 && !ran.Swap(true) {
-			if _, err := m.ExtendSpawn(2); err == nil {
-				t.Error("ExtendSpawn succeeded with 4 simulation workers")
-			}
+		got := r.Ops
+		if got.FPOps != want.FPOps || got.ALUOps != want.ALUOps ||
+			got.Loads != want.Loads || got.Stores != want.Stores ||
+			got.PSOps != want.PSOps || got.Threads != want.Threads ||
+			got.Spawns != want.Spawns {
+			t.Errorf("%s: op counts diverged from the op-stream oracle\n got %+v\nwant %+v",
+				w.name, got, want)
 		}
-		return append(buf, ALU(1))
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran.Load() {
-		t.Fatal("workload thread 0 never ran")
+		if pkts := 2*want.Loads + want.Stores; got.NoCPackets != pkts {
+			t.Errorf("%s: NoC packets = %d, want 2*Loads+Stores = %d", w.name, got.NoCPackets, pkts)
+		}
+		if acc := want.Loads + want.Stores; got.CacheHits+got.CacheMisses != acc {
+			t.Errorf("%s: cache hits+misses = %d, want %d accesses",
+				w.name, got.CacheHits+got.CacheMisses, acc)
+		}
+		if fpu := after.FPUBusy - before.FPUBusy; fpu != want.FPOps {
+			t.Errorf("%s: FPU slots %d, want FPOps %d", w.name, fpu, want.FPOps)
+		}
+		if lsu := after.LSUBusy - before.LSUBusy; lsu != want.Loads+want.Stores {
+			t.Errorf("%s: LSU slots %d, want Loads+Stores %d", w.name, lsu, want.Loads+want.Stores)
+		}
+		m.AdvanceSerial(50)
 	}
 }
 
@@ -265,7 +149,7 @@ func TestShardedSpawnSequenceAndSerialGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewParallel(cfg, 2)
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,10 @@ package xmt_test
 //	host-side compute performed inside Program.Thread stays complete.
 //
 //	seed contract — a faulty run is a pure function of (plan, seed):
-//	identical cycles and fault counters for every -sim-workers count.
+//	identical cycles and fault counters on every rerun.
 //
-// The CI fault matrix re-runs these under -race at several seeds and
-// worker counts via the FAULT_SEED / FAULT_WORKERS environment knobs.
+// The CI fault matrix re-runs these under -race at two seeds via the
+// FAULT_SEED environment knob.
 
 import (
 	"os"
@@ -42,26 +42,11 @@ func envSeed(t *testing.T) uint64 {
 	return s
 }
 
-// envWorkers returns the sharded worker count under test
-// (FAULT_WORKERS, default 4); the tests always compare it against the
-// 1-worker serial driver.
-func envWorkers(t *testing.T) int {
-	v := os.Getenv("FAULT_WORKERS")
-	if v == "" {
-		return 4
-	}
-	w, err := strconv.Atoi(v)
-	if err != nil || w < 1 {
-		t.Fatalf("FAULT_WORKERS=%q: %v", v, err)
-	}
-	return w
-}
-
 // fftRun executes one 1D FFT on a fresh machine and returns its output
 // bits, total cycles, and the machine counters.
-func fftRun(t *testing.T, cfg config.Config, workers int, plan *fault.Plan) ([]complex64, uint64, xmt.Machine) {
+func fftRun(t *testing.T, cfg config.Config, plan *fault.Plan) ([]complex64, uint64, xmt.Machine) {
 	t.Helper()
-	m, err := xmt.NewParallel(cfg, workers)
+	m, err := xmt.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +84,9 @@ func sameBits(a, b []complex64) bool {
 }
 
 // TestResilienceProtectionContract injects NoC drops/corruption and
-// DRAM single-bit errors with full protection at two worker counts: output
-// must be bit-identical to the fault-free run, cycles must strictly
-// grow, and the recovery must be visible in the counters.
+// DRAM single-bit errors with full protection: output must be
+// bit-identical to the fault-free run, cycles must strictly grow, and
+// the recovery must be visible in the counters.
 func TestResilienceProtectionContract(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
@@ -110,36 +95,32 @@ func TestResilienceProtectionContract(t *testing.T) {
 	seed := envSeed(t)
 	plan := &fault.Plan{Seed: seed, NoCDrop: 0.02, NoCCorrupt: 0.01, DRAMBitErr: 0.05}
 
-	for _, workers := range []int{1, envWorkers(t)} {
-		cleanOut, cleanCycles, _ := fftRun(t, cfg, workers, nil)
-		faultOut, faultCycles, fm := fftRun(t, cfg, workers, plan)
+	cleanOut, cleanCycles, _ := fftRun(t, cfg, nil)
+	faultOut, faultCycles, fm := fftRun(t, cfg, plan)
 
-		if !sameBits(cleanOut, faultOut) {
-			t.Errorf("workers=%d: protected faulty output differs from fault-free output", workers)
-		}
-		if faultCycles <= cleanCycles {
-			t.Errorf("workers=%d: faulty run %d cycles, not above fault-free %d",
-				workers, faultCycles, cleanCycles)
-		}
-		c := fm.Counters
-		if c.NoCDropped == 0 || c.NoCCorrupted == 0 || c.NoCRetransmits == 0 {
-			t.Errorf("workers=%d: NoC recovery invisible: drops=%d corrupts=%d retransmits=%d",
-				workers, c.NoCDropped, c.NoCCorrupted, c.NoCRetransmits)
-		}
-		if c.ECCCorrected == 0 {
-			t.Errorf("workers=%d: no ECC corrections at ber=%g", workers, plan.DRAMBitErr)
-		}
-		if c.ECCUncorrectable != 0 || c.SilentFaults != 0 {
-			t.Errorf("workers=%d: unexpected uncorrectable=%d silent=%d",
-				workers, c.ECCUncorrectable, c.SilentFaults)
-		}
+	if !sameBits(cleanOut, faultOut) {
+		t.Error("protected faulty output differs from fault-free output")
+	}
+	if faultCycles <= cleanCycles {
+		t.Errorf("faulty run %d cycles, not above fault-free %d", faultCycles, cleanCycles)
+	}
+	c := fm.Counters
+	if c.NoCDropped == 0 || c.NoCCorrupted == 0 || c.NoCRetransmits == 0 {
+		t.Errorf("NoC recovery invisible: drops=%d corrupts=%d retransmits=%d",
+			c.NoCDropped, c.NoCCorrupted, c.NoCRetransmits)
+	}
+	if c.ECCCorrected == 0 {
+		t.Errorf("no ECC corrections at ber=%g", plan.DRAMBitErr)
+	}
+	if c.ECCUncorrectable != 0 || c.SilentFaults != 0 {
+		t.Errorf("unexpected uncorrectable=%d silent=%d", c.ECCUncorrectable, c.SilentFaults)
 	}
 }
 
-// TestResilienceSeedContract checks a faulty sharded run is a pure
-// function of the seed: bit-identical cycles, output and fault counters
-// between the serial driver and the FAULT_WORKERS-worker run, and a
-// different fault realization under a different seed.
+// TestResilienceSeedContract checks a faulty run is a pure function of
+// the seed: bit-identical cycles, output and fault counters when the
+// same seed runs again, and a different fault realization under a
+// different seed.
 func TestResilienceSeedContract(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
@@ -148,30 +129,24 @@ func TestResilienceSeedContract(t *testing.T) {
 	seed := envSeed(t)
 	plan := &fault.Plan{Seed: seed, NoCDrop: 0.03, NoCCorrupt: 0.01, DRAMBitErr: 0.03}
 
-	refOut, refCycles, refM := fftRun(t, cfg, 1, plan)
-	out, cycles, m := fftRun(t, cfg, envWorkers(t), plan)
-	if cycles != refCycles {
-		t.Errorf("workers=%d: cycles %d differ from serial driver's %d",
-			envWorkers(t), cycles, refCycles)
-	}
-	if !sameBits(out, refOut) {
-		t.Errorf("workers=%d: output differs from serial driver's", envWorkers(t))
-	}
-	if m.Counters != refM.Counters {
-		t.Errorf("workers=%d: counters diverged\n got %+v\nwant %+v",
-			envWorkers(t), m.Counters, refM.Counters)
-	}
+	refOut, refCycles, refM := fftRun(t, cfg, plan)
 
 	// Re-running the same seed reproduces the run exactly.
-	againOut, againCycles, againM := fftRun(t, cfg, 1, plan)
-	if againCycles != refCycles || !sameBits(againOut, refOut) || againM.Counters != refM.Counters {
-		t.Error("same seed did not reproduce the run")
+	againOut, againCycles, againM := fftRun(t, cfg, plan)
+	if againCycles != refCycles {
+		t.Errorf("rerun took %d cycles, first run %d", againCycles, refCycles)
+	}
+	if !sameBits(againOut, refOut) {
+		t.Error("rerun output differs from the first run's")
+	}
+	if againM.Counters != refM.Counters {
+		t.Errorf("counters diverged\n got %+v\nwant %+v", againM.Counters, refM.Counters)
 	}
 
 	// A different seed draws a different fault realization.
 	other := *plan
 	other.Seed = seed + 1000003
-	_, otherCycles, otherM := fftRun(t, cfg, 1, &other)
+	_, otherCycles, otherM := fftRun(t, cfg, &other)
 	if otherCycles == refCycles && otherM.Counters == refM.Counters {
 		t.Error("different seeds produced identical faulty runs")
 	}
@@ -193,14 +168,12 @@ func TestQuarterClustersKilledFFTCompletes(t *testing.T) {
 	}
 	plan := &fault.Plan{Seed: seed, KillClusters: kills}
 
-	for _, workers := range []int{1, envWorkers(t)} {
-		cleanOut, _, _ := fftRun(t, cfg, workers, nil)
-		out, _, m := fftRun(t, cfg, workers, plan)
-		if !sameBits(cleanOut, out) {
-			t.Errorf("workers=%d: degraded FFT output differs from healthy output", workers)
-		}
-		if got := m.DeadClusters(); len(got) != len(kills) {
-			t.Errorf("workers=%d: DeadClusters() = %v, want %v", workers, got, kills)
-		}
+	cleanOut, _, _ := fftRun(t, cfg, nil)
+	out, _, m := fftRun(t, cfg, plan)
+	if !sameBits(cleanOut, out) {
+		t.Error("degraded FFT output differs from healthy output")
+	}
+	if got := m.DeadClusters(); len(got) != len(kills) {
+		t.Errorf("DeadClusters() = %v, want %v", got, kills)
 	}
 }
