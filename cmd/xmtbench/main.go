@@ -60,7 +60,7 @@ func main() {
 	tcus := flag.Int("tcus", 1024, "machine size in TCUs (scaled 4k configuration)")
 	n := flag.Int("n", 32, "points per dimension (power of two)")
 	simBench := flag.String("sim-bench", "", "measure the simulator on the FFT workload and write a BENCH_sim.json perf record to this path ('-' for stdout)")
-	simReps := flag.Int("sim-reps", 3, "repetitions for -sim-bench and for each -obs-bench mode (best run kept)")
+	simReps := flag.Int("sim-reps", 3, "repetitions for -sim-bench (best run kept) and for each -obs-bench mode (median and quartiles kept)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the baseline variant to this path")
@@ -318,8 +318,8 @@ func runObsBench(path string, tcus, n, reps int) error {
 		return err
 	}
 	for _, r := range rec.Results {
-		fmt.Printf("%-10s %10.4fs  %12d cycles  %9.0f events/s  %+6.2f%%\n",
-			r.Mode, r.ElapsedSec, r.Cycles, r.EventsPerSec, r.OverheadPct)
+		fmt.Printf("%-10s median %.4fs [%.4f, %.4f]  best %.4fs  %12d cycles  %9.0f events/s  %+6.2f%%\n",
+			r.Mode, r.ElapsedMedianSec, r.ElapsedQ1Sec, r.ElapsedQ3Sec, r.ElapsedSec, r.Cycles, r.EventsPerSec, r.OverheadPct)
 	}
 	hp := rec.HotPath
 	fmt.Printf("hot path: counter add %.1f ns (%.0f allocs), gauge set %.1f ns (%.0f allocs), histogram observe %.1f ns (%.0f allocs), encode %.0f ns\n",

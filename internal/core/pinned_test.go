@@ -24,8 +24,15 @@ var pinnedFaults = fault.Plan{Seed: 3, NoCDrop: 0.02, NoCCorrupt: 0.01, DRAMBitE
 // messages where 112k suffice. The 4k/64 n=8 row also pins the adaptive
 // window driver to the fixed-window reference, which gave the same
 // 14,865 cycles and counters on this FFT.
+//
+// 4k has a pure mesh-of-trees network and one FPU per cluster, so four
+// rows reach the paths its grid never does: 64k scaled to 1024 TCUs
+// (hybrid MoT+butterfly network; n=64 is the xmtperf sim-64k-dram
+// shape) and 128k x4 and x2 at 256 TCUs (FPU width 4 and 2, so a wide
+// Port.GrantNLast per thread segment).
 func TestPinnedCyclesCountersAndSimStats(t *testing.T) {
 	rows := []struct {
+		config  string // paper configuration to scale; "" is 4k
 		tcus, n int
 		faults  bool
 		cycles  uint64
@@ -41,11 +48,24 @@ func TestPinnedCyclesCountersAndSimStats(t *testing.T) {
 		{tcus: 1024, n: 8, cycles: 16985, sim: xmt.SimStats{Events: 1344, Windows: 405, Barriers: 291, Messages: 1344}, ops: stats.Counters{FPOps: 36096, ALUOps: 4608, Loads: 5760, Stores: 3840, Threads: 576, Spawns: 6, CacheHits: 9312, CacheMisses: 288, DRAMBytes: 9216, NoCPackets: 15360, RowHits: 150, RowMisses: 138}},
 		{tcus: 1024, n: 16, cycles: 27433, sim: xmt.SimStats{Events: 24528, Windows: 1580, Barriers: 1279, Messages: 24864}, ops: stats.Counters{FPOps: 242688, ALUOps: 125904, Loads: 83616, Stores: 50592, PSOps: 3072, Threads: 8448, Spawns: 12, CacheHits: 132128, CacheMisses: 2080, DRAMBytes: 66560, NoCPackets: 217824, RowHits: 1104, RowMisses: 976}},
 		{tcus: 1024, n: 32, cycles: 96302, sim: xmt.SimStats{Events: 112080, Windows: 8669, Barriers: 8270, Messages: 112416}, ops: stats.Counters{FPOps: 2227200, ALUOps: 592848, Loads: 713376, Stores: 394656, PSOps: 30720, Threads: 37632, Spawns: 12, CacheHits: 1091616, CacheMisses: 16416, DRAMBytes: 525312, NoCPackets: 1821408, RowHits: 7006, RowMisses: 9410}},
+		{config: config.Name64K, tcus: 1024, n: 32, cycles: 100794, sim: xmt.SimStats{Events: 112080, Windows: 8998, Barriers: 8524, Messages: 112416}, ops: stats.Counters{FPOps: 2227200, ALUOps: 592848, Loads: 713376, Stores: 394656, PSOps: 30720, Threads: 37632, Spawns: 12, CacheHits: 1091616, CacheMisses: 16416, DRAMBytes: 525312, NoCPackets: 1821408, RowHits: 6988, RowMisses: 9428}},
+		{config: config.Name64K, tcus: 1024, n: 64, cycles: 1173418, sim: xmt.SimStats{Events: 591312, Windows: 105699, Barriers: 101820, Messages: 591648}, ops: stats.Counters{FPOps: 21249024, ALUOps: 3148752, Loads: 5898912, Stores: 3147168, PSOps: 190464, Threads: 197376, Spawns: 12, CacheHits: 8269585, CacheMisses: 776495, DRAMBytes: 36868032, NoCPackets: 14944992, RowHits: 154057, RowMisses: 998069}},
+		{config: config.Name128Kx4, tcus: 256, n: 16, cycles: 40853, sim: xmt.SimStats{Events: 23412, Windows: 3595, Barriers: 3277, Messages: 23496}, ops: stats.Counters{FPOps: 231168, ALUOps: 123636, Loads: 83112, Stores: 49512, PSOps: 6144, Threads: 7872, Spawns: 12, CacheHits: 130568, CacheMisses: 2056, DRAMBytes: 65792, NoCPackets: 215736, RowHits: 1043, RowMisses: 1013}},
+		{config: config.Name128Kx2, tcus: 256, n: 16, cycles: 42271, sim: xmt.SimStats{Events: 23412, Windows: 3695, Barriers: 3240, Messages: 23496}, ops: stats.Counters{FPOps: 231168, ALUOps: 123636, Loads: 83112, Stores: 49512, PSOps: 6144, Threads: 7872, Spawns: 12, CacheHits: 130568, CacheMisses: 2056, DRAMBytes: 65792, NoCPackets: 215736, RowHits: 1395, RowMisses: 661}},
 		{tcus: 256, n: 16, faults: true, cycles: 47222, sim: xmt.SimStats{Events: 23412, Windows: 4030, Barriers: 3532, Messages: 23496}, ops: stats.Counters{FPOps: 231168, ALUOps: 123636, Loads: 83112, Stores: 49512, PSOps: 6336, Threads: 7872, Spawns: 12, CacheHits: 130568, CacheMisses: 2056, DRAMBytes: 65792, NoCPackets: 219897, RowHits: 1547, RowMisses: 509, NoCDropped: 2799, NoCCorrupted: 1362, NoCRetransmits: 4161, ECCCorrected: 40}},
 	}
 	for _, r := range rows {
-		t.Run(fmt.Sprintf("tcus=%d/n=%d/faults=%v/workers=1", r.tcus, r.n, r.faults), func(t *testing.T) {
-			cfg, err := config.FourK().Scaled(r.tcus)
+		name := fmt.Sprintf("tcus=%d/n=%d/faults=%v/workers=1", r.tcus, r.n, r.faults)
+		base := config.FourK()
+		if r.config != "" {
+			name = r.config + "/" + name
+			var err error
+			if base, err = config.ByName(r.config); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg, err := base.Scaled(r.tcus)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,9 @@ package harness
 //
 // One untimed FFT warms the process up first, and every rep runs the
 // modes in a rotated order, so neither warm-up nor position in the
-// sequence lands on one mode; a mode's overhead inside the off mode's
-// own min–max spread is reported as unresolved.
+// sequence lands on one mode. Overhead compares medians, and a mode
+// whose median lies inside the off mode's interquartile range is
+// reported as unresolved.
 
 import (
 	"encoding/json"
@@ -20,6 +21,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -32,16 +34,39 @@ import (
 )
 
 // ObsBenchResult is one observability mode's measurement: the best of
-// reps, with the spread of all reps beside it.
+// reps, with the spread of all reps (nearest-rank quartiles) beside it.
 type ObsBenchResult struct {
-	Mode          string  `json:"mode"` // "off", "telemetry", "live"
-	ElapsedSec    float64 `json:"elapsed_sec"`
-	ElapsedMinSec float64 `json:"elapsed_min_sec"`
-	ElapsedMaxSec float64 `json:"elapsed_max_sec"`
-	Cycles        uint64  `json:"cycles"`
-	Events        uint64  `json:"events"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-	OverheadPct   float64 `json:"overhead_pct"` // vs the "off" mode
+	Mode             string  `json:"mode"` // "off", "telemetry", "live"
+	ElapsedSec       float64 `json:"elapsed_sec"`
+	ElapsedMinSec    float64 `json:"elapsed_min_sec"`
+	ElapsedQ1Sec     float64 `json:"elapsed_q1_sec"`
+	ElapsedMedianSec float64 `json:"elapsed_median_sec"`
+	ElapsedQ3Sec     float64 `json:"elapsed_q3_sec"`
+	ElapsedMaxSec    float64 `json:"elapsed_max_sec"`
+	Cycles           uint64  `json:"cycles"`
+	Events           uint64  `json:"events"`
+	EventsPerSec     float64 `json:"events_per_sec"` // at the best rep
+	OverheadPct      float64 `json:"overhead_pct"`   // median vs the "off" mode's median
+}
+
+// setSpread fills the elapsed-time statistics from the reps' times.
+func (r *ObsBenchResult) setSpread(times []float64) {
+	sort.Float64s(times)
+	rank := func(q float64) float64 { // nearest rank
+		return times[max(0, int(math.Ceil(q*float64(len(times))))-1)]
+	}
+	r.ElapsedSec, r.ElapsedMinSec, r.ElapsedMaxSec = times[0], times[0], times[len(times)-1]
+	r.ElapsedQ1Sec, r.ElapsedMedianSec, r.ElapsedQ3Sec = rank(0.25), rank(0.5), rank(0.75)
+	if r.ElapsedSec > 0 {
+		r.EventsPerSec = float64(r.Events) / r.ElapsedSec
+	}
+}
+
+// resolvedAgainst reports whether r's median lies outside off's
+// interquartile range, so that its overhead stands out of the off
+// mode's own spread.
+func (r *ObsBenchResult) resolvedAgainst(off *ObsBenchResult) bool {
+	return r.ElapsedMedianSec < off.ElapsedQ1Sec || r.ElapsedMedianSec > off.ElapsedQ3Sec
 }
 
 // ObsHotPath holds microbenchmarks of the scrape-side primitives the
@@ -109,16 +134,10 @@ func obsBenchOnce(cfg config.Config, n int, mode string) (ObsBenchResult, error)
 	if err != nil {
 		return ObsBenchResult{}, err
 	}
-	elapsed := time.Since(begin).Seconds()
-	st := m.SimStats()
-	res := ObsBenchResult{
-		Mode: mode, ElapsedSec: elapsed,
-		Cycles: run.TotalCycles(), Events: st.Events,
-	}
-	if elapsed > 0 {
-		res.EventsPerSec = float64(st.Events) / elapsed
-	}
-	return res, nil
+	return ObsBenchResult{
+		Mode: mode, ElapsedSec: time.Since(begin).Seconds(),
+		Cycles: run.TotalCycles(), Events: m.SimStats().Events,
+	}, nil
 }
 
 // allocsPerRun reports average heap allocations per call of f, after a
@@ -166,8 +185,8 @@ func hotPathBench() ObsHotPath {
 }
 
 // RunObsBench measures observability overhead on an n^3 FFT at the
-// scaled 4k machine size, each mode the best of reps runs, and asserts
-// the cycle counts are identical across modes.
+// scaled 4k machine size, each mode over reps runs, and asserts the
+// cycle counts are identical across modes and reps.
 func RunObsBench(tcus, n, reps int) (*ObsBenchRecord, error) {
 	cfg, err := config.FourK().Scaled(tcus)
 	if err != nil {
@@ -182,10 +201,12 @@ func RunObsBench(tcus, n, reps int) (*ObsBenchRecord, error) {
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 	}
 	modes := []string{"off", "telemetry", "live"}
-	if _, err := obsBenchOnce(cfg, n, "off"); err != nil { // warm-up, untimed
+	warm, err := obsBenchOnce(cfg, n, "off") // warm-up, untimed
+	if err != nil {
 		return nil, err
 	}
 	rec.Results = make([]ObsBenchResult, len(modes))
+	times := make([][]float64, len(modes))
 	for r := 0; r < reps; r++ {
 		for k := range modes {
 			i := (r + k) % len(modes)
@@ -193,32 +214,31 @@ func RunObsBench(tcus, n, reps int) (*ObsBenchRecord, error) {
 			if err != nil {
 				return nil, err
 			}
-			cur := &rec.Results[i]
-			worst := max(cur.ElapsedMaxSec, res.ElapsedSec)
-			if r == 0 || res.ElapsedSec < cur.ElapsedSec {
-				*cur = res
+			if res.Cycles != warm.Cycles || res.Events != warm.Events {
+				return nil, fmt.Errorf("harness: obs mode %q perturbed the simulation (cycles %d vs %d, events %d vs %d)",
+					res.Mode, res.Cycles, warm.Cycles, res.Events, warm.Events)
 			}
-			cur.ElapsedMinSec, cur.ElapsedMaxSec = cur.ElapsedSec, worst
+			rec.Results[i] = res
+			times[i] = append(times[i], res.ElapsedSec)
 		}
 	}
-	off := rec.Results[0]
+	for i := range rec.Results {
+		rec.Results[i].setSpread(times[i])
+	}
+	off := &rec.Results[0]
 	var unresolved []string
 	for i := range rec.Results {
 		r := &rec.Results[i]
-		if r.Cycles != off.Cycles || r.Events != off.Events {
-			return nil, fmt.Errorf("harness: obs mode %q perturbed the simulation (cycles %d vs %d, events %d vs %d)",
-				r.Mode, r.Cycles, off.Cycles, r.Events, off.Events)
+		if off.ElapsedMedianSec > 0 {
+			r.OverheadPct = (r.ElapsedMedianSec - off.ElapsedMedianSec) / off.ElapsedMedianSec * 100
 		}
-		if off.ElapsedSec > 0 {
-			r.OverheadPct = (r.ElapsedSec - off.ElapsedSec) / off.ElapsedSec * 100
-		}
-		if i > 0 && (reps < 2 || math.Abs(r.ElapsedSec-off.ElapsedSec) <= off.ElapsedMaxSec-off.ElapsedMinSec) {
+		if i > 0 && (reps < 2 || !r.resolvedAgainst(off)) {
 			unresolved = append(unresolved, fmt.Sprintf("%s %+.1f%%", r.Mode, r.OverheadPct))
 		}
 	}
 	if len(unresolved) > 0 {
-		rec.Note = fmt.Sprintf("overhead unresolved, inside the off mode's own spread (%.4f-%.4f s over %d reps): %s",
-			off.ElapsedMinSec, off.ElapsedMaxSec, reps, strings.Join(unresolved, ", "))
+		rec.Note = fmt.Sprintf("overhead unresolved, median inside the off mode's interquartile range (%.4f-%.4f s over %d reps): %s",
+			off.ElapsedQ1Sec, off.ElapsedQ3Sec, reps, strings.Join(unresolved, ", "))
 	}
 	rec.HotPath = hotPathBench()
 	if rec.HotPath.CounterAddAllocs != 0 || rec.HotPath.GaugeSetAllocs != 0 || rec.HotPath.HistObserveAllocs != 0 {

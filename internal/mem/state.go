@@ -69,7 +69,8 @@ func (s *System) CaptureState() SystemState {
 		Modules:  make([]ModuleState, len(s.modules)),
 		Channels: make([]ChannelState, len(s.channels)),
 	}
-	for i, m := range s.modules {
+	for i := range s.modules {
+		m := &s.modules[i]
 		ms := ModuleState{
 			Port:         m.port.State(),
 			UseTick:      m.useTick,
@@ -85,14 +86,14 @@ func (s *System) CaptureState() SystemState {
 		if m.faultStream != nil {
 			ms.FaultStream = m.faultStream.State()
 		}
-		for _, set := range m.sets {
-			for _, l := range set {
-				ms.Lines = append(ms.Lines, LineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, Used: l.used})
-			}
+		ms.Lines = make([]LineState, len(m.lines))
+		for k, l := range m.lines {
+			ms.Lines[k] = LineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, Used: l.used}
 		}
 		st.Modules[i] = ms
 	}
-	for i, ch := range s.channels {
+	for i := range s.channels {
+		ch := &s.channels[i]
 		st.Channels[i] = ChannelState{
 			Port:    ch.port.State(),
 			OpenRow: ch.openRow,
@@ -118,17 +119,13 @@ func (s *System) RestoreState(st SystemState) error {
 	if st.Faulted != s.faulted {
 		return fmt.Errorf("mem: restore fault-injection mismatch (checkpoint faulted=%v, system faulted=%v); arm EnableFaults with the captured plan before restoring", st.Faulted, s.faulted)
 	}
-	for i, m := range s.modules {
-		ms := &st.Modules[i]
-		want := 0
-		for _, set := range m.sets {
-			want += len(set)
-		}
-		if len(ms.Lines) != want {
-			return fmt.Errorf("mem: restore module %d with %d lines, geometry has %d", i, len(ms.Lines), want)
+	for i := range s.modules {
+		if got, want := len(st.Modules[i].Lines), len(s.modules[i].lines); got != want {
+			return fmt.Errorf("mem: restore module %d with %d lines, geometry has %d", i, got, want)
 		}
 	}
-	for i, m := range s.modules {
+	for i := range s.modules {
+		m := &s.modules[i]
 		ms := &st.Modules[i]
 		m.port.RestoreState(ms.Port)
 		m.useTick = ms.UseTick
@@ -138,16 +135,12 @@ func (s *System) RestoreState(st SystemState) error {
 		if m.faultStream != nil {
 			m.faultStream.SetState(ms.FaultStream)
 		}
-		k := 0
-		for si := range m.sets {
-			for li := range m.sets[si] {
-				l := ms.Lines[k]
-				m.sets[si][li] = line{tag: l.Tag, valid: l.Valid, dirty: l.Dirty, used: l.Used}
-				k++
-			}
+		for k, l := range ms.Lines {
+			m.lines[k] = line{tag: l.Tag, valid: l.Valid, dirty: l.Dirty, used: l.Used}
 		}
 	}
-	for i, ch := range s.channels {
+	for i := range s.channels {
+		ch := &s.channels[i]
 		cs := &st.Channels[i]
 		ch.port.RestoreState(cs.Port)
 		ch.openRow, ch.hasRow = cs.OpenRow, cs.HasRow

@@ -101,7 +101,7 @@ func (m *MoT) AddReplies(n uint64) { m.packets += n }
 // progressively converge and contend.
 type Hybrid struct {
 	latency uint64
-	ports   int
+	ports   int // a power of two, so ports-1 masks an endpoint into range
 	stages  [][]sim.Port
 	packets uint64
 	// Blocked accumulates cycles packets spent waiting at butterfly
@@ -154,8 +154,8 @@ func (h *Hybrid) switchIndex(src, dst, s int) int {
 // at every butterfly level in order, then completes the MoT levels.
 func (h *Hybrid) Traverse(t uint64, src, dst int) uint64 {
 	h.packets++
-	src %= h.ports
-	dst %= h.ports
+	src &= h.ports - 1
+	dst &= h.ports - 1
 	now := t
 	for s := range h.stages {
 		idx := h.switchIndex(src, dst, s)

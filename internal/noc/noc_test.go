@@ -227,3 +227,27 @@ func TestHybridDelayHistogram(t *testing.T) {
 		t.Fatal("mean should be below max for a spread of delays")
 	}
 }
+
+// BenchmarkHybridTraverse times one request packet through the hybrid
+// network of 64k scaled to 1024 TCUs (32 ports, 2 butterfly levels), the
+// sim-64k-dram geometry, under saturating uniform random traffic.
+func BenchmarkHybridTraverse(b *testing.B) {
+	cfg, err := config.SixtyFourK().Scaled(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := NewHybrid(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	dsts := make([]int, 4096)
+	for i := range dsts {
+		dsts[i] = rng.Intn(cfg.MemModules)
+	}
+	ports := cfg.Clusters
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Traverse(uint64(i/ports), i%ports, dsts[i%len(dsts)])
+	}
+}

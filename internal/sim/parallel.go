@@ -12,7 +12,10 @@
 // same workload produce identical cycle counts.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Conservative parallel discrete-event simulation (PDES) with time
 // windows. State is partitioned into shards that interact only through
@@ -35,7 +38,9 @@ import "fmt"
 // state, and touch only two small contiguous arrays — the design exists
 // because the previous ring of 2048 independent []evRec slices put a
 // cache miss on nearly every push (it was the single hottest function
-// in the engine profile).
+// in the engine profile). A one-bit-per-bucket occupancy map finds the
+// next non-empty bucket a word (64 cycles) at a time, so the idle
+// cycles of a DRAM round trip cost no per-cycle probe.
 
 // Hook observes simulation-clock advances: the engine fires it once per
 // window with the window's bounds, after the window's events have
@@ -82,6 +87,9 @@ type Partition interface {
 // all traffic stays in the ring.
 const horizonCycles = 2048
 
+// occWords is the size of the bucket occupancy map, one bit per bucket.
+const occWords = horizonCycles / 64
+
 // nilIdx terminates a bucket chain.
 const nilIdx = int32(-1)
 
@@ -115,6 +123,8 @@ type evRec struct {
 // re-makes nothing, it links a recycled slab slot into a chain.
 //
 // Invariants (audited in slabqueue_test.go against a naive reference):
+//   - bit b of occ is set exactly when bucket b's chain is non-empty
+//     (head[b] >= 0).
 //   - base only moves forward; every queued event has time >= base, so
 //     each bucket holds events of exactly one cycle at a time and the
 //     membership test `t-base < horizonCycles` is safe even when base
@@ -128,6 +138,7 @@ type evRec struct {
 type bucketQueue struct {
 	head [horizonCycles]int32
 	tail [horizonCycles]int32
+	occ  [occWords]uint64 // bucket occupancy, bit b%64 of word b/64
 	recs []slabRec
 	free []int32
 
@@ -174,6 +185,7 @@ func (q *bucketQueue) pushBucket(t uint64, op uint8, a, b uint64) {
 		q.recs[tl].next = idx
 	} else {
 		q.head[bkt] = idx
+		q.occ[bkt/64] |= 1 << (bkt % 64)
 		if t < q.scan {
 			q.scan = t
 		}
@@ -182,18 +194,49 @@ func (q *bucketQueue) pushBucket(t uint64, op uint8, a, b uint64) {
 	q.bucketed++
 }
 
+// unlinkHead removes the head record of bucket b, which must be
+// non-empty, and recycles its slab slot. The chain link is read here,
+// so records the handler appended to the same cycle stay queued behind
+// it.
+func (q *bucketQueue) unlinkHead(b uint64) {
+	cur := q.head[b]
+	nxt := q.recs[cur].next
+	q.head[b] = nxt
+	if nxt < 0 {
+		q.tail[b] = nilIdx
+		q.occ[b/64] &^= 1 << (b % 64)
+	}
+	q.free = append(q.free, cur)
+	q.bucketed--
+	q.count--
+}
+
+// nextBucket returns the first cycle at or after c whose bucket is
+// non-empty; at least one bucket must be. It is the cycle-by-cycle walk
+// `for head[c%horizonCycles] < 0 { c++ }` read off the occupancy map a
+// word at a time, so it finds the same cycle.
+func (q *bucketQueue) nextBucket(c uint64) uint64 {
+	b := c % horizonCycles
+	if rest := q.occ[b/64] >> (b % 64); rest != 0 {
+		return c + uint64(bits.TrailingZeros64(rest))
+	}
+	c += 64 - b%64 // the cycle of bit 0 of the next word
+	for w := (b/64 + 1) % occWords; ; w = (w + 1) % occWords {
+		if word := q.occ[w]; word != 0 {
+			return c + uint64(bits.TrailingZeros64(word))
+		}
+		c += 64
+	}
+}
+
 // minTime returns the earliest queued event time, or noEvent when the
 // queue is empty. It advances the scan pointer past empty buckets as a
 // side effect (safe: scan only skips cycles proven empty).
 func (q *bucketQueue) minTime() uint64 {
 	best := noEvent
 	if q.bucketed > 0 {
-		c := q.scan
-		for q.head[c%horizonCycles] < 0 {
-			c++
-		}
-		q.scan = c
-		best = c
+		q.scan = q.nextBucket(q.scan)
+		best = q.scan
 	}
 	if len(q.overflow) > 0 && q.overflow[0].time < best {
 		best = q.overflow[0].time
@@ -343,10 +386,7 @@ func (s *Shard) runWindow(start, end uint64) {
 	// window < horizon is checked at construction).
 	q.advanceBase(start)
 	for q.bucketed > 0 {
-		c := q.scan
-		for q.head[c%horizonCycles] < 0 {
-			c++
-		}
+		c := q.nextBucket(q.scan)
 		q.scan = c
 		if c >= end {
 			break
@@ -355,20 +395,13 @@ func (s *Shard) runWindow(start, end uint64) {
 		b := c % horizonCycles
 		// Walk the bucket chain; the handler may append same-cycle
 		// events, which link themselves behind the current record, so the
-		// chain link is re-read only after the handler has run (and the
-		// slab may have been reallocated by a push — index it fresh).
+		// record is unlinked only after the handler has run (and the slab
+		// may have been reallocated by a push — index it fresh).
 		for cur := q.head[b]; cur >= 0; cur = q.head[b] {
 			r := q.recs[cur]
 			s.Processed++
 			s.handler.Event(s, c, r.op, r.a, r.b)
-			nxt := q.recs[cur].next
-			q.head[b] = nxt
-			if nxt < 0 {
-				q.tail[b] = nilIdx
-			}
-			q.free = append(q.free, cur)
-			q.bucketed--
-			q.count--
+			q.unlinkHead(b)
 		}
 	}
 	s.now = end
@@ -396,7 +429,7 @@ type ParallelEngine struct {
 	Messages uint64
 
 	merged  []Message
-	cursors []int // per-shard outbox cursors of collect, reused
+	senders []outbox // collect's outboxes of the shards that sent, reused
 
 	tel             *Telemetry
 	telShardFlushed []uint64 // per-shard Processed at the last shard sweep
@@ -550,63 +583,62 @@ func (e *ParallelEngine) AdvanceTo(t uint64) {
 	}
 }
 
+// outbox is one sending shard's messages in collect, with the merge
+// cursor into them.
+type outbox struct {
+	msgs []Message
+	next int
+}
+
 // collect gathers all shard outboxes into one batch in (time, shard,
 // send order) order — a total order, since each outbox is positionally
 // ordered — and clears the outboxes. No comparison sort and no per-
 // message scatter are needed: every message's time lies in the just-
 // finished window [start, start+W) (Send stamps the sending event's
-// cycle) and each outbox is already time-sorted, so one cursor per
-// shard walks the outboxes cycle by cycle, copying each shard's run of
-// same-cycle messages in a single batched append. Each message is
-// copied exactly once, at the window barrier, rather than per Send.
+// cycle) and each outbox is already time-sorted, so one pass lists the
+// outboxes of the shards that sent, in shard order, and a cursor per
+// listed outbox walks them cycle by cycle, copying each shard's run of
+// same-cycle messages in a single batched append. Shards that sent
+// nothing cost nothing after that first pass. Each message is copied
+// exactly once, at the window barrier, rather than per Send.
 func (e *ParallelEngine) collect(start uint64) []Message {
-	total, active, lastIdx := 0, 0, -1
+	senders := e.senders[:0]
+	total := 0
 	for i := range e.shards {
-		if n := len(e.shards[i].out); n > 0 {
-			total += n
-			active++
-			lastIdx = i
+		sh := &e.shards[i]
+		if len(sh.out) > 0 {
+			total += len(sh.out)
+			senders = append(senders, outbox{msgs: sh.out})
+			sh.out = sh.out[:0]
 		}
 	}
+	e.senders = senders
 	if total == 0 {
 		return nil
 	}
 	m := e.merged[:0]
-	if active == 1 {
+	if len(senders) == 1 {
 		// One sender: its outbox is already the merge order.
-		sh := &e.shards[lastIdx]
-		m = append(m, sh.out...)
-		sh.out = sh.out[:0]
-		e.merged = m
-		return m
-	}
-	if len(e.cursors) < len(e.shards) {
-		e.cursors = make([]int, len(e.shards))
-	}
-	cur := e.cursors
-	for i := range cur {
-		cur[i] = 0
-	}
-	for t := start; len(m) < total && t-start < e.window; t++ {
-		for i := range e.shards {
-			out := e.shards[i].out
-			j := cur[i]
-			if j >= len(out) || out[j].Time != t {
-				continue
+		m = append(m, senders[0].msgs...)
+	} else {
+		for t := start; len(m) < total && t-start < e.window; t++ {
+			for i := range senders {
+				ob := &senders[i]
+				j := ob.next
+				if j >= len(ob.msgs) || ob.msgs[j].Time != t {
+					continue
+				}
+				k := j + 1
+				for k < len(ob.msgs) && ob.msgs[k].Time == t {
+					k++
+				}
+				m = append(m, ob.msgs[j:k]...)
+				ob.next = k
 			}
-			k := j + 1
-			for k < len(out) && out[k].Time == t {
-				k++
-			}
-			m = append(m, out[j:k]...)
-			cur[i] = k
 		}
-	}
-	if len(m) != total {
-		panic("sim: message stamped outside its sending window")
-	}
-	for i := range e.shards {
-		e.shards[i].out = e.shards[i].out[:0]
+		if len(m) != total {
+			panic("sim: message stamped outside its sending window")
+		}
 	}
 	e.merged = m
 	return m

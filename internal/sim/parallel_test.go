@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -144,6 +145,59 @@ func TestParallelEngineWidenWindowsDifferential(t *testing.T) {
 		t.Fatalf("Run advanced more windows (%d) than the fixed driver (%d)",
 			m.eng.Windows, ref.eng.Windows)
 	}
+}
+
+// TestCollectMergeOrder holds the barrier merge to its specification:
+// every shard's outbox, stably sorted by (time, shard), i.e. (time,
+// shard, send order), with most shards silent as on a large machine.
+// A message stamped outside its window must panic.
+func TestCollectMergeOrder(t *testing.T) {
+	const shards, window, start = 64, 16, 1000
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 50; round++ {
+		e := NewParallelEngine(staticPartition{shards, window})
+		var want []Message
+		for i := 0; i < shards; i++ {
+			if rng.Intn(4) != 0 {
+				continue // silent shard
+			}
+			sh := e.Shard(i)
+			sh.now = start
+			for k := rng.Intn(6); k >= 0; k-- {
+				sh.now += uint64(rng.Intn(4)) // nondecreasing, within the window
+				if sh.now >= start+window {
+					break
+				}
+				sh.Send(0, uint64(len(want)), 0, 0, 0)
+				want = append(want, sh.out[len(sh.out)-1])
+			}
+		}
+		sort.SliceStable(want, func(a, b int) bool { return want[a].Time < want[b].Time })
+		got := e.collect(start)
+		if len(want) == 0 {
+			want = nil
+		}
+		if !reflect.DeepEqual(append([]Message(nil), got...), want) {
+			t.Fatalf("round %d: merge order\n got %v\nwant %v", round, got, want)
+		}
+		for i := 0; i < shards; i++ {
+			if n := len(e.Shard(i).out); n != 0 {
+				t.Fatalf("round %d: shard %d keeps %d messages after collect", round, i, n)
+			}
+		}
+	}
+
+	e := NewParallelEngine(staticPartition{shards, window})
+	for _, i := range []int{3, 9} {
+		e.Shard(i).now = start + window // one cycle past the window
+		e.Shard(i).Send(0, 0, 0, 0, 0)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("collect accepted messages stamped outside their window")
+		}
+	}()
+	e.collect(start)
 }
 
 func TestShardSameCycleFIFO(t *testing.T) {
@@ -302,4 +356,27 @@ func BenchmarkShardSchedule(b *testing.B) {
 		e.Run()
 	}
 	_ = sum
+}
+
+// BenchmarkRunWindowSparse measures the engine on the timeline of a
+// DRAM-bound machine: four event chains, each rescheduling itself about
+// 130 cycles (a DRAM round trip) ahead, so nearly every window is
+// followed by a gap of empty buckets that the next-event search must
+// cross. One op is one event.
+func BenchmarkRunWindowSparse(b *testing.B) {
+	e := NewParallelEngine(staticPartition{1, 8})
+	left := b.N
+	e.SetHandler(0, handlerFunc(func(sh *Shard, t uint64, op uint8, a, bb uint64) {
+		if left > 0 {
+			left--
+			sh.At(t+127+a, op, a, bb)
+		}
+	}))
+	sh := e.Shard(0)
+	for a := uint64(0); a < 4; a++ {
+		sh.At(a*31, 0, a*2, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }

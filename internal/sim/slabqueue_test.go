@@ -56,7 +56,7 @@ func (r refQueue) min() (uint64, bool) {
 
 // popMin mirrors runWindow's drain of exactly one event: advance the
 // ring floor to the minimum (promoting overflow records) and unlink the
-// head of that cycle's bucket chain.
+// head of that cycle's bucket chain with runWindow's own unlinkHead.
 func popMin(t *testing.T, q *bucketQueue) (uint64, uint64) {
 	t.Helper()
 	mt, ok := q.min()
@@ -69,16 +69,29 @@ func popMin(t *testing.T, q *bucketQueue) (uint64, uint64) {
 	if cur < 0 {
 		t.Fatalf("min %d (base %d) has an empty bucket — promotion or scan bug", mt, q.base)
 	}
-	r := q.recs[cur]
-	nxt := r.next
-	q.head[b] = nxt
-	if nxt < 0 {
-		q.tail[b] = nilIdx
+	a := q.recs[cur].a
+	q.unlinkHead(b)
+	return mt, a
+}
+
+// drainMin pops the minimum without the audit popMin does, for the
+// allocation contract and the benchmarks.
+func drainMin(q *bucketQueue) {
+	mt, _ := q.min()
+	q.advanceBase(mt)
+	q.unlinkHead(mt % horizonCycles)
+}
+
+// checkOccupancy asserts the occupancy map's invariant: bit b is set
+// exactly when bucket b's chain is non-empty.
+func checkOccupancy(t *testing.T, q *bucketQueue) {
+	t.Helper()
+	for b := range q.head {
+		bit := q.occ[b/64]>>(b%64)&1 == 1
+		if bit != (q.head[b] >= 0) {
+			t.Fatalf("bucket %d: occupancy bit %v, head %d (base %d)", b, bit, q.head[b], q.base)
+		}
 	}
-	q.free = append(q.free, cur)
-	q.bucketed--
-	q.count--
-	return mt, r.a
 }
 
 // checkQueueSequence drives a bucketQueue and the reference through the
@@ -145,8 +158,10 @@ func checkQueueSequence(t *testing.T, startBase uint64, ops []byte) {
 			// Also exercise the t <= base no-op path.
 			q.advanceBase(q.base)
 		}
-		// Step invariants: counts agree and min agrees (min is repeatable:
-		// it must not consume or reorder anything).
+		// Step invariants: the occupancy map mirrors the chains, counts
+		// agree and min agrees (min is repeatable: it must not consume or
+		// reorder anything).
+		checkOccupancy(t, q)
 		if q.count != len(ref) {
 			t.Fatalf("count = %d, reference holds %d", q.count, len(ref))
 		}
@@ -166,6 +181,7 @@ func checkQueueSequence(t *testing.T, startBase uint64, ops []byte) {
 		if gotT != want.time || gotID != want.id {
 			t.Fatalf("drain pop = (t=%d id=%d), want (t=%d id=%d)", gotT, gotID, want.time, want.id)
 		}
+		checkOccupancy(t, q)
 	}
 	if _, ok := q.min(); ok || q.count != 0 {
 		t.Fatalf("queue not empty after drain: count=%d", q.count)
@@ -257,18 +273,7 @@ func TestBucketQueueHotPathZeroAllocs(t *testing.T) {
 			q.push(tm+i%64, 0, i, 0)
 		}
 		for q.count > 0 {
-			mt, _ := q.min()
-			q.advanceBase(mt)
-			b := mt % horizonCycles
-			cur := q.head[b]
-			nxt := q.recs[cur].next
-			q.head[b] = nxt
-			if nxt < 0 {
-				q.tail[b] = nilIdx
-			}
-			q.free = append(q.free, cur)
-			q.bucketed--
-			q.count--
+			drainMin(q)
 		}
 		tm = q.base
 	})
@@ -290,18 +295,7 @@ func BenchmarkSlabQueuePush(b *testing.B) {
 			// Bound memory: drop everything by resetting chains via pops.
 			b.StopTimer()
 			for q.count > 0 {
-				mt, _ := q.min()
-				q.advanceBase(mt)
-				bk := mt % horizonCycles
-				cur := q.head[bk]
-				nxt := q.recs[cur].next
-				q.head[bk] = nxt
-				if nxt < 0 {
-					q.tail[bk] = nilIdx
-				}
-				q.free = append(q.free, cur)
-				q.bucketed--
-				q.count--
+				drainMin(q)
 			}
 			b.StartTimer()
 		}
@@ -314,17 +308,6 @@ func BenchmarkSlabQueuePushPop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.push(q.base+uint64(i%257), 0, uint64(i), 0)
-		mt, _ := q.min()
-		q.advanceBase(mt)
-		bk := mt % horizonCycles
-		cur := q.head[bk]
-		nxt := q.recs[cur].next
-		q.head[bk] = nxt
-		if nxt < 0 {
-			q.tail[bk] = nilIdx
-		}
-		q.free = append(q.free, cur)
-		q.bucketed--
-		q.count--
+		drainMin(q)
 	}
 }
