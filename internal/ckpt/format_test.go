@@ -1,12 +1,17 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"xmtfft/internal/config"
+	"xmtfft/internal/sim"
+	"xmtfft/internal/stats"
+	"xmtfft/internal/xmt"
 )
 
 // smallCheckpoint builds a meta-only checkpoint for format tests.
@@ -172,5 +177,38 @@ func TestAtomicOverwriteKeepsOldOnFailure(t *testing.T) {
 	got, err := Read(path)
 	if err != nil || got.Meta.Cycle != 99999 {
 		t.Fatalf("after overwrite: %+v, %v", got, err)
+	}
+}
+
+// TestDecodeSkipsRemovedMDUPort: machine sections written while each
+// cluster still carried an MDU port (never granted, always idle) decode
+// into the current MachineState, with gob skipping the field, so the
+// format Version did not change when the port was removed.
+func TestDecodeSkipsRemovedMDUPort(t *testing.T) {
+	type oldPorts struct{ FPU, LSU, MDU sim.PortState }
+	type oldShard struct {
+		Ports    oldPorts
+		Counters stats.Counters
+	}
+	type oldMachine struct {
+		Now    uint64
+		Shards []oldShard
+	}
+	fpu, lsu := sim.PortState{NextFree: 30, Busy: 12}, sim.PortState{NextFree: 31, Busy: 9}
+	old := oldMachine{Now: 77, Shards: []oldShard{{
+		Ports:    oldPorts{FPU: fpu, LSU: lsu, MDU: sim.PortState{NextFree: 5}},
+		Counters: stats.Counters{Loads: 4, Stores: 2},
+	}}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var got xmt.MachineState
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want := xmt.ShardMachineState{Ports: xmt.ClusterPorts{FPU: fpu, LSU: lsu}, Counters: old.Shards[0].Counters}
+	if got.Now != 77 || len(got.Shards) != 1 || got.Shards[0] != want {
+		t.Fatalf("decoded Now=%d Shards=%+v, want 77 and [%+v]", got.Now, got.Shards, want)
 	}
 }

@@ -24,7 +24,7 @@ func newFaultSystem(t *testing.T) *System {
 func drive(s *System, n int) (sum uint64, last AccessResult) {
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * config.CacheLineBytes * 7
-		last = s.Access(uint64(i)*4, addr, i%3 == 0)
+		last = access(s, uint64(i)*4, addr, i%3 == 0)
 		sum += last.Done
 	}
 	return sum, last
@@ -70,7 +70,7 @@ func TestDoubleBitErrorsDetectedNotCorrected(t *testing.T) {
 	sawUncorrectable := false
 	for i := 0; i < 2000; i++ {
 		addr := uint64(i) * config.CacheLineBytes * 5
-		res := s.Access(uint64(i)*4, addr, false)
+		res := access(s, uint64(i)*4, addr, false)
 		if res.Fault == FaultECCUncorrectable {
 			sawUncorrectable = true
 		}
@@ -141,11 +141,11 @@ func TestHitsNeverFault(t *testing.T) {
 	s := newFaultSystem(t)
 	s.EnableFaults(9, 1, 0, true) // every fetch errors
 	addr := uint64(4096)
-	first := s.Access(0, addr, false)
+	first := access(s, 0, addr, false)
 	if first.Hit || first.Fault != FaultECCCorrected {
 		t.Fatalf("first access: hit=%v fault=%v, want miss+corrected", first.Hit, first.Fault)
 	}
-	again := s.Access(first.Done, addr, false)
+	again := access(s, first.Done, addr, false)
 	if !again.Hit {
 		t.Fatal("second access should hit")
 	}

@@ -180,6 +180,17 @@ type System struct {
 	// the analytic model; the prefetch ablation turns it on.
 	Prefetch bool
 
+	// follow describes the latest Access or Repeat for Repeat: its
+	// module, the way that now holds its line, and its queue delay. It
+	// is scratch, not state: a follower never crosses a checkpoint,
+	// which is taken between spawns.
+	follow struct {
+		mi    int
+		m     *module
+		way   *line
+		delay uint64
+	}
+
 	// Fault-injection parameters, immutable after EnableFaults (set
 	// before simulation starts; read concurrently by shards).
 	ber     float64 // per-line-fetch single-bit error probability
@@ -196,8 +207,10 @@ func NewSystem(cfg config.Config) (*System, error) {
 	}
 	perModule := config.CacheBytesPerModule / config.CacheLineBytes
 	sets := perModule / ways
-	if sets == 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("mem: cache geometry gives %d sets; want a power of two", sets)
+	if sets < 2 || sets&(sets-1) != 0 {
+		// Repeat relies on two sets at least: a prefetch fills the next
+		// line, which then lies in another set than the demand line.
+		return nil, fmt.Errorf("mem: cache geometry gives %d sets; want a power of two of at least 2", sets)
 	}
 	s := &System{cfg: cfg}
 	s.channels = make([]channel, cfg.DRAMChannels())
@@ -222,20 +235,45 @@ func (s *System) Config() config.Config { return s.cfg }
 // Modules returns the number of memory modules.
 func (s *System) Modules() int { return len(s.modules) }
 
-// Access performs one word access to addr arriving at its memory module
-// at cycle t (NoC traversal time is the caller's concern) and returns
-// when it completes. Write accesses allocate on miss (fetch-on-write)
-// and mark the line dirty. This is the machine's entry point (the
-// engine's coordinator calls it): with prefetching enabled the miss path
-// fills the next line immediately, wherever it hashes to.
-func (s *System) Access(t uint64, addr uint64, write bool) AccessResult {
-	mi := HashAddress(addr, len(s.modules))
+// Access performs one word access to addr, which hashes to module mi
+// (HashAddress(addr, Modules()), which the caller has already computed
+// to route the request), arriving at the module at cycle t (NoC
+// traversal time is the caller's concern), and returns when it
+// completes. Write accesses allocate on miss (fetch-on-write) and mark
+// the line dirty. This is the machine's entry point (the engine's
+// coordinator calls it): with prefetching enabled the miss path fills
+// the next line immediately, wherever it hashes to.
+func (s *System) Access(t uint64, mi int, addr uint64, write bool) AccessResult {
 	res, missStart := s.accessModule(mi, t, addr, write)
 	if s.Prefetch && !res.Hit {
 		next := addr + config.CacheLineBytes
 		s.prefetchInto(HashAddress(next, len(s.modules)), missStart, next)
 	}
 	return res
+}
+
+// Repeat serves a follower: a word access to the line of the latest
+// Access or Repeat, arriving one cycle after it, with no other access
+// in between. The module port is width 1, so after the latest access
+// took slot g the follower takes g+1 and queues exactly as long. It
+// hits the way the latest access left the line in: a hit restamped that
+// way, a miss filled it, and a prefetch the miss triggered filled the
+// next line, which lies in another set. So Repeat grants the next port
+// slot, adds the same queue delay, restamps the way and ORs in the
+// dirty bit, counting a hit, in O(1): no hash and no tag search. A hit
+// draws no fault.
+func (s *System) Repeat(write bool) AccessResult {
+	f := &s.follow
+	m := f.m
+	grant := m.port.GrantNext()
+	m.queueDelay += f.delay
+	m.useTick++
+	f.way.used = m.useTick
+	if write {
+		f.way.dirty = true
+	}
+	m.hits++
+	return AccessResult{Done: grant + CacheHitLatency, Hit: true, Module: f.mi}
 }
 
 func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (AccessResult, uint64) {
@@ -256,6 +294,7 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 				set[i].dirty = true
 			}
 			m.hits++
+			s.follow.mi, s.follow.m, s.follow.way, s.follow.delay = mi, m, &set[i], grant-t
 			return AccessResult{Done: grant + CacheHitLatency, Hit: true, Module: mi}, 0
 		}
 	}
@@ -312,6 +351,7 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 	}
 
 	set[victim] = line{tag: tag, valid: true, dirty: write, used: m.useTick}
+	s.follow.mi, s.follow.m, s.follow.way, s.follow.delay = mi, m, &set[victim], grant-t
 
 	return AccessResult{Done: done, Hit: false, Module: mi, Fault: fv}, start
 }

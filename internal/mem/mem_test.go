@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +16,12 @@ func smallCfg(t *testing.T) config.Config {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// access performs one word access through Access, hashing the address
+// to its module as the machine's coordinator does.
+func access(s *System, t, addr uint64, write bool) AccessResult {
+	return s.Access(t, HashAddress(addr, s.Modules()), addr, write)
 }
 
 func TestHashAddressRange(t *testing.T) {
@@ -92,14 +100,14 @@ func TestAccessHitMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := s.Access(0, 0x1000, false)
+	r1 := access(s, 0, 0x1000, false)
 	if r1.Hit {
 		t.Fatal("cold access hit")
 	}
 	if r1.Done < DRAMAccessLatency {
 		t.Fatalf("miss completed at %d, faster than DRAM latency", r1.Done)
 	}
-	r2 := s.Access(r1.Done, 0x1004, false) // same line
+	r2 := access(s, r1.Done, 0x1004, false) // same line
 	if !r2.Hit {
 		t.Fatal("same-line access missed")
 	}
@@ -119,11 +127,11 @@ func TestSameModuleQueueing(t *testing.T) {
 	// Warm one line, then hammer it concurrently: completions serialize
 	// one per cycle through the module port (the twiddle-table bottleneck
 	// from §IV-A).
-	warm := s.Access(0, 0x2000, false)
+	warm := access(s, 0, 0x2000, false)
 	t0 := warm.Done
 	var last uint64
 	for i := 0; i < 8; i++ {
-		r := s.Access(t0, 0x2000, false)
+		r := access(s, t0, 0x2000, false)
 		if !r.Hit {
 			t.Fatalf("access %d missed", i)
 		}
@@ -145,7 +153,7 @@ func TestWriteAllocateAndWriteback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := s.Access(0, 0x3000, true)
+	r := access(s, 0, 0x3000, true)
 	if r.Hit {
 		t.Fatal("cold write hit")
 	}
@@ -186,7 +194,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	_ = target
 	t64 := uint64(0)
 	for _, a := range sameSet {
-		r := s.Access(t64, a, true)
+		r := access(s, t64, a, true)
 		t64 = r.Done
 	}
 	if s.Writebacks() == 0 {
@@ -202,14 +210,14 @@ func TestStreamingVsStridedTraffic(t *testing.T) {
 	stream, _ := NewSystem(cfg)
 	t64 := uint64(0)
 	for i := 0; i < words; i++ {
-		r := stream.Access(t64, uint64(i*4), false)
+		r := access(stream, t64, uint64(i*4), false)
 		t64 = r.Done
 	}
 	// Strided: one word per line; every access misses.
 	strided, _ := NewSystem(cfg)
 	t64 = 0
 	for i := 0; i < words; i++ {
-		r := strided.Access(t64, uint64(i*config.CacheLineBytes*7), false)
+		r := access(strided, t64, uint64(i*config.CacheLineBytes*7), false)
 		t64 = r.Done
 	}
 	if strided.DRAMBytes() < 6*stream.DRAMBytes() {
@@ -234,7 +242,7 @@ func TestChannelSharingSlowsMisses(t *testing.T) {
 		var done uint64
 		// Issue many independent misses at cycle 0 across all modules.
 		for i := 0; i < 2048; i++ {
-			r := s.Access(0, uint64(i*config.CacheLineBytes), false)
+			r := access(s, 0, uint64(i*config.CacheLineBytes), false)
 			if r.Done > done {
 				done = r.Done
 			}
@@ -249,12 +257,12 @@ func TestChannelSharingSlowsMisses(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	s, _ := NewSystem(smallCfg(t))
-	s.Access(0, 0x100, true)
+	access(s, 0, 0x100, true)
 	s.Invalidate()
 	if s.Flush() != 0 {
 		t.Fatal("invalidate left dirty lines")
 	}
-	r := s.Access(0, 0x100, false)
+	r := access(s, 0, 0x100, false)
 	if r.Hit {
 		t.Fatal("access after invalidate hit")
 	}
@@ -263,7 +271,7 @@ func TestInvalidate(t *testing.T) {
 func TestModuleLoadBalance(t *testing.T) {
 	s, _ := NewSystem(smallCfg(t))
 	for i := 0; i < 1<<14; i++ {
-		s.Access(0, uint64(i*4), false)
+		access(s, 0, uint64(i*4), false)
 	}
 	loads := s.ModuleLoad()
 	var min, max uint64 = ^uint64(0), 0
@@ -295,7 +303,7 @@ func TestRowBufferStats(t *testing.T) {
 	}
 	// First miss opens a row; a second miss in the same row (different
 	// line, same module/channel/2KB page) hits the row buffer.
-	r1 := s.Access(0, 0, false)
+	r1 := access(s, 0, 0, false)
 	if r1.Hit {
 		t.Fatal("cold access hit cache")
 	}
@@ -306,7 +314,7 @@ func TestRowBufferStats(t *testing.T) {
 	// Find another address in the same DRAM row going through any
 	// channel; with one channel (smallCfg) every line shares it, so any
 	// line inside [0, RowBytes) keeps the row open.
-	r2 := s.Access(r1.Done, config.CacheLineBytes, false)
+	r2 := access(s, r1.Done, config.CacheLineBytes, false)
 	if r2.Hit {
 		t.Fatal("distinct line hit cache")
 	}
@@ -316,7 +324,7 @@ func TestRowBufferStats(t *testing.T) {
 	}
 	// A far address (different 2KB row) misses the row buffer and pays
 	// the activate latency.
-	r3 := s.Access(r2.Done, 1<<20, false)
+	r3 := access(s, r2.Done, 1<<20, false)
 	_, misses = s.RowBufferStats()
 	if misses < 2 {
 		t.Fatalf("far access did not miss row buffer: misses=%d", misses)
@@ -330,7 +338,7 @@ func TestRowMissAddsLatencyOnly(t *testing.T) {
 	// Row activates must not consume channel bandwidth slots.
 	s, _ := NewSystem(smallCfg(t))
 	before := s.ChannelBusy()
-	s.Access(0, 0, false)
+	access(s, 0, 0, false)
 	if got := s.ChannelBusy() - before; got != config.CacheLineBytes/config.DRAMBytesPerCycle {
 		t.Fatalf("one line transfer consumed %d slots, want %d", got, config.CacheLineBytes/config.DRAMBytesPerCycle)
 	}
@@ -344,7 +352,7 @@ func TestPrefetcherHelpsStreaming(t *testing.T) {
 		var done, misses uint64
 		t64 := uint64(0)
 		for i := 0; i < 4096; i++ {
-			r := s.Access(t64, uint64(i*4), false)
+			r := access(s, t64, uint64(i*4), false)
 			t64 = r.Done
 			done = r.Done
 		}
@@ -367,7 +375,7 @@ func TestPrefetcherCountsAndOverfetch(t *testing.T) {
 	// Random far-apart lines: prefetches are pure overfetch.
 	t64 := uint64(0)
 	for i := 0; i < 64; i++ {
-		r := s.Access(t64, uint64(i)*131072+7, false)
+		r := access(s, t64, uint64(i)*131072+7, false)
 		t64 = r.Done
 	}
 	if s.Prefetches() == 0 {
@@ -393,11 +401,11 @@ func TestAccessInvariantsProperty(t *testing.T) {
 		for i, a := range addrs {
 			addr := uint64(a) % (1 << 22)
 			w := i < len(writes) && writes[i]
-			r := s.Access(now, addr, w)
+			r := access(s, now, addr, w)
 			if r.Done < now+CacheHitLatency {
 				return false
 			}
-			r2 := s.Access(r.Done, addr, false)
+			r2 := access(s, r.Done, addr, false)
 			if !r2.Hit {
 				return false
 			}
@@ -406,6 +414,95 @@ func TestAccessInvariantsProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRepeatMatchesAccess is Repeat's oracle. From random cache, port
+// and channel states, with the prefetcher on or off and DRAM faults
+// armed or not, Access(t) followed by k Repeats (k in 1..7, random
+// write bits) returns the same results and leaves the same CaptureState
+// as k+1 plain accesses to words of the same line at t, t+1, …, t+k.
+// The warm-up crowds the line's own set in its module, so the leader
+// hits or misses, on clean or dirty victims, with or without a
+// prefetch landing in the same module.
+func TestRepeatMatchesAccess(t *testing.T) {
+	// 8 modules, as in smallCfg, and 1: consecutive lines never share a
+	// module when there are four or more, so only the one-module machine
+	// has a prefetch fill land in the demand line's module.
+	var cfgs []config.Config
+	for _, tcus := range []int{256, 32} {
+		cfg, err := config.FourK().Scaled(tcus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	build := func(cfg config.Config, prefetch, faults bool, seed int64, ecc bool) *System {
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Prefetch = prefetch
+		if faults {
+			s.EnableFaults(uint64(seed), 0.2, 0.05, ecc)
+		}
+		return s
+	}
+	f := func(seed int64, one, prefetch, faults, ecc bool, k, writes uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := cfgs[0]
+		if one {
+			cfg = cfgs[1]
+		}
+		a := build(cfg, prefetch, faults, seed, ecc)
+		line := uint64(rng.Intn(1 << 16))
+		addr := line * config.CacheLineBytes
+		mi := HashAddress(addr, a.Modules())
+		sets := uint64(len(a.modules[mi].lines) / ways)
+		// Warm up on lines of the same module and set, and some others.
+		at := uint64(0)
+		for i := 0; i < 40; i++ {
+			other := line + sets*uint64(rng.Intn(64))
+			if rng.Intn(4) == 0 {
+				other = uint64(rng.Intn(1 << 16))
+			}
+			access(a, at, other*config.CacheLineBytes+uint64(rng.Intn(8))*4, rng.Intn(2) == 0)
+			at += uint64(rng.Intn(40))
+		}
+		// Put the module's port within a few cycles of the leader's
+		// arrival, on either side.
+		st := a.CaptureState()
+		st.Modules[mi].Port.NextFree = at + uint64(rng.Intn(24)) - 8
+		if err := a.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		b := build(cfg, prefetch, faults, seed, ecc)
+		if err := b.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		n := int(k%7) + 1
+		for i := 0; i <= n; i++ {
+			w := writes>>i&1 == 1
+			word := addr + uint64(rng.Intn(config.CacheLineBytes/4))*4
+			var got AccessResult
+			if i == 0 {
+				got = a.Access(at, mi, word, w)
+			} else {
+				got = a.Repeat(w)
+			}
+			if want := b.Access(at+uint64(i), mi, word, w); got != want {
+				t.Logf("access %d of %d to line %#x at %d: Repeat %+v, Access %+v", i, n, line, at, got, want)
+				return false
+			}
+		}
+		if !reflect.DeepEqual(a.CaptureState(), b.CaptureState()) {
+			t.Logf("line %#x: states differ after %d followers", line, n)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -429,6 +526,44 @@ func BenchmarkSystemAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr = addr*6364136223846793005 + 1442695040888963407
-		s.Access(uint64(i), addr>>40%span&^7, addr&1 == 0)
+		access(s, uint64(i), addr>>40%span&^7, addr&1 == 0)
+	}
+}
+
+// BenchmarkSystemAccessPairs reads BenchmarkSystemAccess's stream as
+// same-line word pairs (a, a+4), the second arriving one cycle after the
+// first: the shape of a follower. The general path serves both words
+// through Access, the repeat path serves the second through Repeat. One
+// op is one pair.
+func BenchmarkSystemAccessPairs(b *testing.B) {
+	cfg, err := config.SixtyFourK().Scaled(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const span = 4 << 20
+	for _, repeat := range []bool{false, true} {
+		name := "general"
+		if repeat {
+			name = "repeat"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			addr := uint64(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				addr = addr*6364136223846793005 + 1442695040888963407
+				t, a, w := uint64(i)*2, addr>>40%span&^7, addr&1 == 0
+				access(s, t, a, w)
+				if repeat {
+					s.Repeat(w)
+				} else {
+					access(s, t+1, a+4, w)
+				}
+			}
+		})
 	}
 }

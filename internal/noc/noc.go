@@ -35,29 +35,33 @@ const baseLatency = 4
 
 // Network times packet traversals from cluster src to memory module dst.
 // It is the single source of truth for packet accounting: every request
-// (Traverse) and every load reply (Reply) increments the Packets counter,
-// so consumers snapshot Packets() instead of keeping parallel tallies.
+// (Traverse, Repeat) and every load reply (AddReplies) counts in
+// Packets, so consumers snapshot Packets() instead of keeping parallel
+// tallies.
 type Network interface {
 	// Traverse returns the arrival cycle at dst for a packet injected at
 	// cycle t. Implementations record contention internally.
 	Traverse(t uint64, src, dst int) uint64
-	// Reply returns the arrival cycle back at the requesting cluster for
-	// a load reply leaving the memory module at cycle t. XMT's MoT reply
-	// trees are disjoint from the request trees (§II-B), so replies see
-	// only pipeline latency, never request-path contention — but they are
-	// still packets and are counted as such.
-	Reply(t uint64) uint64
-	// Latency returns the uncontended one-way traversal latency.
+	// Repeat times a follower: a packet from the same src to the same
+	// dst as the latest Traverse or Repeat, injected one cycle after it,
+	// with no packet sent in between. Every switch port is width 1, so
+	// after the latest packet took slot g at a port the follower takes
+	// g+1 there: it waits as long at every port and arrives one cycle
+	// later. Repeat returns that arrival without routing the packet
+	// again.
+	Repeat() uint64
+	// Latency returns the uncontended one-way traversal latency. It is
+	// also a load reply's: XMT's MoT reply trees are disjoint from the
+	// request trees (§II-B), so a reply leaving its module at cycle t
+	// reaches its cluster at t + Latency(), never delayed by requests.
 	Latency() uint64
 	// Packets returns how many packets have traversed the network
 	// (requests and replies).
 	Packets() uint64
-	// AddReplies credits n reply packets to the packet counter without
-	// computing their timing. The sharded machine computes reply arrival
-	// times shard-locally (replies are contention-free, pure latency) and
-	// reports them to the coordinator at window barriers, which calls
-	// this so the network stays the single source of truth for packet
-	// accounting.
+	// AddReplies credits n reply packets to the packet counter. Replies
+	// are contention-free, so the coordinator times them itself (by
+	// Latency) and credits a load group's replies in one call; the
+	// network stays the single source of truth for packet accounting.
 	AddReplies(n uint64)
 }
 
@@ -65,6 +69,7 @@ type Network interface {
 type MoT struct {
 	latency uint64
 	packets uint64
+	arrive  uint64 // the latest packet's arrival, for Repeat
 }
 
 // NewMoT builds a mesh-of-trees network for cfg using its MoTLevels.
@@ -76,13 +81,16 @@ func NewMoT(cfg config.Config) *MoT {
 // (src, dst) pair, so traversal is pure pipeline latency.
 func (m *MoT) Traverse(t uint64, src, dst int) uint64 {
 	m.packets++
-	return t + m.latency
+	m.arrive = t + m.latency
+	return m.arrive
 }
 
-// Reply implements Network.
-func (m *MoT) Reply(t uint64) uint64 {
+// Repeat implements Network: a follower arrives one cycle after the
+// latest packet.
+func (m *MoT) Repeat() uint64 {
 	m.packets++
-	return t + m.latency
+	m.arrive++
+	return m.arrive
 }
 
 // Latency implements Network.
@@ -104,6 +112,13 @@ type Hybrid struct {
 	ports   int // a power of two, so ports-1 masks an endpoint into range
 	stages  [][]sim.Port
 	packets uint64
+	// route, blocked and arrive describe the latest packet for Repeat:
+	// its switch port at each butterfly level, the cycles it waited at
+	// them, and its arrival. They are scratch, not state: a follower
+	// never crosses a checkpoint, which is taken between spawns.
+	route   []*sim.Port
+	blocked uint64
+	arrive  uint64
 	// Blocked accumulates cycles packets spent waiting at butterfly
 	// switches; exported for utilization reporting.
 	Blocked uint64
@@ -135,6 +150,7 @@ func NewHybrid(cfg config.Config) (*Hybrid, error) {
 		latency: uint64(cfg.MoTLevels+cfg.ButterflyLevels) + baseLatency,
 		ports:   p,
 		stages:  make([][]sim.Port, b),
+		route:   make([]*sim.Port, b),
 	}
 	for s := range h.stages {
 		h.stages[s] = make([]sim.Port, p)
@@ -158,27 +174,36 @@ func (h *Hybrid) Traverse(t uint64, src, dst int) uint64 {
 	dst &= h.ports - 1
 	now := t
 	for s := range h.stages {
-		idx := h.switchIndex(src, dst, s)
-		g := h.stages[s][idx].Grant(now)
-		h.Blocked += g - now
-		now = g + 1 // one cycle per level
+		p := &h.stages[s][h.switchIndex(src, dst, s)]
+		h.route[s] = p
+		now = p.Grant(now) + 1 // one cycle per level
 	}
 	// Remaining (MoT + constant) latency, minus the cycles already spent
-	// stepping through butterfly levels.
-	rest := h.latency - uint64(len(h.stages))
-	arrive := now + rest
+	// stepping through butterfly levels. Every cycle past the
+	// uncontended latency was spent waiting at a switch.
+	h.arrive = now + h.latency - uint64(len(h.stages))
+	h.blocked = h.arrive - t - h.latency
+	h.Blocked += h.blocked
 	if h.DelayHist != nil {
-		h.DelayHist.Observe(arrive - t - h.latency)
+		h.DelayHist.Observe(h.blocked)
 	}
-	return arrive
+	return h.arrive
 }
 
-// Reply implements Network. The reply path reuses the hybrid's level
-// count for latency but, like the MoT's, is contention-free: memory
-// replies fan out toward clusters on the dedicated return network.
-func (h *Hybrid) Reply(t uint64) uint64 {
+// Repeat implements Network: the follower takes the next slot at each
+// of the latest packet's switch ports, waits as long in total, and
+// arrives one cycle later.
+func (h *Hybrid) Repeat() uint64 {
 	h.packets++
-	return t + h.latency
+	for _, p := range h.route {
+		p.GrantNext()
+	}
+	h.Blocked += h.blocked
+	if h.DelayHist != nil {
+		h.DelayHist.Observe(h.blocked)
+	}
+	h.arrive++
+	return h.arrive
 }
 
 // Latency implements Network.

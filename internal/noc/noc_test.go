@@ -3,7 +3,9 @@ package noc
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"xmtfft/internal/config"
 )
@@ -228,6 +230,88 @@ func TestHybridDelayHistogram(t *testing.T) {
 	}
 }
 
+// TestRepeatMatchesTraverse is Repeat's oracle: from random switch
+// states, Traverse(t) followed by k Repeats (k in 1..7) leaves the same
+// switch ports, Blocked, packet count and delay histogram, and returns
+// the same arrivals, as Traverse(t), Traverse(t+1), …, Traverse(t+k) on
+// the same route. It covers the mesh-of-trees and hybrid networks with
+// 2, 3, 7 and 9 butterfly levels.
+func TestRepeatMatchesTraverse(t *testing.T) {
+	var cfgs []config.Config
+	for _, tcus := range []int{0, 1024, 2048} {
+		for _, base := range []config.Config{config.FourK(), config.SixtyFourK(), config.OneTwentyEightKx4()} {
+			cfg := base
+			if tcus > 0 {
+				var err error
+				if cfg, err = base.Scaled(tcus); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	build := func(cfg config.Config) Network {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, ok := n.(*Hybrid); ok {
+			h.ObserveDelays(1)
+		}
+		return n
+	}
+	f := func(ci uint8, seed int64, t0 uint16, src, dst uint16, k uint8) bool {
+		cfg := cfgs[int(ci)%len(cfgs)]
+		rng := rand.New(rand.NewSource(seed))
+		at := uint64(t0) + 64
+		a, b := build(cfg), build(cfg)
+		st, err := CaptureState(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Busy switches: every port's next free slot lies within a few
+		// cycles of t on either side, so the route both waits and not.
+		for s := range st.Stages {
+			for i := range st.Stages[s] {
+				st.Stages[s][i].NextFree = at + uint64(rng.Intn(24)) - 8
+				st.Stages[s][i].Busy = uint64(rng.Intn(1000))
+			}
+		}
+		st.Packets, st.Blocked = uint64(rng.Intn(1000)), uint64(rng.Intn(1000))
+		if RestoreState(a, st) != nil || RestoreState(b, st) != nil {
+			t.Fatal("restore failed")
+		}
+		from, to := int(src)%cfg.Clusters, int(dst)%cfg.MemModules
+		n := int(k%7) + 1
+		for i := 0; i <= n; i++ {
+			var got uint64
+			if i == 0 {
+				got = a.Traverse(at, from, to)
+			} else {
+				got = a.Repeat()
+			}
+			if want := b.Traverse(at+uint64(i), from, to); got != want {
+				t.Logf("%s packet %d of %d from %d to %d at %d: Repeat %d, Traverse %d", cfg.Name, i, n, from, to, at, got, want)
+				return false
+			}
+		}
+		sa, _ := CaptureState(a)
+		sb, _ := CaptureState(b)
+		if !reflect.DeepEqual(sa, sb) {
+			t.Logf("%s: states differ after %d followers", cfg.Name, n)
+			return false
+		}
+		if ha, ok := a.(*Hybrid); ok && !reflect.DeepEqual(ha.DelayHist, b.(*Hybrid).DelayHist) {
+			t.Logf("%s: delay histograms differ after %d followers", cfg.Name, n)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkHybridTraverse times one request packet through the hybrid
 // network of 64k scaled to 1024 TCUs (32 ports, 2 butterfly levels), the
 // sim-64k-dram geometry, under saturating uniform random traffic.
@@ -249,5 +333,44 @@ func BenchmarkHybridTraverse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Traverse(uint64(i/ports), i%ports, dsts[i%len(dsts)])
+	}
+}
+
+// BenchmarkHybridRepeat times a same-line request pair on the
+// BenchmarkHybridTraverse geometry and traffic: a leader Traverse at
+// cycle t and its follower one cycle later, sent as a second Traverse
+// (the general path) or as Repeat. One op is one pair.
+func BenchmarkHybridRepeat(b *testing.B) {
+	cfg, err := config.SixtyFourK().Scaled(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	dsts := make([]int, 4096)
+	for i := range dsts {
+		dsts[i] = rng.Intn(cfg.MemModules)
+	}
+	ports := cfg.Clusters
+	for _, repeat := range []bool{false, true} {
+		name := "traverse"
+		if repeat {
+			name = "repeat"
+		}
+		b.Run(name, func(b *testing.B) {
+			h, err := NewHybrid(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t, src, dst := uint64(i/ports)*2, i%ports, dsts[i%len(dsts)]
+				h.Traverse(t, src, dst)
+				if repeat {
+					h.Repeat()
+				} else {
+					h.Traverse(t+1, src, dst)
+				}
+			}
+		})
 	}
 }

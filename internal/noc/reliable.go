@@ -186,8 +186,11 @@ func (r *Reliable) Traverse(t uint64, src, dst int) uint64 {
 	return r.inner.Traverse(t, src, dst)
 }
 
-// Reply implements Network (the reply fabric is modeled as reliable).
-func (r *Reliable) Reply(t uint64) uint64 { return r.inner.Reply(t) }
+// Repeat implements Network: an unprotected follower on the inner
+// network. The machine never sends followers under fault injection,
+// where every packet draws its own fate; like Traverse, this
+// passthrough exists to satisfy the interface.
+func (r *Reliable) Repeat() uint64 { return r.inner.Repeat() }
 
 // Latency implements Network.
 func (r *Reliable) Latency() uint64 { return r.inner.Latency() }

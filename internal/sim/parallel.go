@@ -15,6 +15,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Conservative parallel discrete-event simulation (PDES) with time
@@ -429,7 +430,8 @@ type ParallelEngine struct {
 	Messages uint64
 
 	merged  []Message
-	senders []outbox // collect's outboxes of the shards that sent, reused
+	senders []int32  // collect's shards that sent, reused
+	slot    []uint32 // collect's per-cycle counts, then next slots: W+1
 
 	tel             *Telemetry
 	telShardFlushed []uint64 // per-shard Processed at the last shard sweep
@@ -447,7 +449,7 @@ func NewParallelEngine(p Partition) *ParallelEngine {
 	if w == 0 || w >= horizonCycles {
 		panic("sim: lookahead window must be in [1, horizon)")
 	}
-	e := &ParallelEngine{shards: make([]Shard, n), window: w}
+	e := &ParallelEngine{shards: make([]Shard, n), window: w, slot: make([]uint32, w+1)}
 	for i := range e.shards {
 		e.shards[i].ID = i
 		e.shards[i].nextMin = noEvent
@@ -583,62 +585,53 @@ func (e *ParallelEngine) AdvanceTo(t uint64) {
 	}
 }
 
-// outbox is one sending shard's messages in collect, with the merge
-// cursor into them.
-type outbox struct {
-	msgs []Message
-	next int
-}
-
 // collect gathers all shard outboxes into one batch in (time, shard,
 // send order) order — a total order, since each outbox is positionally
-// ordered — and clears the outboxes. No comparison sort and no per-
-// message scatter are needed: every message's time lies in the just-
-// finished window [start, start+W) (Send stamps the sending event's
-// cycle) and each outbox is already time-sorted, so one pass lists the
-// outboxes of the shards that sent, in shard order, and a cursor per
-// listed outbox walks them cycle by cycle, copying each shard's run of
-// same-cycle messages in a single batched append. Shards that sent
-// nothing cost nothing after that first pass. Each message is copied
-// exactly once, at the window barrier, rather than per Send.
+// ordered — and clears the outboxes. Every message's time lies in the
+// just-finished window [start, start+W) (Send stamps the sending
+// event's cycle), so a counting sort on Time−start gives that order in
+// O(messages + W): one pass counts each cycle's messages, a prefix sum
+// turns the counts into each cycle's first slot, and a second pass
+// copies every message to its cycle's next slot. Both passes visit the
+// shards that sent in shard order and each outbox in send order, so the
+// sort is stable and ties keep (shard, send order). Shards that sent
+// nothing cost one length test. Each message is copied exactly once, at
+// the window barrier, rather than per Send.
 func (e *ParallelEngine) collect(start uint64) []Message {
 	senders := e.senders[:0]
-	total := 0
+	slot := e.slot
+	clear(slot)
 	for i := range e.shards {
-		sh := &e.shards[i]
-		if len(sh.out) > 0 {
-			total += len(sh.out)
-			senders = append(senders, outbox{msgs: sh.out})
-			sh.out = sh.out[:0]
+		out := e.shards[i].out
+		if len(out) == 0 {
+			continue
+		}
+		senders = append(senders, int32(i))
+		for k := range out {
+			d := out[k].Time - start
+			if d >= e.window {
+				panic("sim: message stamped outside its sending window")
+			}
+			slot[d+1]++
 		}
 	}
 	e.senders = senders
-	if total == 0 {
+	if len(senders) == 0 {
 		return nil
 	}
-	m := e.merged[:0]
-	if len(senders) == 1 {
-		// One sender: its outbox is already the merge order.
-		m = append(m, senders[0].msgs...)
-	} else {
-		for t := start; len(m) < total && t-start < e.window; t++ {
-			for i := range senders {
-				ob := &senders[i]
-				j := ob.next
-				if j >= len(ob.msgs) || ob.msgs[j].Time != t {
-					continue
-				}
-				k := j + 1
-				for k < len(ob.msgs) && ob.msgs[k].Time == t {
-					k++
-				}
-				m = append(m, ob.msgs[j:k]...)
-				ob.next = k
-			}
+	for d := 1; d < len(slot); d++ {
+		slot[d] += slot[d-1]
+	}
+	total := int(slot[len(slot)-1])
+	m := slices.Grow(e.merged[:0], total)[:total]
+	for _, i := range senders {
+		sh := &e.shards[i]
+		for k := range sh.out {
+			d := sh.out[k].Time - start
+			m[slot[d]] = sh.out[k]
+			slot[d]++
 		}
-		if len(m) != total {
-			panic("sim: message stamped outside its sending window")
-		}
+		sh.out = sh.out[:0]
 	}
 	e.merged = m
 	return m

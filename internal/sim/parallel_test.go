@@ -187,17 +187,27 @@ func TestCollectMergeOrder(t *testing.T) {
 		}
 	}
 
-	e := NewParallelEngine(staticPartition{shards, window})
-	for _, i := range []int{3, 9} {
-		e.Shard(i).now = start + window // one cycle past the window
-		e.Shard(i).Send(0, 0, 0, 0, 0)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("collect accepted messages stamped outside their window")
+	// One cycle past the window, from two senders or from one, and one
+	// cycle before it.
+	for _, stray := range []struct {
+		senders []int
+		at      uint64
+	}{{[]int{3, 9}, start + window}, {[]int{9}, start + window}, {[]int{3}, start - 1}} {
+		e := NewParallelEngine(staticPartition{shards, window})
+		for _, i := range stray.senders {
+			e.Shard(i).now = stray.at
+			e.Shard(i).Send(0, 0, 0, 0, 0)
 		}
-	}()
-	e.collect(start)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("collect accepted messages from shards %v stamped at %d, outside [%d, %d)",
+						stray.senders, stray.at, start, start+window)
+				}
+			}()
+			e.collect(start)
+		}()
+	}
 }
 
 func TestShardSameCycleFIFO(t *testing.T) {
@@ -356,6 +366,37 @@ func BenchmarkShardSchedule(b *testing.B) {
 		e.Run()
 	}
 	_ = sum
+}
+
+// BenchmarkCollect times the barrier merge on a window of the
+// sim-64k-dram shape: 32 shards, W = 9, a third of them sending three
+// messages each at random cycles of the window. One op is one collect,
+// plus refilling the outboxes it drains.
+func BenchmarkCollect(b *testing.B) {
+	const shards, window, start = 32, 9, 1000
+	e := NewParallelEngine(staticPartition{shards, window})
+	rng := rand.New(rand.NewSource(1))
+	outs := make([][]Message, shards)
+	for i := 0; i < shards; i += 3 {
+		sh := e.Shard(i)
+		sh.now = start
+		for k := 0; k < 3; k++ {
+			sh.now += uint64(rng.Intn(3))
+			sh.Send(0, uint64(k), 0, 0, 0)
+		}
+		outs[i] = append([]Message(nil), sh.out...)
+		sh.out = sh.out[:0]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s, out := range outs {
+			if out != nil {
+				e.shards[s].out = append(e.shards[s].out, out...)
+			}
+		}
+		e.collect(start)
+	}
 }
 
 // BenchmarkRunWindowSparse measures the engine on the timeline of a

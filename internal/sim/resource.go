@@ -34,6 +34,15 @@ func (p *Port) Grant(t uint64) uint64 {
 	return p.reserve(t, 1)
 }
 
+// GrantNext reserves the port's next free slot and returns its cycle:
+// the grant of a request that arrives no later than that slot. On a
+// width-1 port the slot is the cycle after the latest grant, which is
+// where a request lands that arrives one cycle after the latest grantee
+// with nothing granted in between (a same-line follower's hop).
+func (p *Port) GrantNext() uint64 {
+	return p.reserve(0, 1)
+}
+
 // GrantN reserves the n earliest available slots at or after cycle t and
 // returns the cycle of the first slot. On a width-1 port the slots are
 // consecutive cycles, modeling a burst transfer holding a channel; on a

@@ -91,6 +91,30 @@ func TestPortMatchesPerSlotReference(t *testing.T) {
 	}
 }
 
+// TestPortGrantNext: GrantNext is Grant(t) for any t at or before the
+// next free slot, at widths 0-4 from any reachable state.
+func TestPortGrantNext(t *testing.T) {
+	f := func(width uint8, nextFree uint32, used uint8, busy uint32, back uint16) bool {
+		w := uint64(width % 5)
+		st := PortState{NextFree: uint64(nextFree) + 1<<16, Busy: uint64(busy)}
+		if w > 1 {
+			st.Used = uint64(used) % w
+		}
+		ref := refPort{w: w, nextFree: st.NextFree, used: st.Used, busy: st.Busy}
+		want := ref.grant(st.NextFree - uint64(back))
+		p := Port{Width: w}
+		p.RestoreState(st)
+		if g := p.GrantNext(); g != want || p.State() != ref.state() {
+			t.Logf("w=%d from %+v: got %d %+v, want %d %+v", w, st, g, p.State(), want, ref.state())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPortSingleWidth(t *testing.T) {
 	p := Port{Width: 1}
 	if g := p.Grant(5); g != 5 {

@@ -18,17 +18,18 @@ import (
 	"xmtfft/internal/stats"
 )
 
-// PortTriple is the serializable state of one cluster's shared
-// functional-unit ports.
-type PortTriple struct {
+// ClusterPorts is the serializable state of one cluster's shared
+// functional-unit ports. Checkpoints written while the machine still
+// modelled an MDU port (never granted, so always idle) carry a third
+// field, MDU, which gob skips on decode.
+type ClusterPorts struct {
 	FPU sim.PortState
 	LSU sim.PortState
-	MDU sim.PortState
 }
 
 // ShardMachineState is one cluster-shard's serializable state.
 type ShardMachineState struct {
-	Ports    PortTriple
+	Ports    ClusterPorts
 	Counters stats.Counters
 }
 
@@ -69,7 +70,7 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 		Shards: make([]ShardMachineState, len(m.shards))}
 	for i, sh := range m.shards {
 		st.Shards[i] = ShardMachineState{
-			Ports:    PortTriple{FPU: sh.fpu.State(), LSU: sh.lsu.State(), MDU: sh.mdu.State()},
+			Ports:    ClusterPorts{FPU: sh.fpu.State(), LSU: sh.lsu.State()},
 			Counters: sh.counters,
 		}
 	}
@@ -115,7 +116,6 @@ func (m *Machine) RestoreState(st *MachineState) error {
 		ss := &st.Shards[i]
 		sh.fpu.RestoreState(ss.Ports.FPU)
 		sh.lsu.RestoreState(ss.Ports.LSU)
-		sh.mdu.RestoreState(ss.Ports.MDU)
 		sh.counters = ss.Counters
 	}
 	if err := m.memory.RestoreState(st.Memory); err != nil {

@@ -149,7 +149,6 @@ func New(cfg config.Config) (*Machine, error) {
 			id:   i,
 			fpu:  sim.Port{Width: uint64(cfg.FPUsPerCluster)},
 			lsu:  sim.Port{Width: uint64(cfg.LSUsPerCluster)},
-			mdu:  sim.Port{Width: uint64(cfg.MDUsPerCluster)},
 			tcus: make([]shardTCU, cfg.TCUsPerCluster),
 		}
 		for j := range sh.tcus {

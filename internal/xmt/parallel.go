@@ -39,6 +39,7 @@ package xmt
 import (
 	"fmt"
 
+	"xmtfft/internal/config"
 	"xmtfft/internal/mem"
 	"xmtfft/internal/sim"
 	"xmtfft/internal/stats"
@@ -108,9 +109,9 @@ type machineShard struct {
 	m  *Machine
 	id int // cluster index == shard index
 
-	fpu, lsu, mdu sim.Port
-	tcus          []shardTCU
-	reqs          []memReq // request payloads for this window's groups
+	fpu, lsu sim.Port
+	tcus     []shardTCU
+	reqs     []memReq // request payloads for this window's groups
 
 	counters stats.Counters
 	lastDone uint64          // thread and store completions on this shard
@@ -214,57 +215,81 @@ func (m *Machine) onBarrier(msgs []sim.Message) {
 }
 
 // serveRequest performs the coordinator side of one memory request —
-// NoC traversal, module access, counters, tracing. ok=false means the retransmit
-// protocol gave up; the request has been queued for an event-level
-// retry on the source shard and res is meaningless.
-func (m *Machine) serveRequest(sh *machineShard, r memReq, write bool, tcu int) (mem.AccessResult, bool) {
-	dst := mem.HashAddress(r.addr, m.cfg.MemModules)
-	arrive, ok := m.traverse(r.issue, sh.id, dst)
-	if !ok {
-		// Give-up: schedule the event-level retry on the source shard,
-		// which re-issues the request with a fresh issue cycle.
-		at := arrive
-		if now := m.eng.Now(); at < now {
-			at = now
+// NoC traversal, module access, counters, tracing — and hashes its
+// address once, for both. A follower (see follows) takes the closed
+// forms instead: the NoC's and the memory system's Repeat, which change
+// no simulated quantity. ok=false means the retransmit protocol gave
+// up; the request has been queued for an event-level retry on the
+// source shard and res is meaningless.
+func (m *Machine) serveRequest(sh *machineShard, r memReq, write bool, tcu int, follower bool) (mem.AccessResult, bool) {
+	var arrive uint64
+	var res mem.AccessResult
+	if follower {
+		arrive = m.network.Repeat()
+		res = m.memory.Repeat(write)
+	} else {
+		dst := mem.HashAddress(r.addr, m.cfg.MemModules)
+		var ok bool
+		if arrive, ok = m.traverse(r.issue, sh.id, dst); !ok {
+			// Give-up: schedule the event-level retry on the source
+			// shard, which re-issues the request with a fresh issue
+			// cycle.
+			at := max(arrive, m.eng.Now())
+			m.eng.Shard(sh.id).At(at, sopRetransmit, uint64(len(m.retries)), 0)
+			m.retries = append(m.retries, retryRec{addr: r.addr, tcu: uint64(tcu), write: write})
+			return mem.AccessResult{}, false
 		}
-		m.eng.Shard(sh.id).At(at, sopRetransmit, uint64(len(m.retries)), 0)
-		m.retries = append(m.retries, retryRec{addr: r.addr, tcu: uint64(tcu), write: write})
-		return mem.AccessResult{}, false
+		res = m.memory.Access(arrive, dst, r.addr, write)
 	}
-	res := m.memory.Access(arrive, r.addr, write)
 	if res.Hit {
 		sh.counters.CacheHits++
 	} else {
 		sh.counters.CacheMisses++
 	}
 	if m.coordRec != nil {
-		m.coordRec.NoC(r.issue, arrive, sh.id, dst)
-		m.coordRec.MemAccess(arrive, res.Done, tcu, dst, r.addr, write, res.Hit)
+		m.coordRec.NoC(r.issue, arrive, sh.id, res.Module)
+		m.coordRec.MemAccess(arrive, res.Done, tcu, res.Module, r.addr, write, res.Hit)
 	}
-	recordMemFault(m.coordRec, res.Done, res.Fault, dst, r.addr)
+	recordMemFault(m.coordRec, res.Done, res.Fault, res.Module, r.addr)
 	return res, true
+}
+
+// follows reports whether request i of a group is a follower: it goes
+// to the same cache line as request i-1, issued exactly one cycle
+// later. The two are served back to back, so the follower meets every
+// port of the line's route exactly as its predecessor left it, and the
+// closed forms apply. Never under NoC fault injection, where every
+// packet draws its own fate.
+func (m *Machine) follows(recs []memReq, i int) bool {
+	if i == 0 || m.rnet != nil {
+		return false
+	}
+	prev, r := recs[i-1], recs[i]
+	return r.issue == prev.issue+1 && r.addr/config.CacheLineBytes == prev.addr/config.CacheLineBytes
 }
 
 // loadGroup serves a parked thread's load group: every request is
 // traversed and accessed in issue order, and the thread resumes when
 // the last reply is in (immediately computable unless a request
-// escalated into the retry path).
+// escalated into the retry path). Replies are contention-free, so the
+// last one arrives Latency() after the last access completes.
 func (m *Machine) loadGroup(sh *machineShard, recs []memReq, segStart uint64, tcu int) {
 	tc := &sh.tcus[m.tcuLocal[tcu]]
 	tc.segStart = segStart
 	done := uint64(0)
 	pending := 0
-	for _, r := range recs {
-		res, ok := m.serveRequest(sh, r, false, tcu)
+	for i, r := range recs {
+		res, ok := m.serveRequest(sh, r, false, tcu, m.follows(recs, i))
 		if !ok {
 			pending++
 			continue
 		}
-		if ret := m.network.Reply(res.Done); ret > done {
-			done = ret
-		}
+		done = max(done, res.Done)
 	}
-	tc.maxRet = done
+	m.network.AddReplies(uint64(len(recs) - pending))
+	// With every request escalated, done+Latency is below any retry's
+	// reply, so memRetry's max still yields the last reply.
+	tc.maxRet = done + m.network.Latency()
 	tc.waiting = pending
 	if pending == 0 {
 		m.finishLoadGroup(sh, tc)
@@ -286,33 +311,28 @@ func (m *Machine) finishLoadGroup(sh *machineShard, tc *shardTCU) {
 // storeGroup serves a store group; the issuing thread already continued
 // (stores do not block), so only the join's completion bound advances.
 func (m *Machine) storeGroup(sh *machineShard, recs []memReq, tcu int) {
-	for _, r := range recs {
-		res, ok := m.serveRequest(sh, r, true, tcu)
+	for i, r := range recs {
+		res, ok := m.serveRequest(sh, r, true, tcu, m.follows(recs, i))
 		if !ok {
 			continue
 		}
-		if res.Done > sh.lastDone {
-			sh.lastDone = res.Done // join waits for store completion
-		}
+		sh.lastDone = max(sh.lastDone, res.Done) // join waits for store completion
 	}
 }
 
 // memRetry serves a single re-issued request from the retransmit path.
 func (m *Machine) memRetry(sh *machineShard, r memReq, write bool, tcu int) {
-	res, ok := m.serveRequest(sh, r, write, tcu)
+	res, ok := m.serveRequest(sh, r, write, tcu, false)
 	if !ok {
 		return // escalated again; a fresh retry event is scheduled
 	}
 	if write {
-		if res.Done > sh.lastDone {
-			sh.lastDone = res.Done
-		}
+		sh.lastDone = max(sh.lastDone, res.Done)
 		return
 	}
 	tc := &sh.tcus[m.tcuLocal[tcu]]
-	if ret := m.network.Reply(res.Done); ret > tc.maxRet {
-		tc.maxRet = ret
-	}
+	m.network.AddReplies(1)
+	tc.maxRet = max(tc.maxRet, res.Done+m.network.Latency())
 	tc.waiting--
 	if tc.waiting == 0 {
 		m.finishLoadGroup(sh, tc)

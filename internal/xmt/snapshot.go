@@ -10,7 +10,6 @@ type Snapshot struct {
 	Cycle      uint64
 	FPUBusy    uint64 // slots consumed across all cluster FPUs
 	LSUBusy    uint64 // slots consumed across all cluster LSU ports
-	MDUBusy    uint64
 	DRAMBusy   uint64 // slots consumed across all DRAM channels
 	NoCPackets uint64
 }
@@ -24,7 +23,6 @@ func (m *Machine) Snapshot() Snapshot {
 	for _, sh := range m.shards {
 		s.FPUBusy += sh.fpu.Busy
 		s.LSUBusy += sh.lsu.Busy
-		s.MDUBusy += sh.mdu.Busy
 	}
 	return s
 }

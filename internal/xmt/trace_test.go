@@ -3,6 +3,8 @@ package xmt
 import (
 	"testing"
 
+	"xmtfft/internal/config"
+	"xmtfft/internal/noc"
 	"xmtfft/internal/trace"
 )
 
@@ -186,5 +188,62 @@ func TestSpawnResultUtil(t *testing.T) {
 	}
 	if u.FPU < 0.2 {
 		t.Fatalf("FPU util = %g, implausibly low for a FLOP-bound section", u.FPU)
+	}
+}
+
+// TestTracedNoCDelaysSumToBlocked holds the traced NoC arrivals on the
+// hybrid network to the switch-level accounting: every request packet
+// is one NoC event, and its delay past the uncontended latency is time
+// spent blocked at butterfly switches, so the delays sum to the
+// network's Blocked. Each thread moves whole cache lines, so most
+// requests are same-line followers whose arrival comes from the closed
+// form rather than a traversal.
+func TestTracedNoCDelaysSumToBlocked(t *testing.T) {
+	cfg, err := config.SixtyFourK().Scaled(1024) // 32 ports, 2 butterfly levels
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, ok := m.Network().(*noc.Hybrid)
+	if !ok {
+		t.Fatalf("64k network is %T, want *noc.Hybrid", m.Network())
+	}
+	rec := trace.NewRecorder(0)
+	m.AttachRecorder(rec)
+	lines := func(id int, buf []Op) []Op {
+		src := uint64(id%64) * config.CacheLineBytes // few lines: hot modules
+		dst := (1 << 20) + uint64(id)*config.CacheLineBytes
+		for w := uint64(0); w < config.CacheLineBytes; w += 4 {
+			buf = append(buf, Load(src+w))
+		}
+		buf = append(buf, FLOP(8))
+		for w := uint64(0); w < config.CacheLineBytes; w += 4 {
+			buf = append(buf, Store(dst+w))
+		}
+		return buf
+	}
+	res, err := m.Spawn(2048, ProgramFunc(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packets, delay uint64
+	for _, ev := range rec.Events {
+		if ev.Kind != trace.EvNoC {
+			continue
+		}
+		packets++
+		if ev.End < ev.Start+h.Latency() {
+			t.Fatalf("NoC event %+v arrives before the uncontended latency %d", ev, h.Latency())
+		}
+		delay += ev.End - ev.Start - h.Latency()
+	}
+	if want := res.Ops.Loads + res.Ops.Stores; packets != want {
+		t.Fatalf("traced %d NoC events, want one per request: %d", packets, want)
+	}
+	if h.Blocked == 0 || delay != h.Blocked {
+		t.Fatalf("traced NoC delays sum to %d, network blocked %d cycles (want equal, non-zero)", delay, h.Blocked)
 	}
 }
