@@ -6,22 +6,15 @@
 // records a cycle-level trace, exported in Chrome trace-event JSON /
 // as a utilization heat strip.
 //
-// With -host-bench the simulator ablations are skipped and the host
-// FFT (the FFTW-substitute baseline) is measured instead: serial 1D
-// codelet-on/off pairs over the generated-kernel range, then n³ 3D
-// transforms with codelets on and off, serial and parallel, written as
-// a BENCH_fft.json perf record. -fft-gate turns the 1D codelet speedups
+// With -bench the ablations are skipped and the named benchmark suites
+// run instead, into one perf record (-o): host (the FFTW-substitute host
+// FFT, codelet-on/off pairs), sim (the simulator's wall-clock), obs
+// (observability overhead and the zero-alloc metric hot path), fault
+// (resilience overhead against fault rate) and serve (the transform
+// service's latency and throughput). -tcus and -n size the simulated
+// suites and the host suite's n³ pairs, -reps repeats every timed
+// measurement, and -fft-gate turns the host suite's 1D codelet speedups
 // into a CI perf ratchet.
-//
-// With -sim-bench the simulator itself is measured on the FFT
-// workload, and the wall-clock result is written as a BENCH_sim.json
-// perf record.
-//
-// With -obs-bench the observability layer itself is measured: the same
-// workload with observability off, with engine telemetry, and with the
-// full live-metrics surface, written as a BENCH_obs.json perf record
-// that also carries the metric-primitive microbenchmarks (the
-// zero-alloc hot-path contract).
 //
 // With -serve-obs the ablation run additionally serves live
 // observability — /metrics (OpenMetrics), /progress (JSON with
@@ -34,11 +27,10 @@
 //	xmtbench -tcus 512 -n 16  # small size (the CI smoke path)
 //	xmtbench -serve-obs :9100 # watch the run: curl :9100/metrics
 //	xmtbench -trace /tmp/bench.json -util-svg /tmp/bench.svg
-//	xmtbench -host-bench BENCH_fft.json -host-n 128,256
-//	xmtbench -host-bench BENCH_fft.json -fft-gate 1.2  # codelet perf ratchet
-//	xmtbench -sim-bench BENCH_sim.json
-//	xmtbench -fault-bench BENCH_fault.json -fault-rates 0.005,0.02,0.05
-//	xmtbench -obs-bench BENCH_obs.json
+//	xmtbench -bench host -n 256 -o BENCH_fft.json
+//	xmtbench -bench host -fft-gate 1.2      # codelet perf ratchet
+//	xmtbench -bench sim,obs -reps 7 -o -    # record on stdout
+//	xmtbench -bench fault -fault-seed 99 -tcus 256 -n 8
 package main
 
 import (
@@ -48,37 +40,31 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"strings"
 	"time"
 
-	"xmtfft/internal/baseline"
 	"xmtfft/internal/ckpt"
 	"xmtfft/internal/harness"
 	"xmtfft/internal/viz"
 )
 
 func main() {
-	tcus := flag.Int("tcus", 1024, "machine size in TCUs (scaled 4k configuration)")
-	n := flag.Int("n", 32, "points per dimension (power of two)")
-	simBench := flag.String("sim-bench", "", "measure the simulator on the FFT workload and write a BENCH_sim.json perf record to this path ('-' for stdout)")
-	simReps := flag.Int("sim-reps", 3, "repetitions for -sim-bench (best run kept) and for each -obs-bench mode (median and quartiles kept)")
+	tcus := flag.Int("tcus", 1024, "machine size in TCUs (scaled 4k configuration) of the ablations and the sim, obs and fault suites")
+	n := flag.Int("n", 32, "points per dimension (power of two >= 2) of the ablations' FFT, the sim, obs and fault suites' FFT and the host suite's 3D pairs")
+	bench := flag.String("bench", "", "run these benchmark suites instead of the ablations: comma-separated host, sim, obs, fault, serve")
+	out := flag.String("o", "", "with -bench: write the perf record as JSON to this path ('-' for stdout)")
+	reps := flag.Int("reps", 3, "with -bench: repetitions of every timed measurement (median and quartiles kept)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the baseline variant to this path")
 	traceEpoch := flag.Uint64("trace-epoch", 256, "utilization sampling interval in cycles for -trace / -util-svg")
 	utilSVG := flag.String("util-svg", "", "write an epoch-utilization heat-strip SVG of the baseline variant to this path")
-	hostBench := flag.String("host-bench", "", "measure the host FFT (1D and 3D, codelets on vs off) and write a BENCH_fft.json perf record to this path ('-' for stdout)")
-	hostSizes := flag.String("host-n", "128,256", "comma-separated per-dimension sizes for -host-bench")
-	hostWorkers := flag.Int("host-workers", 0, "parallel worker count for -host-bench (0 = GOMAXPROCS)")
-	hostReps := flag.Int("host-reps", 1, "repetitions per -host-bench point (best run kept)")
-	fftGate := flag.Float64("fft-gate", 0, "with -host-bench: exit non-zero when any serial 1D codelet-on/off speedup falls below this ratio (0 disables the gate)")
-	faultBench := flag.String("fault-bench", "", "measure resilience overhead (cycles/GFLOPS vs fault rate) on the FFT workload and write a BENCH_fault.json perf record to this path ('-' for stdout)")
-	faultRates := flag.String("fault-rates", "0.005,0.02,0.05", "comma-separated fault rates for -fault-bench (rate 0 baseline is always included)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault-injection streams of -fault-bench")
+	fftGate := flag.Float64("fft-gate", 0, "with -bench host: exit non-zero when any serial 1D codelet-on/off speedup (of medians) falls below this ratio (0 disables the gate)")
+	faultSeed := flag.Uint64("fault-seed", 1, "with -bench fault: seed of the deterministic fault-injection streams")
 	serveObs := flag.String("serve-obs", "", "serve live observability (/metrics, /progress, /debug/pprof) on this address during the ablation run, e.g. :9100")
 	obsSnapshot := flag.String("obs-snapshot", "", "periodically write the OpenMetrics exposition to this path (atomic replace)")
 	obsSnapshotEvery := flag.Duration("obs-snapshot-every", 10*time.Second, "interval between -obs-snapshot writes")
 	obsEpoch := flag.Uint64("obs-epoch", 4096, "live-metrics sampling interval in simulated cycles for -serve-obs / -obs-snapshot")
-	obsBench := flag.String("obs-bench", "", "measure observability overhead (off vs telemetry vs live) and write a BENCH_obs.json perf record to this path ('-' for stdout)")
 	logLevel := flag.String("log-level", "info", "log verbosity on stderr: debug, info, warn or error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines instead of text")
 	checkpointPath := flag.String("checkpoint", "", "write a resumable sweep checkpoint to this path at variant boundaries (ablation mode)")
@@ -87,15 +73,11 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(cliFlags{
-		tcus: *tcus, n: *n, simReps: *simReps,
-		hostWorkers: *hostWorkers, hostReps: *hostReps,
+		tcus: *tcus, n: *n, reps: *reps,
 		tracePath: *tracePath, utilSVG: *utilSVG, traceEpoch: *traceEpoch,
-		simBench:  *simBench,
-		hostBench: *hostBench, hostSizes: *hostSizes, fftGate: *fftGate,
-		faultBench: *faultBench, faultRates: *faultRates,
+		bench: *bench, out: *out, fftGate: *fftGate,
 		serveObs: *serveObs, obsSnapshot: *obsSnapshot,
 		obsSnapshotEvery: *obsSnapshotEvery, obsEpoch: *obsEpoch,
-		obsBench:   *obsBench,
 		checkpoint: *checkpointPath, checkpointEvery: *checkpointEvery, resume: *resumePath,
 	}); err != nil {
 		usageError(err)
@@ -126,26 +108,9 @@ func main() {
 		}
 	}()
 
-	if *hostBench != "" {
-		if err := runHostBench(*hostBench, *hostSizes, *hostWorkers, *hostReps, *fftGate); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *simBench != "" {
-		if err := runSimBench(*simBench, *tcus, *n, *simReps); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *faultBench != "" {
-		if err := runFaultBench(*faultBench, *faultRates, *tcus, *n, *faultSeed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *obsBench != "" {
-		if err := runObsBench(*obsBench, *tcus, *n, *simReps); err != nil {
+	if *bench != "" {
+		settings := harness.BenchSettings{TCUs: *tcus, N: *n, Reps: *reps, FaultSeed: *faultSeed}
+		if err := runBench(strings.Split(*bench, ","), settings, *out, *fftGate); err != nil {
 			fatal(err)
 		}
 		return
@@ -238,117 +203,37 @@ func main() {
 	})
 }
 
-// writeRecord emits a benchmark record to stdout ("-") or atomically to
-// a file, so an interrupted run never truncates a previous artifact.
-func writeRecord(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	if err := harness.WriteFileAtomic(path, write); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
-	return nil
-}
-
-// runHostBench measures the host FFT, writes the perf record, and (when
-// gate > 0) fails if any serial 1D codelet-on/off speedup falls below
-// the gate — a CI perf ratchet.
-func runHostBench(path, sizeList string, workers, reps int, gate float64) error {
-	sizes, err := parseIntList("-host-n", sizeList)
+// runBench runs the suites, prints every case's median and quartiles,
+// writes the record to stdout ("-") or atomically to a file (so an
+// interrupted run never truncates a previous artifact), and then, when
+// gate > 0, applies the codelet ratchet.
+func runBench(suites []string, settings harness.BenchSettings, out string, gate float64) error {
+	rec, err := harness.RunBench(suites, settings)
 	if err != nil {
 		return err
 	}
-	rec, err := baseline.RunHostBench(sizes, workers, reps)
-	if err != nil {
-		return err
-	}
-	for _, r := range rec.Results {
-		fmt.Printf("%-44s %12v  %7.3f GFLOPS\n", r.Label, r.Elapsed, r.GFLOPS)
-	}
-	for _, n := range baseline.HostBench1DSizes {
-		if sp := rec.CodeletSpeedup1D(n); sp > 0 {
-			fmt.Printf("1d n=%-5d serial codelet speedup: %.2fx\n", n, sp)
+	if out == "-" {
+		err = rec.Write(os.Stdout)
+	} else {
+		for _, c := range rec.Cases {
+			fmt.Printf("%-5s %-34s %-21s %12.6g [%.6g, %.6g] %s\n",
+				c.Suite, c.Name, c.Metric, c.Median, c.Q1, c.Q3, c.Unit)
 		}
-	}
-	for _, n := range sizes {
-		if sp := rec.CodeletSpeedup3D(n, 1); sp > 0 {
-			fmt.Printf("%d^3 serial codelet speedup: %.2fx\n", n, sp)
-		}
-	}
-	if err := writeRecord(path, rec.Write); err != nil {
-		return err
-	}
-	if gate > 0 {
-		worst, worstN := 0.0, 0
-		for _, n := range baseline.HostBench1DSizes {
-			sp := rec.CodeletSpeedup1D(n)
-			if sp == 0 {
-				return fmt.Errorf("-fft-gate %.2f: no codelet-on/off pair for 1d n=%d; gate cannot be evaluated", gate, n)
-			}
-			if worst == 0 || sp < worst {
-				worst, worstN = sp, n
+		if out != "" {
+			if err = harness.WriteFileAtomic(out, rec.Write); err == nil {
+				fmt.Println("wrote", out)
 			}
 		}
-		if worst < gate {
-			return fmt.Errorf("-fft-gate %.2f not met: 1d n=%d codelet speedup is %.2fx", gate, worstN, worst)
-		}
-		fmt.Printf("fft-gate ok: %.2fx >= %.2fx (worst at n=%d)\n", worst, gate, worstN)
 	}
+	if err != nil || gate <= 0 {
+		return err
+	}
+	worst, n, err := rec.CodeletGate(gate)
+	if err != nil {
+		return fmt.Errorf("-fft-gate: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "fft-gate ok: %.2fx >= %.2fx (worst at 1d n=%d)\n", worst, gate, n)
 	return nil
-}
-
-// runSimBench measures the simulator and writes BENCH_sim.json.
-func runSimBench(path string, tcus, n, reps int) error {
-	rec, err := harness.RunSimBench(tcus, n, nil, reps)
-	if err != nil {
-		return err
-	}
-	for _, r := range rec.Results {
-		fmt.Printf("%10.4fs  %12d cycles  %9.0f useful-events/s  (%d engine events)\n",
-			r.ElapsedSec, r.Cycles, r.UsefulEventsPerSec, r.Events)
-	}
-	return writeRecord(path, rec.Write)
-}
-
-// runObsBench measures observability overhead and writes BENCH_obs.json.
-func runObsBench(path string, tcus, n, reps int) error {
-	rec, err := harness.RunObsBench(tcus, n, reps)
-	if err != nil {
-		return err
-	}
-	for _, r := range rec.Results {
-		fmt.Printf("%-10s median %.4fs [%.4f, %.4f]  best %.4fs  %12d cycles  %9.0f events/s  %+6.2f%%\n",
-			r.Mode, r.ElapsedMedianSec, r.ElapsedQ1Sec, r.ElapsedQ3Sec, r.ElapsedSec, r.Cycles, r.EventsPerSec, r.OverheadPct)
-	}
-	hp := rec.HotPath
-	fmt.Printf("hot path: counter add %.1f ns (%.0f allocs), gauge set %.1f ns (%.0f allocs), histogram observe %.1f ns (%.0f allocs), encode %.0f ns\n",
-		hp.CounterAddNs, hp.CounterAddAllocs, hp.GaugeSetNs, hp.GaugeSetAllocs,
-		hp.HistogramObserveNs, hp.HistObserveAllocs, hp.EncodeNs)
-	if rec.Note != "" {
-		fmt.Println("note:", rec.Note)
-	}
-	return writeRecord(path, rec.Write)
-}
-
-// runFaultBench measures resilience overhead and writes BENCH_fault.json.
-func runFaultBench(path, rateList string, tcus, n int, seed uint64) error {
-	rates, err := parseRateList("-fault-rates", rateList)
-	if err != nil {
-		return err
-	}
-	rec, err := harness.RunFaultBench(tcus, n, seed, rates)
-	if err != nil {
-		return err
-	}
-	for _, r := range rec.Results {
-		fmt.Printf("rate %-7g %12d cycles  %7.2f GFLOPS  +%5.1f%%  retransmits %d  ecc corrected %d\n",
-			r.Rate, r.Cycles, r.GFLOPS, r.CyclesOverhead*100, r.NoCRetransmits, r.ECCCorrected)
-	}
-	if rec.Note != "" {
-		fmt.Println("note:", rec.Note)
-	}
-	return writeRecord(path, rec.Write)
 }
 
 // fatal reports a runtime failure through the structured logger (text

@@ -11,8 +11,10 @@
 //
 //	xmtserve                              # serve on :8123
 //	xmtserve -addr :9000 -max-inflight 64
-//	xmtserve -selftest -bench-out BENCH_serve.json
 //	xmtserve -load http://host:8123 -load-concurrency 16 -bench-requests 500
+//
+// The in-process latency record (BENCH_serve.json) is the serve suite
+// of `xmtbench -bench serve`.
 //
 // POST /v1/transform with a JSON document like
 //
@@ -26,7 +28,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -47,12 +48,9 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-drain budget after SIGTERM before in-flight requests are abandoned")
 	maxBody := flag.Int64("max-body", 1<<28, "request body size limit in bytes")
 
-	selftest := flag.Bool("selftest", false, "run the in-process load-tested contract: serve on a loopback port, drive the load generator at -bench-concurrency levels, print the results")
-	benchOut := flag.String("bench-out", "", "with -selftest: write the BENCH_serve.json record to this path ('-' for stdout)")
-	benchN := flag.Int("bench-n", 1024, "with -selftest/-load: 1D transform size")
-	benchDtype := flag.String("bench-dtype", "complex64", "with -selftest/-load: element type (complex64 or complex128)")
-	benchRequests := flag.Int("bench-requests", 400, "with -selftest/-load: requests per concurrency level")
-	benchConc := flag.String("bench-concurrency", "1,4,16", "with -selftest: comma-separated concurrency levels")
+	benchN := flag.Int("bench-n", 1024, "with -load: 1D transform size")
+	benchDtype := flag.String("bench-dtype", "complex64", "with -load: element type (complex64 or complex128)")
+	benchRequests := flag.Int("bench-requests", 400, "with -load: total requests")
 
 	loadURL := flag.String("load", "", "client mode: drive a running server at this base URL with the load generator and print the measurement")
 	loadConc := flag.Int("load-concurrency", 8, "with -load: worker goroutines")
@@ -67,27 +65,21 @@ func main() {
 	f := cliFlags{
 		maxInflight: *maxInflight, retryAfter: *retryAfter,
 		drainTimeout: *drainTimeout, maxBody: *maxBody,
-		selftest: *selftest, benchOut: *benchOut, benchN: *benchN,
-		benchDtype: *benchDtype, benchRequests: *benchRequests,
-		benchConc: *benchConc, loadURL: *loadURL, loadConc: *loadConc,
+		benchN: *benchN, benchDtype: *benchDtype, benchRequests: *benchRequests,
+		loadURL: *loadURL, loadConc: *loadConc,
 	}
 	if err := validateFlags(f); err != nil {
 		usageError(err)
 	}
 
-	switch {
-	case *selftest:
-		if err := runSelftest(f); err != nil {
-			fatal(err)
-		}
-	case *loadURL != "":
-		if err := runLoad(f); err != nil {
-			fatal(err)
-		}
-	default:
-		if err := runServe(*addr, f); err != nil {
-			fatal(err)
-		}
+	var err error
+	if *loadURL != "" {
+		err = runLoad(f)
+	} else {
+		err = runServe(*addr, f)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 
@@ -132,35 +124,6 @@ func runServe(addr string, f cliFlags) error {
 	return nil
 }
 
-// runSelftest is the load-tested contract in one command: in-process
-// server, loadgen at each concurrency level, human summary on stdout
-// and optionally the BENCH_serve.json record.
-func runSelftest(f cliFlags) error {
-	conc, err := parseIntList("-bench-concurrency", f.benchConc)
-	if err != nil {
-		return err
-	}
-	rec, err := harness.RunServeBench(harness.ServeBenchOptions{
-		N:           f.benchN,
-		Dtype:       f.benchDtype,
-		Requests:    f.benchRequests,
-		Concurrency: conc,
-		MaxInflight: f.maxInflight,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("serve selftest: n=%d dtype=%s requests/level=%d\n", rec.N, rec.Dtype, rec.Requests)
-	fmt.Printf("%12s %10s %10s %10s %12s\n", "concurrency", "p50 ms", "p99 ms", "max ms", "req/s")
-	for _, l := range rec.Levels {
-		fmt.Printf("%12d %10.3f %10.3f %10.3f %12.1f\n", l.Concurrency, l.P50Ms, l.P99Ms, l.MaxMs, l.Throughput)
-	}
-	if f.benchOut == "" {
-		return nil
-	}
-	return writeRecord(f.benchOut, rec.Write)
-}
-
 // runLoad drives an external server.
 func runLoad(f cliFlags) error {
 	res, err := loadgen.Run(loadgen.Options{
@@ -179,19 +142,6 @@ func runLoad(f cliFlags) error {
 	fmt.Printf("load %s: concurrency=%d requests=%d\n", f.loadURL, res.Concurrency, res.Requests)
 	fmt.Printf("p50 %.3f ms  p90 %.3f ms  p99 %.3f ms  max %.3f ms\n", res.P50Ms, res.P90Ms, res.P99Ms, res.MaxMs)
 	fmt.Printf("throughput %.1f req/s, %d rejections retried\n", res.Throughput, res.Rejected429)
-	return nil
-}
-
-// writeRecord emits a benchmark record to stdout ("-") or atomically to
-// a file, so an interrupted run never truncates a previous artifact.
-func writeRecord(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	if err := harness.WriteFileAtomic(path, write); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
 	return nil
 }
 

@@ -7,7 +7,6 @@ package main
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -23,28 +22,11 @@ type cliFlags struct {
 	drainTimeout time.Duration
 	maxBody      int64
 
-	selftest      bool
-	benchOut      string
+	loadURL       string
+	loadConc      int
 	benchN        int
 	benchDtype    string
 	benchRequests int
-	benchConc     string
-
-	loadURL  string
-	loadConc int
-}
-
-// parseIntList parses a comma-separated integer list flag.
-func parseIntList(flagName, list string) ([]int, error) {
-	var out []int
-	for _, s := range strings.Split(list, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return nil, fmt.Errorf("bad %s entry %q: %w", flagName, s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // validateFlags returns the first violation with an actionable message,
@@ -62,13 +44,13 @@ func validateFlags(f cliFlags) error {
 	if f.maxBody < 1 {
 		return fmt.Errorf("-max-body must be >= 1, got %d", f.maxBody)
 	}
-	if f.selftest && f.loadURL != "" {
-		return fmt.Errorf("-selftest and -load are exclusive modes")
-	}
-	if f.benchOut != "" && !f.selftest {
-		return fmt.Errorf("-bench-out requires -selftest")
-	}
-	if f.selftest || f.loadURL != "" {
+	if f.loadURL != "" {
+		if !strings.HasPrefix(f.loadURL, "http://") && !strings.HasPrefix(f.loadURL, "https://") {
+			return fmt.Errorf("-load must be an http(s) base URL, got %q", f.loadURL)
+		}
+		if f.loadConc < 1 {
+			return fmt.Errorf("-load-concurrency must be >= 1, got %d", f.loadConc)
+		}
 		if !fft.IsPowerOfTwo(f.benchN) {
 			return fmt.Errorf("-bench-n must be a power of two, got %d", f.benchN)
 		}
@@ -80,25 +62,6 @@ func validateFlags(f cliFlags) error {
 		}
 		if f.benchRequests < 1 {
 			return fmt.Errorf("-bench-requests must be >= 1, got %d", f.benchRequests)
-		}
-	}
-	if f.selftest {
-		conc, err := parseIntList("-bench-concurrency", f.benchConc)
-		if err != nil {
-			return err
-		}
-		for _, c := range conc {
-			if c < 1 {
-				return fmt.Errorf("-bench-concurrency entries must be >= 1, got %d", c)
-			}
-		}
-	}
-	if f.loadURL != "" {
-		if !strings.HasPrefix(f.loadURL, "http://") && !strings.HasPrefix(f.loadURL, "https://") {
-			return fmt.Errorf("-load must be an http(s) base URL, got %q", f.loadURL)
-		}
-		if f.loadConc < 1 {
-			return fmt.Errorf("-load-concurrency must be >= 1, got %d", f.loadConc)
 		}
 	}
 	return nil

@@ -16,7 +16,6 @@ func okFlags() cliFlags {
 		benchN:        1024,
 		benchDtype:    "complex64",
 		benchRequests: 400,
-		benchConc:     "1,4,16",
 		loadConc:      8,
 	}
 }
@@ -28,22 +27,15 @@ func TestValidateFlags(t *testing.T) {
 		wantErr string // empty = valid
 	}{
 		{"baseline serve", func(f *cliFlags) {}, ""},
-		{"selftest ok", func(f *cliFlags) { f.selftest = true }, ""},
 		{"load ok", func(f *cliFlags) { f.loadURL = "http://127.0.0.1:8123" }, ""},
 		{"zero max-inflight", func(f *cliFlags) { f.maxInflight = 0 }, "-max-inflight"},
 		{"zero retry-after", func(f *cliFlags) { f.retryAfter = 0 }, "-retry-after"},
 		{"zero drain-timeout", func(f *cliFlags) { f.drainTimeout = 0 }, "-drain-timeout"},
 		{"zero max-body", func(f *cliFlags) { f.maxBody = 0 }, "-max-body"},
-		{"selftest and load exclusive", func(f *cliFlags) { f.selftest = true; f.loadURL = "http://x" }, "exclusive"},
-		{"bench-out without selftest", func(f *cliFlags) { f.benchOut = "BENCH_serve.json" }, "requires -selftest"},
-		{"bench-out with selftest", func(f *cliFlags) { f.selftest = true; f.benchOut = "-" }, ""},
-		{"non-pow2 bench-n", func(f *cliFlags) { f.selftest = true; f.benchN = 1000 }, "power of two"},
+		{"non-pow2 bench-n", func(f *cliFlags) { f.loadURL = "http://x"; f.benchN = 1000 }, "power of two"},
 		{"bench-n ignored when serving", func(f *cliFlags) { f.benchN = 1000 }, ""},
-		{"bad bench-dtype", func(f *cliFlags) { f.selftest = true; f.benchDtype = "float32" }, "-bench-dtype"},
-		{"zero bench-requests", func(f *cliFlags) { f.selftest = true; f.benchRequests = 0 }, "-bench-requests"},
-		{"bad concurrency entry", func(f *cliFlags) { f.selftest = true; f.benchConc = "1,x" }, "-bench-concurrency"},
-		{"zero concurrency entry", func(f *cliFlags) { f.selftest = true; f.benchConc = "1,0" }, ">= 1"},
-		{"concurrency ignored when serving", func(f *cliFlags) { f.benchConc = "garbage" }, ""},
+		{"bad bench-dtype", func(f *cliFlags) { f.loadURL = "http://x"; f.benchDtype = "float32" }, "-bench-dtype"},
+		{"zero bench-requests", func(f *cliFlags) { f.loadURL = "http://x"; f.benchRequests = 0 }, "-bench-requests"},
 		{"load without scheme", func(f *cliFlags) { f.loadURL = "127.0.0.1:8123" }, "http(s)"},
 		{"zero load-concurrency", func(f *cliFlags) { f.loadURL = "http://x"; f.loadConc = 0 }, "-load-concurrency"},
 	}
@@ -65,18 +57,5 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestParseIntList(t *testing.T) {
-	got, err := parseIntList("-x", " 1, 4,16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 16 {
-		t.Fatalf("parseIntList = %v", got)
-	}
-	if _, err := parseIntList("-x", "1,,3"); err == nil {
-		t.Fatal("empty entry accepted")
 	}
 }

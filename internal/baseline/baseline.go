@@ -12,7 +12,6 @@
 package baseline
 
 import (
-	"fmt"
 	"time"
 
 	"xmtfft/internal/fft"
@@ -137,20 +136,19 @@ func TableI() []XMTSpeedup {
 // HostResult is one measured run of this repository's Go FFT on the
 // host machine: the runnable stand-in for FFTW.
 type HostResult struct {
-	Label    string        `json:"label"`
-	Dim      int           `json:"dim,omitempty"` // 1 or 3; 0 in legacy records means 3
-	N        int           `json:"n"`             // points per dimension
-	Workers  int           `json:"workers"`
-	Codelets bool          `json:"codelets"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
-	GFLOPS   float64       `json:"gflops"` // 5·N·log2(N) convention
+	Dim      int // 1 or 3
+	N        int // points per dimension
+	Workers  int
+	Codelets bool
+	Times    []time.Duration // per transform, one entry per repetition
+	Elapsed  time.Duration   // the best of Times (FFTW's own reporting convention)
+	GFLOPS   float64         // at Elapsed, 5·N·log2(N) convention
 }
 
 // MeasureHost3D times a single-precision n³ 3D FFT on the host with the
-// given worker count (1 = serial), repeated reps times, keeping the
-// best run (FFTW's own reporting convention). opts are further plan
-// options, e.g. fft.WithCodelets(false) for the codelet ablation. The
-// plan is private to the measurement, so its array-sized scratch is
+// given worker count (1 = serial), repeated reps times. opts are further
+// plan options, e.g. fft.WithCodelets(false) for the codelet ablation.
+// The plan is private to the measurement, so its array-sized scratch is
 // freed with it.
 func MeasureHost3D(n, workers, reps int, opts ...fft.PlanOption) (HostResult, error) {
 	total := n * n * n
@@ -169,11 +167,7 @@ func MeasureHost3D(n, workers, reps int, opts ...fft.PlanOption) (HostResult, er
 	if err != nil {
 		return HostResult{}, err
 	}
-	label := fmt.Sprintf("host go-fft %d^3 x%d workers", n, workers)
-	if !row.UsesCodelets() {
-		label += " codelets=off"
-	}
-	res := HostResult{Label: label, Dim: 3, N: n, Workers: workers, Codelets: row.UsesCodelets()}
+	res := HostResult{Dim: 3, N: n, Workers: workers, Codelets: row.UsesCodelets()}
 	return timeTransform(res, data, func(x []complex64) error { return p.Transform(x, fft.Forward) }, reps, 1, total)
 }
 
@@ -183,11 +177,7 @@ func MeasureHost3D(n, workers, reps int, opts ...fft.PlanOption) (HostResult, er
 // repetition times a batch of iterations and reports the per-transform
 // time.
 func MeasureHost1D(n, reps int, codelets bool) (HostResult, error) {
-	label := fmt.Sprintf("host go-fft 1d n=%d", n)
-	if !codelets {
-		label += " codelets=off"
-	}
-	res := HostResult{Label: label, Dim: 1, N: n, Workers: 1, Codelets: codelets}
+	res := HostResult{Dim: 1, N: n, Workers: 1, Codelets: codelets}
 	p, err := fft.CachedPlan[complex64](n, fft.WithCodelets(codelets))
 	if err != nil {
 		return res, err
@@ -215,8 +205,8 @@ func MeasureHost1D(n, reps int, codelets bool) (HostResult, error) {
 
 // timeTransform runs one untimed warmup (faulting in freshly allocated
 // plan and copy buffers so the timed repetitions measure the steady
-// state rather than first-touch page costs), then keeps the best of
-// reps timed runs, normalizing by the iterations per run.
+// state rather than first-touch page costs), then times reps runs,
+// normalizing each by the iterations per run.
 func timeTransform(res HostResult, data []complex64, transform func([]complex64) error, reps, iters, points int) (HostResult, error) {
 	if reps < 1 {
 		reps = 1
@@ -226,22 +216,18 @@ func timeTransform(res HostResult, data []complex64, transform func([]complex64)
 	if err := transform(buf); err != nil {
 		return res, err
 	}
-	best := time.Duration(0)
 	for i := 0; i < reps; i++ {
 		copy(buf, data)
 		start := time.Now()
 		err := transform(buf)
-		d := time.Since(start)
+		d := max(time.Since(start)/time.Duration(iters), 1)
 		if err != nil {
 			return res, err
 		}
-		if best == 0 || d < best {
-			best = d
+		res.Times = append(res.Times, d)
+		if res.Elapsed == 0 || d < res.Elapsed {
+			res.Elapsed = d
 		}
-	}
-	res.Elapsed = best / time.Duration(iters)
-	if res.Elapsed <= 0 {
-		res.Elapsed = 1
 	}
 	res.GFLOPS = stats.StandardFFTFlops(points) / res.Elapsed.Seconds() / 1e9
 	return res, nil

@@ -1,9 +1,7 @@
 package baseline
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"xmtfft/internal/fft"
@@ -82,48 +80,6 @@ func TestIntelAreaFactorReproducesPaperNormalization(t *testing.T) {
 	}
 }
 
-func TestRunHostBenchRecord(t *testing.T) {
-	rec, err := RunHostBench([]int{8}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.GOMAXPROCS <= 0 || rec.GOARCH == "" || rec.GoVersion == "" {
-		t.Fatalf("record missing machine context: %+v", rec)
-	}
-	// Codelet-on/off pairs: 1D at every standard size, 3D at each n³.
-	for _, n := range HostBench1DSizes {
-		if sp := rec.CodeletSpeedup1D(n); sp <= 0 {
-			t.Errorf("record lacks a 1D codelet pair at n=%d", n)
-		}
-	}
-	if sp := rec.CodeletSpeedup3D(8, 1); sp <= 0 {
-		t.Error("record lacks a serial 3D codelet pair at n=8")
-	}
-	if rec.CodeletSpeedup1D(99) != 0 || rec.CodeletSpeedup3D(99, 1) != 0 {
-		t.Error("codelet speedup reported for an unmeasured size")
-	}
-	for _, r := range rec.Results {
-		if r.Dim != 1 && r.Dim != 3 {
-			t.Errorf("missing dimensionality in %+v", r)
-		}
-		if r.Elapsed <= 0 || r.GFLOPS <= 0 {
-			t.Errorf("unmeasured result %+v", r)
-		}
-	}
-	// JSON round trip.
-	var buf bytes.Buffer
-	if err := rec.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBenchRecord(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Results) != len(rec.Results) || back.Name != rec.Name {
-		t.Errorf("round trip lost data: %+v", back)
-	}
-}
-
 func TestMeasureHost3D(t *testing.T) {
 	r, err := MeasureHost3D(16, 1, 2)
 	if err != nil {
@@ -132,17 +88,21 @@ func TestMeasureHost3D(t *testing.T) {
 	if r.GFLOPS <= 0 || r.Elapsed <= 0 || r.N != 16 || r.Workers != 1 || !r.Codelets {
 		t.Fatalf("result = %+v", r)
 	}
+	// Every rep's time comes back, and Elapsed is the best of them.
+	if len(r.Times) != 2 || r.Elapsed != min(r.Times[0], r.Times[1]) {
+		t.Fatalf("times %v, elapsed %v: want 2 reps with elapsed their minimum", r.Times, r.Elapsed)
+	}
 	// Options reach the plan: codelets off is measured and recorded.
 	off, err := MeasureHost3D(16, 2, 1, fft.WithCodelets(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Codelets || off.Workers != 2 || !strings.HasSuffix(off.Label, "codelets=off") {
+	if off.Codelets || off.Workers != 2 {
 		t.Fatalf("codelets-off result = %+v", off)
 	}
 	// reps<1 clamps.
-	if _, err := MeasureHost3D(16, 2, 0); err != nil {
-		t.Fatal(err)
+	if one, err := MeasureHost3D(16, 2, 0); err != nil || len(one.Times) != 1 {
+		t.Fatalf("reps 0: %v, times %v", err, one.Times)
 	}
 	// invalid size errors.
 	if _, err := MeasureHost3D(17, 1, 1); err == nil {

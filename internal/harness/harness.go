@@ -321,21 +321,11 @@ func Fig3Detailed(w io.Writer, base config.Config, tcus, n int) error {
 	if err != nil {
 		return err
 	}
-	m, err := xmt.New(cfg)
+	fr, err := simulateFFT(cfg, n, nil)
 	if err != nil {
 		return err
 	}
-	tr, err := core.New3D(m, n, n, n)
-	if err != nil {
-		return err
-	}
-	for i := range tr.Data {
-		tr.Data[i] = complex(float32(i%17)-8, float32(i%11)-5)
-	}
-	run, err := tr.Run(fft.Forward)
-	if err != nil {
-		return err
-	}
+	run := fr.run
 	roof := model.RooflineOf(cfg)
 	fmt.Fprintf(w, "DETAILED-SIM ROOFLINE: %s, %d^3 FFT (%d cycles)\n", cfg, n, run.TotalCycles())
 	fmt.Fprintf(w, "  roof: peak %.1f GFLOPS, DRAM %.1f GB/s, ridge %.2f\n",

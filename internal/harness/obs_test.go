@@ -195,81 +195,6 @@ func TestObsProgressETA(t *testing.T) {
 	}
 }
 
-// TestRunObsBench: the overhead record is self-consistent and upholds
-// the zero-alloc contract.
-func TestRunObsBench(t *testing.T) {
-	rec, err := RunObsBench(64, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Kind != "xmt-obs-bench" || len(rec.Results) != 3 {
-		t.Fatalf("unexpected record shape: %+v", rec)
-	}
-	for i, mode := range []string{"off", "telemetry", "live"} {
-		r := rec.Results[i]
-		if r.Mode != mode || r.Cycles == 0 || r.Events == 0 {
-			t.Errorf("result %d = %+v, want mode %q with nonzero work", i, r, mode)
-		}
-		if r.Cycles != rec.Results[0].Cycles {
-			t.Errorf("mode %q changed simulated cycles", mode)
-		}
-		if r.ElapsedMinSec != r.ElapsedSec || !(r.ElapsedMinSec <= r.ElapsedQ1Sec && r.ElapsedQ1Sec <= r.ElapsedMedianSec &&
-			r.ElapsedMedianSec <= r.ElapsedQ3Sec && r.ElapsedQ3Sec <= r.ElapsedMaxSec) {
-			t.Errorf("mode %q: best %g, spread min %g q1 %g median %g q3 %g max %g out of order", mode, r.ElapsedSec,
-				r.ElapsedMinSec, r.ElapsedQ1Sec, r.ElapsedMedianSec, r.ElapsedQ3Sec, r.ElapsedMaxSec)
-		}
-	}
-	// One rep measures no spread, so no overhead counts as resolved.
-	if !strings.Contains(rec.Note, "overhead unresolved") {
-		t.Errorf("one-rep record does not call its overheads unresolved: %q", rec.Note)
-	}
-	hp := rec.HotPath
-	if hp.CounterAddAllocs != 0 || hp.GaugeSetAllocs != 0 || hp.HistObserveAllocs != 0 {
-		t.Errorf("hot path allocates: %+v", hp)
-	}
-	if strings.Contains(rec.Note, "WARNING") {
-		t.Errorf("record carries a contract warning: %s", rec.Note)
-	}
-	var buf bytes.Buffer
-	if err := rec.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back ObsBenchRecord
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("record does not round-trip: %v", err)
-	}
-}
-
-// TestObsBenchSpreadAndResolution pins the record's statistics on seven
-// reps (nearest-rank quartiles: the 2nd, 4th and 6th smallest) and the
-// resolution rule: an overhead counts only when the mode's median lies
-// outside the off mode's interquartile range.
-func TestObsBenchSpreadAndResolution(t *testing.T) {
-	off := ObsBenchResult{Events: 100}
-	off.setSpread([]float64{7, 1, 6, 2, 5, 3, 4})
-	if off.ElapsedSec != 1 || off.ElapsedMinSec != 1 || off.ElapsedQ1Sec != 2 || off.ElapsedMedianSec != 4 ||
-		off.ElapsedQ3Sec != 6 || off.ElapsedMaxSec != 7 || off.EventsPerSec != 100 {
-		t.Fatalf("spread of 1..7 = %+v", off)
-	}
-	for _, c := range []struct {
-		times    []float64
-		resolved bool
-	}{
-		{[]float64{6, 6, 6}, false},    // median on the upper quartile
-		{[]float64{2, 2, 2}, false},    // median on the lower quartile
-		{[]float64{1, 6.5, 9}, true},   // above the upper quartile
-		{[]float64{1, 1.5, 9}, true},   // below the lower quartile
-		{[]float64{1, 4.5, 99}, false}, // a wild max does not resolve it
-	} {
-		r := ObsBenchResult{}
-		r.setSpread(c.times)
-		if got := r.resolvedAgainst(&off); got != c.resolved {
-			t.Errorf("times %v (median %g) against IQR [%g, %g]: resolved = %v, want %v",
-				c.times, r.ElapsedMedianSec, off.ElapsedQ1Sec, off.ElapsedQ3Sec, got, c.resolved)
-		}
-	}
-}
-
 // TestStartProfiles: both profiles written, non-empty, and a second
 // stop call is harmless.
 func TestStartProfiles(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 // The hot-path benchmarks back the zero-alloc contract: instrumented
 // simulation code calls Counter.Add / Gauge.Set / Histogram.Observe per
 // event or per window, so any allocation here would show up as GC
-// pressure on multi-hour runs. CI asserts allocs/op == 0 via the
-// -benchmem output recorded in BENCH_obs.json; TestHotPathZeroAlloc
-// asserts it directly on every test run.
+// pressure on multi-hour runs. The obs suite of `xmtbench -bench obs`
+// records allocs per call in BENCH_obs.json and fails when one is not
+// zero; TestHotPathZeroAlloc asserts it directly on every test run.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	reg := NewRegistry()

@@ -2,8 +2,8 @@
 // a fixed worker count fires a fixed request total at a live server and
 // reports latency quantiles and throughput.
 // It is the measurement half of the serving story — used by
-// `xmtserve -selftest`, by `xmtserve -load` against a remote server,
-// and by harness.RunServeBench to emit BENCH_serve.json.
+// `xmtserve -load` against a running server, and by the serve suite of
+// harness.RunBench (`xmtbench -bench serve`) to emit BENCH_serve.json.
 package loadgen
 
 import (
