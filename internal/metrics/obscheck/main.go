@@ -4,8 +4,8 @@
 // counts and rates, utilization, faults and the watchdog heartbeat —
 // CI feeds it the mid-run scrape and the final snapshot of an
 // xmtbench -serve-obs run. With -serve it instead checks a transform
-// service scrape: the request/latency series and admission-control
-// gauges exported by cmd/xmtserve.
+// service scrape: the request/latency series, the per-stage histograms
+// and the admission-control gauges exported by cmd/xmtserve.
 //
 // Usage: go run ./internal/metrics/obscheck [-serve] file.prom [file.prom ...]
 package main
@@ -44,6 +44,10 @@ var requiredSim = []series{
 var requiredServe = []series{
 	{"xmtserve_requests_total", map[string]string{"route": "1d", "code": "200"}},
 	{"xmtserve_request_latency_seconds_count", map[string]string{"route": "1d"}},
+	{"xmtserve_stage_seconds_count", map[string]string{"stage": "decode"}},
+	{"xmtserve_stage_seconds_count", map[string]string{"stage": "transform"}},
+	{"xmtserve_stage_seconds_count", map[string]string{"stage": "encode"}},
+	{"xmtserve_stage_seconds_count", map[string]string{"stage": "write"}},
 	{"xmtserve_queue_depth", nil},
 	{"xmtserve_queue_limit", nil},
 	{"xmtserve_requests_rejected_total", nil},

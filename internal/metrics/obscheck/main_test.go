@@ -52,6 +52,7 @@ func TestCheckServe(t *testing.T) {
 	}{
 		{"good scrape", scrapeFile(t, busy, ""), ""},
 		{"missing series", scrapeFile(t, busy, "xmtserve_queue_limit"), "xmtserve_queue_limit"},
+		{"missing stage", scrapeFile(t, busy, `stage="encode"`), "xmtserve_stage_seconds_count"},
 		{"no traffic", scrapeFile(t, idle, ""), "xmtserve_requests_total"},
 	} {
 		err := check(tc.path, true)

@@ -5,25 +5,31 @@ package serve
 // cost a 1024-point request many times the transform itself (DESIGN
 // §10).
 //
-// Decoding walks the body once. Numbers are checked against the JSON
-// grammar and converted by strconv straight into the request's []float64;
-// strings (keys and enum values) are unescaped in place. The rules are
-// stricter than encoding/json's: keys match exactly (no case folding),
-// a key may appear only once, unknown keys and trailing documents are
-// rejected, and null is accepted only for the optional norm and batch —
-// never inside dims or data, where encoding/json would read it as 0.
+// Decoding walks the body once. Each number is checked against the JSON
+// grammar and its significand and decimal exponent read in the same pass,
+// eight digits at a time, then converted (float.go: Clinger's fast path
+// or Eisel–Lemire, strconv only for the rare literal neither decides)
+// straight into the request's []float64; strings (keys and enum values)
+// are unescaped in place. The rules are stricter than encoding/json's:
+// keys match exactly (no case folding), a key may appear only once,
+// unknown keys and trailing documents are rejected, and null is accepted
+// only for the optional norm and batch — never inside dims or data,
+// where encoding/json would read it as 0.
 // Anything this decoder accepts, encoding/json accepts too and decodes
 // to the same Request (codec_test.go holds it to that).
 //
 // Encoding appends the response straight from the transformed complex
-// samples, with the same strconv.AppendFloat calls and exponent clean-up
-// as encoding/json, so the bytes equal what json.Encoder.Encode writes
-// for the equivalent Response, trailing newline included.
+// samples, each part's shortest round-tripping digits found by Schubfach
+// (float.go) and laid out as encoding/json lays them out, so the bytes
+// equal what json.Encoder.Encode writes for the equivalent Response,
+// trailing newline included.
 //
 // Buffers come from a pool, so a served request's decode and encode
 // allocate nothing that grows with its size.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -97,6 +103,16 @@ func (c *codec) decode(r io.Reader) (*Request, error) {
 		return nil, err
 	}
 	return &c.q, nil
+}
+
+// encode writes the response to c's transformed request into c.buf.
+func (c *codec) encode() (err error) {
+	if c.q.Dtype == dtypeC64 {
+		c.buf, err = appendResponse(c.buf[:0], &c.q, c.c64)
+	} else {
+		c.buf, err = appendResponse(c.buf[:0], &c.q, c.c128)
+	}
+	return err
 }
 
 // readBody is io.ReadAll appending to buf, so a pooled buffer's
@@ -297,70 +313,151 @@ func (d *decoder) null() bool {
 	return false
 }
 
+// literal is one scanned number: its text and its value as ±man ×
+// 10^exp, where man holds the first 19 significant digits and trunc
+// reports a nonzero digit beyond them.
+type literal struct {
+	text  []byte
+	man   uint64
+	exp   int
+	trunc bool
+}
+
 // number scans one number literal of the JSON grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
-func (d *decoder) number() ([]byte, error) {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reads its value in
+// the same pass.
+func (d *decoder) number() (literal, error) {
 	d.ws()
 	b, start := d.buf, d.pos
-	i, ok := start, true
+	i := start
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
+	var n literal
+	sig := i // the significand's digits, and a '.', are b[sig:end]
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else {
-		i, ok = digits(b, i)
+	} else if i, n.man = digits(b, i, 0); i == sig {
+		return n, d.digitErr(i)
 	}
-	if ok && i < len(b) && b[i] == '.' {
-		i, ok = digits(b, i+1)
+	if i < len(b) && b[i] == '.' {
+		j := i + 1
+		if i, n.man = digits(b, j, n.man); i == j {
+			return n, d.digitErr(i)
+		}
+		n.exp = j - i
 	}
-	if ok && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	end := i
+	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
+		neg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		i, ok = digits(b, i)
+		j, e := i, 0
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			if e < 1e4 { // beyond every float64, short of overflowing int
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
+			return n, d.digitErr(i)
+		}
+		if neg {
+			e = -e
+		}
+		n.exp += e
+	}
+	if end-sig > 19 {
+		n.significand(b[sig:end])
 	}
 	d.pos = i
-	if !ok {
-		return nil, d.syntaxErr("a digit")
-	}
-	return b[start:i], nil
+	n.text = b[start:i]
+	return n, nil
 }
 
-// digits skips the run of decimal digits at b[i:] and reports whether
-// there was at least one.
-func digits(b []byte, i int) (int, bool) {
-	j := i
-	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
-		j++
+// digits reads the run of decimal digits at b[i:] into man, eight at a
+// time while it can, and returns the index after it. man wraps past 19
+// digits.
+func digits(b []byte, i int, man uint64) (int, uint64) {
+	for ; i+8 <= len(b); i += 8 {
+		v := binary.LittleEndian.Uint64(b[i:])
+		// The lowest byte outside '0'-'9' sets its top bit in one term.
+		if ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 != 0 {
+			break
+		}
+		// Pairs, then quads, then all eight (Lemire, §5).
+		v -= 0x3030303030303030
+		v = v*10 + v>>8
+		v = ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		man = man*1e8 + uint64(uint32(v))
 	}
-	return j, j > i
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return i, man
+}
+
+// significand rereads a significand of more than 19 characters (sig,
+// its digits and any '.'). Past its leading zeros, if it still has more
+// than 19 digits, n.man wrapped: the first 19 go into n.man instead, the
+// exponent moves past the rest, and trunc is set if one of them is not
+// zero.
+func (n *literal) significand(sig []byte) {
+	for len(sig) > 0 && (sig[0] == '0' || sig[0] == '.') {
+		sig = sig[1:]
+	}
+	nd := len(sig)
+	if bytes.IndexByte(sig, '.') >= 0 {
+		nd--
+	}
+	if nd <= 19 {
+		return
+	}
+	n.man = 0
+	kept := 0
+	for _, c := range sig {
+		switch {
+		case c == '.':
+		case kept < 19:
+			n.man = n.man*10 + uint64(c-'0')
+			kept++
+		default:
+			n.exp++
+			n.trunc = n.trunc || c != '0'
+		}
+	}
+}
+
+// digitErr reports a missing digit at b[i].
+func (d *decoder) digitErr(i int) error {
+	d.pos = i
+	return d.syntaxErr("a digit")
 }
 
 // float reads a number as a float64; one beyond float64's range is an
 // error, as in encoding/json.
 func (d *decoder) float() (float64, error) {
-	lit, err := d.number()
+	n, err := d.number()
 	if err != nil {
 		return 0, err
 	}
-	v, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return 0, badRequest("malformed request: number %s overflows float64", lit)
+	v, ok := n.convert()
+	if !ok {
+		return 0, badRequest("malformed request: number %s overflows float64", n.text)
 	}
 	return v, nil
 }
 
 // int reads a number that must be an integer in int's range.
 func (d *decoder) int() (int, error) {
-	lit, err := d.number()
+	n, err := d.number()
 	if err != nil {
 		return 0, err
 	}
-	v, err := strconv.Atoi(string(lit))
+	v, err := strconv.Atoi(string(n.text))
 	if err != nil {
-		return 0, badRequest("malformed request: number %s is not an int", lit)
+		return 0, badRequest("malformed request: number %s is not an int", n.text)
 	}
 	return v, nil
 }
@@ -474,24 +571,6 @@ func appendResponse[C complex64 | complex128](dst []byte, q *Request, x []C) ([]
 		dst = appendFloat(dst, im)
 	}
 	return append(dst, "]}\n"...), nil
-}
-
-// appendFloat appends f as encoding/json writes a float64: the shortest
-// round-tripping digits, in exponent form outside [1e-6, 1e21), with a
-// one-digit negative exponent unpadded (e-7, not e-07).
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }
 
 // toComplex converts interleaved re,im floats to complex samples in

@@ -3,7 +3,9 @@ package serve
 // The wire codec against encoding/json, the codec it replaced and now
 // the reference: the decoder accepts nothing encoding/json rejects and
 // decodes what it accepts to the same Request, bit for bit; the encoder
-// writes exactly the bytes json.Encoder.Encode writes.
+// writes exactly the bytes json.Encoder.Encode writes. Its number
+// conversions have their own oracles, the strconv calls they replaced
+// (float_test.go).
 
 import (
 	"bytes"
@@ -15,6 +17,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,6 +58,30 @@ func referenceEncode[C complex64 | complex128](q *Request, x []C) ([]byte, error
 	var buf bytes.Buffer
 	err := json.NewEncoder(&buf).Encode(&Response{Dims: q.Dims, Dtype: q.Dtype, Dir: q.Dir, Data: data})
 	return buf.Bytes(), err
+}
+
+// referenceFloat is the decoder's conversion of a number literal before
+// Eisel–Lemire: strconv.ParseFloat, an out-of-range literal an error.
+func referenceFloat(lit string) (float64, error) {
+	return strconv.ParseFloat(lit, 64)
+}
+
+// referenceAppendFloat is the encoder's conversion of a sample before
+// Schubfach: encoding/json's own, strconv.AppendFloat with the exponent
+// clean-up.
+func referenceAppendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 // sameRequest reports whether a and b are deep-equal, Data bit for bit.

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net/http"
@@ -61,8 +62,11 @@ func (o Options) withDefaults() Options {
 
 // Result is one load level's measurement. Latencies, in milliseconds,
 // run from sending the already-marshalled request to the last byte of
-// the response body, 429 retries included; the response is validated
-// after the clock stops, so the client's own JSON decode is not timed.
+// the response body, 429 retries included. Requests cycle through a
+// small pool of distinct bodies, all marshalled before the clock starts.
+// A 200 is decoded, after its clock stops, only when its body differs
+// from the one already verified for its pool entry (by hash), so the
+// client costs the server's CPUs little; a malformed 200 is an error.
 type Result struct {
 	Concurrency int     `json:"concurrency"`
 	Requests    int     `json:"requests"`
@@ -77,11 +81,27 @@ type Result struct {
 	MeanMs      float64 `json:"mean_ms"`
 }
 
-// workerState collects one worker's observations, merged after the run.
+// The request pool holds poolBodies bodies, fewer once it holds
+// poolBytes.
+const (
+	poolBodies = 8
+	poolBytes  = 64 << 20
+)
+
+// poolEntry is one request body and the hash of the response body
+// verified for it (0 before one is).
+type poolEntry struct {
+	body     []byte
+	verified atomic.Uint64
+}
+
+// workerState collects one worker's observations, merged after the run,
+// and holds the buffer its responses are read into.
 type workerState struct {
 	latMs    []float64
 	errs     int
 	rejected int
+	body     bytes.Buffer
 }
 
 // Run fires opts.Requests requests and blocks until they are resolved.
@@ -89,6 +109,16 @@ func Run(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	client := &http.Client{Timeout: opts.Timeout}
 	url := opts.BaseURL + "/v1/transform"
+	var pool []*poolEntry
+	for size := 0; len(pool) < min(opts.Requests, poolBodies) && size < poolBytes; {
+		body, err := json.Marshal(requestBody(opts, len(pool)))
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: marshal request: %w", err)
+		}
+		pool = append(pool, &poolEntry{body: body})
+		size += len(body)
+	}
+	seed := maphash.MakeSeed()
 
 	states := make([]workerState, opts.Concurrency)
 	var wg sync.WaitGroup
@@ -103,7 +133,7 @@ func Run(opts Options) (*Result, error) {
 				if i >= opts.Requests {
 					return
 				}
-				runOne(client, url, opts, i, st)
+				runOne(client, url, opts, pool[i%len(pool)], seed, st)
 			}
 		}(&states[w])
 	}
@@ -139,15 +169,10 @@ func Run(opts Options) (*Result, error) {
 
 // runOne issues one request (retrying 429s with the server's
 // Retry-After hint, capped) and records the outcome.
-func runOne(client *http.Client, url string, opts Options, seq int, st *workerState) {
-	body, err := json.Marshal(requestBody(opts, seq))
-	if err != nil {
-		st.errs++
-		return
-	}
+func runOne(client *http.Client, url string, opts Options, p *poolEntry, seed maphash.Seed, st *workerState) {
 	begin := time.Now()
 	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+		resp, err := client.Post(url, "application/json", bytes.NewReader(p.body))
 		if err != nil {
 			st.errs++
 			return
@@ -164,23 +189,32 @@ func runOne(client *http.Client, url string, opts Options, seq int, st *workerSt
 			time.Sleep(wait)
 			continue
 		}
-		payload, err := io.ReadAll(resp.Body)
+		st.body.Reset()
+		_, err = st.body.ReadFrom(resp.Body)
 		resp.Body.Close()
 		lat := time.Since(begin)
-		if err != nil || !wellFormed(resp.StatusCode, payload) {
+		if err != nil || resp.StatusCode != http.StatusOK {
 			st.errs++
 			return
+		}
+		payload := st.body.Bytes()
+		if h := maphash.Bytes(seed, payload); p.verified.Load() != h {
+			if !wellFormed(payload) {
+				st.errs++
+				return
+			}
+			p.verified.Store(h)
 		}
 		st.latMs = append(st.latMs, float64(lat.Nanoseconds())/1e6)
 		return
 	}
 }
 
-// wellFormed reports whether a non-429 response is a 200 whose body
-// decodes as a transform response.
-func wellFormed(status int, payload []byte) bool {
+// wellFormed reports whether a 200's body decodes as a transform
+// response.
+func wellFormed(payload []byte) bool {
 	var out serve.Response
-	return status == http.StatusOK && json.Unmarshal(payload, &out) == nil
+	return json.Unmarshal(payload, &out) == nil
 }
 
 // retryAfter parses the Retry-After seconds hint, defaulting to 50ms
@@ -201,9 +235,9 @@ func retryAfter(resp *http.Response) time.Duration {
 	return 50 * time.Millisecond
 }
 
-// requestBody builds the seq-th request: deterministic per-index data
-// so repeated runs are comparable, varied so responses are not
-// trivially cacheable.
+// requestBody builds the seq-th pool entry's request: deterministic
+// per-index data so repeated runs are comparable, varied so responses
+// are not trivially cacheable.
 func requestBody(opts Options, seq int) *serve.Request {
 	data := make([]float64, 2*opts.N)
 	state := uint64(seq)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d

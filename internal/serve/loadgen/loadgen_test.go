@@ -62,6 +62,39 @@ func TestLoadgenCountsMalformedOKAsError(t *testing.T) {
 	}
 }
 
+// TestLoadgenChecksEveryNewBody alternates a valid 200 with a malformed
+// one for each request body: a body that differs from the one verified
+// for its pool entry is decoded again, so every malformed one is an
+// error and every valid one a completed request.
+func TestLoadgenChecksEveryNewBody(t *testing.T) {
+	var mu sync.Mutex
+	sent := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		k := sent[string(body)]
+		sent[string(body)]++
+		mu.Unlock()
+		if k%2 == 1 {
+			io.WriteString(w, `{"dims": [64], "data": [1, 2`)
+			return
+		}
+		io.WriteString(w, `{"dims":[64],"dtype":"complex64","dir":"forward","data":[1,2]}`)
+	}))
+	defer ts.Close()
+
+	res, err := Run(Options{BaseURL: ts.URL, Concurrency: 1, Requests: 32, N: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 16 {
+		t.Fatalf("%d errors over 16 malformed and 16 valid 200s, want 16", res.Errors)
+	}
+	if len(sent) != poolBodies {
+		t.Fatalf("%d distinct request bodies, want the pool's %d", len(sent), poolBodies)
+	}
+}
+
 // slowBody delays the server's first read of a request body, so each
 // admitted request holds its in-flight slot for a few milliseconds, as
 // the upload and transform of a large request would.

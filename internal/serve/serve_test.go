@@ -338,6 +338,66 @@ func TestCodeletGaugeAfter2DRequest(t *testing.T) {
 	}
 }
 
+// TestStageHistogramsAccountForLatency: every 200 observes each stage
+// once and nothing else observes any, and the stages account for the
+// request: their sums stay at or below the route's latency sum and
+// within 5% of it.
+func TestStageHistogramsAccountForLatency(t *testing.T) {
+	const n, requests = 1024, 300
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer shutdownServer(t, srv)
+
+	data := make([]float64, 2*n)
+	fillSignal(data, n)
+	body, err := json.Marshal(&Request{Dims: []int{n}, Dtype: "complex64", Dir: "forward", Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body []byte) int {
+		resp, err := ts.Client().Post(ts.URL+"/v1/transform", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < requests; i++ {
+		if code := post(body); code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, code)
+		}
+	}
+	if code := post(body[:len(body)/2]); code != http.StatusBadRequest {
+		t.Fatalf("truncated request: status %d, want 400", code)
+	}
+
+	exp := scrape(t, srv)
+	value := func(name string, labels map[string]string) float64 {
+		t.Helper()
+		v, ok := exp.Value(name, labels)
+		if !ok {
+			t.Fatalf("series %s %v missing", name, labels)
+		}
+		return v
+	}
+	served := value("xmtserve_requests_total", map[string]string{"route": "1d", "code": "200"})
+	latency := value("xmtserve_request_latency_seconds_sum", map[string]string{"route": "1d"})
+	var stages float64
+	for _, name := range stageNames {
+		stage := map[string]string{"stage": name}
+		if count := value("xmtserve_stage_seconds_count", stage); count != served {
+			t.Errorf("stage %s observed %g times, want one per 200 (%g)", name, count, served)
+		}
+		stages += value("xmtserve_stage_seconds_sum", stage)
+	}
+	t.Logf("%g requests: stages sum to %.4fs of %.4fs latency", served, stages, latency)
+	if stages > latency*(1+1e-9) || stages < 0.95*latency {
+		t.Fatalf("stages sum to %gs against %gs of route latency; want at most it and within 5%%", stages, latency)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())

@@ -9,10 +9,12 @@
 // accepted requests finish.
 //
 // Observability rides on internal/metrics: per-route latency
-// histograms, request/rejection counters, queue-depth gauges and the
-// codelet-leaf gauge, registered on the registry the caller passes in
-// (cmd/xmtserve passes harness.Obs's registry, so the series appear on
-// the same /metrics endpoint as the rest of the repo's surface).
+// histograms, per-stage histograms of every served request (decode,
+// transform, encode, write), request/rejection counters, queue-depth
+// gauges and the codelet-leaf gauge, registered on the registry the
+// caller passes in (cmd/xmtserve passes harness.Obs's registry, so the
+// series appear on the same /metrics endpoint as the rest of the
+// repo's surface).
 package serve
 
 import (
@@ -90,13 +92,31 @@ type serverMetrics struct {
 	// surface shows how much of the serve traffic runs on generated
 	// straight-line kernels.
 	codeletLeaves *metrics.Gauge
+	// stage times the steps of every 200, indexed by the stage*
+	// constants; the handles are looked up once, here.
+	stage [len(stageNames)]*metrics.Histogram
 }
 
-// latencyBounds covers 100µs to 10s.
-var latencyBounds = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+// The stages of a served request, in order: reading and decoding the
+// body, the transform (with the copy into complex samples), encoding the
+// response and writing it.
+const (
+	stageDecode = iota
+	stageTransform
+	stageEncode
+	stageWrite
+)
+
+var stageNames = [...]string{"decode", "transform", "encode", "write"}
+
+// latencyBounds covers 100µs to 10s; stageBounds reaches down to 1µs.
+var (
+	latencyBounds = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+	stageBounds   = append([]float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5}, latencyBounds...)
+)
 
 func newServerMetrics(reg *metrics.Registry) *serverMetrics {
-	return &serverMetrics{
+	m := &serverMetrics{
 		requests:   reg.CounterVec("xmtserve_requests", "Transform requests by route and HTTP status code.", "route", "code"),
 		latency:    reg.HistogramVec("xmtserve_request_latency_seconds", "End-to-end request latency (decode, queue, transform, encode) by route.", latencyBounds, "route"),
 		queueDepth: reg.Gauge("xmtserve_queue_depth", "Admitted requests currently queued or executing."),
@@ -106,6 +126,11 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		codeletLeaves: reg.Gauge("xmtserve_codelet_leaf_calls",
 			"Process-wide generated-kernel (codelet leaf) invocations, sampled after each transform."),
 	}
+	stages := reg.HistogramVec("xmtserve_stage_seconds", "Time in each stage of a served (200) request: decode, transform, encode, write.", stageBounds, "stage")
+	for i, name := range stageNames {
+		m.stage[i] = stages.With(name)
+	}
+	return m
 }
 
 // Server is the transform service. Create with New, expose via
@@ -249,6 +274,8 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	c := getCodec(r.ContentLength)
 	defer c.release()
+	var t [len(stageNames) + 1]time.Time // each stage's start, then the end
+	t[stageDecode] = time.Now()
 	q, err := c.decode(r.Body)
 	if err != nil {
 		code = http.StatusBadRequest
@@ -257,7 +284,13 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	}
 	route = routeOf(q)
 
-	if err := s.execute(c); err != nil {
+	t[stageTransform] = time.Now()
+	err = s.execute(c)
+	if err == nil {
+		t[stageEncode] = time.Now()
+		err = c.encode()
+	}
+	if err != nil {
 		var reqErr *RequestError
 		if errors.As(err, &reqErr) {
 			code = http.StatusBadRequest
@@ -267,11 +300,16 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err.Error())
 		return
 	}
+	t[stageWrite] = time.Now()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(c.buf)))
 	// A write error comes too late for a status change; the client sees
 	// the truncation.
 	_, _ = w.Write(c.buf)
+	t[len(stageNames)] = time.Now()
+	for i, h := range s.met.stage {
+		h.Observe(t[i+1].Sub(t[i]).Seconds())
+	}
 }
 
 // routeOf labels a validated request for metrics.
@@ -288,25 +326,17 @@ func routeOf(q *Request) string {
 	}
 }
 
-// execute runs c's validated request on c's buffers and leaves the
-// encoded response in c.buf.
-func (s *Server) execute(c *codec) error {
+// execute transforms c's validated request in place on c's complex
+// buffers.
+func (s *Server) execute(c *codec) (err error) {
 	if c.q.Dtype == dtypeC64 {
 		c.c64 = toComplex(c.c64, c.q.Data)
-		return respond(s, c, c.c64)
-	}
-	c.c128 = toComplex(c.c128, c.q.Data)
-	return respond(s, c, c.c128)
-}
-
-// respond transforms x, the request's samples, in place and encodes the
-// response into c.buf.
-func respond[C complex64 | complex128](s *Server, c *codec, x []C) (err error) {
-	if err = transform(x, &c.q); err != nil {
-		return err
+		err = transform(c.c64, &c.q)
+	} else {
+		c.c128 = toComplex(c.c128, c.q.Data)
+		err = transform(c.c128, &c.q)
 	}
 	s.met.codeletLeaves.Set(float64(fft.CodeletLeafCalls()))
-	c.buf, err = appendResponse(c.buf[:0], &c.q, x)
 	return err
 }
 
