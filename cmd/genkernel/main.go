@@ -1,35 +1,31 @@
-// Command genkernel generates the straight-line DFT codelet kernels in
-// internal/fft/codelet: for each covered size it emits a fully unrolled
-// Stockham decimation-in-frequency pass sequence with every twiddle
-// factor folded into the instruction stream as a literal constant —
-// the genfft/FFTW "codelet" technique. Constant folding happens here,
-// at generation time: multiplications by 1 and -1 disappear, ±i becomes
-// a real/imaginary swap, and every remaining twiddle is a compile-time
-// complex literal, so the kernels run branch-free with zero twiddle-table
-// loads and zero bounds checks (the leading re-slices pin the lengths).
+// Command genkernel generates the DFT codelet kernels in
+// internal/fft/codelet: for each covered size it emits the Stockham
+// decimation-in-frequency pass sequence as one function per pass, each
+// pass a loop over its butterflies (j) and offsets (d) with trip counts
+// and strides fixed at generation time — the genfft/FFTW "codelet"
+// technique with twiddle loops. The passes index *[n]T arrays with
+// constant strides, so every bounds check folds away, and each one reads
+// its twiddles from the shared table of its pass length (twiddle.go in
+// the codelet package). What is constant stays folded into the
+// instruction stream: the j = 0 butterfly (all twiddles 1) is peeled
+// and multiplies by nothing, the radix-8 butterfly's ±i become a
+// real/imaginary swap and its ω_8 a √½ literal.
 //
 // The pass decomposition is exactly fft.Radices (radix 8 while
-// possible). When the pass count is odd the final pass runs in place:
-// its sub-transforms have length equal to the radix, so each butterfly
-// reads and writes the same index set and needs no second buffer —
-// the ping-pong still ends with the result in x and no copy is emitted.
-//
-// Two emission shapes keep the kernels inside the instruction cache:
-// the j dimension (distinct twiddles) is always fully unrolled, while
-// the d dimension (identical butterflies at shifted offsets) becomes a
-// constant-trip-count loop once it is wide enough to be worth one.
+// possible), so every twiddled pass is radix 8: a final radix-4 or
+// radix-2 pass has sub-transform length equal to its radix and only the
+// j = 0 butterfly. When the pass count is odd the final pass runs in
+// place: each of its butterflies reads and writes the same index set and
+// needs no second buffer — the ping-pong still ends with the result in x
+// and no copy is emitted.
 //
 // Kernels are emitted per element type (complex64 and complex128) and
-// per direction; the inverse kernels are the forward ones with every
-// twiddle conjugated. Twiddle values are computed exactly as the
-// runtime table builder computes them (math.Sincos of the same float64
-// angle, then rounded to the element type), so a codelet pass and the
-// generic pass it replaces agree to the last rounding of each shared
-// operation.
+// per direction. The inverse kernels read the forward tables and negate
+// each twiddle's imaginary part, which is exact.
 //
 // Usage (normally via go:generate in internal/fft/codelet):
 //
-//	genkernel -out internal/fft/codelet [-sizes 8,16,...,1024]
+//	genkernel -out internal/fft/codelet [-sizes 8,16,...,8192]
 package main
 
 import (
@@ -50,7 +46,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("genkernel: ")
 	out := flag.String("out", "internal/fft/codelet", "output directory (the codelet package)")
-	sizesFlag := flag.String("sizes", "8,16,32,64,128,256,512,1024", "comma-separated power-of-two kernel sizes, each >= 8")
+	sizesFlag := flag.String("sizes", "8,16,32,64,128,256,512,1024,2048,4096,8192", "comma-separated power-of-two kernel sizes, each >= 8")
 	flag.Parse()
 
 	sizes, err := parseSizes(*sizesFlag)
@@ -142,11 +138,28 @@ func passRadices(n int) []int {
 	return rs
 }
 
-// dLoopMin is the d-dimension width from which the generator emits a
-// constant-trip-count loop instead of unrolling: the butterflies of one
-// j share their twiddles, so looping d loses no constant folding and
-// keeps large kernels inside the instruction cache.
-const dLoopMin = 8
+// twiddledLengths returns the sub-transform lengths l of the passes that
+// multiply by twiddles, over every size: the radix-8 passes with more
+// than one butterfly per sub-transform (l >= 16).
+func twiddledLengths(sizes []int) []int {
+	seen := map[int]bool{}
+	var ls []int
+	for _, n := range sizes {
+		for l := n; l >= 16; l /= 8 {
+			if !seen[l] {
+				seen[l] = true
+				ls = append(ls, l)
+			}
+		}
+	}
+	sort.Ints(ls)
+	return ls
+}
+
+// tableName is the twiddle table of pass length l for element type ct.
+func tableName(l int, ct ctype) string {
+	return fmt.Sprintf("tw%dl%d", 2*ct.bits, l)
+}
 
 // gen accumulates generated source.
 type gen struct {
@@ -170,34 +183,32 @@ func header(g *gen) {
 func genSizeFile(n int, ct ctype) []byte {
 	g := &gen{}
 	header(g)
-	rs := passRadices(n)
-	g.pf("// %d-point straight-line kernels (%s), pass radices %v.", n, ct.name, rs)
+	g.pf("// %d-point kernels (%s), pass radices %v.", n, ct.name, passRadices(n))
 	genKernel(g, fmt.Sprintf("fwd%d%s", n, ct.tag), n, -1, ct)
 	genKernel(g, fmt.Sprintf("inv%d%s", n, ct.tag), n, +1, ct)
 	return g.buf.Bytes()
 }
 
-// genKernel emits one unrolled kernel: the in-place DFT of x (length n,
-// natural order in and out), using s as ping-pong scratch. With an odd
-// pass count the final pass (sub-transform length == radix, so reads
-// and writes cover the same indices) runs in place, keeping the result
-// in x either way.
+// pass is one Stockham pass of a kernel: radix r over sub-transforms of
+// length l at stride s (l·s == n), reading src and writing dst.
+type pass struct {
+	name     string
+	r, l, s  int
+	src, dst string
+}
+
+// genKernel emits one kernel, the in-place DFT of x (length n, natural
+// order in and out) using s as ping-pong scratch, as a call per pass,
+// followed by the pass functions. With an odd pass count the final pass
+// (sub-transform length == radix, so reads and writes cover the same
+// indices) runs in place, keeping the result in x either way.
 func genKernel(g *gen, name string, n, dir int, ct ctype) {
 	word := "forward"
 	if dir > 0 {
 		word = "inverse"
 	}
 	rs := passRadices(n)
-	g.pf("")
-	g.pf("// %s computes the unnormalized %s %d-point DFT of x in place;", name, word, n)
-	g.pf("// s is scratch. Both must have at least %d elements.", n)
-	g.pf("func %s(x, s []%s) {", name, ct.name)
-	g.pf("x = x[:%d:%d]", n, n)
-	if len(rs) > 1 {
-		g.pf("s = s[:%d:%d]", n, n)
-	} else {
-		g.pf("_ = s")
-	}
+	var passes []pass
 	src, dst := "x", "s"
 	stride, l := 1, n
 	for i, r := range rs {
@@ -208,7 +219,7 @@ func genKernel(g *gen, name string, n, dir int, ct ctype) {
 			}
 			dst = src
 		}
-		emitPass(g, src, dst, stride, l, r, dir, ct)
+		passes = append(passes, pass{name: fmt.Sprintf("%sp%d", name, i), r: r, l: l, s: stride, src: src, dst: dst})
 		src, dst = dst, src
 		stride *= r
 		l /= r
@@ -216,64 +227,140 @@ func genKernel(g *gen, name string, n, dir int, ct ctype) {
 	if src != "x" {
 		log.Fatalf("%s: result ended in scratch", name)
 	}
+
+	arr := fmt.Sprintf("*[%d]%s", n, ct.name)
+	g.pf("")
+	g.pf("// %s computes the unnormalized %s %d-point DFT of x in place;", name, word, n)
+	g.pf("// s is scratch. Both must have at least %d elements.", n)
+	g.pf("func %s(x, s []%s) {", name, ct.name)
+	if len(rs) == 1 {
+		g.pf("%s((%s)(x))", passes[0].name, arr)
+	} else {
+		g.pf("xa, sa := (%s)(x), (%s)(s)", arr, arr)
+		for _, p := range passes {
+			if p.src == p.dst {
+				g.pf("%s(%sa)", p.name, p.src)
+			} else {
+				g.pf("%s(%sa, %sa)", p.name, p.dst, p.src)
+			}
+		}
+	}
+	g.pf("}")
+	for _, p := range passes {
+		emitPass(g, p, n, dir, ct)
+	}
+}
+
+// emitPass emits one pass function. The input of butterfly (j, d) is
+// leg k at d + s·j + k·n/r, its output m at d + r·s·j + s·m. The j = 0
+// butterflies (every twiddle 1) are peeled ahead of the j loop, which
+// points at the twiddle row of j once for the whole d loop.
+func emitPass(g *gen, p pass, n, dir int, ct ctype) {
+	arr := fmt.Sprintf("*[%d]%s", n, ct.name)
+	lr := p.l / p.r
+	if p.r != 8 && lr != 1 {
+		log.Fatalf("%s: radix-%d pass at l=%d has twiddles; only radix-8 passes do", p.name, p.r, p.l)
+	}
+	inPlace := ""
+	if p.src == p.dst {
+		inPlace = " (in place)"
+	}
+	g.pf("")
+	g.pf("// %s is the radix-%d pass at l=%d, stride %d%s.", p.name, p.r, p.l, p.s, inPlace)
+	src, dst := "src", "dst"
+	if p.src == p.dst {
+		src, dst = "x", "x"
+		g.pf("func %s(x %s) {", p.name, arr)
+	} else {
+		g.pf("func %s(dst, src %s) {", p.name, arr)
+	}
+	// idx renders d + c·j + k, dropping zero and absent terms; j < 0
+	// stands for the loop variable j, else j is folded into k.
+	idx := func(c, k, j int) string {
+		var terms []string
+		if p.s > 1 {
+			terms = append(terms, "d")
+		}
+		switch {
+		case j >= 0:
+			k += c * j
+		case c == 1:
+			terms = append(terms, "j")
+		default:
+			terms = append(terms, fmt.Sprintf("%d*j", c))
+		}
+		if k != 0 || len(terms) == 0 {
+			terms = append(terms, strconv.Itoa(k))
+		}
+		return strings.Join(terms, "+")
+	}
+	// butterflies emits the butterflies of one j: the d loop, or with
+	// s == 1 the one butterfly, in a block of its own when scoped.
+	butterflies := func(j int, twiddled, scoped bool) {
+		in := func(k int) string { return idx(p.s, k*n/p.r, j) }
+		out := func(m int) string { return idx(p.r*p.s, p.s*m, j) }
+		open := p.s > 1 || scoped
+		if p.s > 1 {
+			g.pf("for d := 0; d < %d; d++ {", p.s)
+		} else if open {
+			g.pf("{")
+		}
+		switch p.r {
+		case 2:
+			emitRadix2(g, src, dst, in, out)
+		case 4:
+			emitRadix4(g, src, dst, in, out, dir)
+		case 8:
+			emitRadix8(g, src, dst, in, out, dir, twiddled, ct)
+		default:
+			log.Fatalf("unsupported radix %d", p.r)
+		}
+		if open {
+			g.pf("}")
+		}
+	}
+	butterflies(0, false, lr > 1)
+	switch {
+	case lr == 2:
+		g.pf("{")
+		emitTwiddleRow(g, "1", p.l, ct)
+		butterflies(1, true, false)
+		g.pf("}")
+	case lr > 2:
+		g.pf("for j := 1; j < %d; j++ {", lr)
+		emitTwiddleRow(g, "j", p.l, ct)
+		butterflies(-1, true, false)
+		g.pf("}")
+	}
 	g.pf("}")
 }
 
-// emitPass unrolls one Stockham DIF pass of radix r at state (stride, l).
-// The in-transform index j (distinct twiddles) is fully unrolled; the
-// digit prefix d (identical butterflies at shifted offsets) becomes a
-// loop once stride reaches dLoopMin. When src == dst the pass is
-// emitted in place (valid only for l == r, where each butterfly's read
-// and write index sets coincide).
-func emitPass(g *gen, src, dst string, stride, l, r, dir int, ct ctype) {
-	lr := l / r
-	inPlace := ""
-	if src == dst {
-		inPlace = " (in place)"
-	}
-	g.pf("// pass: radix %d, l=%d, stride=%d%s", r, l, stride, inPlace)
-	for j := 0; j < lr; j++ {
-		emit := func(in, out func(int) string) {
-			switch r {
-			case 2:
-				emitRadix2(g, src, dst, in, out, j, l, dir, ct)
-			case 4:
-				emitRadix4(g, src, dst, in, out, j, l, dir, ct)
-			case 8:
-				emitRadix8(g, src, dst, in, out, j, l, dir, ct)
-			default:
-				log.Fatalf("unsupported radix %d", r)
-			}
-		}
-		if stride >= dLoopMin {
-			g.pf("for d := 0; d < %d; d++ {", stride)
-			emit(
-				func(k int) string { return fmt.Sprintf("d+%d", stride*(j+k*lr)) },
-				func(m int) string { return fmt.Sprintf("d+%d", stride*(r*j+m)) },
-			)
-			g.pf("}")
-			continue
-		}
-		for d := 0; d < stride; d++ {
-			emit(
-				func(k int) string { return strconv.Itoa(d + stride*(j+k*lr)) },
-				func(m int) string { return strconv.Itoa(d + stride*(r*j+m)) },
-			)
-		}
-	}
+// emitTwiddleRow points w at the table row of j. The butterflies read
+// each twiddle where they multiply by it rather than holding all seven
+// in registers across the d loop, which would spill them.
+func emitTwiddleRow(g *gen, j string, l int, ct ctype) {
+	g.pf("w := &%s[%s]", tableName(l, ct), j)
 }
 
-func emitRadix2(g *gen, src, dst string, in, out func(int) string, j, l, dir int, ct ctype) {
-	g.pf("{")
+// twiddleMul is v·ω_l^{dir·m·j}: mul by the table entry as stored for
+// the forward direction, mulConj by its conjugate for the inverse
+// (twiddle.go).
+func twiddleMul(v string, m, dir int, ct ctype) string {
+	fn := "mul"
+	if dir > 0 {
+		fn = "mulConj"
+	}
+	return fmt.Sprintf("%s%d(%s, w[%d])", fn, 2*ct.bits, v, m-1)
+}
+
+func emitRadix2(g *gen, src, dst string, in, out func(int) string) {
 	g.pf("a := %s[%s]", src, in(0))
 	g.pf("b := %s[%s]", src, in(1))
 	g.pf("%s[%s] = a + b", dst, out(0))
-	emitStoreMul(g, dst, out(1), "a - b", j, l, dir, ct)
-	g.pf("}")
+	g.pf("%s[%s] = a - b", dst, out(1))
 }
 
-func emitRadix4(g *gen, src, dst string, in, out func(int) string, j, l, dir int, ct ctype) {
-	g.pf("{")
+func emitRadix4(g *gen, src, dst string, in, out func(int) string, dir int) {
 	for k := 0; k < 4; k++ {
 		g.pf("t%d := %s[%s]", k, src, in(k))
 	}
@@ -283,17 +370,17 @@ func emitRadix4(g *gen, src, dst string, in, out func(int) string, j, l, dir int
 	g.pf("u := t1 - t3")
 	g.pf("e := %s", mulIExpr("u", dir))
 	g.pf("%s[%s] = a + c", dst, out(0))
-	emitStoreMul(g, dst, out(1), "b + e", j, l, dir, ct)
-	emitStoreMul(g, dst, out(2), "a - c", 2*j, l, dir, ct)
-	emitStoreMul(g, dst, out(3), "b - e", 3*j, l, dir, ct)
-	g.pf("}")
+	g.pf("%s[%s] = b + e", dst, out(1))
+	g.pf("%s[%s] = a - c", dst, out(2))
+	g.pf("%s[%s] = b - e", dst, out(3))
 }
 
-func emitRadix8(g *gen, src, dst string, in, out func(int) string, j, l, dir int, ct ctype) {
+// emitRadix8 emits the radix-8 butterfly; twiddled multiplies outputs
+// 1..7 by the twiddles of row w.
+func emitRadix8(g *gen, src, dst string, in, out func(int) string, dir int, twiddled bool, ct ctype) {
 	h := math.Sqrt2 / 2
 	w8 := fmtComplex(h, float64(dir)*h, ct)   // ω_8^{dir}
 	w83 := fmtComplex(-h, float64(dir)*h, ct) // i·dir · ω_8^{dir} = ω_8^{3·dir}
-	g.pf("{")
 	for k := 0; k < 8; k++ {
 		g.pf("t%d := %s[%s]", k, src, in(k))
 	}
@@ -317,14 +404,19 @@ func emitRadix8(g *gen, src, dst string, in, out func(int) string, j, l, dir int
 	g.pf("q := a1 - c1")
 	g.pf("o2 := %s", mulIExpr("q", dir))
 	g.pf("o3 := (b1 - p1) * %s", w83)
-	for m := 0; m < 4; m++ {
-		g.pf("y%d := e%d + o%d", m, m, m)
-		g.pf("y%d := e%d - o%d", m+4, m, m)
+	g.pf("%s[%s] = e0 + o0", dst, out(0))
+	for m := 1; m < 8; m++ {
+		op := "+"
+		if m >= 4 {
+			op = "-"
+		}
+		y := fmt.Sprintf("e%d %s o%d", m%4, op, m%4)
+		if twiddled {
+			g.pf("%s[%s] = %s", dst, out(m), twiddleMul(y, m, dir, ct))
+		} else {
+			g.pf("%s[%s] = %s", dst, out(m), y)
+		}
 	}
-	for m := 0; m < 8; m++ {
-		emitStoreMul(g, dst, out(m), fmt.Sprintf("y%d", m), m*j, l, dir, ct)
-	}
-	g.pf("}")
 }
 
 // mulIExpr returns the expression for v·(dir·i): the strength-reduced
@@ -336,33 +428,7 @@ func mulIExpr(v string, dir int) string {
 	return fmt.Sprintf("complex(-imag(%s), real(%s))", v, v)
 }
 
-// emitStoreMul emits dst[idx] = (expr) · ω_l^{dir·e}, folding trivial
-// twiddles: 1 disappears, -1 negates, ±i swaps, everything else is a
-// literal complex constant.
-func emitStoreMul(g *gen, dst, idx, expr string, e, l, dir int, ct ctype) {
-	switch {
-	case e == 0:
-		g.pf("%s[%s] = %s", dst, idx, expr)
-	case 2*e == l:
-		g.pf("%s[%s] = -(%s)", dst, idx, expr)
-	case 4*e == l || 4*e == 3*l:
-		// angle dir·π/2 (or dir·3π/2): ±i depending on direction.
-		mdir := dir
-		if 4*e == 3*l {
-			mdir = -dir
-		}
-		g.pf("{")
-		g.pf("v := %s", expr)
-		g.pf("%s[%s] = %s", dst, idx, mulIExpr("v", mdir))
-		g.pf("}")
-	default:
-		s, c := math.Sincos(float64(dir) * 2 * math.Pi * float64(e) / float64(l))
-		g.pf("%s[%s] = (%s) * %s", dst, idx, expr, fmtComplex(c, s, ct))
-	}
-}
-
-// fmtComplex renders a complex constant rounded to the element type, so
-// the literal equals what the runtime table builder would store.
+// fmtComplex renders a complex constant rounded to the element type.
 func fmtComplex(re, im float64, ct ctype) string {
 	return fmt.Sprintf("complex(%s, %s)", fmtFloat(re, ct), fmtFloat(im, ct))
 }
@@ -374,13 +440,12 @@ func fmtFloat(v float64, ct ctype) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// genRegistry emits the lookup tables the fft planner dispatches
-// through, plus the coverage helpers.
+// genRegistry emits the coverage helpers, the twiddle table storage and
+// the lookup switches behind Kernel64/Kernel128 (twiddle.go).
 func genRegistry(sizes []int) []byte {
 	g := &gen{}
 	header(g)
-	g.pf("// Registry of generated kernels. Kernel64/Kernel128 return nil for")
-	g.pf("// sizes without a generated kernel.")
+	g.pf("// Registry of generated kernels and their twiddle tables.")
 	g.pf("")
 	g.pf("// MinN and MaxN bound the covered kernel sizes.")
 	g.pf("const (")
@@ -401,16 +466,32 @@ func genRegistry(sizes []int) []byte {
 	g.pf("func Sizes() []int {")
 	g.pf("return []int{%s}", joinInts(sizes))
 	g.pf("}")
+	ls := twiddledLengths(sizes)
 	for _, ct := range []ctype{c64, c128} {
-		fn := "Kernel64"
-		if ct.bits == 64 {
-			fn = "Kernel128"
-		}
+		bits := 2 * ct.bits
 		g.pf("")
-		g.pf("// %s returns the %s kernel for n, or nil if n is uncovered.", fn, ct.name)
-		g.pf("// The returned kernel computes the unnormalized n-point DFT of x in")
-		g.pf("// place using s as scratch; both slices need at least n elements.")
-		g.pf("func %s(n int, inverse bool) func(x, s []%s) {", fn, ct.name)
+		g.pf("// The %s twiddle tables, one per radix-8 pass length l, filled", ct.name)
+		g.pf("// on first use (twiddle.go): tw%dl<l>[j][m-1] = ω_l^{-m·j} rounded", bits)
+		g.pf("// to %s.", ct.name)
+		g.pf("var (")
+		for _, l := range ls {
+			g.pf("%s [%d][7]complex128", tableName(l, ct), l/8)
+		}
+		g.pf(")")
+		g.pf("")
+		g.pf("// table%d returns the %s twiddle table of pass length l.", bits, ct.name)
+		g.pf("func table%d(l int) [][7]complex128 {", bits)
+		g.pf("switch l {")
+		for _, l := range ls {
+			g.pf("case %d:", l)
+			g.pf("return %s[:]", tableName(l, ct))
+		}
+		g.pf("}")
+		g.pf("return nil")
+		g.pf("}")
+		g.pf("")
+		g.pf("// kernel%d returns the %s kernel for n, or nil if n is uncovered.", bits, ct.name)
+		g.pf("func kernel%d(n int, inverse bool) func(x, s []%s) {", bits, ct.name)
 		g.pf("switch n {")
 		for _, n := range sizes {
 			g.pf("case %d:", n)

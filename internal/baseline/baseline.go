@@ -186,9 +186,9 @@ func MeasureHost1D(n, reps int, codelets bool) (HostResult, error) {
 	for i := range data {
 		data[i] = complex(float32(i%17)-8, float32(i%11)-5)
 	}
-	// ~4M points per repetition keeps each batch in the tens of
-	// milliseconds, long enough for stable timer resolution.
-	iters := 1 << 22 / n
+	// 1M points per repetition keeps each batch at 10-30 ms (n = 64 to
+	// 8192 on a 2-vCPU VM), long enough for stable timer resolution.
+	iters := 1 << 20 / n
 	if iters < 1 {
 		iters = 1
 	}

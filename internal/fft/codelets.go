@@ -6,13 +6,13 @@ import (
 	"xmtfft/internal/fft/codelet"
 )
 
-// Codelet leaves: plans for covered sizes dispatch into the generated
-// straight-line kernels of internal/fft/codelet instead of the generic
-// pass loop — the genfft/FFTW composition. A fully covered size runs as
-// one leaf call; a larger size runs generic Stockham passes until the
-// remaining sub-transform length is covered and finishes each strided
-// sub-transform through the leaf (see Plan.leafStage). WithCodelets
-// toggles the whole mechanism per plan.
+// Codelet leaves: plans for covered sizes (codelet.MinN..codelet.MaxN)
+// dispatch into the generated kernels of internal/fft/codelet instead of
+// the generic pass loop — the genfft/FFTW composition. A covered size
+// runs as one leaf call; a larger size runs generic Stockham passes
+// until the remaining sub-transform length is covered and finishes each
+// strided sub-transform through the MaxN-point leaf (see
+// Plan.leafStage). WithCodelets toggles the whole mechanism per plan.
 
 // codeletLeafCalls counts generated-kernel invocations process-wide,
 // for observability surfaces (the xmtserve metrics export it).
@@ -45,14 +45,11 @@ func codeletKernel[T Complex](n int, dir Direction) func(x, scratch []T) {
 }
 
 // initCodelets resolves the plan's codelet leaf: the whole transform
-// when the size is covered, otherwise the largest covered leaf below it
-// with a generic radix prefix ahead (Radices of the ratio). Leaves the
-// plan untouched when no kernel matches the size or element type.
-func (p *Plan[T]) initCodelets() {
-	leafN := p.n
-	if leafN > codelet.MaxN {
-		leafN = codelet.MaxN
-	}
+// when n <= maxLeaf, otherwise the maxLeaf-point leaf with a generic
+// radix prefix ahead (Radices of the ratio). Leaves the plan untouched
+// when no kernel matches the leaf size or element type.
+func (p *Plan[T]) initCodelets(maxLeaf int) {
+	leafN := min(p.n, maxLeaf)
 	fwd := codeletKernel[T](leafN, Forward)
 	inv := codeletKernel[T](leafN, Inverse)
 	if fwd == nil || inv == nil {
@@ -84,7 +81,7 @@ func (p *Plan[T]) leaf(dir Direction) func(x, scratch []T) {
 // sub-transforms: element j of sub-transform d lives at cur[d+s·j], and
 // the final output of the remaining passes would be exactly
 // cur[d+s·k] = DFT(sub_d)[k] — the Stockham invariant. Each strided
-// sub-transform is gathered, run through the straight-line leaf, and
+// sub-transform is gathered, run through the leaf kernel, and
 // scattered back to the same indices; leafBuf (2·leafN elements) holds
 // the gathered sub-transform and the kernel's scratch.
 func (p *Plan[T]) leafStage(cur []T, s int, dir Direction, leafBuf []T) {

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"xmtfft/internal/fft/codelet"
 )
 
 // TestMultiDimPlansForwardRadices is the regression test for the
@@ -161,17 +163,39 @@ func TestPlan2DConcurrentTransforms(t *testing.T) {
 	}
 }
 
-// planShapes are the 1D plan shapes of the shared-plan tests: one
-// codelet leaf covering the whole transform, prefix passes ahead of a
-// leaf, and the pure pass loop (three passes, so the result ends in
-// the scratch buffer and is copied back).
-var planShapes = []struct {
-	n    int
-	opts []PlanOption
-}{
-	{64, nil},
-	{4096, nil},
-	{256, []PlanOption{WithCodelets(false)}},
+// planShape is a 1D plan shape of the shared-plan tests. A non-zero
+// leaf caps the codelet leaf at that size, so that a small n takes the
+// composed path NewPlan gives only sizes above codelet.MaxN.
+type planShape struct {
+	n, leaf int
+	opts    []PlanOption
+}
+
+// planShapes are the shapes: one codelet leaf covering the whole
+// transform, prefix passes ahead of a leaf, and the pure pass loop
+// (three passes, so the result ends in the scratch buffer and is copied
+// back).
+var planShapes = []planShape{
+	{n: 64},
+	{n: 4096, leaf: 1024},
+	{n: 256, opts: []PlanOption{WithCodelets(false)}},
+}
+
+// shapePlan builds the plan of shape sh, with opts ahead of sh's own.
+func shapePlan[T Complex](t *testing.T, sh planShape, opts ...PlanOption) *Plan[T] {
+	t.Helper()
+	maxLeaf := codelet.MaxN
+	if sh.leaf > 0 {
+		maxLeaf = sh.leaf
+	}
+	p, err := newPlan[T](sh.n, maxLeaf, append(opts, sh.opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.leaf > 0 && (p.LeafN() != sh.leaf || p.NumPasses() == 0) {
+		t.Fatalf("n=%d: leafN=%d passes=%d, want a composed %d-point leaf", sh.n, p.LeafN(), p.NumPasses(), sh.leaf)
+	}
+	return p
 }
 
 // batchLayouts are the (howMany, stride, dist) BatchPlan layouts of the
@@ -184,14 +208,7 @@ func batchLayouts(n int) [][3]int { return [][3]int{{2, 1, n}, {2, 2, 1}} }
 // serially.
 func checkSharedPlan[T Complex](t *testing.T, rng *rand.Rand) {
 	for _, sh := range planShapes {
-		shared, err := NewPlan[T](sh.n, sh.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		private, err := NewPlan[T](sh.n, sh.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shared, private := shapePlan[T](t, sh), shapePlan[T](t, sh)
 		label := fmt.Sprintf("%T n=%d codelets=%v", T(0), sh.n, shared.UsesCodelets())
 		checkConcurrentTransforms(t, label, shared.Transform, private.Transform, concurrentInputs[T](rng, sh.n))
 	}
@@ -201,16 +218,13 @@ func checkSharedPlan[T Complex](t *testing.T, rng *rand.Rand) {
 // layout, each wrapping the one shared row plan of its shape.
 func checkSharedBatchPlan[T Complex](t *testing.T, rng *rand.Rand) {
 	for _, sh := range planShapes {
-		shared, err := NewPlan[T](sh.n, sh.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shared := shapePlan[T](t, sh)
 		for _, l := range batchLayouts(sh.n) {
 			sharedB, err := NewBatchPlanOf(shared, l[0], l[1], l[2])
 			if err != nil {
 				t.Fatal(err)
 			}
-			privateB, err := NewBatchPlan[T](sh.n, l[0], l[1], l[2], sh.opts...)
+			privateB, err := NewBatchPlanOf(shapePlan[T](t, sh), l[0], l[1], l[2])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,10 +261,7 @@ func TestBatchPlanCloneConcurrentSafe(t *testing.T) {
 func TestPlanCloneBehavioralEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for _, sh := range planShapes {
-		p, err := NewPlan[complex128](sh.n, append([]PlanOption{WithNorm(NormUnitary)}, sh.opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := shapePlan[complex128](t, sh, WithNorm(NormUnitary))
 		// One finished call leaves its context idle; hold it as a
 		// running call would.
 		if err := p.Transform(make([]complex128, sh.n), Forward); err != nil {
@@ -349,10 +360,7 @@ func TestBluesteinConcurrentTransforms(t *testing.T) {
 // call — no per-call context, closure or gather buffer.
 func TestPlanTransformsAllocateNothing(t *testing.T) {
 	for _, sh := range planShapes {
-		p, err := NewPlan[complex64](sh.n, sh.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := shapePlan[complex64](t, sh)
 		x := make([]complex64, sh.n)
 		if a := testing.AllocsPerRun(20, func() { p.Transform(x, Forward) }); a != 0 {
 			t.Errorf("n=%d codelets=%v: Plan.Transform allocates %v times per call", sh.n, p.UsesCodelets(), a)

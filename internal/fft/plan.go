@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"xmtfft/internal/fft/codelet"
 )
 
 // Plan holds the precomputed state (pass radices and per-pass twiddle
@@ -25,7 +27,7 @@ type Plan[T Complex] struct {
 	tw      map[Direction][][]T // per-direction, per-pass tables
 
 	// Codelet leaf (see codelets.go). leafN == n means the whole
-	// transform runs as one generated straight-line kernel; 0 < leafN < n
+	// transform runs as one generated kernel; 0 < leafN < n
 	// means radices holds only the generic prefix passes and leafStage
 	// finishes each strided sub-transform through the kernel; leafN == 0
 	// means the plan is pure pass-loop (codelets off or size/type
@@ -105,7 +107,7 @@ func WithNorm(n Normalization) PlanOption {
 	return func(c *planConfig) { c.norm = n }
 }
 
-// WithCodelets toggles dispatch into the generated straight-line
+// WithCodelets toggles dispatch into the generated codelet
 // kernels of internal/fft/codelet (default on). With codelets off — or
 // for sizes and element types without a generated kernel — the plan
 // executes the generic pass loop exactly as before the codelet layer
@@ -130,6 +132,11 @@ func WithWorkers(k int) PlanOption {
 
 // NewPlan builds a plan for n-point transforms (n a power of two).
 func NewPlan[T Complex](n int, opts ...PlanOption) (*Plan[T], error) {
+	return newPlan[T](n, codelet.MaxN, opts)
+}
+
+// newPlan is NewPlan with codelet leaves of at most maxLeaf points.
+func newPlan[T Complex](n, maxLeaf int, opts []PlanOption) (*Plan[T], error) {
 	cfg := newPlanConfig(opts)
 	rs, err := Radices(n)
 	if err != nil {
@@ -137,7 +144,7 @@ func NewPlan[T Complex](n int, opts ...PlanOption) (*Plan[T], error) {
 	}
 	p := &Plan[T]{n: n, radices: rs, norm: cfg.norm}
 	if cfg.codelets {
-		p.initCodelets()
+		p.initCodelets(maxLeaf)
 	}
 	// Codelet plans only table the generic prefix passes (none at all
 	// when the leaf covers n).
@@ -160,7 +167,7 @@ func (p *Plan[T]) N() int { return p.n }
 
 // NumPasses returns the number of generic breadth-first passes the plan
 // executes. For a codelet plan this counts only the passes ahead of the
-// straight-line leaf — zero when the leaf covers the whole transform.
+// codelet leaf — zero when the leaf covers the whole transform.
 func (p *Plan[T]) NumPasses() int { return len(p.radices) }
 
 // PassRadices returns a copy of the generic pass radix sequence (the
@@ -172,7 +179,7 @@ func (p *Plan[T]) PassRadices() []int { return append([]int(nil), p.radices...) 
 func (p *Plan[T]) LeafN() int { return p.leafN }
 
 // UsesCodelets reports whether the plan dispatches into generated
-// straight-line kernels.
+// codelet kernels.
 func (p *Plan[T]) UsesCodelets() bool { return p.leafN > 0 }
 
 // tables builds the per-pass twiddle tables for dir. The pass over
@@ -211,7 +218,7 @@ func (p *Plan[T]) Transform(x []T, dir Direction) error {
 // point of batched callers, which check out once for many rows.
 func (p *Plan[T]) transform(x []T, dir Direction, e *planExec[T]) {
 	if p.leafN == p.n && p.leafN > 0 {
-		// Fully covered: one straight-line kernel call, in place.
+		// Fully covered: one kernel call, in place.
 		p.leaf(dir)(x, e.scratch)
 		codeletLeafCalls.Add(1)
 		applyNorm(x, p.n, dir, p.norm)

@@ -213,9 +213,10 @@ func simConfig(s BenchSettings) (config.Config, string, error) {
 	return cfg, fmt.Sprintf("%s n=%d", cfg.Name, s.N), err
 }
 
-// host1DSizes are the host suite's serial 1D sizes: the generated-kernel
-// coverage range, measured as codelet-on/off pairs.
-var host1DSizes = []int{64, 128, 256, 512, 1024}
+// host1DSizes are the host suite's serial 1D sizes, measured as
+// codelet-on/off pairs: the generated-kernel coverage range from 64 up
+// (the host-1d-sweep sizes).
+var host1DSizes = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 func onOff(b bool) string {
 	if b {

@@ -300,7 +300,7 @@ func gateRecord(speedups ...float64) *BenchRecord {
 }
 
 func TestCodeletGate(t *testing.T) {
-	rec := gateRecord(2, 1.5, 1.8, 1.6, 1.7)
+	rec := gateRecord(2, 1.5, 1.8, 1.6, 1.7, 1.9, 1.8, 1.6)
 	worst, n, err := rec.CodeletGate(1.5)
 	if err != nil || worst != 1.5 || n != 128 {
 		t.Fatalf("gate at the worst speedup: worst %g at n=%d, err %v; want 1.5 at n=128 and a pass", worst, n, err)
@@ -308,7 +308,7 @@ func TestCodeletGate(t *testing.T) {
 	if _, _, err := rec.CodeletGate(1.55); err == nil || !strings.Contains(err.Error(), "n=128") {
 		t.Fatalf("gate above the worst speedup: err %v, want a failure naming n=128", err)
 	}
-	missing := gateRecord(2, 2, 2, 2, 2)
+	missing := gateRecord(2, 2, 2, 2, 2, 2, 2, 2)
 	missing.Cases = slices.DeleteFunc(missing.Cases, func(c BenchCase) bool { return c.Name == host1DName(512, false) })
 	if _, _, err := missing.CodeletGate(1); err == nil || !strings.Contains(err.Error(), "n=512") {
 		t.Fatalf("missing pair: err %v, want an error naming n=512", err)

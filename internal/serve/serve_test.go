@@ -398,6 +398,44 @@ func TestStageHistogramsAccountForLatency(t *testing.T) {
 	}
 }
 
+// TestRequestMetricsHandles: a request's counter and latency series
+// appear on the scrape with its first request, as they did when every
+// request looked them up, and once they exist counting a request and
+// recording its latency allocates nothing (the lookup allocated the
+// joined label key and the code's string every time).
+func TestRequestMetricsHandles(t *testing.T) {
+	srv := New(Config{})
+	m := srv.met
+	exp := scrape(t, srv)
+	if _, ok := exp.Value("xmtserve_requests_total", map[string]string{"route": "2d", "code": "400"}); ok {
+		t.Fatal("a requests series is on the scrape before any request")
+	}
+	m.observe(route2D, http.StatusBadRequest, 2e-3)
+	m.observe(route2D, http.StatusBadRequest, 2e-3)
+	m.observe(routeUnknown, http.StatusMethodNotAllowed, 1e-4)
+	exp = scrape(t, srv)
+	for _, c := range []struct {
+		route, code string
+		want        float64
+	}{{"2d", "400", 2}, {"unknown", "405", 1}} {
+		labels := map[string]string{"route": c.route, "code": c.code}
+		if v, ok := exp.Value("xmtserve_requests_total", labels); !ok || v != c.want {
+			t.Errorf("xmtserve_requests_total%v = %g (present %v), want %g", labels, v, ok, c.want)
+		}
+	}
+	if v, ok := exp.Value("xmtserve_request_latency_seconds_count", map[string]string{"route": "2d"}); !ok || v != 2 {
+		t.Errorf("2d latency count = %g (present %v), want 2", v, ok)
+	}
+	for _, labels := range []map[string]string{{"route": "1d", "code": "200"}, {"route": "2d", "code": "200"}} {
+		if _, ok := exp.Value("xmtserve_requests_total", labels); ok {
+			t.Errorf("series %v is on the scrape with no request of its own", labels)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { m.observe(route2D, http.StatusBadRequest, 1e-3) }); a != 0 {
+		t.Errorf("counting a request allocates %v times, want 0", a)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())

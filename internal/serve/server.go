@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -90,11 +91,56 @@ type serverMetrics struct {
 	// codeletLeaves mirrors the fft package's process-wide codelet-leaf
 	// invocation counter (refreshed after every transform), so the obs
 	// surface shows how much of the serve traffic runs on generated
-	// straight-line kernels.
+	// kernels.
 	codeletLeaves *metrics.Gauge
 	// stage times the steps of every 200, indexed by the stage*
 	// constants; the handles are looked up once, here.
 	stage [len(stageNames)]*metrics.Histogram
+	// requestsBy and latencyBy cache the requests and latency handles
+	// per route (and status code), each looked up on the first request
+	// that needs it: Vec.With joins the label values into a new key and
+	// takes the family's read lock on every call, and looking them all up
+	// here would publish series no request has reached yet.
+	requestsBy [len(routeNames)][len(statusCodes)]atomic.Pointer[metrics.Counter]
+	latencyBy  [len(routeNames)]atomic.Pointer[metrics.Histogram]
+}
+
+// route labels a request for the per-route series.
+type route uint8
+
+const (
+	routeUnknown route = iota // failed before the body was decoded
+	route1D
+	route1DBatch
+	route2D
+	route3D
+)
+
+var routeNames = [...]string{"unknown", "1d", "1d_batch", "2d", "3d"}
+
+// statusCodes are the codes handleTransform answers with, the columns
+// of the requests handle table.
+var statusCodes = [...]int{
+	http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed,
+	http.StatusTooManyRequests, http.StatusInternalServerError, http.StatusServiceUnavailable,
+}
+
+// observe counts a finished request of route r answered with code and
+// records its latency.
+func (m *serverMetrics) observe(r route, code int, seconds float64) {
+	col := slices.Index(statusCodes[:], code)
+	c := m.requestsBy[r][col].Load()
+	if c == nil {
+		c = m.requests.With(routeNames[r], strconv.Itoa(code))
+		m.requestsBy[r][col].Store(c)
+	}
+	c.Inc()
+	h := m.latencyBy[r].Load()
+	if h == nil {
+		h = m.latency.With(routeNames[r])
+		m.latencyBy[r].Store(h)
+	}
+	h.Observe(seconds)
 }
 
 // The stages of a served request, in order: reading and decoding the
@@ -225,11 +271,8 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // metrics happens after decode; admission control before.
 func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	code, route := http.StatusOK, "unknown"
-	defer func() {
-		s.met.requests.With(route, strconv.Itoa(code)).Inc()
-		s.met.latency.With(route).Observe(time.Since(start).Seconds())
-	}()
+	code, rt := http.StatusOK, routeUnknown
+	defer func() { s.met.observe(rt, code, time.Since(start).Seconds()) }()
 
 	if r.Method != http.MethodPost {
 		code = http.StatusMethodNotAllowed
@@ -282,7 +325,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err.Error())
 		return
 	}
-	route = routeOf(q)
+	rt = routeOf(q)
 
 	t[stageTransform] = time.Now()
 	err = s.execute(c)
@@ -313,16 +356,16 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeOf labels a validated request for metrics.
-func routeOf(q *Request) string {
+func routeOf(q *Request) route {
 	switch {
 	case q.Batch != nil:
-		return "1d_batch"
+		return route1DBatch
 	case len(q.Dims) == 2:
-		return "2d"
+		return route2D
 	case len(q.Dims) == 3:
-		return "3d"
+		return route3D
 	default:
-		return "1d"
+		return route1D
 	}
 }
 
