@@ -210,7 +210,7 @@ func main() {
 				slog.Warn("metrics snapshot failed", "err", err)
 			})
 		}
-		obs.SetWork(1)
+		obs.SetWork(1, 0)
 		obs.Watch(m)
 		defer obs.Close()
 	}

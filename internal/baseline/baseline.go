@@ -152,10 +152,7 @@ type HostResult struct {
 // freed with it.
 func MeasureHost3D(n, workers, reps int, opts ...fft.PlanOption) (HostResult, error) {
 	total := n * n * n
-	data := make([]complex64, total)
-	for i := range data {
-		data[i] = complex(float32(i%17)-8, float32(i%11)-5)
-	}
+	data := hostInput(total)
 	p, err := fft.NewPlan3D[complex64](n, n, n, append(opts[:len(opts):len(opts)], fft.WithWorkers(workers))...)
 	if err != nil {
 		return HostResult{}, err
@@ -182,25 +179,41 @@ func MeasureHost1D(n, reps int, codelets bool) (HostResult, error) {
 	if err != nil {
 		return res, err
 	}
+	iters := host1DIters(n)
+	out := make([]complex64, n)
+	batch := func(in []complex64) error { return host1DBatch(p, out, in, iters) }
+	return timeTransform(res, hostInput(n), batch, reps, iters, n)
+}
+
+// host1DIters is the batch length of MeasureHost1D: 1M points per
+// repetition keeps each batch at 10-30 ms (n = 64 to 8192 on a 2-vCPU
+// VM), long enough for stable timer resolution.
+func host1DIters(n int) int { return max(1<<20/n, 1) }
+
+// host1DBatch is MeasureHost1D's timed body: iters forward transforms of
+// the same input row into out. Transforming one buffer over and over in
+// place would grow it without bound (a forward transform does not
+// normalize): it leaves float32's range within a few dozen transforms,
+// and the rest of the batch would time arithmetic on Inf and NaN.
+// TransformTo copies the untouched row in first, the same work with the
+// codelets on or off.
+func host1DBatch(p *fft.Plan[complex64], out, in []complex64, iters int) error {
+	for i := 0; i < iters; i++ {
+		if err := p.TransformTo(out, in, fft.Forward); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hostInput is the deterministic input every host measurement
+// transforms.
+func hostInput(n int) []complex64 {
 	data := make([]complex64, n)
 	for i := range data {
 		data[i] = complex(float32(i%17)-8, float32(i%11)-5)
 	}
-	// 1M points per repetition keeps each batch at 10-30 ms (n = 64 to
-	// 8192 on a 2-vCPU VM), long enough for stable timer resolution.
-	iters := 1 << 20 / n
-	if iters < 1 {
-		iters = 1
-	}
-	transform := func(x []complex64) error {
-		for i := 0; i < iters; i++ {
-			if err := p.Transform(x, fft.Forward); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return timeTransform(res, data, transform, reps, iters, n)
+	return data
 }
 
 // timeTransform runs one untimed warmup (faulting in freshly allocated

@@ -109,3 +109,36 @@ func TestMeasureHost3D(t *testing.T) {
 		t.Error("non-power-of-two accepted")
 	}
 }
+
+// TestHost1DBatchStaysFinite: one timed batch body of MeasureHost1D, at
+// the record's batch length, leaves every output finite and bit-equal to
+// a single forward transform of the input, with the codelets on and off.
+func TestHost1DBatchStaysFinite(t *testing.T) {
+	for _, n := range []int{64, 1024, 8192} {
+		for _, codelets := range []bool{true, false} {
+			p, err := fft.CachedPlan[complex64](n, fft.WithCodelets(codelets))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := hostInput(n)
+			want := make([]complex64, n)
+			if err := p.TransformTo(want, in, fft.Forward); err != nil {
+				t.Fatal(err)
+			}
+			out := make([]complex64, n)
+			if err := host1DBatch(p, out, in, host1DIters(n)); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range out {
+				re, im := float64(real(v)), float64(imag(v))
+				if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
+					t.Fatalf("n=%d codelets=%v: output %d = %v is not finite", n, codelets, i, v)
+				}
+				if math.Float32bits(real(v)) != math.Float32bits(real(want[i])) ||
+					math.Float32bits(imag(v)) != math.Float32bits(imag(want[i])) {
+					t.Fatalf("n=%d codelets=%v: output %d = %v, one transform gives %v", n, codelets, i, v, want[i])
+				}
+			}
+		}
+	}
+}

@@ -31,12 +31,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"xmtfft/internal/baseline"
@@ -113,17 +111,15 @@ func (r *BenchRecord) lookup(suite, name, metric string) *BenchCase {
 	return nil
 }
 
-// spreadCase summarizes samples by nearest rank: q1, the median and q3
-// are the ⌈q·len⌉-th smallest sample.
+// spreadCase summarizes samples by nearest rank (stats.Quantile): q1,
+// the median and q3 are the ⌈q·len⌉-th smallest sample.
 func spreadCase(suite, name, metric, unit string, samples []float64) BenchCase {
 	s := slices.Clone(samples)
-	sort.Float64s(s)
-	rank := func(q float64) float64 {
-		return s[max(0, int(math.Ceil(q*float64(len(s))))-1)]
-	}
+	slices.Sort(s)
 	return BenchCase{
 		Suite: suite, Name: name, Metric: metric, Unit: unit, Reps: len(s),
-		Min: s[0], Q1: rank(0.25), Median: rank(0.5), Q3: rank(0.75), Max: s[len(s)-1],
+		Min: s[0], Q1: stats.Quantile(s, 0.25), Median: stats.Quantile(s, 0.5),
+		Q3: stats.Quantile(s, 0.75), Max: s[len(s)-1],
 	}
 }
 
@@ -342,7 +338,7 @@ var obsModes = []struct {
 		return nil
 	}},
 	{"live", func(m *xmt.Machine) error {
-		m.AttachLiveMetrics(metrics.NewMachineSet(metrics.NewRegistry()), 0)
+		m.AttachLiveMetrics(xmt.NewMetricSet(metrics.NewRegistry()), 0)
 		m.SetTelemetry(&sim.Telemetry{})
 		return nil
 	}},
@@ -392,11 +388,12 @@ func obsSuite(s BenchSettings, add addFunc) error {
 	return hotPathCases(s.Reps, add)
 }
 
-// hotPathCases times the metric primitives on a bridged registry, reps
-// times, and counts their allocations, which must be zero.
+// hotPathCases times the metric primitives on a registry that also
+// holds a machine's series, reps times, and counts their allocations,
+// which must be zero.
 func hotPathCases(reps int, add addFunc) error {
 	reg := metrics.NewRegistry()
-	metrics.NewMachineSet(reg)
+	xmt.NewMetricSet(reg)
 	c := reg.Counter("bench_counter", "bench")
 	g := reg.Gauge("bench_gauge", "bench")
 	h := reg.Histogram("bench_histogram", "bench", 1, 10, 100, 1000)

@@ -464,10 +464,7 @@ func AblationReport(w io.Writer, tcus, n int, opts AblationOptions) (*trace.Reco
 	fmt.Fprintf(t, "ABLATIONS (§IV-A design choices): %d^3 FFT on %s\n", n, cfg)
 	fmt.Fprintln(t, "variant\tcycles\tGFLOPS (5NlogN)\trelative time")
 	if obs != nil {
-		obs.SetWork(len(variants))
-		if start > 0 {
-			obs.AddWork(start)
-		}
+		obs.SetWork(len(variants), start)
 	}
 
 	writeCkpt := func(done int) error {

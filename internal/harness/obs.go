@@ -17,8 +17,8 @@ import (
 )
 
 // Obs is the live observability surface for a long simulation run: one
-// metrics registry fed from three sources — the machine-level bridge
-// (ops, faults, utilization; internal/metrics.MachineSet), the
+// metrics registry fed from three sources — the machine-level series
+// (ops, faults, utilization; xmt.MetricSet), the
 // engine-level telemetry (per-shard event counts, cycle frontier, queue
 // depths, watchdog heartbeat; sim.Telemetry), and a few wall-clock
 // series computed at scrape time (event rates, uptime, heartbeat age).
@@ -31,7 +31,7 @@ import (
 // frontier gauges track whichever machine is current.
 type Obs struct {
 	Registry  *metrics.Registry
-	Machines  *metrics.MachineSet
+	Machines  *xmt.MetricSet
 	Telemetry *sim.Telemetry
 
 	// Epoch is the live sampling stride in simulated cycles passed to
@@ -78,6 +78,10 @@ type Obs struct {
 	chRate    []*metrics.Gauge
 	workDone  int
 	workTotal int
+	// workBase and workSince are the done count and the time at SetWork:
+	// the ETA extrapolates only from units this process finished.
+	workBase  int
+	workSince time.Time
 
 	srv      *http.Server
 	ln       net.Listener
@@ -90,7 +94,7 @@ func NewObs() *Obs {
 	reg := metrics.NewRegistry()
 	o := &Obs{
 		Registry:  reg,
-		Machines:  metrics.NewMachineSet(reg),
+		Machines:  xmt.NewMetricSet(reg),
 		Telemetry: &sim.Telemetry{},
 		start:     time.Now(),
 
@@ -133,11 +137,14 @@ func (o *Obs) Watch(m *xmt.Machine) {
 	o.mu.Unlock()
 }
 
-// SetWork declares the job's total work units (for /progress ETA) and
-// resets the done count.
-func (o *Obs) SetWork(total int) {
+// SetWork declares the job's total work units and how many of them are
+// already done (a resumed sweep's finished variants). The /progress ETA
+// extrapolates from the units finished after this call only, and is -1
+// until the first of them.
+func (o *Obs) SetWork(total, done int) {
 	o.mu.Lock()
-	o.workDone, o.workTotal = 0, total
+	o.workDone, o.workTotal = done, total
+	o.workBase, o.workSince = done, time.Now()
 	o.mu.Unlock()
 }
 
@@ -262,8 +269,8 @@ func (o *Obs) Progress() Progress {
 	if age, ok := t.HeartbeatAge(now); ok {
 		p.HeartbeatAgeSec = age.Seconds()
 	}
-	if p.WorkDone > 0 && p.WorkTotal > p.WorkDone {
-		perUnit := now.Sub(o.start).Seconds() / float64(p.WorkDone)
+	if here := p.WorkDone - o.workBase; here > 0 && p.WorkTotal > p.WorkDone {
+		perUnit := now.Sub(o.workSince).Seconds() / float64(here)
 		p.ETASec = perUnit * float64(p.WorkTotal-p.WorkDone)
 	}
 	return p

@@ -183,7 +183,7 @@ func TestObsProgressETA(t *testing.T) {
 	if p.ETASec != -1 {
 		t.Errorf("ETA with no work = %g, want -1", p.ETASec)
 	}
-	obs.SetWork(4)
+	obs.SetWork(4, 0)
 	obs.AddWork(2)
 	time.Sleep(2 * time.Millisecond)
 	p = obs.Progress()
@@ -192,6 +192,27 @@ func TestObsProgressETA(t *testing.T) {
 	}
 	if p.WorkDone != 2 || p.WorkTotal != 4 {
 		t.Errorf("work = %d/%d, want 2/4", p.WorkDone, p.WorkTotal)
+	}
+}
+
+// TestObsProgressETAResumed: a sweep resumed at 3 of 5 units reports no
+// ETA until this process finishes a unit, then extrapolates from that
+// unit alone — one unit taking T leaves an ETA of T, not T/4.
+func TestObsProgressETAResumed(t *testing.T) {
+	obs := NewObs()
+	begin := time.Now()
+	obs.SetWork(5, 3)
+	afterSet := time.Now()
+	if p := obs.Progress(); p.ETASec != -1 || p.WorkDone != 3 || p.WorkTotal != 5 {
+		t.Fatalf("before the first unit: ETA %g, work %d/%d; want -1, 3/5", p.ETASec, p.WorkDone, p.WorkTotal)
+	}
+	time.Sleep(40 * time.Millisecond)
+	unit := time.Since(afterSet).Seconds() // at most the unit's time
+	obs.AddWork(1)
+	p := obs.Progress()
+	upper := time.Since(begin).Seconds() // at least the unit's time
+	if p.ETASec < unit || p.ETASec > upper {
+		t.Fatalf("ETA after 1 of the 2 remaining units = %.4fs, want the unit's time, in [%.4f, %.4f]", p.ETASec, unit, upper)
 	}
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"io"
 	"testing"
 )
@@ -49,10 +50,25 @@ func BenchmarkVecWithCached(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteOpenMetrics encodes a registry the size of one
+// simulated machine's series: two labeled counter families, nine
+// counters and seven gauges.
 func BenchmarkWriteOpenMetrics(b *testing.B) {
 	reg := NewRegistry()
-	ms := NewMachineSet(reg)
-	_ = ms
+	ops := reg.CounterVec("bench_ops", "x", "kind")
+	for _, k := range []string{"fp", "alu", "load", "store", "ps"} {
+		ops.With(k).Set(1 << 20)
+	}
+	faults := reg.CounterVec("bench_faults", "x", "kind")
+	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
+		faults.With(k).Set(3)
+	}
+	for i := 0; i < 9; i++ {
+		reg.Counter(fmt.Sprintf("bench_counter_%d", i), "x").Set(uint64(i) << 30)
+	}
+	for i := 0; i < 7; i++ {
+		reg.Gauge(fmt.Sprintf("bench_gauge_%d", i), "x").Set(float64(i) / 7)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := reg.WriteOpenMetrics(io.Discard); err != nil {

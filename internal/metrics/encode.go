@@ -15,8 +15,8 @@ const ContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 // WriteOpenMetrics renders the registry as OpenMetrics text: families
 // in sorted name order, children in creation order, `# HELP` and
 // `# TYPE` headers, counter samples with the `_total` suffix,
-// histogram `_bucket{le=...}`/`_count`/`_sum` expansion, summary
-// quantile samples, and the terminating `# EOF` line. Floats use
+// histogram `_bucket{le=...}`/`_count`/`_sum` expansion, and the
+// terminating `# EOF` line. Floats use
 // shortest round-trip formatting so the in-repo parser reads back
 // bit-identical values (asserted by the round-trip tests).
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
@@ -61,19 +61,11 @@ func writeChild(bw *errWriter, f *family, c *child) {
 		}
 		bw.printf("%s_count%s %s\n", f.name, base, formatUint(c.hist.Count()))
 		bw.printf("%s_sum%s %s\n", f.name, base, formatFloat(c.hist.Sum()))
-	case TypeSummary:
-		for i, q := range f.quantiles {
-			bw.printf("%s%s %s\n", f.name,
-				labelString(f.labelNames, c.labelValues, "quantile", formatFloat(q)),
-				formatFloat(math.Float64frombits(c.summary.values[i].Load())))
-		}
-		bw.printf("%s_count%s %s\n", f.name, base, formatUint(c.summary.Count()))
-		bw.printf("%s_sum%s %s\n", f.name, base, formatFloat(c.summary.Sum()))
 	}
 }
 
 // labelString renders `{a="x",b="y"}` (empty string when no labels),
-// with an optional extra reserved label (le / quantile) appended.
+// with an optional extra reserved label (a histogram's le) appended.
 func labelString(names, values []string, extraName, extraValue string) string {
 	if len(names) == 0 && extraName == "" {
 		return ""

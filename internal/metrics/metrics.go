@@ -1,15 +1,15 @@
-// Package metrics is the repo's live-observability registry: a small,
-// dependency-free (standard library only) metric system in the
-// Prometheus/OpenMetrics mold — counters, gauges, fixed-bucket
-// histograms and set-from-snapshot summaries with quantiles — exposed
-// through a strict OpenMetrics text encoder (encode.go) and a matching
-// parser (parse.go) used by tests and CI to validate every exposition.
+// Package metrics is the repo's live-observability registry: a small
+// metric system in the Prometheus/OpenMetrics mold that imports only
+// the standard library — counters, gauges and fixed-bucket histograms,
+// each optionally labeled — exposed through a strict OpenMetrics text
+// encoder (encode.go) and a matching parser (parse.go) used by tests
+// and CI to validate every exposition.
 //
 // It complements internal/trace: trace records a run for post-mortem
 // export, metrics publishes the same signals *while the run is going*,
-// scraped over HTTP or snapshotted to disk. The bridge (bridge.go)
-// maps the existing internal/stats counters and histograms and the
-// trace epoch utilization samples onto registry series.
+// scraped over HTTP or snapshotted to disk. The simulator's series are
+// registered by xmt.NewMetricSet and the transform service's by
+// internal/serve; this package knows neither.
 //
 // Concurrency and cost contract: every value is a single atomic word
 // (or a short array of them), so instrumented code may write from the
@@ -37,7 +37,6 @@ const (
 	TypeCounter Type = iota
 	TypeGauge
 	TypeHistogram
-	TypeSummary
 )
 
 // String returns the OpenMetrics type keyword.
@@ -49,14 +48,12 @@ func (t Type) String() string {
 		return "gauge"
 	case TypeHistogram:
 		return "histogram"
-	case TypeSummary:
-		return "summary"
 	}
 	return "unknown"
 }
 
 // Counter is a monotonically increasing value. Add increments; Set
-// jumps to a cumulative total owned elsewhere (the bridge uses it to
+// jumps to a cumulative total owned elsewhere (xmt.MetricSet uses it to
 // mirror the simulator's own tallies — a fresh machine resets the
 // total, which is ordinary counter-reset semantics for scrapers).
 type Counter struct {
@@ -123,31 +120,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile returns an upper-bound estimate of the q-quantile from the
-// bucket counts (the bucket upper edge containing the target rank,
-// +Inf mapping to the largest finite bound). Zero when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var seen uint64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1] // +Inf bucket: report last finite bound
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // bucketCounts returns the per-bucket (non-cumulative) counts,
 // len(bounds)+1 entries with the +Inf bucket last.
 func (h *Histogram) bucketCounts() []uint64 {
@@ -158,57 +130,12 @@ func (h *Histogram) bucketCounts() []uint64 {
 	return out
 }
 
-// Summary publishes a quantile snapshot computed elsewhere (e.g. from a
-// stats.Histogram): Set replaces the whole snapshot atomically per
-// field. It is the bridge-friendly counterpart of Histogram for
-// distributions whose buckets live outside this package.
-type Summary struct {
-	quantiles []float64 // e.g. 0.5, 0.95, 0.99
-	values    []atomic.Uint64
-	count     atomic.Uint64
-	sumBits   atomic.Uint64
-}
-
-// Set replaces the snapshot: observation count, value sum, and one
-// value per configured quantile (len(values) must match).
-func (s *Summary) Set(count uint64, sum float64, values ...float64) {
-	if len(values) != len(s.quantiles) {
-		panic(fmt.Sprintf("metrics: summary Set with %d values for %d quantiles", len(values), len(s.quantiles)))
-	}
-	for i, v := range values {
-		s.values[i].Store(math.Float64bits(v))
-	}
-	s.count.Store(count)
-	s.sumBits.Store(math.Float64bits(sum))
-}
-
-// Count returns the snapshot observation count.
-func (s *Summary) Count() uint64 { return s.count.Load() }
-
-// Sum returns the snapshot value sum.
-func (s *Summary) Sum() float64 { return math.Float64frombits(s.sumBits.Load()) }
-
-// Quantiles returns the configured quantile ranks.
-func (s *Summary) Quantiles() []float64 { return s.quantiles }
-
-// Quantile returns the published value for rank q (NaN if q is not a
-// configured rank).
-func (s *Summary) Quantile(q float64) float64 {
-	for i, r := range s.quantiles {
-		if r == q {
-			return math.Float64frombits(s.values[i].Load())
-		}
-	}
-	return math.NaN()
-}
-
 // child is one labeled instance inside a family.
 type child struct {
 	labelValues []string
 	counter     *Counter
 	gauge       *Gauge
 	hist        *Histogram
-	summary     *Summary
 }
 
 // family is one named metric with a fixed type and label schema.
@@ -218,7 +145,6 @@ type family struct {
 	typ        Type
 	labelNames []string
 	bounds     []float64 // histogram bucket bounds
-	quantiles  []float64 // summary quantile ranks
 
 	mu       sync.RWMutex
 	children []*child // creation order (deterministic exposition)
@@ -235,8 +161,6 @@ func (f *family) newChild(values []string) *child {
 		c.gauge = &Gauge{}
 	case TypeHistogram:
 		c.hist = &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
-	case TypeSummary:
-		c.summary = &Summary{quantiles: f.quantiles, values: make([]atomic.Uint64, len(f.quantiles))}
 	}
 	return c
 }
@@ -387,22 +311,6 @@ func checkBounds(bounds []float64) []float64 {
 		}
 	}
 	return append([]float64(nil), bounds...)
-}
-
-// Summary registers an unlabeled summary publishing the given quantile
-// ranks (each in (0, 1)).
-func (r *Registry) Summary(name, help string, quantiles ...float64) *Summary {
-	if len(quantiles) == 0 {
-		panic("metrics: summary needs at least one quantile rank")
-	}
-	for _, q := range quantiles {
-		if !(q > 0 && q < 1) {
-			panic(fmt.Sprintf("metrics: summary quantile %g outside (0, 1)", q))
-		}
-	}
-	f := r.register(name, help, TypeSummary, nil, []string{"quantile"})
-	f.quantiles = append([]float64(nil), quantiles...)
-	return f.with(nil).summary
 }
 
 // snapshotFamilies returns the families in name order (for encoding).

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -60,31 +61,9 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	if got, want := h.Sum(), 111.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum = %g, want %g", got, want)
 	}
-	// cumulative: le=1 → 2, le=2 → 3, le=4 → 4, le=8 → 5, +Inf → 6
-	if got := h.Quantile(0.5); got != 2 {
-		t.Fatalf("p50 = %g, want 2", got)
-	}
-	// p99 lands in the +Inf bucket, reported as the last finite bound.
-	if got := h.Quantile(0.99); got != 8 {
-		t.Fatalf("p99 = %g, want 8", got)
-	}
-	if got := h.bucketCounts(); len(got) != 5 || got[0] != 2 || got[4] != 1 {
+	// per bucket: le=1 → 2, le=2 → 1, le=4 → 1, le=8 → 1, +Inf → 1
+	if got := h.bucketCounts(); !slices.Equal(got, []uint64{2, 1, 1, 1, 1}) {
 		t.Fatalf("bucketCounts = %v", got)
-	}
-}
-
-func TestSummarySetAndQuantile(t *testing.T) {
-	reg := NewRegistry()
-	s := reg.Summary("test_life", "life", 0.5, 0.95)
-	s.Set(10, 55.5, 4, 9)
-	if s.Count() != 10 || s.Sum() != 55.5 {
-		t.Fatalf("count/sum = %d/%g", s.Count(), s.Sum())
-	}
-	if got := s.Quantile(0.95); got != 9 {
-		t.Fatalf("p95 = %g, want 9", got)
-	}
-	if got := s.Quantile(0.25); !math.IsNaN(got) {
-		t.Fatalf("unconfigured rank = %g, want NaN", got)
 	}
 }
 
@@ -110,14 +89,9 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 	})
 	mustPanic("unsorted bounds", func() { reg.Histogram("test_h3", "x", 2, 1) })
 	mustPanic("empty bounds", func() { reg.Histogram("test_h4", "x") })
-	mustPanic("quantile out of range", func() { reg.Summary("test_s2", "x", 1.5) })
 	mustPanic("wrong label arity", func() {
 		v := reg.CounterVec("test_v2", "x", "a", "b")
 		v.With("only-one")
-	})
-	mustPanic("summary value arity", func() {
-		s := reg.Summary("test_s3", "x", 0.5)
-		s.Set(1, 1, 2, 3)
 	})
 }
 

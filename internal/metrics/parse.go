@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -164,8 +163,6 @@ func parseType(s string) (Type, error) {
 		return TypeGauge, nil
 	case "histogram":
 		return TypeHistogram, nil
-	case "summary":
-		return TypeSummary, nil
 	}
 	return 0, fmt.Errorf("unknown metric type %q", s)
 }
@@ -185,19 +182,12 @@ func checkSampleName(f *Family, s Sample) error {
 		allowed = []string{""}
 	case TypeHistogram:
 		allowed = []string{"_bucket", "_count", "_sum"}
-	case TypeSummary:
-		allowed = []string{"", "_count", "_sum"}
 	}
 	for _, a := range allowed {
 		if suffix == a {
 			if f.Type == TypeHistogram && suffix == "_bucket" {
 				if _, ok := s.Labels["le"]; !ok {
 					return fmt.Errorf("histogram bucket sample missing le label")
-				}
-			}
-			if f.Type == TypeSummary && suffix == "" {
-				if _, ok := s.Labels["quantile"]; !ok {
-					return fmt.Errorf("summary quantile sample missing quantile label")
 				}
 			}
 			return nil
@@ -347,21 +337,4 @@ func parseValue(s string) (float64, error) {
 func unescapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\n`, "\n")
 	return strings.ReplaceAll(s, `\\`, `\`)
-}
-
-// SortedSampleNames returns the distinct full sample names in the
-// exposition, sorted — a convenience for assertions in tests and CI.
-func (e *Exposition) SortedSampleNames() []string {
-	seen := make(map[string]bool)
-	var names []string
-	for i := range e.Families {
-		for _, s := range e.Families[i].Samples {
-			if !seen[s.Name] {
-				seen[s.Name] = true
-				names = append(names, s.Name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
 }

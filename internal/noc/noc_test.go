@@ -201,38 +201,9 @@ func TestNewHybridRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestHybridDelayHistogram(t *testing.T) {
-	cfg, err := config.SixtyFourK().Scaled(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHybrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := h.ObserveDelays(4)
-	// Converging traffic queues; delays accumulate in the histogram.
-	for src := 0; src < 64; src++ {
-		h.Traverse(0, src, 9)
-	}
-	if hist.Count() != 64 {
-		t.Fatalf("observed %d packets, want 64", hist.Count())
-	}
-	if hist.Max() == 0 {
-		t.Fatal("no queueing delay recorded for converging traffic")
-	}
-	if hist.Quantile(0.5) > hist.Quantile(1.0) {
-		t.Fatal("quantiles inconsistent")
-	}
-	// The first packet saw no contention.
-	if hist.Mean() >= float64(hist.Max()) {
-		t.Fatal("mean should be below max for a spread of delays")
-	}
-}
-
 // TestRepeatMatchesTraverse is Repeat's oracle: from random switch
 // states, Traverse(t) followed by k Repeats (k in 1..7) leaves the same
-// switch ports, Blocked, packet count and delay histogram, and returns
+// switch ports, Blocked and packet count, and returns
 // the same arrivals, as Traverse(t), Traverse(t+1), …, Traverse(t+k) on
 // the same route. It covers the mesh-of-trees and hybrid networks with
 // 2, 3, 7 and 9 butterfly levels.
@@ -254,9 +225,6 @@ func TestRepeatMatchesTraverse(t *testing.T) {
 		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if h, ok := n.(*Hybrid); ok {
-			h.ObserveDelays(1)
 		}
 		return n
 	}
@@ -299,10 +267,6 @@ func TestRepeatMatchesTraverse(t *testing.T) {
 		sb, _ := CaptureState(b)
 		if !reflect.DeepEqual(sa, sb) {
 			t.Logf("%s: states differ after %d followers", cfg.Name, n)
-			return false
-		}
-		if ha, ok := a.(*Hybrid); ok && !reflect.DeepEqual(ha.DelayHist, b.(*Hybrid).DelayHist) {
-			t.Logf("%s: delay histograms differ after %d followers", cfg.Name, n)
 			return false
 		}
 		return true

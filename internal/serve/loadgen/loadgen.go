@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"xmtfft/internal/serve"
+	"xmtfft/internal/stats"
 )
 
 // Options configures one load run.
@@ -261,17 +262,11 @@ func requestBody(opts Options, seq int) *serve.Request {
 	}
 }
 
-// quantile returns the q-quantile of sorted values (nearest-rank).
+// quantile returns the nearest-rank q-quantile of sorted values
+// (stats.Quantile), or NaN when there are none.
 func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
 	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return stats.Quantile(sorted, q)
 }

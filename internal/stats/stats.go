@@ -2,13 +2,14 @@
 // operation counters, per-phase cycle accounting, and GFLOPS computation
 // under both the "actual FLOPs" convention (used by the Roofline analysis
 // in §VI-B) and the standard 5N·log2(N) FFT convention (used by Tables
-// IV-VI).
+// IV-VI), plus the nearest-rank quantile rule that every sample summary
+// in the repository uses.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -202,125 +203,12 @@ func (r Run) String() string {
 	return b.String()
 }
 
-// Histogram is a simple fixed-bucket histogram used for queueing-delay
-// and utilization reporting in the simulator.
-type Histogram struct {
-	BucketWidth uint64
-	counts      map[uint64]uint64
-	total       uint64
-	sum         uint64
-	sumSq       float64
-	max         uint64
-}
-
-// NewHistogram returns a histogram with the given bucket width in cycles.
-func NewHistogram(bucketWidth uint64) *Histogram {
-	if bucketWidth == 0 {
-		bucketWidth = 1
-	}
-	return &Histogram{BucketWidth: bucketWidth, counts: make(map[uint64]uint64)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.counts[v/h.BucketWidth]++
-	h.total++
-	h.sum += v
-	h.sumSq += float64(v) * float64(v)
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Merge folds all of o's samples into h. The bucket widths must match:
-// merging histograms of different granularity would silently misbucket.
-// Used to reduce per-shard recorder histograms into one stream at a
-// parallel section's join.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.total == 0 {
-		return
-	}
-	if o.BucketWidth != h.BucketWidth {
-		panic("stats: merging histograms with different bucket widths")
-	}
-	for i, n := range o.counts {
-		h.counts[i] += n
-	}
-	h.total += o.total
-	h.sum += o.sum
-	h.sumSq += o.sumSq
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Max returns the largest observed sample.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Stddev returns the population standard deviation of the samples
-// (0 when fewer than two samples have been observed).
-func (h *Histogram) Stddev() float64 {
-	if h.total < 2 {
-		return 0
-	}
-	mean := h.Mean()
-	v := h.sumSq/float64(h.total) - mean*mean
-	if v < 0 {
-		v = 0 // guard against floating-point cancellation
-	}
-	return math.Sqrt(v)
-}
-
-// Quantile returns an upper bound on the q-quantile (0<=q<=1) using
-// bucket upper edges, clamped to the largest observed sample so the
-// reported bound never exceeds anything that actually happened.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.total == 0 {
-		return 0
-	}
-	type bucket struct{ idx, n uint64 }
-	buckets := make([]bucket, 0, len(h.counts))
-	for i, n := range h.counts {
-		buckets = append(buckets, bucket{i, n})
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].idx < buckets[j].idx })
-	target := uint64(math.Ceil(q * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	clamp := func(edge uint64) uint64 {
-		if edge > h.max {
-			return h.max
-		}
-		return edge
-	}
-	var seen uint64
-	for _, b := range buckets {
-		seen += b.n
-		if seen >= target {
-			return clamp((b.idx + 1) * h.BucketWidth)
-		}
-	}
-	return clamp((buckets[len(buckets)-1].idx + 1) * h.BucketWidth)
-}
-
-// Summary returns a one-line count/mean/p50/p95/max digest, the format
-// used by the trace package's plain-text reports.
-func (h *Histogram) Summary() string {
-	if h.total == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%.1f p50=%d p95=%d max=%d",
-		h.total, h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.max)
+// Quantile returns the nearest-rank q-quantile of samples sorted in
+// ascending order: the ⌈q·n⌉-th smallest, clamped to the first and the
+// last. It is the repository's one quantile rule; the bench record's
+// spreads, the load generator's latencies and the trace summary's
+// distributions all use it. sorted must not be empty.
+func Quantile[T cmp.Ordered](sorted []T, q float64) T {
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -114,131 +115,34 @@ func TestSeconds(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []uint64{0, 5, 9, 10, 25, 99} {
-		h.Observe(v)
-	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 99 {
-		t.Fatalf("max = %d", h.Max())
-	}
-	if got, want := h.Mean(), (0.0+5+9+10+25+99)/6; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("mean = %g, want %g", got, want)
-	}
-	// Median: 3rd of 6 samples lives in bucket [0,10) -> upper edge 10.
-	if q := h.Quantile(0.5); q != 10 {
-		t.Fatalf("median bound = %d, want 10", q)
-	}
-	// The top bucket's upper edge (100) is clamped to the largest observed
-	// sample: a reported p100 must be something that actually happened.
-	if q := h.Quantile(1.0); q != 99 {
-		t.Fatalf("p100 bound = %d, want 99", q)
-	}
-	if NewHistogram(0).BucketWidth != 1 {
-		t.Fatal("zero bucket width should default to 1")
-	}
-	if (NewHistogram(4)).Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(10), NewHistogram(10)
-	for _, v := range []uint64{0, 5, 9} {
-		a.Observe(v)
-	}
-	for _, v := range []uint64{10, 25, 99} {
-		b.Observe(v)
-	}
-	a.Merge(b)
-	if a.Count() != 6 || a.Max() != 99 {
-		t.Fatalf("merged count/max = %d/%d, want 6/99", a.Count(), a.Max())
-	}
-	if got, want := a.Mean(), (0.0+5+9+10+25+99)/6; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("merged mean = %g, want %g", got, want)
-	}
-	// b is untouched by the merge.
-	if b.Count() != 3 || b.Max() != 99 {
-		t.Fatalf("source histogram mutated: count=%d max=%d", b.Count(), b.Max())
-	}
-}
-
-func TestHistogramMergeMismatchedWidths(t *testing.T) {
-	a := NewHistogram(10)
-	a.Observe(5)
-
-	// A nil or empty source is a no-op even with a different bucket
-	// width — the emptiness check deliberately precedes the width check,
-	// so zero-valued histograms from unrelated accumulators merge away
-	// harmlessly.
-	a.Merge(nil)
-	a.Merge(NewHistogram(7))
-	if a.Count() != 1 {
-		t.Fatalf("no-op merges changed the histogram: count=%d", a.Count())
-	}
-
-	// A non-empty source with a different width is a programming error
-	// and must panic rather than silently misbinning.
-	other := NewHistogram(7)
-	other.Observe(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging non-empty histograms with different bucket widths did not panic")
-		}
-	}()
-	a.Merge(other)
-}
-
-func TestHistogramStddev(t *testing.T) {
-	h := NewHistogram(1)
-	for _, v := range []uint64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Observe(v)
-	}
-	// Classic example: mean 5, population stddev exactly 2.
-	if got := h.Stddev(); math.Abs(got-2.0) > 1e-9 {
-		t.Fatalf("stddev = %g, want 2", got)
-	}
-	if NewHistogram(1).Stddev() != 0 {
-		t.Fatal("empty histogram stddev should be 0")
-	}
-	one := NewHistogram(1)
-	one.Observe(42)
-	if one.Stddev() != 0 {
-		t.Fatal("single-sample stddev should be 0")
-	}
-}
-
-func TestHistogramSummary(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []uint64{0, 5, 9, 10, 25, 99} {
-		h.Observe(v)
-	}
-	s := h.Summary()
-	for _, want := range []string{"n=6", "mean=24.7", "p50=10", "max=99"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Summary() = %q, missing %q", s, want)
+// TestQuantile pins the nearest-rank rule: the ⌈q·n⌉-th smallest
+// sample, the smallest for q·n <= 1 and the largest for q >= 1.
+func TestQuantile(t *testing.T) {
+	s := []uint64{0, 5, 9, 10, 25, 99}
+	for _, c := range []struct {
+		q    float64
+		want uint64
+	}{{0, 0}, {0.1, 0}, {0.25, 5}, {0.5, 9}, {0.51, 10}, {0.95, 99}, {1, 99}, {1.5, 99}} {
+		if got := Quantile(s, c.q); got != c.want {
+			t.Errorf("Quantile(%v, %g) = %d, want %d", s, c.q, got, c.want)
 		}
 	}
-	if NewHistogram(1).Summary() != "n=0" {
-		t.Fatalf("empty summary = %q", NewHistogram(1).Summary())
+	if got := Quantile([]float64{3.5}, 0.99); got != 3.5 {
+		t.Errorf("one-sample quantile = %g, want 3.5", got)
 	}
 }
 
-// Property: quantile bounds are monotone in q and bound the max.
-func TestHistogramQuantileProperty(t *testing.T) {
-	f := func(vals []uint16) bool {
-		h := NewHistogram(8)
-		for _, v := range vals {
-			h.Observe(uint64(v))
-		}
+// Property: quantiles are samples, monotone in q, and q = 1 is the
+// largest.
+func TestQuantileProperty(t *testing.T) {
+	f := func(vals []uint16, a, b uint8) bool {
 		if len(vals) == 0 {
-			return h.Quantile(0.9) == 0
+			return true
 		}
-		q50, q90, q100 := h.Quantile(0.5), h.Quantile(0.9), h.Quantile(1)
-		return q50 <= q90 && q90 <= q100 && q100 >= h.Max()
+		slices.Sort(vals)
+		qa, qb := float64(min(a, b))/255, float64(max(a, b))/255
+		lo, hi := Quantile(vals, qa), Quantile(vals, qb)
+		return lo <= hi && slices.Contains(vals, lo) && Quantile(vals, 1) == vals[len(vals)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -89,13 +89,8 @@ func (r *Recorder) BuildChromeTrace() ChromeTrace {
 	}
 
 	// Spawn/join spans and per-TCU thread spans, paired in stream order.
-	type open struct {
-		start uint64
-		tid   int64
-		cl    int32
-	}
 	var spawns []Event
-	openTh := map[int32]open{}
+	threads := threadPairs{}
 	for _, ev := range r.Events {
 		switch ev.Kind {
 		case EvSpawn:
@@ -115,19 +110,14 @@ func (r *Recorder) BuildChromeTrace() ChromeTrace {
 				Dur: float64(ev.Start - sp.Start), Pid: pidMachine, Tid: 0,
 				Args: map[string]any{"threads": sp.ID},
 			})
-		case EvThreadStart:
-			openTh[ev.TCU] = open{start: ev.Start, tid: ev.ID, cl: ev.Aux}
-		case EvThreadRetire:
-			o, ok := openTh[ev.TCU]
-			if !ok {
-				continue
+		case EvThreadStart, EvThreadRetire:
+			if st, ok := threads.next(&ev); ok {
+				evs = append(evs, ChromeTraceEvent{
+					Name: fmt.Sprintf("t%d", st.ID), Ph: "X", Ts: float64(st.Start),
+					Dur: float64(ev.Start - st.Start), Pid: pidTCUs, Tid: int(ev.TCU),
+					Args: map[string]any{"tid": st.ID, "cluster": st.Aux},
+				})
 			}
-			delete(openTh, ev.TCU)
-			evs = append(evs, ChromeTraceEvent{
-				Name: fmt.Sprintf("t%d", o.tid), Ph: "X", Ts: float64(o.start),
-				Dur: float64(ev.Start - o.start), Pid: pidTCUs, Tid: int(ev.TCU),
-				Args: map[string]any{"tid": o.tid, "cluster": o.cl},
-			})
 		case EvSegment:
 			evs = append(evs, ChromeTraceEvent{
 				Name: SegmentKind(ev.Aux).Name(), Ph: "X", Ts: float64(ev.Start),

@@ -12,11 +12,7 @@
 // zero-overhead contract).
 package trace
 
-import (
-	"sort"
-
-	"xmtfft/internal/stats"
-)
+import "sort"
 
 // EventKind discriminates trace events.
 type EventKind uint8
@@ -165,33 +161,12 @@ type Recorder struct {
 
 	Events  []Event
 	Samples []Sample
-
-	// Histogram-backed distributions over the epoch samples (percent
-	// buckets of width 5) and over per-thread lifetimes (cycles).
-	FPUHist         *stats.Histogram
-	LSUHist         *stats.Histogram
-	DRAMHist        *stats.Histogram
-	HitHist         *stats.Histogram
-	OutstandingHist *stats.Histogram
-	ThreadLife      *stats.Histogram
-
-	// open thread start cycles by TCU, for lifetime accounting.
-	openThreads map[int32]uint64
 }
 
 // NewRecorder returns a recorder sampling utilization every epoch cycles
 // (0 records events only).
 func NewRecorder(epoch uint64) *Recorder {
-	return &Recorder{
-		Epoch:           epoch,
-		FPUHist:         stats.NewHistogram(5),
-		LSUHist:         stats.NewHistogram(5),
-		DRAMHist:        stats.NewHistogram(5),
-		HitHist:         stats.NewHistogram(5),
-		OutstandingHist: stats.NewHistogram(1),
-		ThreadLife:      stats.NewHistogram(16),
-		openThreads:     make(map[int32]uint64),
-	}
+	return &Recorder{Epoch: epoch}
 }
 
 // Spawn records a parallel section being issued.
@@ -210,7 +185,6 @@ func (r *Recorder) ThreadStart(cycle uint64, tcu, cl, tid int) {
 	r.Events = append(r.Events, Event{
 		Kind: EvThreadStart, Start: cycle, End: cycle,
 		TCU: int32(tcu), Aux: int32(cl), ID: int64(tid)})
-	r.openThreads[int32(tcu)] = cycle
 }
 
 // ThreadRetire records virtual thread tid completing on a TCU.
@@ -218,10 +192,6 @@ func (r *Recorder) ThreadRetire(cycle uint64, tcu, tid int) {
 	r.Events = append(r.Events, Event{
 		Kind: EvThreadRetire, Start: cycle, End: cycle,
 		TCU: int32(tcu), ID: int64(tid)})
-	if start, ok := r.openThreads[int32(tcu)]; ok && cycle >= start {
-		r.ThreadLife.Observe(cycle - start)
-		delete(r.openThreads, int32(tcu))
-	}
 }
 
 // Segment records one dispatched execution segment.
@@ -262,28 +232,9 @@ func (r *Recorder) Fault(cycle uint64, kind FaultKind, site int, info uint64) {
 		Aux: int32(kind), TCU: int32(site), ID: int64(info)})
 }
 
-// AddSample appends one epoch sample and feeds the histogram series.
-// Utilization fractions are recorded in percent (clamped to 0..100: a
-// port can be granted slightly past an epoch edge, so raw per-epoch
-// fractions may marginally exceed 1).
+// AddSample appends one epoch sample.
 func (r *Recorder) AddSample(s Sample) {
 	r.Samples = append(r.Samples, s)
-	pct := func(f float64) uint64 {
-		if f < 0 {
-			return 0
-		}
-		if f > 1 {
-			return 100
-		}
-		return uint64(f * 100)
-	}
-	r.FPUHist.Observe(pct(s.FPU))
-	r.LSUHist.Observe(pct(s.LSU))
-	r.DRAMHist.Observe(pct(s.DRAM))
-	r.HitHist.Observe(pct(s.HitRate))
-	if s.Outstanding >= 0 {
-		r.OutstandingHist.Observe(uint64(s.Outstanding))
-	}
 }
 
 // MergeFrom folds the events of the given part recorders into r in
@@ -295,9 +246,9 @@ func (r *Recorder) AddSample(s Sample) {
 // shards (or workers) produced it. Part ranks must therefore be stable
 // across runs (e.g. shard index), or determinism is lost.
 //
-// Thread-lifetime histograms are merged too; nil parts are skipped.
-// Parts are expected to carry events only (no samples): epoch samples
-// are produced centrally at window barriers and appended directly.
+// Nil parts are skipped. Parts are expected to carry events only (no
+// samples): epoch samples are produced centrally at window barriers and
+// appended directly.
 func (r *Recorder) MergeFrom(parts ...*Recorder) {
 	type tagged struct {
 		rank, idx int
@@ -325,11 +276,27 @@ func (r *Recorder) MergeFrom(parts ...*Recorder) {
 	for _, t := range tags {
 		r.Events = append(r.Events, parts[t.rank].Events[t.idx])
 	}
-	for _, p := range parts {
-		if p != nil {
-			r.ThreadLife.Merge(p.ThreadLife)
+}
+
+// threadPairs pairs each EvThreadRetire with the EvThreadStart that
+// opened a thread on the same TCU, walking the stream in order. The
+// Perfetto thread spans and the summary's thread lifetimes both come
+// from it, so they always describe the same threads.
+type threadPairs map[int32]Event
+
+// next feeds one event; for a retire that closes an open thread it
+// returns that thread's start event and true.
+func (o threadPairs) next(ev *Event) (Event, bool) {
+	switch ev.Kind {
+	case EvThreadStart:
+		o[ev.TCU] = *ev
+	case EvThreadRetire:
+		if start, ok := o[ev.TCU]; ok {
+			delete(o, ev.TCU)
+			return start, true
 		}
 	}
+	return Event{}, false
 }
 
 // section is a spawn..join interval reconstructed from the event stream.

@@ -33,28 +33,56 @@ func TestRecorderEventAccessors(t *testing.T) {
 	if mem.Kind != trace.EvMemAccess || mem.Flags&trace.FlagHit == 0 || mem.Flags&trace.FlagWrite != 0 {
 		t.Fatalf("mem event = %+v", mem)
 	}
-	// Thread 7 lived 30-10 = 20 cycles.
-	if r.ThreadLife.Count() != 1 || r.ThreadLife.Max() != 20 {
-		t.Fatalf("thread lifetime: count=%d max=%d", r.ThreadLife.Count(), r.ThreadLife.Max())
-	}
 }
 
-func TestSampleHistogramsClampAndRecord(t *testing.T) {
+// TestSummaryDistributions pins the summary's thread-lifetime and
+// epoch-utilization lines on a hand-built recording: retires pair with
+// the open start on their TCU (a retire with none is ignored), quantiles
+// print as clamped bucket edges (16 cycles, 5 percent, 1 thread),
+// fractions clamp to 0..100 percent and a negative outstanding count is
+// left out.
+func TestSummaryDistributions(t *testing.T) {
 	r := trace.NewRecorder(100)
+	r.Spawn(0, 3, "s")
+	r.ThreadStart(10, 3, 0, 7)
+	r.ThreadStart(12, 4, 0, 8)
+	r.ThreadRetire(20, 5, 1) // nothing open on TCU 5
+	r.ThreadRetire(30, 3, 7) // 20 cycles
+	r.ThreadRetire(60, 4, 8) // 48 cycles
+	r.ThreadStart(60, 4, 0, 9)
+	r.ThreadRetire(61, 4, 9) // 1 cycle
+	r.Join(70)
 	r.AddSample(trace.Sample{Cycle: 100, FPU: 0.5, LSU: 0.25, DRAM: 1.7, HitRate: 0.9, Outstanding: 12})
 	r.AddSample(trace.Sample{Cycle: 200, FPU: -0.1, Outstanding: -1})
-	if len(r.Samples) != 2 {
-		t.Fatalf("samples = %d", len(r.Samples))
+	var sb strings.Builder
+	if err := r.WriteSummary(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if r.DRAMHist.Max() != 100 {
-		t.Fatalf("DRAM percent not clamped to 100: max=%d", r.DRAMHist.Max())
+	for _, want := range []string{
+		"thread lifetime (cycles): n=3 mean=23.0 p50=32 p95=48 max=48 stddev=19.3\n",
+		"epoch utilization (100-cycle epochs):\n",
+		"  fpu %        n=2 mean=25.0 p50=5 p95=50 max=50\n",
+		"  lsu %        n=2 mean=12.5 p50=5 p95=25 max=25\n",
+		"  dram %       n=2 mean=50.0 p50=5 p95=100 max=100\n",
+		"  cache hit %  n=2 mean=45.0 p50=5 p95=90 max=90\n",
+		"  outstanding  n=1 mean=12.0 p50=12 p95=12 max=12\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, sb.String())
+		}
 	}
-	if r.FPUHist.Count() != 2 || r.FPUHist.Max() != 50 {
-		t.Fatalf("FPU hist: count=%d max=%d", r.FPUHist.Count(), r.FPUHist.Max())
+
+	// No threads and no samples: an empty lifetime line, no epoch block.
+	empty := trace.NewRecorder(0)
+	empty.Spawn(0, 0, "idle")
+	empty.Join(5)
+	sb.Reset()
+	if err := empty.WriteSummary(&sb); err != nil {
+		t.Fatal(err)
 	}
-	// Negative outstanding is dropped rather than wrapped.
-	if r.OutstandingHist.Count() != 1 || r.OutstandingHist.Max() != 12 {
-		t.Fatalf("outstanding hist: count=%d max=%d", r.OutstandingHist.Count(), r.OutstandingHist.Max())
+	if out := sb.String(); !strings.Contains(out, "thread lifetime (cycles): n=0 stddev=0.0\n") ||
+		strings.Contains(out, "epoch utilization") {
+		t.Errorf("empty-run summary:\n%s", out)
 	}
 }
 

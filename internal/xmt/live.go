@@ -2,9 +2,9 @@ package xmt
 
 // Live observability for a running machine. Where internal/trace
 // records a run for post-mortem export (growing per-event state), the
-// live sampler publishes a bounded set of current values into an
-// internal/metrics.MachineSet so an HTTP scrape or snapshot writer can
-// watch a multi-hour detailed simulation in flight.
+// live sampler publishes a bounded set of current values into a
+// MetricSet so an HTTP scrape or snapshot writer can watch a
+// multi-hour detailed simulation in flight.
 //
 // Contract (same as tracing, DESIGN.md §5): when no live sink is
 // attached the machine's hot paths see only nil-guarded branches, and
@@ -12,7 +12,8 @@ package xmt
 // results — cycle counts, counters and trace streams are bit-identical
 // with live metrics on or off, which live_test.go asserts. The hook
 // fires at window barriers where every shard is parked, so
-// coordinator-side reads (snapshots, counter reductions) are race-free; publication into the MachineSet is atomic stores that a
+// coordinator-side reads (snapshots, counter reductions) are
+// race-free; publication into the MetricSet is atomic stores that a
 // concurrent scraper may read at any time.
 
 import (
@@ -20,13 +21,107 @@ import (
 
 	"xmtfft/internal/metrics"
 	"xmtfft/internal/sim"
+	"xmtfft/internal/stats"
+	"xmtfft/internal/trace"
 )
 
+// MetricSet is the fixed family of series one simulated machine (or a
+// sequence of machines in an ablation sweep) publishes: its cumulative
+// operation and fault tallies as counters and its latest epoch
+// utilization sample as gauges. Handles are resolved once at
+// construction. The machine keeps owning its tallies; Counter.Set
+// mirrors them, so a scrape sees ordinary counter-reset semantics when
+// a fresh machine attaches.
+type MetricSet struct {
+	counters []counterOf
+	gauges   []gaugeOf
+}
+
+// counterOf mirrors one field of stats.Counters into a counter.
+type counterOf struct {
+	c     *metrics.Counter
+	field func(*stats.Counters) uint64
+}
+
+// gaugeOf mirrors one field of the latest trace.Sample into a gauge.
+type gaugeOf struct {
+	g     *metrics.Gauge
+	field func(*trace.Sample) float64
+}
+
+// NewMetricSet registers the machine's series on reg and returns their
+// handles. Call once per registry; duplicate registration panics.
+func NewMetricSet(reg *metrics.Registry) *MetricSet {
+	ops := reg.CounterVec("xmtfft_ops", "Operations executed by the simulated machine, by kind.", "kind")
+	faults := reg.CounterVec("xmtfft_faults", "Injected-fault events observed by the resilience layer, by kind.", "kind")
+	return &MetricSet{
+		counters: []counterOf{
+			{ops.With("fp"), func(c *stats.Counters) uint64 { return c.FPOps }},
+			{ops.With("alu"), func(c *stats.Counters) uint64 { return c.ALUOps }},
+			{ops.With("load"), func(c *stats.Counters) uint64 { return c.Loads }},
+			{ops.With("store"), func(c *stats.Counters) uint64 { return c.Stores }},
+			{ops.With("ps"), func(c *stats.Counters) uint64 { return c.PSOps }},
+			{faults.With("noc_dropped"), func(c *stats.Counters) uint64 { return c.NoCDropped }},
+			{faults.With("noc_corrupted"), func(c *stats.Counters) uint64 { return c.NoCCorrupted }},
+			{faults.With("noc_retransmit"), func(c *stats.Counters) uint64 { return c.NoCRetransmits }},
+			{faults.With("ecc_corrected"), func(c *stats.Counters) uint64 { return c.ECCCorrected }},
+			{faults.With("ecc_uncorrectable"), func(c *stats.Counters) uint64 { return c.ECCUncorrectable }},
+			{faults.With("silent"), func(c *stats.Counters) uint64 { return c.SilentFaults }},
+			{reg.Counter("xmtfft_threads", "Virtual threads executed."),
+				func(c *stats.Counters) uint64 { return c.Threads }},
+			{reg.Counter("xmtfft_spawns", "Spawn/join regions entered."),
+				func(c *stats.Counters) uint64 { return c.Spawns }},
+			{reg.Counter("xmtfft_cache_hits", "Shared-cache hits."),
+				func(c *stats.Counters) uint64 { return c.CacheHits }},
+			{reg.Counter("xmtfft_cache_misses", "Shared-cache misses."),
+				func(c *stats.Counters) uint64 { return c.CacheMisses }},
+			{reg.Counter("xmtfft_dram_bytes", "Bytes transferred on DRAM channels."),
+				func(c *stats.Counters) uint64 { return c.DRAMBytes }},
+			{reg.Counter("xmtfft_noc_packets", "Packets injected into the interconnect."),
+				func(c *stats.Counters) uint64 { return c.NoCPackets }},
+			{reg.Counter("xmtfft_prefetches", "Cache lines fetched speculatively."),
+				func(c *stats.Counters) uint64 { return c.Prefetches }},
+			{reg.Counter("xmtfft_dram_row_hits", "DRAM accesses hitting an open row buffer."),
+				func(c *stats.Counters) uint64 { return c.RowHits }},
+			{reg.Counter("xmtfft_dram_row_misses", "DRAM accesses that had to open a row."),
+				func(c *stats.Counters) uint64 { return c.RowMisses }},
+		},
+		gauges: []gaugeOf{
+			{reg.Gauge("xmtfft_util_fpu", "FPU utilization over the last sampled epoch (0..1)."),
+				func(s *trace.Sample) float64 { return s.FPU }},
+			{reg.Gauge("xmtfft_util_lsu", "LSU utilization over the last sampled epoch (0..1)."),
+				func(s *trace.Sample) float64 { return s.LSU }},
+			{reg.Gauge("xmtfft_util_dram", "DRAM-channel utilization over the last sampled epoch (0..1)."),
+				func(s *trace.Sample) float64 { return s.DRAM }},
+			{reg.Gauge("xmtfft_cache_hit_rate", "Cache hit fraction over the last sampled epoch (0..1)."),
+				func(s *trace.Sample) float64 { return s.HitRate }},
+			{reg.Gauge("xmtfft_outstanding_threads", "Threads live or not yet allocated in the active parallel section."),
+				func(s *trace.Sample) float64 { return float64(s.Outstanding) }},
+			{reg.Gauge("xmtfft_sample_cycle", "Simulated cycle of the last utilization sample."),
+				func(s *trace.Sample) float64 { return float64(s.Cycle) }},
+			{reg.Gauge("xmtfft_epoch_noc_packets", "NoC packets injected during the last sampled epoch."),
+				func(s *trace.Sample) float64 { return float64(s.NoCPackets) }},
+		},
+	}
+}
+
+// set publishes the machine's cumulative tallies (the fault-injection
+// tallies ride on stats.Counters) and one epoch utilization sample, the
+// same values internal/trace records for post-mortem export.
+func (s *MetricSet) set(c *stats.Counters, sm *trace.Sample) {
+	for _, t := range s.counters {
+		t.c.Set(t.field(c))
+	}
+	for _, g := range s.gauges {
+		g.g.Set(g.field(sm))
+	}
+}
+
 // liveMetrics implements sim.Hook, publishing counters and epoch
-// utilization into a metrics.MachineSet.
+// utilization into a MetricSet.
 type liveMetrics struct {
 	m     *Machine
-	ms    *metrics.MachineSet
+	ms    *MetricSet
 	epoch uint64
 	next  uint64
 	st    epochState
@@ -50,15 +145,15 @@ func (l *liveMetrics) publish(cycle uint64) {
 	// leaving the spawn's own accounting untouched.
 	m.reduceCounters()
 	m.syncMemCounters()
-	l.ms.SetCounters(m.Counters)
-	l.ms.SetSample(m.utilSample(cycle, l.epoch, &l.st))
+	sm := m.utilSample(cycle, l.epoch, &l.st)
+	l.ms.set(&m.Counters, &sm)
 }
 
 // AttachLiveMetrics connects a live metrics sink sampling every epoch
 // cycles (nil detaches). It composes with an attached trace recorder:
 // both observers hook the engine clock and see identical epochs. Like
 // tracing, attaching or detaching never alters simulated timing.
-func (m *Machine) AttachLiveMetrics(ms *metrics.MachineSet, epoch uint64) {
+func (m *Machine) AttachLiveMetrics(ms *MetricSet, epoch uint64) {
 	if ms == nil {
 		m.live = nil
 		m.installHook()

@@ -8,6 +8,7 @@ import (
 	"xmtfft/internal/config"
 	"xmtfft/internal/metrics"
 	"xmtfft/internal/sim"
+	"xmtfft/internal/stats"
 	"xmtfft/internal/trace"
 )
 
@@ -27,7 +28,7 @@ func liveRun(t *testing.T, cfg config.Config, withTrace, withLive bool) (sharded
 	var reg *metrics.Registry
 	if withLive {
 		reg = metrics.NewRegistry()
-		m.AttachLiveMetrics(metrics.NewMachineSet(reg), 64)
+		m.AttachLiveMetrics(NewMetricSet(reg), 64)
 		m.SetTelemetry(&sim.Telemetry{})
 	}
 	var out shardedRun
@@ -95,7 +96,7 @@ func TestLiveMetricsPublishedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	m.AttachLiveMetrics(metrics.NewMachineSet(reg), 64)
+	m.AttachLiveMetrics(NewMetricSet(reg), 64)
 	tel := &sim.Telemetry{}
 	m.SetTelemetry(tel)
 	m.SetWatchdog(1 << 30)
@@ -194,7 +195,7 @@ func TestLiveSampleMatchesTraceSample(t *testing.T) {
 	rec := trace.NewRecorder(64)
 	m.AttachRecorder(rec)
 	reg := metrics.NewRegistry()
-	m.AttachLiveMetrics(metrics.NewMachineSet(reg), 64)
+	m.AttachLiveMetrics(NewMetricSet(reg), 64)
 
 	w := diffWorkloads(cfg.TCUs)[0]
 	if _, err := m.Spawn(w.threads, w.prog); err != nil {
@@ -241,7 +242,7 @@ func TestAttachLiveMetricsDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	m.AttachLiveMetrics(metrics.NewMachineSet(reg), 64)
+	m.AttachLiveMetrics(NewMetricSet(reg), 64)
 	m.Section("p1")
 	if m.CurrentPhase() != "p1" {
 		t.Fatal("phase not tracked while attached")
@@ -253,5 +254,78 @@ func TestAttachLiveMetricsDetach(t *testing.T) {
 	w := diffWorkloads(cfg.TCUs)[0]
 	if _, err := m.Spawn(w.threads, w.prog); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMetricSetRoundTrip: every stats.Counters tally and trace.Sample
+// field goes through the metric set into the registry, out as
+// OpenMetrics text and back through the strict parser unchanged.
+func TestMetricSetRoundTrip(t *testing.T) {
+	reg := metrics.NewRegistry()
+	ms := NewMetricSet(reg)
+	ms.set(&stats.Counters{
+		FPOps: 111, ALUOps: 222, Loads: 333, Stores: 444, PSOps: 5,
+		Threads: 64, Spawns: 3, CacheHits: 900, CacheMisses: 100,
+		DRAMBytes: 4096, NoCPackets: 777, Prefetches: 88,
+		RowHits: 70, RowMisses: 30,
+		NoCDropped: 1, NoCCorrupted: 2, NoCRetransmits: 3,
+		ECCCorrected: 4, ECCUncorrectable: 0, SilentFaults: 6,
+	}, &trace.Sample{
+		Cycle: 4096, FPU: 0.75, LSU: 0.5, DRAM: 0.984375,
+		HitRate: 0.9, Outstanding: 17, NoCPackets: 123,
+	})
+
+	var sb strings.Builder
+	if err := reg.WriteOpenMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := metrics.Parse(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, sb.String())
+	}
+	checks := []struct {
+		name   string
+		labels map[string]string
+		want   float64
+	}{
+		{"xmtfft_ops_total", map[string]string{"kind": "fp"}, 111},
+		{"xmtfft_ops_total", map[string]string{"kind": "alu"}, 222},
+		{"xmtfft_ops_total", map[string]string{"kind": "load"}, 333},
+		{"xmtfft_ops_total", map[string]string{"kind": "store"}, 444},
+		{"xmtfft_ops_total", map[string]string{"kind": "ps"}, 5},
+		{"xmtfft_threads_total", nil, 64},
+		{"xmtfft_spawns_total", nil, 3},
+		{"xmtfft_cache_hits_total", nil, 900},
+		{"xmtfft_cache_misses_total", nil, 100},
+		{"xmtfft_dram_bytes_total", nil, 4096},
+		{"xmtfft_noc_packets_total", nil, 777},
+		{"xmtfft_prefetches_total", nil, 88},
+		{"xmtfft_dram_row_hits_total", nil, 70},
+		{"xmtfft_dram_row_misses_total", nil, 30},
+		{"xmtfft_faults_total", map[string]string{"kind": "noc_dropped"}, 1},
+		{"xmtfft_faults_total", map[string]string{"kind": "noc_corrupted"}, 2},
+		{"xmtfft_faults_total", map[string]string{"kind": "noc_retransmit"}, 3},
+		{"xmtfft_faults_total", map[string]string{"kind": "ecc_corrected"}, 4},
+		{"xmtfft_faults_total", map[string]string{"kind": "ecc_uncorrectable"}, 0},
+		{"xmtfft_faults_total", map[string]string{"kind": "silent"}, 6},
+		{"xmtfft_util_fpu", nil, 0.75},
+		{"xmtfft_util_lsu", nil, 0.5},
+		{"xmtfft_util_dram", nil, 0.984375},
+		{"xmtfft_cache_hit_rate", nil, 0.9},
+		{"xmtfft_outstanding_threads", nil, 17},
+		{"xmtfft_sample_cycle", nil, 4096},
+		{"xmtfft_epoch_noc_packets", nil, 123},
+	}
+	for _, c := range checks {
+		if got, ok := exp.Value(c.name, c.labels); !ok || got != c.want {
+			t.Errorf("%s%v = %g (present=%v), want %g", c.name, c.labels, got, ok, c.want)
+		}
+	}
+	var samples int
+	for _, f := range exp.Families {
+		samples += len(f.Samples)
+	}
+	if samples != len(checks) {
+		t.Errorf("exposition has %d samples, want exactly the %d checked", samples, len(checks))
 	}
 }
