@@ -210,7 +210,6 @@ func main() {
 				slog.Warn("metrics snapshot failed", "err", err)
 			})
 		}
-		obs.SetWork(1, 0)
 		obs.Watch(m)
 		defer obs.Close()
 	}
@@ -260,6 +259,9 @@ func main() {
 			fatal(err)
 		}
 	}
+	if obs != nil && *coarse {
+		obs.SetWork(1, 0)
+	}
 	pmPath := "xmtfft.postmortem.ckpt"
 	if *checkpointPath != "" {
 		pmPath = *checkpointPath + ".postmortem"
@@ -302,6 +304,9 @@ func main() {
 			}
 			return nil
 		}}
+		if obs != nil {
+			ctl.AfterPhase = countPhases(obs, meta.TotalPhases, meta.PhasesDone, ctl.AfterPhase)
+		}
 		if resumed != nil {
 			ctl.Resume = resumed.Workload
 		}
@@ -313,7 +318,9 @@ func main() {
 	}
 	if obs != nil {
 		m.FlushLiveMetrics()
-		obs.AddWork(1)
+		if *coarse {
+			obs.AddWork(1)
+		}
 	}
 	util := m.UtilizationSince(before)
 	cycles := run.TotalCycles()
@@ -383,6 +390,18 @@ func main() {
 // or JSON per -log-json) and exits with status 1. Usage errors keep
 // plain stderr output (usageError) because they can occur before the
 // logger is configured.
+// countPhases makes every phase of a detailed run one work unit of obs,
+// so /progress counts phases and estimates the time left from them: it
+// declares total phases, done of them already complete (a resumed run),
+// and returns after behind a step that completes one unit per phase.
+func countPhases(obs *harness.Obs, total, done int, after func(int, *stats.Run) error) func(int, *stats.Run) error {
+	obs.SetWork(total, done)
+	return func(d int, partial *stats.Run) error {
+		obs.AddWork(1)
+		return after(d, partial)
+	}
+}
+
 func fatal(err error) {
 	slog.Error("xmtfft failed", "err", err)
 	os.Exit(1)

@@ -10,6 +10,7 @@ package ckpt
 
 import (
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -281,4 +282,95 @@ func wantPhases(t *testing.T) (int, error) {
 		t.Fatal(err)
 	}
 	return tr.NumPhases()
+}
+
+// TestResumeTimestampStamps resumes a checkpoint whose cache stamps are
+// running timestamps, as the memory system wrote them before it kept
+// each set's LRU order in one byte: captured mid-FFT on 4k at 64 TCUs
+// at 16³, where sets evict dirty lines, with every stamp rewritten to a
+// large per-module tick in the same order, it must finish
+// bit-identically to an uninterrupted run.
+func TestResumeTimestampStamps(t *testing.T) {
+	const n, stopAt = 16, 4
+	cfg, err := config.FourK().Scaled(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*xmt.Machine, *core.Transform) {
+		m, err := xmt.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := core.New3D(m, n, n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tr.Data {
+			tr.Data[i] = complex(float32(i%17)-8, float32(i%11)-5)
+		}
+		return m, tr
+	}
+	m, tr := build()
+	run, err := tr.Run(fft.Forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := result(m, tr, run)
+	if ref.counters.CacheMisses == 0 || m.Memory().Writebacks() == 0 {
+		t.Fatal("the reference run evicts no dirty line")
+	}
+
+	m, tr = build()
+	meta := Meta{Config: cfg, DimCount: 3, Dims: [3]int{n, n, n}, Dir: int(fft.Forward)}
+	var c *Checkpoint
+	_, err = tr.RunCheckpointed(fft.Forward, core.RunControl{
+		AfterPhase: func(done int, partial *stats.Run) error {
+			if done != stopAt {
+				return nil
+			}
+			meta.PhasesDone = done
+			var cerr error
+			if c, cerr = Capture(m, tr, meta, tr.ResumeSnapshot(fft.Forward, done, *partial)); cerr != nil {
+				return cerr
+			}
+			return errStop
+		},
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("checkpointed run stopped with %v, want errStop", err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := range c.Machine.Memory.Modules {
+		ms := &c.Machine.Memory.Modules[i]
+		tick := uint64(1 + rng.Intn(1000))
+		for k := 0; k < len(ms.Lines); k += 4 {
+			// Stamps 1-4 become distinct ticks in the same order, each set
+			// at its own offset, as a running tick leaves them.
+			base := tick
+			for w := k; w < k+4; w++ {
+				if ms.Lines[w].Valid {
+					ms.Lines[w].Used = base + 7*ms.Lines[w].Used
+					tick = max(tick, ms.Lines[w].Used)
+				}
+			}
+			tick += uint64(rng.Intn(50))
+		}
+		ms.UseTick = tick
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := Write(path, c); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = Read(path); err != nil {
+		t.Fatal(err)
+	}
+	m2, tr2, err := c.Restore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err = tr2.RunCheckpointed(fft.Forward, core.RunControl{Resume: c.Workload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRuns(t, "timestamp stamps", ref, result(m2, tr2, run))
 }

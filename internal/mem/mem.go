@@ -15,7 +15,10 @@
 //     configuration), bounding off-chip bandwidth;
 //   - dirty evictions consume writeback bandwidth.
 //
-// The machine's coordinator is the only caller, so nothing here locks.
+// Each module's cache slice is 4-way set associative with exact LRU
+// replacement, kept compact for the host: one word per way and one byte
+// of LRU order per set. The machine's coordinator is the only caller,
+// so nothing here locks.
 package mem
 
 import (
@@ -94,15 +97,49 @@ type AccessResult struct {
 	Fault  Fault  // DRAM bit-error outcome (FaultNone unless injecting)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
 // ways is the cache slices' associativity.
 const ways = 4
+
+// A cache way is one word: the cached line's tag plus one, shifted left
+// by one, with the dirty bit in bit 0. Zero is an invalid way, so a
+// cleared slice is an empty cache and a tag check is one compare. A set
+// is four words, 32 bytes.
+const dirtyBit = 1
+
+// wayOf returns the way word of a clean copy of line tag.
+func wayOf(tag uint64) uint64 { return (tag + 1) << 1 }
+
+// tagOf returns the tag of the line a valid way holds.
+func tagOf(w uint64) uint64 { return w>>1 - 1 }
+
+// Each set keeps its exact LRU order in one byte: four 2-bit way
+// numbers, the most recently used in bits 0-1 and the least recently
+// used in bits 6-7. Touching a way moves it to the front through
+// toFront, a 256×4 table computed once. A fill evicts the least
+// recently used way. Invalid ways are never touched, so they stay
+// behind every valid way, and an empty set lists ways 1, 2, 3 and 0
+// from the back: fills take the invalid ways in that order, the choice
+// of the timestamp scan this layout replaced (the first invalid way
+// among ways 1-3, else way 0 if invalid, else the oldest stamp).
+const lruEmpty = 0<<0 | 3<<2 | 2<<4 | 1<<6
+
+var toFront [256][ways]uint8
+
+func init() {
+	for o := range toFront {
+		for w := range ways {
+			rest := uint8(w)
+			k := 1
+			for i := 0; i < ways && k < ways; i++ {
+				if v := uint8(o >> (2 * i) & 3); v != uint8(w) {
+					rest |= v << (2 * k)
+					k++
+				}
+			}
+			toFront[o][w] = rest
+		}
+	}
+}
 
 // channel is one DRAM channel: a bandwidth port plus an open-row
 // register modeling the row buffer. Statistics live here (not on the
@@ -140,10 +177,10 @@ func (ch *channel) transfer(t uint64, addr uint64) (uint64, uint64) {
 // port, with its own hit/miss/queueing statistics.
 type module struct {
 	port    sim.Port
-	lines   []line // set-major: set s is lines[s*ways : (s+1)*ways]
+	ways    []uint64 // set-major: set s is ways[s*ways : (s+1)*ways]
+	lru     []uint8  // each set's LRU order
 	setMask uint64
 	channel *channel // shared DRAM channel
-	useTick uint64
 
 	hits       uint64
 	misses     uint64
@@ -160,9 +197,34 @@ type module struct {
 	silentFaults uint64
 }
 
-// set returns the ways of the cache set that holds tag.
-func (m *module) set(tag uint64) *[ways]line {
-	return (*[ways]line)(m.lines[(tag&m.setMask)*ways:])
+// set returns the index and the ways of the cache set that holds tag.
+func (m *module) set(tag uint64) (uint64, *[ways]uint64) {
+	si := tag & m.setMask
+	return si, (*[ways]uint64)(m.ways[si*ways:])
+}
+
+// touch makes way w the most recently used of set si.
+func (m *module) touch(si uint64, w int) {
+	m.lru[si] = toFront[m.lru[si]][w]
+}
+
+// fill loads line tag into the least recently used way of set si,
+// writing a dirty victim back on the channel from cycle t, and makes
+// the way the most recently used. It returns the way.
+func (m *module) fill(si uint64, set *[ways]uint64, tag, t uint64, write bool) *uint64 {
+	v := int(m.lru[si] >> 6)
+	if old := set[v]; old&dirtyBit != 0 {
+		// Writeback occupies the channel but the fetch need not wait for
+		// its completion beyond channel serialization.
+		m.channel.transfer(t, tagOf(old)*config.CacheLineBytes)
+		m.writebacks++
+	}
+	set[v] = wayOf(tag)
+	if write {
+		set[v] |= dirtyBit
+	}
+	m.touch(si, v)
+	return &set[v]
 }
 
 // System is the whole memory system for one machine configuration.
@@ -170,7 +232,8 @@ type System struct {
 	cfg      config.Config
 	modules  []module
 	channels []channel
-	lines    []line // every module's cache lines, module-major
+	ways     []uint64 // every module's cache ways, module-major
+	lru      []uint8  // every module's set orders, module-major
 
 	// Prefetch enables a next-line prefetcher in each memory module
 	// (§II-A lists prefetching among XMT's performance enhancements): a
@@ -180,14 +243,14 @@ type System struct {
 	// the analytic model; the prefetch ablation turns it on.
 	Prefetch bool
 
-	// follow describes the latest Access or Repeat for Repeat: its
-	// module, the way that now holds its line, and its queue delay. It
-	// is scratch, not state: a follower never crosses a checkpoint,
-	// which is taken between spawns.
+	// follow describes the latest Access for RepeatN: its module, the
+	// way that now holds its line, and its queue delay. It is scratch,
+	// not state: a follower never crosses a checkpoint, which is taken
+	// between spawns.
 	follow struct {
 		mi    int
 		m     *module
-		way   *line
+		way   *uint64
 		delay uint64
 	}
 
@@ -208,7 +271,7 @@ func NewSystem(cfg config.Config) (*System, error) {
 	perModule := config.CacheBytesPerModule / config.CacheLineBytes
 	sets := perModule / ways
 	if sets < 2 || sets&(sets-1) != 0 {
-		// Repeat relies on two sets at least: a prefetch fills the next
+		// RepeatN relies on two sets at least: a prefetch fills the next
 		// line, which then lies in another set than the demand line.
 		return nil, fmt.Errorf("mem: cache geometry gives %d sets; want a power of two of at least 2", sets)
 	}
@@ -218,14 +281,17 @@ func NewSystem(cfg config.Config) (*System, error) {
 		s.channels[i].port.Width = 1
 	}
 	s.modules = make([]module, cfg.MemModules)
-	s.lines = make([]line, cfg.MemModules*perModule)
+	s.ways = make([]uint64, cfg.MemModules*perModule)
+	s.lru = make([]uint8, cfg.MemModules*sets)
 	for i := range s.modules {
 		s.modules[i] = module{
-			lines:   s.lines[i*perModule : (i+1)*perModule],
+			ways:    s.ways[i*perModule : (i+1)*perModule],
+			lru:     s.lru[i*sets : (i+1)*sets],
 			setMask: uint64(sets - 1),
 			channel: &s.channels[i/cfg.MMsPerDRAMCtrl],
 		}
 	}
+	s.Invalidate()
 	return s, nil
 }
 
@@ -252,28 +318,27 @@ func (s *System) Access(t uint64, mi int, addr uint64, write bool) AccessResult 
 	return res
 }
 
-// Repeat serves a follower: a word access to the line of the latest
-// Access or Repeat, arriving one cycle after it, with no other access
+// RepeatN serves k >= 1 followers: word accesses to the line of the
+// latest Access, arriving on the k cycles after it, with no other access
 // in between. The module port is width 1, so after the latest access
-// took slot g the follower takes g+1 and queues exactly as long. It
-// hits the way the latest access left the line in: a hit restamped that
-// way, a miss filled it, and a prefetch the miss triggered filled the
-// next line, which lies in another set. So Repeat grants the next port
-// slot, adds the same queue delay, restamps the way and ORs in the
-// dirty bit, counting a hit, in O(1): no hash and no tag search. A hit
-// draws no fault.
-func (s *System) Repeat(write bool) AccessResult {
+// took slot g the followers take g+1 .. g+k and each queues exactly as
+// long. They hit the way the latest access left the line in: a hit
+// found it there, a miss filled it, and a prefetch the miss triggered
+// filled the next line, which lies in another set. That way is already
+// the set's most recently used, so RepeatN grants the next k port
+// slots, adds k times the queue delay and ORs in the dirty bit, counting
+// k hits, in O(1): no hash, no tag search and no LRU update. A hit draws
+// no fault. It returns the last follower's result.
+func (s *System) RepeatN(k uint64, write bool) AccessResult {
 	f := &s.follow
 	m := f.m
-	grant := m.port.GrantNext()
-	m.queueDelay += f.delay
-	m.useTick++
-	f.way.used = m.useTick
+	last := m.port.GrantNext(k)
+	m.queueDelay += k * f.delay
 	if write {
-		f.way.dirty = true
+		*f.way |= dirtyBit
 	}
-	m.hits++
-	return AccessResult{Done: grant + CacheHitLatency, Hit: true, Module: f.mi}
+	m.hits += k
+	return AccessResult{Done: last + CacheHitLatency, Hit: true, Module: f.mi}
 }
 
 func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (AccessResult, uint64) {
@@ -281,44 +346,30 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 
 	grant := m.port.Grant(t)
 	m.queueDelay += grant - t
+	s.follow.mi, s.follow.m, s.follow.delay = mi, m, grant-t
 
 	tag := addr / config.CacheLineBytes
-	set := m.set(tag)
-	m.useTick++
+	si, set := m.set(tag)
 
 	// Hit path.
+	key := wayOf(tag)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = m.useTick
+		if set[i]&^dirtyBit == key {
 			if write {
-				set[i].dirty = true
+				set[i] |= dirtyBit
 			}
+			m.touch(si, i)
 			m.hits++
-			s.follow.mi, s.follow.m, s.follow.way, s.follow.delay = mi, m, &set[i], grant-t
+			s.follow.way = &set[i]
 			return AccessResult{Done: grant + CacheHitLatency, Hit: true, Module: mi}, 0
 		}
 	}
 
-	// Miss: choose LRU victim, write back if dirty, fetch the line.
+	// Miss: evict the victim (writing it back if dirty) and fetch the
+	// line after the tag check.
 	m.misses++
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-	start := grant + CacheHitLatency // tag check before channel request
-	if set[victim].valid && set[victim].dirty {
-		// Writeback occupies the channel but the demand fetch need not
-		// wait for its completion beyond channel serialization.
-		victimAddr := set[victim].tag * config.CacheLineBytes
-		m.channel.transfer(start, victimAddr)
-		m.writebacks++
-	}
+	start := grant + CacheHitLatency
+	s.follow.way = m.fill(si, set, tag, start, write)
 	fetch, activate := m.channel.transfer(start, addr)
 	done := fetch + lineTransferCycles + DRAMAccessLatency + activate
 
@@ -349,10 +400,6 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 			}
 		}
 	}
-
-	set[victim] = line{tag: tag, valid: true, dirty: write, used: m.useTick}
-	s.follow.mi, s.follow.m, s.follow.way, s.follow.delay = mi, m, &set[victim], grant-t
-
 	return AccessResult{Done: done, Hit: false, Module: mi, Fault: fv}, start
 }
 
@@ -364,31 +411,16 @@ func (s *System) accessModule(mi int, t uint64, addr uint64, write bool) (Access
 func (s *System) prefetchInto(mi int, t uint64, addr uint64) {
 	m := &s.modules[mi]
 	tag := addr / config.CacheLineBytes
-	set := m.set(tag)
+	si, set := m.set(tag)
+	key := wayOf(tag)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i]&^dirtyBit == key {
 			return // already resident
 		}
 	}
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-	if set[victim].valid && set[victim].dirty {
-		victimAddr := set[victim].tag * config.CacheLineBytes
-		m.channel.transfer(t, victimAddr)
-		m.writebacks++
-	}
+	m.fill(si, set, tag, t, false)
 	m.channel.transfer(t, addr)
 	m.prefetches++
-	m.useTick++
-	set[victim] = line{tag: tag, valid: true, used: m.useTick}
 }
 
 // EnableFaults arms DRAM bit-error injection: every demand line fetch
@@ -433,10 +465,9 @@ func (s *System) Flush() int {
 	n := 0
 	for i := range s.modules {
 		m := &s.modules[i]
-		for li := range m.lines {
-			l := &m.lines[li]
-			if l.valid && l.dirty {
-				l.dirty = false
+		for k := range m.ways {
+			if m.ways[k]&dirtyBit != 0 {
+				m.ways[k] &^= dirtyBit
 				n++
 				m.writebacks++
 				m.channel.Bytes += config.CacheLineBytes
@@ -446,9 +477,14 @@ func (s *System) Flush() int {
 	return n
 }
 
-// Invalidate drops all cached lines without writeback (test helper for
-// constructing cold-cache scenarios).
-func (s *System) Invalidate() { clear(s.lines) }
+// Invalidate drops all cached lines without writeback, leaving the
+// cache as NewSystem builds it (tests use it for cold-cache scenarios).
+func (s *System) Invalidate() {
+	clear(s.ways)
+	for i := range s.lru {
+		s.lru[i] = lruEmpty
+	}
+}
 
 // Aggregate statistics, summed over modules/channels on demand. Reading
 // them concurrently with shard execution is a race; call only from

@@ -418,14 +418,14 @@ func TestAccessInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestRepeatMatchesAccess is Repeat's oracle. From random cache, port
+// TestRepeatMatchesAccess is RepeatN's oracle. From random cache, port
 // and channel states, with the prefetcher on or off and DRAM faults
-// armed or not, Access(t) followed by k Repeats (k in 1..7, random
-// write bits) returns the same results and leaves the same CaptureState
-// as k+1 plain accesses to words of the same line at t, t+1, …, t+k.
-// The warm-up crowds the line's own set in its module, so the leader
-// hits or misses, on clean or dirty victims, with or without a
-// prefetch landing in the same module.
+// armed or not, Access(t) followed by RepeatN(k) (k in 1..15, a load or
+// a store run) leaves the same CaptureState as k+1 plain accesses to
+// words of the same line at t, t+1, …, t+k, and returns the first and
+// the last of their results. The warm-up crowds the line's own set in
+// its module, so the leader hits or misses, on clean or dirty victims,
+// with or without a prefetch landing in the same module.
 func TestRepeatMatchesAccess(t *testing.T) {
 	// 8 modules, as in smallCfg, and 1: consecutive lines never share a
 	// module when there are four or more, so only the one-module machine
@@ -449,7 +449,7 @@ func TestRepeatMatchesAccess(t *testing.T) {
 		}
 		return s
 	}
-	f := func(seed int64, one, prefetch, faults, ecc bool, k, writes uint8) bool {
+	f := func(seed int64, one, prefetch, faults, ecc, write bool, k uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := cfgs[0]
 		if one {
@@ -459,7 +459,7 @@ func TestRepeatMatchesAccess(t *testing.T) {
 		line := uint64(rng.Intn(1 << 16))
 		addr := line * config.CacheLineBytes
 		mi := HashAddress(addr, a.Modules())
-		sets := uint64(len(a.modules[mi].lines) / ways)
+		sets := uint64(len(a.modules[mi].ways) / ways)
 		// Warm up on lines of the same module and set, and some others.
 		at := uint64(0)
 		for i := 0; i < 40; i++ {
@@ -481,20 +481,22 @@ func TestRepeatMatchesAccess(t *testing.T) {
 		if err := b.RestoreState(st); err != nil {
 			t.Fatal(err)
 		}
-		n := int(k%7) + 1
-		for i := 0; i <= n; i++ {
-			w := writes>>i&1 == 1
-			word := addr + uint64(rng.Intn(config.CacheLineBytes/4))*4
-			var got AccessResult
-			if i == 0 {
-				got = a.Access(at, mi, word, w)
-			} else {
-				got = a.Repeat(w)
-			}
-			if want := b.Access(at+uint64(i), mi, word, w); got != want {
-				t.Logf("access %d of %d to line %#x at %d: Repeat %+v, Access %+v", i, n, line, at, got, want)
-				return false
-			}
+		n := uint64(k%15) + 1
+		word := func() uint64 { return addr + uint64(rng.Intn(config.CacheLineBytes/4))*4 }
+		w0 := word()
+		lead := a.Access(at, mi, w0, write)
+		last := a.RepeatN(n, write)
+		if want := b.Access(at, mi, w0, write); lead != want {
+			t.Logf("leader to line %#x at %d: Access %+v, want %+v", line, at, lead, want)
+			return false
+		}
+		var want AccessResult
+		for i := uint64(1); i <= n; i++ {
+			want = b.Access(at+i, mi, word(), write)
+		}
+		if last != want {
+			t.Logf("%d followers to line %#x at %d: RepeatN %+v, last Access %+v", n, line, at, last, want)
+			return false
 		}
 		if !reflect.DeepEqual(a.CaptureState(), b.CaptureState()) {
 			t.Logf("line %#x: states differ after %d followers", line, n)
@@ -530,12 +532,12 @@ func BenchmarkSystemAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkSystemAccessPairs reads BenchmarkSystemAccess's stream as
-// same-line word pairs (a, a+4), the second arriving one cycle after the
-// first: the shape of a follower. The general path serves both words
-// through Access, the repeat path serves the second through Repeat. One
-// op is one pair.
-func BenchmarkSystemAccessPairs(b *testing.B) {
+// BenchmarkSystemAccessRuns reads BenchmarkSystemAccess's stream as
+// runs of four same-line words (a, a+4, a+8, a+12) on consecutive
+// cycles, the shape of a same-line run. The general path serves every
+// word through Access, the repeat path serves the last three through
+// RepeatN. One op is one run.
+func BenchmarkSystemAccessRuns(b *testing.B) {
 	cfg, err := config.SixtyFourK().Scaled(1024)
 	if err != nil {
 		b.Fatal(err)
@@ -556,12 +558,14 @@ func BenchmarkSystemAccessPairs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				addr = addr*6364136223846793005 + 1442695040888963407
-				t, a, w := uint64(i)*2, addr>>40%span&^7, addr&1 == 0
+				t, a, w := uint64(i)*4, addr>>40%span&^15, addr&1 == 0
 				access(s, t, a, w)
 				if repeat {
-					s.Repeat(w)
+					s.RepeatN(3, w)
 				} else {
-					access(s, t+1, a+4, w)
+					for k := uint64(1); k < 4; k++ {
+						access(s, t+k, a+4*k, w)
+					}
 				}
 			}
 		})

@@ -6,6 +6,13 @@ package mem
 // row-buffer state, all statistics counters, and the per-module fault
 // stream positions. Geometry (set count, associativity, channel wiring)
 // is configuration, rebuilt by NewSystem on restore, not state.
+//
+// The format predates the one-byte LRU orders: it gives every line a
+// last-use stamp, and the least recently used valid way of a set is the
+// one with the smallest stamp, the lowest-numbered among equals.
+// CaptureState writes stamps 1-4 in each set's LRU order and RestoreState
+// rebuilds the orders from any stamps, so checkpoints written with
+// running timestamps resume with the same evictions.
 
 import (
 	"fmt"
@@ -13,7 +20,8 @@ import (
 	"xmtfft/internal/sim"
 )
 
-// LineState is one cache line's serializable state.
+// LineState is one cache way's serializable state. Used orders the
+// valid ways of a set by last use (larger is more recent).
 type LineState struct {
 	Tag   uint64
 	Valid bool
@@ -24,8 +32,10 @@ type LineState struct {
 // ModuleState is one memory module's serializable state. Lines is
 // flattened set-major (set 0's ways first).
 type ModuleState struct {
-	Port    sim.PortState
-	Lines   []LineState
+	Port  sim.PortState
+	Lines []LineState
+	// UseTick is at least every Used stamp in Lines: the next stamp a
+	// timestamp LRU would issue is UseTick+1.
 	UseTick uint64
 
 	Hits       uint64
@@ -73,7 +83,7 @@ func (s *System) CaptureState() SystemState {
 		m := &s.modules[i]
 		ms := ModuleState{
 			Port:         m.port.State(),
-			UseTick:      m.useTick,
+			UseTick:      ways,
 			Hits:         m.hits,
 			Misses:       m.misses,
 			Writebacks:   m.writebacks,
@@ -86,9 +96,16 @@ func (s *System) CaptureState() SystemState {
 		if m.faultStream != nil {
 			ms.FaultStream = m.faultStream.State()
 		}
-		ms.Lines = make([]LineState, len(m.lines))
-		for k, l := range m.lines {
-			ms.Lines[k] = LineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, Used: l.used}
+		ms.Lines = make([]LineState, len(m.ways))
+		for si, o := range m.lru {
+			for p := range ways {
+				w := int(o >> (2 * p) & 3)
+				k := si*ways + w
+				if v := m.ways[k]; v != 0 {
+					ms.Lines[k] = LineState{Tag: tagOf(v), Valid: true,
+						Dirty: v&dirtyBit != 0, Used: uint64(ways - p)}
+				}
+			}
 		}
 		st.Modules[i] = ms
 	}
@@ -120,7 +137,7 @@ func (s *System) RestoreState(st SystemState) error {
 		return fmt.Errorf("mem: restore fault-injection mismatch (checkpoint faulted=%v, system faulted=%v); arm EnableFaults with the captured plan before restoring", st.Faulted, s.faulted)
 	}
 	for i := range s.modules {
-		if got, want := len(st.Modules[i].Lines), len(s.modules[i].lines); got != want {
+		if got, want := len(st.Modules[i].Lines), len(s.modules[i].ways); got != want {
 			return fmt.Errorf("mem: restore module %d with %d lines, geometry has %d", i, got, want)
 		}
 	}
@@ -128,7 +145,6 @@ func (s *System) RestoreState(st SystemState) error {
 		m := &s.modules[i]
 		ms := &st.Modules[i]
 		m.port.RestoreState(ms.Port)
-		m.useTick = ms.UseTick
 		m.hits, m.misses, m.writebacks = ms.Hits, ms.Misses, ms.Writebacks
 		m.queueDelay, m.prefetches = ms.QueueDelay, ms.Prefetches
 		m.eccCorrected, m.eccUncorrect, m.silentFaults = ms.ECCCorrected, ms.ECCUncorrect, ms.SilentFaults
@@ -136,7 +152,16 @@ func (s *System) RestoreState(st SystemState) error {
 			m.faultStream.SetState(ms.FaultStream)
 		}
 		for k, l := range ms.Lines {
-			m.lines[k] = line{tag: l.Tag, valid: l.Valid, dirty: l.Dirty, used: l.Used}
+			m.ways[k] = 0
+			if l.Valid {
+				m.ways[k] = wayOf(l.Tag)
+				if l.Dirty {
+					m.ways[k] |= dirtyBit
+				}
+			}
+		}
+		for si := range m.lru {
+			m.lru[si] = lruOrder((*[ways]LineState)(ms.Lines[si*ways:]))
 		}
 	}
 	for i := range s.channels {
@@ -148,4 +173,36 @@ func (s *System) RestoreState(st SystemState) error {
 	}
 	s.Prefetch = st.Prefetch
 	return nil
+}
+
+// lruOrder returns the LRU order byte of a set whose ways carry the
+// given stamps: the valid ways by descending stamp, the higher-numbered
+// first among equals, so the least recently used is the lowest-numbered
+// way with the smallest stamp; then the invalid ways in an empty set's
+// order, so fills take them first, in the timestamp scan's order.
+func lruOrder(set *[ways]LineState) uint8 {
+	var by [ways]int // way numbers, most recently used first
+	n := 0
+	for w := range ways {
+		if !set[w].Valid {
+			continue
+		}
+		p := n
+		for ; p > 0 && set[by[p-1]].Used <= set[w].Used; p-- {
+			by[p] = by[p-1]
+		}
+		by[p] = w
+		n++
+	}
+	for p := range ways {
+		if w := int(lruEmpty >> (2 * p) & 3); !set[w].Valid {
+			by[n] = w
+			n++
+		}
+	}
+	var o uint8
+	for p, w := range by {
+		o |= uint8(w) << (2 * p)
+	}
+	return o
 }

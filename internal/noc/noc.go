@@ -14,10 +14,11 @@
 //     the bottleneck of the largest configurations (§VI-B observations
 //     (b) and (c)).
 //
-// The switch-level Hybrid model is used by the detailed event simulator;
-// the closed-form blocking recurrence (ButterflyThroughput) is used by
-// the analytic projection model, and the two are cross-validated in
-// tests.
+// The switch-level Hybrid model is used by the detailed event simulator,
+// which times the words of a same-line run after the first with one
+// closed form (Network.RepeatN); the closed-form blocking recurrence
+// (ButterflyThroughput) is used by the analytic projection model, and
+// the two are cross-validated in tests.
 package noc
 
 import (
@@ -34,21 +35,21 @@ const baseLatency = 4
 
 // Network times packet traversals from cluster src to memory module dst.
 // It is the single source of truth for packet accounting: every request
-// (Traverse, Repeat) and every load reply (AddReplies) counts in
+// (Traverse, RepeatN) and every load reply (AddReplies) counts in
 // Packets, so consumers snapshot Packets() instead of keeping parallel
 // tallies.
 type Network interface {
 	// Traverse returns the arrival cycle at dst for a packet injected at
 	// cycle t. Implementations record contention internally.
 	Traverse(t uint64, src, dst int) uint64
-	// Repeat times a follower: a packet from the same src to the same
-	// dst as the latest Traverse or Repeat, injected one cycle after it,
+	// RepeatN sends k >= 1 followers: packets from the same src to the
+	// same dst as the latest Traverse, injected on the k cycles after it,
 	// with no packet sent in between. Every switch port is width 1, so
-	// after the latest packet took slot g at a port the follower takes
-	// g+1 there: it waits as long at every port and arrives one cycle
-	// later. Repeat returns that arrival without routing the packet
-	// again.
-	Repeat() uint64
+	// after the latest packet took slot g at a port the followers take
+	// g+1 .. g+k there: each waits as long at every port and arrives one
+	// cycle after the one before, which RepeatN accounts without routing
+	// the packets again.
+	RepeatN(k uint64)
 	// Latency returns the uncontended one-way traversal latency. It is
 	// also a load reply's: XMT's MoT reply trees are disjoint from the
 	// request trees (§II-B), so a reply leaving its module at cycle t
@@ -68,7 +69,6 @@ type Network interface {
 type MoT struct {
 	latency uint64
 	packets uint64
-	arrive  uint64 // the latest packet's arrival, for Repeat
 }
 
 // NewMoT builds a mesh-of-trees network for cfg using its MoTLevels.
@@ -80,17 +80,12 @@ func NewMoT(cfg config.Config) *MoT {
 // (src, dst) pair, so traversal is pure pipeline latency.
 func (m *MoT) Traverse(t uint64, src, dst int) uint64 {
 	m.packets++
-	m.arrive = t + m.latency
-	return m.arrive
+	return t + m.latency
 }
 
-// Repeat implements Network: a follower arrives one cycle after the
-// latest packet.
-func (m *MoT) Repeat() uint64 {
-	m.packets++
-	m.arrive++
-	return m.arrive
-}
+// RepeatN implements Network: the followers arrive on the k cycles
+// after the latest packet, with no contention to account.
+func (m *MoT) RepeatN(k uint64) { m.packets += k }
 
 // Latency implements Network.
 func (m *MoT) Latency() uint64 { return m.latency }
@@ -111,13 +106,12 @@ type Hybrid struct {
 	ports   int // a power of two, so ports-1 masks an endpoint into range
 	stages  [][]sim.Port
 	packets uint64
-	// route, blocked and arrive describe the latest packet for Repeat:
-	// its switch port at each butterfly level, the cycles it waited at
-	// them, and its arrival. They are scratch, not state: a follower
-	// never crosses a checkpoint, which is taken between spawns.
+	// route and blocked describe the latest packet for RepeatN: its
+	// switch port at each butterfly level and the cycles it waited at
+	// them. They are scratch, not state: a follower never crosses a
+	// checkpoint, which is taken between spawns.
 	route   []*sim.Port
 	blocked uint64
-	arrive  uint64
 	// Blocked accumulates cycles packets spent waiting at butterfly
 	// switches; exported for utilization reporting.
 	Blocked uint64
@@ -170,23 +164,21 @@ func (h *Hybrid) Traverse(t uint64, src, dst int) uint64 {
 	// Remaining (MoT + constant) latency, minus the cycles already spent
 	// stepping through butterfly levels. Every cycle past the
 	// uncontended latency was spent waiting at a switch.
-	h.arrive = now + h.latency - uint64(len(h.stages))
-	h.blocked = h.arrive - t - h.latency
+	arrive := now + h.latency - uint64(len(h.stages))
+	h.blocked = arrive - t - h.latency
 	h.Blocked += h.blocked
-	return h.arrive
+	return arrive
 }
 
-// Repeat implements Network: the follower takes the next slot at each
-// of the latest packet's switch ports, waits as long in total, and
-// arrives one cycle later.
-func (h *Hybrid) Repeat() uint64 {
-	h.packets++
+// RepeatN implements Network: the followers take the next k slots at
+// each of the latest packet's switch ports, and each waits as long in
+// total as the latest packet.
+func (h *Hybrid) RepeatN(k uint64) {
+	h.packets += k
 	for _, p := range h.route {
-		p.GrantNext()
+		p.GrantNext(k)
 	}
-	h.Blocked += h.blocked
-	h.arrive++
-	return h.arrive
+	h.Blocked += k * h.blocked
 }
 
 // Latency implements Network.

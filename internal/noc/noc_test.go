@@ -201,12 +201,13 @@ func TestNewHybridRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestRepeatMatchesTraverse is Repeat's oracle: from random switch
-// states, Traverse(t) followed by k Repeats (k in 1..7) leaves the same
-// switch ports, Blocked and packet count, and returns
-// the same arrivals, as Traverse(t), Traverse(t+1), …, Traverse(t+k) on
-// the same route. It covers the mesh-of-trees and hybrid networks with
-// 2, 3, 7 and 9 butterfly levels.
+// TestRepeatMatchesTraverse is RepeatN's oracle: from random switch
+// states, Traverse(t) followed by RepeatN(k) (k in 1..15) leaves the
+// same switch ports, Blocked and packet count as Traverse(t),
+// Traverse(t+1), …, Traverse(t+k) on the same route, whose arrivals
+// are the cycles after the first's, as RepeatN's contract says. It
+// covers the mesh-of-trees and hybrid networks with 2, 3, 7 and 9
+// butterfly levels.
 func TestRepeatMatchesTraverse(t *testing.T) {
 	var cfgs []config.Config
 	for _, tcus := range []int{0, 1024, 2048} {
@@ -250,16 +251,12 @@ func TestRepeatMatchesTraverse(t *testing.T) {
 			t.Fatal("restore failed")
 		}
 		from, to := int(src)%cfg.Clusters, int(dst)%cfg.MemModules
-		n := int(k%7) + 1
-		for i := 0; i <= n; i++ {
-			var got uint64
-			if i == 0 {
-				got = a.Traverse(at, from, to)
-			} else {
-				got = a.Repeat()
-			}
-			if want := b.Traverse(at+uint64(i), from, to); got != want {
-				t.Logf("%s packet %d of %d from %d to %d at %d: Repeat %d, Traverse %d", cfg.Name, i, n, from, to, at, got, want)
+		n := uint64(k%15) + 1
+		first := a.Traverse(at, from, to)
+		a.RepeatN(n)
+		for i := uint64(0); i <= n; i++ {
+			if got := b.Traverse(at+i, from, to); got != first+i {
+				t.Logf("%s: packet %d of %d from %d to %d at %d arrives at %d, want %d", cfg.Name, i, n, from, to, at, got, first+i)
 				return false
 			}
 		}
@@ -300,11 +297,11 @@ func BenchmarkHybridTraverse(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridRepeat times a same-line request pair on the
+// BenchmarkHybridRepeatN times a same-line run of four requests on the
 // BenchmarkHybridTraverse geometry and traffic: a leader Traverse at
-// cycle t and its follower one cycle later, sent as a second Traverse
-// (the general path) or as Repeat. One op is one pair.
-func BenchmarkHybridRepeat(b *testing.B) {
+// cycle t and three followers on the next cycles, sent as Traverses
+// (the general path) or as one RepeatN. One op is one run.
+func BenchmarkHybridRepeatN(b *testing.B) {
 	cfg, err := config.SixtyFourK().Scaled(1024)
 	if err != nil {
 		b.Fatal(err)
@@ -327,12 +324,14 @@ func BenchmarkHybridRepeat(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t, src, dst := uint64(i/ports)*2, i%ports, dsts[i%len(dsts)]
+				t, src, dst := uint64(i/ports)*4, i%ports, dsts[i%len(dsts)]
 				h.Traverse(t, src, dst)
 				if repeat {
-					h.Repeat()
+					h.RepeatN(3)
 				} else {
-					h.Traverse(t+1, src, dst)
+					for k := uint64(1); k < 4; k++ {
+						h.Traverse(t+k, src, dst)
+					}
 				}
 			}
 		})

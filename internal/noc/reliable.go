@@ -186,11 +186,11 @@ func (r *Reliable) Traverse(t uint64, src, dst int) uint64 {
 	return r.inner.Traverse(t, src, dst)
 }
 
-// Repeat implements Network: an unprotected follower on the inner
+// RepeatN implements Network: unprotected followers on the inner
 // network. The machine never sends followers under fault injection,
 // where every packet draws its own fate; like Traverse, this
 // passthrough exists to satisfy the interface.
-func (r *Reliable) Repeat() uint64 { return r.inner.Repeat() }
+func (r *Reliable) RepeatN(k uint64) { r.inner.RepeatN(k) }
 
 // Latency implements Network.
 func (r *Reliable) Latency() uint64 { return r.inner.Latency() }

@@ -14,7 +14,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 )
 
@@ -32,16 +31,14 @@ import (
 // goroutines does not pay: the coordinator's barrier work, which runs
 // serially either way, dominates the profile (DESIGN.md §7).
 //
-// Per-shard pending events live in a slab-backed calendar queue: per-
-// cycle FIFO bucket chains over a fixed horizon whose records live in
-// one reusable flat slab (plus a min-heap overflow for far-future
-// events). Scheduling and popping are O(1), allocation-free in steady
-// state, and touch only two small contiguous arrays — the design exists
-// because the previous ring of 2048 independent []evRec slices put a
-// cache miss on nearly every push (it was the single hottest function
-// in the engine profile). A one-bit-per-bucket occupancy map finds the
-// next non-empty bucket a word (64 cycles) at a time, so the idle
-// cycles of a DRAM round trip cost no per-cycle probe.
+// Per-shard pending events live in one binary min-heap keyed by (cycle,
+// push sequence), so events of one cycle fire in the order they were
+// scheduled. On the XMT machine a thread has one pending event (its
+// start or its next resume), or none while the coordinator serves its
+// loads, so a shard's heap stays about one record per TCU deep (at most
+// 32 on sim-64k-dram's machine): a few 32-byte records that stay in the
+// host's L1 cache, where an earlier per-cycle calendar ring of 2,048
+// buckets per shard missed on nearly every push (DESIGN.md §7).
 
 // Hook observes simulation-clock advances: the engine fires it once per
 // window with the window's bounds, after the window's events have
@@ -83,246 +80,94 @@ type Partition interface {
 	Lookahead() uint64
 }
 
-// horizonCycles is the bucket ring span. Events further out than this go
-// to the overflow heap; with DRAM round-trips around 130 cycles nearly
-// all traffic stays in the ring.
-const horizonCycles = 2048
-
-// occWords is the size of the bucket occupancy map, one bit per bucket.
-const occWords = horizonCycles / 64
-
-// nilIdx terminates a bucket chain.
-const nilIdx = int32(-1)
+// maxLookahead bounds the window width: the barrier merge keeps one
+// counter per cycle of a window, and window ends must not overflow.
+const maxLookahead = 1 << 16
 
 // noEvent is the cached next-event time of a shard with an empty queue.
 const noEvent = ^uint64(0)
 
-// slabRec is one bucketed event record in the shared slab. Bucketed
-// records carry no time (the bucket's cycle is the time) and no sequence
-// number (FIFO order is the chain order), so a record is 24 bytes
-// instead of the 40 the old per-bucket evRec cost.
-type slabRec struct {
-	a, b uint64
-	next int32 // next record in the same bucket chain, nilIdx at the tail
-	op   uint8
+// event is one pending shard event. key is the shard's push count
+// shifted left by 8 with the opcode in the low byte, so (time, key)
+// orders events by cycle and then by scheduling order in one 32-byte
+// record.
+type event struct {
+	time, key uint64
+	a, b      uint64
 }
 
-// evRec is one far-future event in the overflow heap, which does need
-// the absolute time and an insertion sequence for its (time, seq) order.
-type evRec struct {
-	time uint64
-	seq  uint64
-	op   uint8
-	a, b uint64
+// before reports whether e fires before f.
+func (e *event) before(f *event) bool {
+	return e.time < f.time || e.time == f.time && e.key < f.key
 }
 
-// bucketQueue is a slab-backed calendar queue: per-cycle FIFO bucket
-// chains over [base, base+horizon) plus a (time, seq) min-heap for
-// events beyond the horizon. The buckets themselves are flattened into
-// two parallel int32 arrays (head, tail) and all records share one
-// reusable slab with a LIFO freelist: pushing allocates nothing and
-// re-makes nothing, it links a recycled slab slot into a chain.
-//
-// Invariants (audited in slabqueue_test.go against a naive reference):
-//   - bit b of occ is set exactly when bucket b's chain is non-empty
-//     (head[b] >= 0).
-//   - base only moves forward; every queued event has time >= base, so
-//     each bucket holds events of exactly one cycle at a time and the
-//     membership test `t-base < horizonCycles` is safe even when base
-//     approaches the top of the uint64 range (t >= base makes the
-//     subtraction wrap-free).
-//   - scan <= the earliest bucketed cycle, so min scans never walk
-//     backwards and never alias a bucket from a later ring lap.
-//   - overflow times are >= base+horizon after every advanceBase, so
-//     promotions always complete before a same-cycle direct push can
-//     occur, preserving FIFO-within-cycle across the two structures.
-type bucketQueue struct {
-	head [horizonCycles]int32
-	tail [horizonCycles]int32
-	occ  [occWords]uint64 // bucket occupancy, bit b%64 of word b/64
-	recs []slabRec
-	free []int32
-
-	base     uint64 // all queued events have time >= base
-	scan     uint64 // first cycle possibly holding a bucketed event
-	count    int    // bucketed + overflow
-	bucketed int
-	overflow recHeap
-	seq      uint64 // overflow insertion order (heap tiebreak only)
+// eventHeap is a shard's pending events, a binary min-heap on (time,
+// key). Push and pop are O(log n) in the shard's pending count and
+// allocation-free once the slice has grown to the shard's peak.
+type eventHeap struct {
+	ev  []event
+	seq uint64 // pushes so far, the key's high 56 bits
 }
 
-// init readies the flattened bucket arrays (empty = nilIdx).
-func (q *bucketQueue) init() {
-	for i := range q.head {
-		q.head[i] = nilIdx
-		q.tail[i] = nilIdx
-	}
-}
-
-func (q *bucketQueue) push(t uint64, op uint8, a, b uint64) {
-	if t-q.base < horizonCycles {
-		q.pushBucket(t, op, a, b)
-	} else {
-		q.seq++
-		q.overflow.push(evRec{time: t, seq: q.seq, op: op, a: a, b: b})
-	}
-	q.count++
-}
-
-// pushBucket links a record into the bucket chain of cycle t, recycling
-// a freed slab slot when one exists.
-func (q *bucketQueue) pushBucket(t uint64, op uint8, a, b uint64) {
-	var idx int32
-	if n := len(q.free) - 1; n >= 0 {
-		idx = q.free[n]
-		q.free = q.free[:n]
-	} else {
-		idx = int32(len(q.recs))
-		q.recs = append(q.recs, slabRec{})
-	}
-	q.recs[idx] = slabRec{a: a, b: b, next: nilIdx, op: op}
-	bkt := t % horizonCycles
-	if tl := q.tail[bkt]; tl >= 0 {
-		q.recs[tl].next = idx
-	} else {
-		q.head[bkt] = idx
-		q.occ[bkt/64] |= 1 << (bkt % 64)
-		if t < q.scan {
-			q.scan = t
-		}
-	}
-	q.tail[bkt] = idx
-	q.bucketed++
-}
-
-// unlinkHead removes the head record of bucket b, which must be
-// non-empty, and recycles its slab slot. The chain link is read here,
-// so records the handler appended to the same cycle stay queued behind
-// it.
-func (q *bucketQueue) unlinkHead(b uint64) {
-	cur := q.head[b]
-	nxt := q.recs[cur].next
-	q.head[b] = nxt
-	if nxt < 0 {
-		q.tail[b] = nilIdx
-		q.occ[b/64] &^= 1 << (b % 64)
-	}
-	q.free = append(q.free, cur)
-	q.bucketed--
-	q.count--
-}
-
-// nextBucket returns the first cycle at or after c whose bucket is
-// non-empty; at least one bucket must be. It is the cycle-by-cycle walk
-// `for head[c%horizonCycles] < 0 { c++ }` read off the occupancy map a
-// word at a time, so it finds the same cycle.
-func (q *bucketQueue) nextBucket(c uint64) uint64 {
-	b := c % horizonCycles
-	if rest := q.occ[b/64] >> (b % 64); rest != 0 {
-		return c + uint64(bits.TrailingZeros64(rest))
-	}
-	c += 64 - b%64 // the cycle of bit 0 of the next word
-	for w := (b/64 + 1) % occWords; ; w = (w + 1) % occWords {
-		if word := q.occ[w]; word != 0 {
-			return c + uint64(bits.TrailingZeros64(word))
-		}
-		c += 64
-	}
-}
-
-// minTime returns the earliest queued event time, or noEvent when the
-// queue is empty. It advances the scan pointer past empty buckets as a
-// side effect (safe: scan only skips cycles proven empty).
-func (q *bucketQueue) minTime() uint64 {
-	best := noEvent
-	if q.bucketed > 0 {
-		q.scan = q.nextBucket(q.scan)
-		best = q.scan
-	}
-	if len(q.overflow) > 0 && q.overflow[0].time < best {
-		best = q.overflow[0].time
-	}
-	return best
-}
-
-// min returns the earliest queued event time; ok is false when empty.
-func (q *bucketQueue) min() (uint64, bool) {
-	if q.count == 0 {
-		return 0, false
-	}
-	return q.minTime(), true
-}
-
-// advanceBase moves the ring floor to t (all events below t must already
-// be executed) and promotes overflow events that now fit the horizon, in
-// (time, seq) order so FIFO-within-cycle is preserved.
-func (q *bucketQueue) advanceBase(t uint64) {
-	if t <= q.base {
-		return
-	}
-	q.base = t
-	if q.scan < t {
-		q.scan = t
-	}
-	// Overflow times are >= base (events below base are already
-	// executed), so the wrap-free membership test applies here too.
-	for len(q.overflow) > 0 && q.overflow[0].time-q.base < horizonCycles {
-		r := q.overflow.pop()
-		q.pushBucket(r.time, r.op, r.a, r.b)
-	}
-}
-
-// recHeap is a (time, seq) min-heap for overflow events.
-type recHeap []evRec
-
-func (h recHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *recHeap) push(r evRec) {
-	*h = append(*h, r)
-	s := *h
+func (h *eventHeap) push(t uint64, op uint8, a, b uint64) {
+	h.seq++
+	e := event{time: t, key: h.seq<<8 | uint64(op), a: a, b: b}
+	h.ev = append(h.ev, e)
+	s := h.ev
 	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		p := (i - 1) / 2
+		if !e.before(&s[p]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+		s[i] = s[p]
+		i = p
 	}
+	s[i] = e
 }
 
-func (h *recHeap) pop() evRec {
-	s := *h
+// pop removes and returns the earliest event; the heap must not be
+// empty.
+func (h *eventHeap) pop() event {
+	s := h.ev
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
+	last := s[n]
+	s = s[:n]
+	h.ev = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s.less(l, small) {
-			small = l
-		}
-		if r < n && s.less(r, small) {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
+	s[i] = last
 	return top
 }
 
-// Shard is one partition of simulation state: a clock, a calendar queue
-// of pending local events, and an outbox of messages for the next
+// min returns the earliest pending event time, or noEvent when the heap
+// is empty.
+func (h *eventHeap) min() uint64 {
+	if len(h.ev) == 0 {
+		return noEvent
+	}
+	return h.ev[0].time
+}
+
+// Shard is one partition of simulation state: a clock, a heap of
+// pending local events, and an outbox of messages for the next
 // barrier. During a window a shard is touched only by its own handler;
 // between windows only by the coordinator.
 type Shard struct {
@@ -330,12 +175,12 @@ type Shard struct {
 
 	handler ShardHandler
 	now     uint64
-	q       bucketQueue
+	q       eventHeap
 	out     []Message
 	// nextMin caches the earliest pending event time (noEvent when the
 	// queue is empty). At lowers it, runWindow recomputes it, and the
-	// engine's window loop reads it instead of rescanning bucket rings —
-	// the basis of the adaptive frontier jump and the idle-shard skip.
+	// engine's window loop reads it instead of visiting every heap — the
+	// basis of the adaptive frontier jump and the idle-shard skip.
 	nextMin uint64
 	// Processed counts events executed on this shard.
 	Processed uint64
@@ -345,7 +190,7 @@ type Shard struct {
 func (s *Shard) Now() uint64 { return s.now }
 
 // Pending reports the number of events queued on this shard.
-func (s *Shard) Pending() int { return s.q.count }
+func (s *Shard) Pending() int { return len(s.q.ev) }
 
 // At schedules a local event at the absolute cycle t. Scheduling in the
 // shard's past panics — inside a window that means before the event
@@ -375,39 +220,22 @@ func (s *Shard) Send(kind uint8, a, b, c, d uint64) {
 }
 
 // runWindow executes this shard's events with time in [start, end),
-// leaving the shard clock at end and the cached nextMin exact.
+// leaving the shard clock at end and the cached nextMin exact. An event
+// the handler schedules inside the window, even at the current cycle,
+// runs in this window after the events already queued for its cycle.
 func (s *Shard) runWindow(start, end uint64) {
 	q := &s.q
 	if s.now < start {
 		s.now = start
 	}
-	// start is the global minimum pending time, so no event precedes it
-	// and the ring floor may advance to it, promoting any overflow events
-	// that now fall within the horizon (which covers the whole window:
-	// window < horizon is checked at construction).
-	q.advanceBase(start)
-	for q.bucketed > 0 {
-		c := q.nextBucket(q.scan)
-		q.scan = c
-		if c >= end {
-			break
-		}
-		s.now = c
-		b := c % horizonCycles
-		// Walk the bucket chain; the handler may append same-cycle
-		// events, which link themselves behind the current record, so the
-		// record is unlinked only after the handler has run (and the slab
-		// may have been reallocated by a push — index it fresh).
-		for cur := q.head[b]; cur >= 0; cur = q.head[b] {
-			r := q.recs[cur]
-			s.Processed++
-			s.handler.Event(s, c, r.op, r.a, r.b)
-			q.unlinkHead(b)
-		}
+	for len(q.ev) > 0 && q.ev[0].time < end {
+		e := q.pop()
+		s.now = e.time
+		s.Processed++
+		s.handler.Event(s, e.time, uint8(e.key), e.a, e.b)
 	}
 	s.now = end
-	q.advanceBase(end)
-	s.nextMin = q.minTime()
+	s.nextMin = q.min()
 }
 
 // ParallelEngine advances a set of shards under conservative time
@@ -446,14 +274,13 @@ func NewParallelEngine(p Partition) *ParallelEngine {
 	if n <= 0 {
 		panic("sim: partition must have at least one shard")
 	}
-	if w == 0 || w >= horizonCycles {
-		panic("sim: lookahead window must be in [1, horizon)")
+	if w == 0 || w > maxLookahead {
+		panic(fmt.Sprintf("sim: lookahead window %d outside [1, %d]", w, maxLookahead))
 	}
 	e := &ParallelEngine{shards: make([]Shard, n), window: w, slot: make([]uint32, w+1)}
 	for i := range e.shards {
 		e.shards[i].ID = i
 		e.shards[i].nextMin = noEvent
-		e.shards[i].q.init()
 	}
 	return e
 }
@@ -488,7 +315,7 @@ func (e *ParallelEngine) Now() uint64 { return e.now }
 func (e *ParallelEngine) Pending() int {
 	n := 0
 	for i := range e.shards {
-		n += e.shards[i].q.count
+		n += e.shards[i].Pending()
 	}
 	return n
 }
@@ -511,8 +338,8 @@ func (e *ParallelEngine) minNext() (uint64, bool) {
 // read from the cached per-shard minima, so idle gaps are jumped in one
 // step instead of one lookahead at a time; and a shard with no event
 // before the window end is skipped without touching its queue (its
-// clock and ring floor catch up lazily on its next active window, which
-// runWindow tolerates). Jumps are safe because the lookahead condition
+// clock catches up lazily on its next active window, which runWindow
+// tolerates). Jumps are safe because the lookahead condition
 // bounds a window's width, not its spacing. The tests hold this loop to
 // a fixed-window reference driver that rescans and steps every shard.
 func (e *ParallelEngine) Run() uint64 {
@@ -572,7 +399,6 @@ func (e *ParallelEngine) AdvanceTo(t uint64) {
 		if e.shards[i].now < t {
 			e.shards[i].now = t
 		}
-		e.shards[i].q.advanceBase(t)
 	}
 	if t > e.now {
 		if e.hook != nil {

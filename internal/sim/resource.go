@@ -34,13 +34,14 @@ func (p *Port) Grant(t uint64) uint64 {
 	return p.reserve(t, 1)
 }
 
-// GrantNext reserves the port's next free slot and returns its cycle:
-// the grant of a request that arrives no later than that slot. On a
-// width-1 port the slot is the cycle after the latest grant, which is
-// where a request lands that arrives one cycle after the latest grantee
-// with nothing granted in between (a same-line follower's hop).
-func (p *Port) GrantNext() uint64 {
-	return p.reserve(0, 1)
+// GrantNext reserves the port's next n >= 1 free slots and returns the
+// cycle of the last: the grants of n requests that each arrive no later
+// than their slot. On a width-1 port they are the n cycles after the
+// latest grant, which is where n requests land that arrive on the n
+// cycles after the latest grantee with nothing granted in between (the
+// hops of a same-line run's followers).
+func (p *Port) GrantNext(n uint64) uint64 {
+	return p.GrantNLast(0, n)
 }
 
 // GrantN reserves the n earliest available slots at or after cycle t and

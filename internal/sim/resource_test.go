@@ -91,20 +91,22 @@ func TestPortMatchesPerSlotReference(t *testing.T) {
 	}
 }
 
-// TestPortGrantNext: GrantNext is Grant(t) for any t at or before the
-// next free slot, at widths 0-4 from any reachable state.
+// TestPortGrantNext: GrantNext(n) takes the slots of n Grant(t) calls
+// for any t at or before the next free slot and returns the last, at
+// widths 0-4 and n up to 40 from any reachable state.
 func TestPortGrantNext(t *testing.T) {
-	f := func(width uint8, nextFree uint32, used uint8, busy uint32, back uint16) bool {
+	f := func(width uint8, nextFree uint32, used uint8, busy uint32, back uint16, k uint8) bool {
 		w := uint64(width % 5)
 		st := PortState{NextFree: uint64(nextFree) + 1<<16, Busy: uint64(busy)}
 		if w > 1 {
 			st.Used = uint64(used) % w
 		}
+		n := uint64(k%40) + 1
 		ref := refPort{w: w, nextFree: st.NextFree, used: st.Used, busy: st.Busy}
-		want := ref.grant(st.NextFree - uint64(back))
+		_, want := ref.grantN(st.NextFree-uint64(back), n)
 		p := Port{Width: w}
 		p.RestoreState(st)
-		if g := p.GrantNext(); g != want || p.State() != ref.state() {
+		if g := p.GrantNext(n); g != want || p.State() != ref.state() {
 			t.Logf("w=%d from %+v: got %d %+v, want %d %+v", w, st, g, p.State(), want, ref.state())
 			return false
 		}

@@ -81,10 +81,6 @@ func (e *ParallelEngine) RestoreState(s ParallelEngineState) error {
 		sh := &e.shards[i]
 		sh.now = s.Shards[i].Now
 		sh.Processed = s.Shards[i].Processed
-		// Move the calendar-queue ring floor up to the restored clock so
-		// future At calls land in the right buckets; the queue is empty,
-		// so there is nothing to promote.
-		sh.q.advanceBase(sh.now)
 		sh.nextMin = noEvent
 	}
 	return nil

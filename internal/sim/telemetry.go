@@ -156,10 +156,10 @@ func (e *ParallelEngine) publishShards() {
 		delta := sh.Processed - e.telShardFlushed[i]
 		e.telShardFlushed[i] = sh.Processed
 		events += delta
-		pending += uint64(sh.q.count)
+		pending += uint64(sh.Pending())
 		st.Events.Add(delta)
 		st.Cycle.Store(sh.now)
-		st.Pending.Store(uint64(sh.q.count))
+		st.Pending.Store(uint64(sh.Pending()))
 	}
 	t.Events.Add(events)
 	t.Pending.Store(pending)

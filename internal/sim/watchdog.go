@@ -83,8 +83,8 @@ func (e *ParallelEngine) dumpState() string {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		fmt.Fprintf(&b, "  shard %d: now=%d processed=%d pending=%d outbox=%d",
-			sh.ID, sh.now, sh.Processed, sh.q.count, len(sh.out))
-		if t, ok := sh.q.min(); ok {
+			sh.ID, sh.now, sh.Processed, sh.Pending(), len(sh.out))
+		if t := sh.q.min(); t != noEvent {
 			fmt.Fprintf(&b, " next=%d", t)
 		}
 		b.WriteByte('\n')

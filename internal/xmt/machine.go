@@ -93,6 +93,16 @@ type Machine struct {
 	totalTh     int
 	nextTh      int
 	outstanding int
+	// runs is set for a spawn that folds same-line words into runs (see
+	// memReq): every untraced spawn without NoC fault injection. Traced
+	// spawns send every word on its own, so each has its own trace
+	// events, and so do NoC-fault spawns, where every packet draws its
+	// own fate. The closed forms that serve a run's followers give every
+	// simulated quantity per-word service gives, so runs change no result.
+	runs bool
+	// perWord turns run formation off for a test's per-word reference
+	// (export_test.go).
+	perWord bool
 
 	// retries holds escalated (give-up) memory requests awaiting their
 	// sopRetransmit events. Appended only by the coordinator between
@@ -286,6 +296,7 @@ func (m *Machine) Spawn(n int, prog Program) (SpawnResult, error) {
 	m.prog = prog
 	m.totalTh = n
 	m.nextTh = 0
+	m.runs = m.rec == nil && m.rnet == nil && !m.perWord
 	m.Counters.Spawns++
 	if m.rec != nil {
 		m.rec.Spawn(start, n, m.pendingLabel)

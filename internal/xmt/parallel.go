@@ -21,7 +21,8 @@ package xmt
 // The coordinator (the engine's barrier function) consumes each group
 // inline: it walks the requests in issue order, traverses the NoC,
 // performs the memory access and computes the reply arrival, then
-// schedules a single resume event on the requesting shard. An earlier
+// schedules a single resume event on the requesting shard. A request
+// may be a same-line run of words (see memReq). An earlier
 // design bounced every request through module-owner shards and every
 // reply through its own message, which tripled wall-clock purely on
 // message transport (1.86M messages for a run with 0.9M accesses). The
@@ -81,9 +82,14 @@ const (
 // coordinator at the barrier ending that same window, which then resets
 // every buffer — the engine's window/barrier alternation is the only
 // synchronization needed (the same contract retries uses, reversed).
+//
+// A request is a same-line run: the word at addr, issued at issue, and
+// follow more words of its cache line issued on the follow cycles after
+// it. Followers exist only when the machine forms runs (Machine.runs).
 type memReq struct {
-	addr  uint64
-	issue uint64
+	addr   uint64
+	issue  uint64
+	follow uint64
 }
 
 // shardTCU is one TCU's execution state on its owning shard.
@@ -216,31 +222,26 @@ func (m *Machine) onBarrier(msgs []sim.Message) {
 
 // serveRequest performs the coordinator side of one memory request —
 // NoC traversal, module access, counters, tracing — and hashes its
-// address once, for both. A follower (see follows) takes the closed
-// forms instead: the NoC's and the memory system's Repeat, which change
-// no simulated quantity. ok=false means the retransmit protocol gave
-// up; the request has been queued for an event-level retry on the
-// source shard and res is meaningless.
-func (m *Machine) serveRequest(sh *machineShard, r memReq, write bool, tcu int, follower bool) (mem.AccessResult, bool) {
-	var arrive uint64
-	var res mem.AccessResult
-	if follower {
-		arrive = m.network.Repeat()
-		res = m.memory.Repeat(write)
-	} else {
-		dst := mem.HashAddress(r.addr, m.cfg.MemModules)
-		var ok bool
-		if arrive, ok = m.traverse(r.issue, sh.id, dst); !ok {
-			// Give-up: schedule the event-level retry on the source
-			// shard, which re-issues the request with a fresh issue
-			// cycle.
-			at := max(arrive, m.eng.Now())
-			m.eng.Shard(sh.id).At(at, sopRetransmit, uint64(len(m.retries)), 0)
-			m.retries = append(m.retries, retryRec{addr: r.addr, tcu: uint64(tcu), write: write})
-			return mem.AccessResult{}, false
-		}
-		res = m.memory.Access(arrive, dst, r.addr, write)
+// address once, for both. The run's followers meet every port of the
+// line's route exactly as the word before them left it, so the closed
+// forms serve them, noc.Network.RepeatN and mem.System.RepeatN, which
+// give every simulated quantity the general path would. res.Done is the
+// run's completion: the later of the first word's, which may have
+// missed, and the last follower's. ok=false means the retransmit
+// protocol gave up; the request has been queued for an event-level
+// retry on the source shard and res is meaningless.
+func (m *Machine) serveRequest(sh *machineShard, r memReq, write bool, tcu int) (mem.AccessResult, bool) {
+	dst := mem.HashAddress(r.addr, m.cfg.MemModules)
+	arrive, ok := m.traverse(r.issue, sh.id, dst)
+	if !ok {
+		// Give-up: schedule the event-level retry on the source shard,
+		// which re-issues the request with a fresh issue cycle.
+		at := max(arrive, m.eng.Now())
+		m.eng.Shard(sh.id).At(at, sopRetransmit, uint64(len(m.retries)), 0)
+		m.retries = append(m.retries, retryRec{addr: r.addr, tcu: uint64(tcu), write: write})
+		return mem.AccessResult{}, false
 	}
+	res := m.memory.Access(arrive, dst, r.addr, write)
 	if res.Hit {
 		sh.counters.CacheHits++
 	} else {
@@ -251,21 +252,13 @@ func (m *Machine) serveRequest(sh *machineShard, r memReq, write bool, tcu int, 
 		m.coordRec.MemAccess(arrive, res.Done, tcu, res.Module, r.addr, write, res.Hit)
 	}
 	recordMemFault(m.coordRec, res.Done, res.Fault, res.Module, r.addr)
-	return res, true
-}
-
-// follows reports whether request i of a group is a follower: it goes
-// to the same cache line as request i-1, issued exactly one cycle
-// later. The two are served back to back, so the follower meets every
-// port of the line's route exactly as its predecessor left it, and the
-// closed forms apply. Never under NoC fault injection, where every
-// packet draws its own fate.
-func (m *Machine) follows(recs []memReq, i int) bool {
-	if i == 0 || m.rnet != nil {
-		return false
+	if r.follow > 0 {
+		m.network.RepeatN(r.follow)
+		last := m.memory.RepeatN(r.follow, write)
+		sh.counters.CacheHits += r.follow
+		res.Done = max(res.Done, last.Done)
 	}
-	prev, r := recs[i-1], recs[i]
-	return r.issue == prev.issue+1 && r.addr/config.CacheLineBytes == prev.addr/config.CacheLineBytes
+	return res, true
 }
 
 // loadGroup serves a parked thread's load group: every request is
@@ -278,15 +271,17 @@ func (m *Machine) loadGroup(sh *machineShard, recs []memReq, segStart uint64, tc
 	tc.segStart = segStart
 	done := uint64(0)
 	pending := 0
-	for i, r := range recs {
-		res, ok := m.serveRequest(sh, r, false, tcu, m.follows(recs, i))
+	var replies uint64
+	for _, r := range recs {
+		res, ok := m.serveRequest(sh, r, false, tcu)
 		if !ok {
 			pending++
 			continue
 		}
 		done = max(done, res.Done)
+		replies += 1 + r.follow
 	}
-	m.network.AddReplies(uint64(len(recs) - pending))
+	m.network.AddReplies(replies)
 	// With every request escalated, done+Latency is below any retry's
 	// reply, so memRetry's max still yields the last reply.
 	tc.maxRet = done + m.network.Latency()
@@ -311,8 +306,8 @@ func (m *Machine) finishLoadGroup(sh *machineShard, tc *shardTCU) {
 // storeGroup serves a store group; the issuing thread already continued
 // (stores do not block), so only the join's completion bound advances.
 func (m *Machine) storeGroup(sh *machineShard, recs []memReq, tcu int) {
-	for i, r := range recs {
-		res, ok := m.serveRequest(sh, r, true, tcu, m.follows(recs, i))
+	for _, r := range recs {
+		res, ok := m.serveRequest(sh, r, true, tcu)
 		if !ok {
 			continue
 		}
@@ -322,7 +317,7 @@ func (m *Machine) storeGroup(sh *machineShard, recs []memReq, tcu int) {
 
 // memRetry serves a single re-issued request from the retransmit path.
 func (m *Machine) memRetry(sh *machineShard, r memReq, write bool, tcu int) {
-	res, ok := m.serveRequest(sh, r, write, tcu, false)
+	res, ok := m.serveRequest(sh, r, write, tcu)
 	if !ok {
 		return // escalated again; a fresh retry event is scheduled
 	}
@@ -415,8 +410,7 @@ func (sh *machineShard) exec(s *sim.Shard, tc *shardTCU, i int, now uint64) {
 			j := i
 			off := len(sh.reqs)
 			for j < len(tc.buf) && tc.buf[j].Kind == OpLoad {
-				sh.reqs = append(sh.reqs,
-					memReq{addr: tc.buf[j].Addr, issue: sh.lsu.Grant(now)})
+				sh.request(off, tc.buf[j].Addr, sh.lsu.Grant(now))
 				sh.counters.Loads++
 				j++
 			}
@@ -431,8 +425,7 @@ func (sh *machineShard) exec(s *sim.Shard, tc *shardTCU, i int, now uint64) {
 			off := len(sh.reqs)
 			for j < len(tc.buf) && tc.buf[j].Kind == OpStore {
 				issue = sh.lsu.Grant(issue)
-				sh.reqs = append(sh.reqs,
-					memReq{addr: tc.buf[j].Addr, issue: issue})
+				sh.request(off, tc.buf[j].Addr, issue)
 				sh.counters.Stores++
 				j++
 			}
@@ -446,6 +439,21 @@ func (sh *machineShard) exec(s *sim.Shard, tc *shardTCU, i int, now uint64) {
 			panic(fmt.Sprintf("xmt: unknown op kind %d", op.Kind))
 		}
 	}
+}
+
+// request adds a word to the group whose requests start at reqs[off].
+// When the machine forms runs, a word of the cache line of the group's
+// last request, issued on the cycle after that run's last word, joins
+// the run as a follower; otherwise it is a request of its own.
+func (sh *machineShard) request(off int, addr, issue uint64) {
+	if n := len(sh.reqs) - 1; n >= off && sh.m.runs {
+		r := &sh.reqs[n]
+		if issue == r.issue+r.follow+1 && addr/config.CacheLineBytes == r.addr/config.CacheLineBytes {
+			r.follow++
+			return
+		}
+	}
+	sh.reqs = append(sh.reqs, memReq{addr: addr, issue: issue})
 }
 
 // threadDone retires the thread and asks the prefix-sum unit (via the

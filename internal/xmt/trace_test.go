@@ -193,8 +193,9 @@ func TestSpawnResultUtil(t *testing.T) {
 // is one NoC event, and its delay past the uncontended latency is time
 // spent blocked at butterfly switches, so the delays sum to the
 // network's Blocked. Each thread moves whole cache lines, so most
-// requests are same-line followers whose arrival comes from the closed
-// form rather than a traversal.
+// words follow a word of their own line: a traced spawn sends each of
+// them on its own, and its Blocked and cycles must equal those of the
+// same spawn untraced, whose same-line runs take the closed forms.
 func TestTracedNoCDelaysSumToBlocked(t *testing.T) {
 	cfg, err := config.SixtyFourK().Scaled(1024) // 32 ports, 2 butterfly levels
 	if err != nil {
@@ -242,5 +243,16 @@ func TestTracedNoCDelaysSumToBlocked(t *testing.T) {
 	}
 	if h.Blocked == 0 || delay != h.Blocked {
 		t.Fatalf("traced NoC delays sum to %d, network blocked %d cycles (want equal, non-zero)", delay, h.Blocked)
+	}
+	untraced, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ures, err := untraced.Spawn(2048, ProgramFunc(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := untraced.Network().(*noc.Hybrid).Blocked; b != h.Blocked || ures.Cycles() != res.Cycles() {
+		t.Fatalf("untraced spawn: %d blocked cycles and %d cycles, traced %d and %d", b, ures.Cycles(), h.Blocked, res.Cycles())
 	}
 }
