@@ -116,23 +116,11 @@ func main() {
 		return
 	}
 
-	var obs *harness.Obs
-	if *serveObs != "" || *obsSnapshot != "" {
-		obs = harness.NewObs()
-		obs.Epoch = *obsEpoch
-		if *serveObs != "" {
-			addr, err := obs.Serve(*serveObs)
-			if err != nil {
-				fatal(err)
-			}
-			slog.Info("observability server listening", "addr", addr,
-				"endpoints", "/metrics /progress /debug/pprof/")
-		}
-		if *obsSnapshot != "" {
-			obs.StartSnapshots(*obsSnapshot, *obsSnapshotEvery, func(err error) {
-				slog.Warn("metrics snapshot failed", "err", err)
-			})
-		}
+	obs, err := harness.StartObs(*serveObs, *obsSnapshot, *obsSnapshotEvery, *obsEpoch)
+	if err != nil {
+		fatal(err)
+	}
+	if obs != nil {
 		defer obs.Close()
 	}
 
@@ -143,9 +131,9 @@ func main() {
 
 	// Resume adopts the checkpoint's sweep parameters; explicitly-set
 	// flags that contradict it are caught by the harness.
-	set := setFlags()
+	set := harness.SetFlags()
 	var ck *harness.AblationCkpt
-	stopped := notifyStop()
+	stopped := harness.NotifyStop()
 	if *checkpointPath != "" || *resumePath != "" {
 		ck = &harness.AblationCkpt{
 			Path:  *checkpointPath,
@@ -177,7 +165,7 @@ func main() {
 		fatal(err)
 	}
 	if interrupted {
-		exitCode = exitInterrupted
+		exitCode = harness.ExitInterrupted
 		if *checkpointPath != "" {
 			fmt.Printf("interrupted; resume with -resume %s\n", *checkpointPath)
 		} else {

@@ -3,57 +3,21 @@ package main
 // Checkpoint/resume and graceful-stop wiring (DESIGN.md §12). The
 // simulation stops only at quiescent points (phase boundaries), so a
 // signal requests a stop and the run loop honors it after the current
-// phase, writing a resumable checkpoint when -checkpoint is set. Exit
-// code 3 distinguishes an interrupted run from success (0), runtime
-// failure (1) and usage errors (2).
+// phase, writing a resumable checkpoint when -checkpoint is set, and
+// the run exits with harness.ExitInterrupted.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"log/slog"
 	"math"
-	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 
 	"xmtfft/internal/ckpt"
 	"xmtfft/internal/config"
 	"xmtfft/internal/sim"
 	"xmtfft/internal/xmt"
 )
-
-// exitInterrupted is the process exit code for a signal-stopped run.
-const exitInterrupted = 3
-
-// setFlags returns the names of flags explicitly set on the command
-// line, to distinguish "defaulted" from "requested" on resume.
-func setFlags() map[string]bool {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
-}
-
-// notifyStop installs the SIGINT/SIGTERM handler: the first signal
-// requests a graceful stop at the next quiescent point; a second one
-// aborts immediately with the interrupted exit code.
-func notifyStop() *atomic.Bool {
-	var stopped atomic.Bool
-	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-ch
-		slog.Warn("signal received; stopping at the next quiescent point (send again to abort immediately)",
-			"signal", s.String())
-		stopped.Store(true)
-		s = <-ch
-		slog.Error("second signal; aborting without flushing", "signal", s.String())
-		os.Exit(exitInterrupted)
-	}()
-	return &stopped
-}
 
 // installPostMortem arranges for a watchdog abort to leave a meta-only
 // post-mortem dump (refused by resume, readable for diagnosis) before

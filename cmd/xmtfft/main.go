@@ -132,7 +132,7 @@ func main() {
 
 	// Resume adopts the checkpoint's machine and workload parameters;
 	// explicitly-set flags that contradict it are usage errors.
-	set := setFlags()
+	set := harness.SetFlags()
 	var resumed *ckpt.Checkpoint
 	if *resumePath != "" {
 		c, err := ckpt.Read(*resumePath)
@@ -193,23 +193,11 @@ func main() {
 			m.SetWatchdog(*watchdogWindow)
 		}
 	}
-	var obs *harness.Obs
-	if *serveObs != "" || *obsSnapshot != "" {
-		obs = harness.NewObs()
-		obs.Epoch = *obsEpoch
-		if *serveObs != "" {
-			addr, err := obs.Serve(*serveObs)
-			if err != nil {
-				fatal(err)
-			}
-			slog.Info("observability server listening", "addr", addr,
-				"endpoints", "/metrics /progress /debug/pprof/")
-		}
-		if *obsSnapshot != "" {
-			obs.StartSnapshots(*obsSnapshot, *obsSnapshotEvery, func(err error) {
-				slog.Warn("metrics snapshot failed", "err", err)
-			})
-		}
+	obs, err := harness.StartObs(*serveObs, *obsSnapshot, *obsSnapshotEvery, *obsEpoch)
+	if err != nil {
+		fatal(err)
+	}
+	if obs != nil {
 		obs.Watch(m)
 		defer obs.Close()
 	}
@@ -267,7 +255,7 @@ func main() {
 		pmPath = *checkpointPath + ".postmortem"
 	}
 	installPostMortem(m, pmPath, &meta)
-	stopped := notifyStop()
+	stopped := harness.NotifyStop()
 
 	before := m.Snapshot()
 	var run stats.Run
@@ -382,7 +370,7 @@ func main() {
 		})
 	}
 	if interrupted {
-		exitCode = exitInterrupted
+		exitCode = harness.ExitInterrupted
 	}
 }
 

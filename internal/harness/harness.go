@@ -7,9 +7,15 @@ package harness
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"log/slog"
+	"os"
+	"os/signal"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"text/tabwriter"
 
 	"xmtfft/internal/baseline"
@@ -269,11 +275,7 @@ func ScalingReport(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			b, err := model.BindingOf(c, n)
-			if err != nil {
-				return err
-			}
-			row += fmt.Sprintf("%.0f (%s)\t", p.GFLOPS, b)
+			row += fmt.Sprintf("%.0f (%s)\t", p.GFLOPS, p.Binding)
 		}
 		fmt.Fprintln(t, row)
 	}
@@ -307,7 +309,7 @@ func WeakScalingReport(w io.Writer) error {
 	fmt.Fprintln(t, "Configuration\tarray\tGFLOPS\ttime\tefficiency")
 	for _, p := range pts {
 		fmt.Fprintf(t, "%s\t%dx%dx%d\t%.0f\t%.4gs\t%.2f\n",
-			p.Cfg.Name, p.Dims[0], p.Dims[1], p.Dims[2], p.Proj.GFLOPS, p.Proj.Overall.TimeSec, p.Efficiency)
+			p.Cfg.Name, p.Dims[0], p.Dims[1], p.Dims[2], p.GFLOPS, p.Overall.TimeSec, p.Efficiency)
 	}
 	return t.Flush()
 }
@@ -414,8 +416,41 @@ type AblationCkpt struct {
 
 // ErrInterrupted reports a run stopped at a quiescent point by a signal
 // (SIGINT/SIGTERM): partial artifacts are flushed and, when configured,
-// a resumable checkpoint was written. CLIs map it to exit code 3.
+// a resumable checkpoint was written. CLIs map it to ExitInterrupted.
 var ErrInterrupted = errors.New("harness: run interrupted by signal")
+
+// ExitInterrupted is the simulator CLIs' exit code for a signal-stopped
+// run, distinct from success (0), runtime failure (1) and usage errors
+// (2).
+const ExitInterrupted = 3
+
+// SetFlags returns the names of flags explicitly set on the command
+// line, to distinguish "defaulted" from "requested" on resume.
+func SetFlags() map[string]bool {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	return set
+}
+
+// NotifyStop installs the SIGINT/SIGTERM handler: the first signal
+// requests a graceful stop at the next quiescent point (a phase or an
+// ablation variant boundary); a second one aborts immediately with
+// ExitInterrupted.
+func NotifyStop() *atomic.Bool {
+	var stopped atomic.Bool
+	ch := make(chan os.Signal, 2)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		s := <-ch
+		slog.Warn("signal received; stopping at the next quiescent point (send again to abort immediately)",
+			"signal", s.String())
+		stopped.Store(true)
+		s = <-ch
+		slog.Error("second signal; aborting without flushing", "signal", s.String())
+		os.Exit(ExitInterrupted)
+	}()
+	return &stopped
+}
 
 // AblationReport runs the §IV-A design ablations on the detailed
 // simulator (radix 2/4/8, fine vs coarse granularity, prefetch) at the

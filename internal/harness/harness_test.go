@@ -139,36 +139,45 @@ func TestFig3Detailed(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestGoldenAll pins the complete harness output: the simulated results
-// are deterministic, so any drift in a table or figure shows up as a
-// diff against the golden file (regenerate with -update).
+// TestGoldenAll pins the complete harness output and the model's CSV
+// exports: the projections are deterministic, so any drift in a table
+// or figure shows up as a diff against its golden file (regenerate with
+// -update).
 func TestGoldenAll(t *testing.T) {
-	var b bytes.Buffer
-	if err := All(&b); err != nil {
-		t.Fatal(err)
-	}
-	const path = "testdata/all.golden"
-	if *update {
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+	for _, g := range []struct {
+		path   string
+		render func(io.Writer) error
+	}{
+		{"testdata/all.golden", All},
+		{"testdata/table4.csv", TableIVCSV},
+		{"testdata/table5.csv", TableVCSV},
+		{"testdata/fig3.csv", Fig3CSV},
+	} {
+		var b bytes.Buffer
+		if err := g.render(&b); err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if !bytes.Equal(b.Bytes(), want) {
-		got := b.String()
-		wantS := string(want)
+		if *update {
+			if err := os.WriteFile(g.path, b.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(g.path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update): %v", err)
+		}
+		if bytes.Equal(b.Bytes(), want) {
+			continue
+		}
 		// Locate the first differing line for a usable message.
-		gl, wl := strings.Split(got, "\n"), strings.Split(wantS, "\n")
+		gl, wl := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("output drifted at line %d:\n  got:  %q\n  want: %q\n(re-run with -update if intentional)", i+1, gl[i], wl[i])
+				t.Fatalf("%s drifted at line %d:\n  got:  %q\n  want: %q\n(re-run with -update if intentional)", g.path, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("output length drifted: %d vs %d lines", len(gl), len(wl))
+		t.Fatalf("%s length drifted: %d vs %d lines", g.path, len(gl), len(wl))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -123,6 +124,33 @@ func NewObs() *Obs {
 	o.wdAge.Set(math.NaN())
 	o.prevTime = o.start
 	return o
+}
+
+// StartObs starts the simulator CLIs' -serve-obs/-obs-snapshot surface.
+// It returns nil when addr and snapshot are both empty. Otherwise the
+// Obs samples every epoch simulated cycles, serves on addr when that is
+// set and mirrors the exposition to the snapshot path every interval
+// when that is set; the caller closes it.
+func StartObs(addr, snapshot string, every time.Duration, epoch uint64) (*Obs, error) {
+	if addr == "" && snapshot == "" {
+		return nil, nil
+	}
+	obs := NewObs()
+	obs.Epoch = epoch
+	if addr != "" {
+		bound, err := obs.Serve(addr)
+		if err != nil {
+			return nil, err
+		}
+		slog.Info("observability server listening", "addr", bound,
+			"endpoints", "/metrics /progress /debug/pprof/")
+	}
+	if snapshot != "" {
+		obs.StartSnapshots(snapshot, every, func(err error) {
+			slog.Warn("metrics snapshot failed", "err", err)
+		})
+	}
+	return obs, nil
 }
 
 // Watch attaches the surface to a machine: live metrics sampling every

@@ -3,10 +3,14 @@
 // configuration. A per-event simulation of the full 18-GFLOP workload is
 // infeasible in-process, so — exactly as the paper does with XMTSim —
 // the headline numbers come from a model of the machine's binding
-// resources, calibrated against the detailed event simulator of
-// internal/xmt on sizes where both run (see the cross-validation tests).
+// resources. Its constants are fit to the paper's Table IV (DESIGN.md
+// §5). The detailed event simulator of internal/xmt does not back them:
+// the only cross-check, TestModelMatchesDetailedSim, runs two scaled 4k
+// machines at 32³, reads sim/model cycle ratios of 0.85 and 0.47, and
+// accepts anything in [0.4, 2.5].
 //
-// Per pass, three times are computed and combined:
+// Project is the model's one pass loop. Per pass, three times are
+// computed and combined:
 //
 //   - compute: total FLOPs through clusters × FPUs at 1 FLOP/cycle;
 //   - DRAM: bytes moved over the aggregate channel bandwidth, with
@@ -50,12 +54,28 @@ const (
 	NoCDataBytes = 16
 	// NoCLevelFactor is the calibrated per-butterfly-level acceptance
 	// under FFT traffic: between the unbuffered 2×2-switch recurrence
-	// (≈0.86-0.95 per level in this range) and the buffered ideal 1.0.
+	// (a geometric mean of 0.85 per level over 7 levels, 0.87 over 9)
+	// and the buffered ideal 1.0.
 	NoCLevelFactor = 0.89
-	// RotationNoCFactor derates NoC acceptance during rotation passes,
-	// whose converging transpose traffic is harsher than uniform.
-	RotationNoCFactor = 1.0
 )
+
+// Params bundles the calibration constants so they can be varied.
+type Params struct {
+	StreamWriteBytes float64 // write-allocate cost per 8-byte store
+	RotationWriteAmp float64
+	NoCDataBytes     float64
+	NoCLevelFactor   float64
+}
+
+// Calibrated returns the calibration constants as Params.
+func Calibrated() Params {
+	return Params{
+		StreamWriteBytes: StreamWriteBytes,
+		RotationWriteAmp: RotationWriteAmp,
+		NoCDataBytes:     NoCDataBytes,
+		NoCLevelFactor:   NoCLevelFactor,
+	}
+}
 
 // PhasePoint is one marker of Fig. 3: a phase's position in the
 // Roofline plane plus its absolute time.
@@ -68,6 +88,16 @@ type PhasePoint struct {
 	Intensity    float64 // Flops / DRAMBytes
 }
 
+// Binding identifies the resource that limits a projection.
+type Binding string
+
+// Binding values.
+const (
+	BindCompute Binding = "compute"
+	BindDRAM    Binding = "dram"
+	BindNoC     Binding = "noc"
+)
+
 // Projection is the modeled execution of one 3D FFT on one config.
 type Projection struct {
 	Cfg      config.Config
@@ -79,46 +109,44 @@ type Projection struct {
 	// GFLOPS is the headline number under the 5·N·log2(N) convention
 	// used by Tables IV-VI.
 	GFLOPS float64
+	// Binding is compute when the summed compute time of all passes is
+	// the largest of the three resource times; otherwise whichever of
+	// DRAM and NoC contributes more to the combined memory term.
+	Binding Binding
 }
 
 // TotalPoints returns the array size.
 func (p Projection) TotalPoints() int { return p.Dims[0] * p.Dims[1] * p.Dims[2] }
 
-// NoCEffectiveGBs returns the usable aggregate NoC bandwidth of cfg
-// under the calibrated acceptance model.
-func NoCEffectiveGBs(cfg config.Config) float64 {
-	return cfg.AggregateNoCBandwidthGBs() * math.Pow(NoCLevelFactor, float64(cfg.ButterflyLevels))
-}
-
-// passModel times one breadth-first pass over total points with the
-// given radix.
+// passTimes are one breadth-first pass's resource times and traffic.
 type passTimes struct {
 	compute, dram, noc float64 // seconds
 	flops, dramBytes   float64
 }
 
-func passTime(cfg config.Config, points float64, radix int, rotation bool) passTimes {
+// passTime times one breadth-first pass over points with the given
+// radix under the calibration prm.
+func passTime(cfg config.Config, prm Params, points float64, radix int, rotation bool) passTimes {
 	flopsPerPoint := float64(core.FlopsPerButterfly(radix)) / float64(radix)
 	twiddleNoC := 8 * float64(radix-1) / float64(radix) // replicated-table reads
 
 	var t passTimes
 	t.flops = flopsPerPoint * points
-	wb := float64(StreamWriteBytes)
+	wb := prm.StreamWriteBytes
 	if rotation {
-		wb *= RotationWriteAmp
+		wb *= prm.RotationWriteAmp
 	}
 	t.dramBytes = (StreamReadBytes + wb) * points
 
 	peakFlops := cfg.PeakGFLOPS() * 1e9
 	peakDRAM := cfg.PeakDRAMBandwidthGBs() * 1e9
-	nocBW := NoCEffectiveGBs(cfg) * 1e9
-	if rotation {
-		nocBW *= RotationNoCFactor
-	}
+	// Usable aggregate NoC bandwidth: the injection bandwidth derated
+	// by the acceptance factor once per butterfly level.
+	nocBW := cfg.AggregateNoCBandwidthGBs() * math.Pow(prm.NoCLevelFactor, float64(cfg.ButterflyLevels)) * 1e9
 
 	t.compute = t.flops / peakFlops
 	t.dram = t.dramBytes / peakDRAM
-	t.noc = (NoCDataBytes + twiddleNoC) * points / nocBW
+	t.noc = (prm.NoCDataBytes + twiddleNoC) * points / nocBW
 	return t
 }
 
@@ -128,32 +156,30 @@ func (t passTimes) combine() float64 {
 	return math.Max(t.compute, mem)
 }
 
-// Project3D models a single-precision n×n×n FFT on cfg, mirroring the
-// kernel's structure: per dimension, log_r(n) breadth-first passes with
-// the last pass of each round fused with the axis rotation.
-func Project3D(cfg config.Config, n int) (Projection, error) {
-	return Project3DDims(cfg, n, n, n)
-}
-
-// Project3DDims models a d0×d1×d2 FFT (used by the weak-scaling study,
-// whose working sets grow one axis at a time). Rounds transform row
-// lengths d2, d1, d0 in the rotation order of the kernel.
-func Project3DDims(cfg config.Config, d0, d1, d2 int) (Projection, error) {
+// Project models a single-precision dims[0]×dims[1]×dims[2] FFT on cfg
+// under the calibration prm, mirroring the kernel's structure: rounds
+// transform row lengths dims[2], dims[1], dims[0] in the kernel's
+// rotation order, each as log_r(len) breadth-first passes with the last
+// pass of the round fused with the axis rotation. It is the model's
+// only pass loop: Project3D, the tables, the sweeps and Sensitivity all
+// call it.
+func Project(cfg config.Config, dims [3]int, prm Params) (Projection, error) {
 	if err := cfg.Validate(); err != nil {
 		return Projection{}, err
 	}
-	points := float64(d0) * float64(d1) * float64(d2)
+	points := float64(dims[0]) * float64(dims[1]) * float64(dims[2])
 
 	var stream, rot PhasePoint
 	stream.Name, rot.Name = "non-rotation", "rotation"
-	for _, rowLen := range []int{d2, d1, d0} {
+	var compute, dram, noc float64 // summed over all passes, for Binding
+	for _, rowLen := range []int{dims[2], dims[1], dims[0]} {
 		radices, err := fft.Radices(rowLen)
 		if err != nil {
 			return Projection{}, err
 		}
 		for p, r := range radices {
 			last := p == len(radices)-1
-			t := passTime(cfg, points, r, last)
+			t := passTime(cfg, prm, points, r, last)
 			dst := &stream
 			if last {
 				dst = &rot
@@ -161,6 +187,9 @@ func Project3DDims(cfg config.Config, d0, d1, d2 int) (Projection, error) {
 			dst.TimeSec += t.combine()
 			dst.Flops += t.flops
 			dst.DRAMBytes += t.dramBytes
+			compute += t.compute
+			dram += t.dram
+			noc += t.noc
 		}
 	}
 	finish := func(p *PhasePoint) {
@@ -181,12 +210,25 @@ func Project3DDims(cfg config.Config, d0, d1, d2 int) (Projection, error) {
 	}
 	finish(&overall)
 
+	binding := BindNoC
+	switch {
+	case compute >= dram && compute >= noc:
+		binding = BindCompute
+	case dram >= noc:
+		binding = BindDRAM
+	}
 	std := 5 * points * math.Log2(points)
 	return Projection{
-		Cfg: cfg, N: d2, Dims: [3]int{d0, d1, d2},
+		Cfg: cfg, N: dims[2], Dims: dims,
 		Stream: stream, Rotation: rot, Overall: overall,
-		GFLOPS: std / overall.TimeSec / 1e9,
+		GFLOPS:  std / overall.TimeSec / 1e9,
+		Binding: binding,
 	}, nil
+}
+
+// Project3D is Project on an n×n×n cube with the calibrated constants.
+func Project3D(cfg config.Config, n int) (Projection, error) {
+	return Project(cfg, [3]int{n, n, n}, Calibrated())
 }
 
 // ProjectCycles returns the modeled cycle count of Project3D at the
@@ -221,6 +263,6 @@ func (r Roofline) Bound(intensity float64) float64 {
 }
 
 func (p Projection) String() string {
-	return fmt.Sprintf("%s n=%d: %.0f GFLOPS (5NlogN), overall %.0f GFLOPS actual at %.3f FLOPs/B",
-		p.Cfg.Name, p.N, p.GFLOPS, p.Overall.ActualGFLOPS, p.Overall.Intensity)
+	return fmt.Sprintf("%s n=%d: %.0f GFLOPS (5NlogN), overall %.0f GFLOPS actual at %.3f FLOPs/B, %s-bound",
+		p.Cfg.Name, p.N, p.GFLOPS, p.Overall.ActualGFLOPS, p.Overall.Intensity, p.Binding)
 }

@@ -340,18 +340,4 @@ func TestSensitivity(t *testing.T) {
 			t.Errorf("%s: ±10%% perturbation blows up to %.0f%%", r.Param, r.WorstDev*100)
 		}
 	}
-	// projectWith must agree with Project3D at the calibrated point.
-	for _, c := range config.Paper() {
-		g, err := projectWith(c, PaperN, Calibrated())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := Project3D(c, PaperN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(g-p.GFLOPS) > 1e-6*p.GFLOPS {
-			t.Errorf("%s: projectWith %.1f != Project3D %.1f", c.Name, g, p.GFLOPS)
-		}
-	}
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"xmtfft/internal/config"
-	"xmtfft/internal/core"
-	"xmtfft/internal/fft"
 )
 
 // Sensitivity analysis: how robust are the Table IV projections to the
@@ -16,58 +14,6 @@ import (
 // This quantifies how much of the reproduction is "dialed in" versus
 // structural: parameters whose ±20% swing still keeps every
 // configuration within tolerance carry little risk of overfitting.
-
-// Params bundles the calibration constants so they can be varied.
-type Params struct {
-	StreamWriteBytes float64 // write-allocate cost per 8-byte store
-	RotationWriteAmp float64
-	NoCDataBytes     float64
-	NoCLevelFactor   float64
-}
-
-// Calibrated returns the values used by Project3D.
-func Calibrated() Params {
-	return Params{
-		StreamWriteBytes: StreamWriteBytes,
-		RotationWriteAmp: RotationWriteAmp,
-		NoCDataBytes:     NoCDataBytes,
-		NoCLevelFactor:   NoCLevelFactor,
-	}
-}
-
-// projectWith is Project3D with explicit parameters (cubic input).
-func projectWith(cfg config.Config, n int, prm Params) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	radices, err := fft.Radices(n)
-	if err != nil {
-		return 0, err
-	}
-	points := float64(n) * float64(n) * float64(n)
-	peakFlops := cfg.PeakGFLOPS() * 1e9
-	peakDRAM := cfg.PeakDRAMBandwidthGBs() * 1e9
-	nocBW := cfg.AggregateNoCBandwidthGBs() * 1e9 *
-		math.Pow(prm.NoCLevelFactor, float64(cfg.ButterflyLevels))
-
-	var total float64
-	for round := 0; round < 3; round++ {
-		for p, r := range radices {
-			last := p == len(radices)-1
-			flops := float64(core.FlopsPerButterfly(r)) / float64(r) * points
-			wb := prm.StreamWriteBytes
-			if last {
-				wb *= prm.RotationWriteAmp
-			}
-			dram := (StreamReadBytes + wb) * points / peakDRAM
-			noc := (prm.NoCDataBytes + 8*float64(r-1)/float64(r)) * points / nocBW
-			compute := flops / peakFlops
-			total += math.Max(compute, math.Sqrt(dram*dram+noc*noc))
-		}
-	}
-	std := 5 * points * math.Log2(points)
-	return std / total / 1e9, nil
-}
 
 // SensitivityResult reports one parameter's effect.
 type SensitivityResult struct {
@@ -103,11 +49,11 @@ func Sensitivity(scales []float64) ([]SensitivityResult, error) {
 				prm.NoCLevelFactor = 1
 			}
 			for _, c := range cfgs {
-				g, err := projectWith(c, PaperN, prm)
+				p, err := Project(c, [3]int{PaperN, PaperN, PaperN}, prm)
 				if err != nil {
 					return nil, err
 				}
-				dev := math.Abs(g-PaperTableIV[c.Name]) / PaperTableIV[c.Name]
+				dev := math.Abs(p.GFLOPS-PaperTableIV[c.Name]) / PaperTableIV[c.Name]
 				if dev > res.WorstDev {
 					res.WorstDev = dev
 				}

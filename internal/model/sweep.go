@@ -1,96 +1,34 @@
 package model
 
-import (
-	"fmt"
-
-	"xmtfft/internal/config"
-	"xmtfft/internal/fft"
-)
+import "xmtfft/internal/config"
 
 // Sweeps over problem size and machine size: the scaling studies that
 // extend the paper's single-point (512³) evaluation. These identify,
 // for every (configuration, size) pair, which resource binds — the
 // machine-balance question §V is ultimately about.
 
-// Binding identifies the resource that limits a projection.
-type Binding string
-
-// Binding values.
-const (
-	BindCompute Binding = "compute"
-	BindDRAM    Binding = "dram"
-	BindNoC     Binding = "noc"
-)
-
-// BindingOf reports which resource dominates the overall time of a
-// projection on cfg: compute if the compute time is the max; otherwise
-// whichever of DRAM and NoC contributes more to the combined memory
-// term.
-func BindingOf(cfg config.Config, n int) (Binding, error) {
-	radices, err := radicesOf(n)
-	if err != nil {
-		return "", err
-	}
-	points := float64(n) * float64(n) * float64(n)
-	var compute, dram, noc float64
-	for round := 0; round < 3; round++ {
-		for p, r := range radices {
-			t := passTime(cfg, points, r, p == len(radices)-1)
-			compute += t.compute
-			dram += t.dram
-			noc += t.noc
-		}
-	}
-	switch {
-	case compute >= dram && compute >= noc:
-		return BindCompute, nil
-	case dram >= noc:
-		return BindDRAM, nil
-	default:
-		return BindNoC, nil
-	}
-}
-
-func radicesOf(n int) ([]int, error) {
-	// Same decomposition Project3D uses, so the attribution matches.
-	return fft.Radices(n)
-}
-
-// SizePoint is one row of a size sweep.
-type SizePoint struct {
-	N       int
-	Proj    Projection
-	Binding Binding
-}
-
 // SizeSweep projects cfg across per-dimension sizes (each a power of
 // two), e.g. 64..1024.
-func SizeSweep(cfg config.Config, sizes []int) ([]SizePoint, error) {
-	out := make([]SizePoint, 0, len(sizes))
+func SizeSweep(cfg config.Config, sizes []int) ([]Projection, error) {
+	out := make([]Projection, 0, len(sizes))
 	for _, n := range sizes {
 		p, err := Project3D(cfg, n)
 		if err != nil {
 			return nil, err
 		}
-		b, err := BindingOf(cfg, n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SizePoint{N: n, Proj: p, Binding: b})
+		out = append(out, p)
 	}
 	return out, nil
 }
 
-// StrongScaling projects a fixed size across all paper configurations,
-// returning speedups relative to the first.
+// StrongPoint is one configuration of the fixed-size sweep.
 type StrongPoint struct {
-	Cfg     config.Config
-	Proj    Projection
+	Projection
 	Speedup float64 // vs the smallest configuration
-	Binding Binding
 }
 
-// StrongScaling runs the fixed-size sweep.
+// StrongScaling projects a fixed size across all paper configurations,
+// returning speedups relative to the first.
 func StrongScaling(n int) ([]StrongPoint, error) {
 	cfgs := config.Paper()
 	out := make([]StrongPoint, 0, len(cfgs))
@@ -100,27 +38,17 @@ func StrongScaling(n int) ([]StrongPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := BindingOf(c, n)
-		if err != nil {
-			return nil, err
-		}
 		if i == 0 {
 			base = p.Overall.TimeSec
 		}
-		out = append(out, StrongPoint{Cfg: c, Proj: p, Speedup: base / p.Overall.TimeSec, Binding: b})
+		out = append(out, StrongPoint{Projection: p, Speedup: base / p.Overall.TimeSec})
 	}
 	return out, nil
 }
 
-func (p SizePoint) String() string {
-	return fmt.Sprintf("n=%4d: %8.0f GFLOPS, %s-bound", p.N, p.Proj.GFLOPS, p.Binding)
-}
-
 // WeakPoint is one row of the weak-scaling study.
 type WeakPoint struct {
-	Cfg        config.Config
-	Dims       [3]int
-	Proj       Projection
+	Projection
 	Efficiency float64 // time(base) / time(this): 1.0 = perfect weak scaling
 }
 
@@ -140,23 +68,21 @@ func WeakScaling(baseN int) ([]WeakPoint, error) {
 			dims[axis%3] *= 2
 			axis++
 		}
-		p, err := Project3DDims(c, dims[0], dims[1], dims[2])
+		p, err := Project(c, dims, Calibrated())
 		if err != nil {
 			return nil, err
 		}
 		if c.TCUs == base.TCUs {
 			baseTime = p.Overall.TimeSec
 		}
-		out = append(out, WeakPoint{Cfg: c, Dims: dims, Proj: p,
-			Efficiency: baseTime / p.Overall.TimeSec})
+		out = append(out, WeakPoint{Projection: p, Efficiency: baseTime / p.Overall.TimeSec})
 	}
 	return out, nil
 }
 
 // FPUPoint is one entry of the FPU-count design sweep.
 type FPUPoint struct {
-	FPUsPerCluster int
-	Proj           Projection
+	Projection
 	// Gain is this point's GFLOPS over the previous point's.
 	Gain float64
 }
@@ -177,7 +103,7 @@ func FPUSweep(base config.Config, fpus []int) ([]FPUPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		pt := FPUPoint{FPUsPerCluster: f, Proj: p}
+		pt := FPUPoint{Projection: p}
 		if prev > 0 {
 			pt.Gain = p.GFLOPS / prev
 		}

@@ -22,18 +22,18 @@ func TestBindingOfPaperConfigs(t *testing.T) {
 		config.Name128Kx4: BindNoC,
 	}
 	for _, c := range config.Paper() {
-		b, err := BindingOf(c, PaperN)
+		p, err := Project3D(c, PaperN)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b != want[c.Name] {
-			t.Errorf("%s binding = %s, want %s", c.Name, b, want[c.Name])
+		if p.Binding != want[c.Name] {
+			t.Errorf("%s binding = %s, want %s", c.Name, p.Binding, want[c.Name])
 		}
 	}
 }
 
 func TestBindingErrors(t *testing.T) {
-	if _, err := BindingOf(config.FourK(), 100); err == nil {
+	if _, err := Project3D(config.FourK(), 100); err == nil {
 		t.Error("non-power-of-two accepted")
 	}
 }
@@ -47,7 +47,7 @@ func TestSizeSweepMonotoneAndLabeled(t *testing.T) {
 		t.Fatalf("got %d points", len(pts))
 	}
 	for i, p := range pts {
-		if p.Proj.GFLOPS <= 0 {
+		if p.GFLOPS <= 0 {
 			t.Errorf("point %d: nonpositive GFLOPS", i)
 		}
 		if !strings.Contains(p.String(), "bound") {
@@ -61,11 +61,11 @@ func TestSizeSweepMonotoneAndLabeled(t *testing.T) {
 	// mixed-radix neighbors.
 	byN := map[int]float64{}
 	for _, p := range pts {
-		byN[p.N] = p.Proj.GFLOPS
+		byN[p.N] = p.GFLOPS
 	}
 	for _, p := range pts {
-		if p.Proj.GFLOPS > byN[512] {
-			t.Errorf("n=%d (%.0f GFLOPS) beats the paper's 512 (%.0f)", p.N, p.Proj.GFLOPS, byN[512])
+		if p.GFLOPS > byN[512] {
+			t.Errorf("n=%d (%.0f GFLOPS) beats the paper's 512 (%.0f)", p.N, p.GFLOPS, byN[512])
 		}
 	}
 	if byN[64] <= byN[128] {
@@ -115,18 +115,18 @@ func TestWhereNoCBindingBegins(t *testing.T) {
 	// is size-independent per byte); verify the x4 config is NoC-bound
 	// across the sweep while 8k never is.
 	for _, n := range []int{64, 256, 1024} {
-		b4, err := BindingOf(config.OneTwentyEightKx4(), n)
+		x4, err := Project3D(config.OneTwentyEightKx4(), n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b4 != BindNoC {
-			t.Errorf("x4 at n=%d: %s", n, b4)
+		if x4.Binding != BindNoC {
+			t.Errorf("x4 at n=%d: %s", n, x4.Binding)
 		}
-		b8, err := BindingOf(config.EightK(), n)
+		k8, err := Project3D(config.EightK(), n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b8 == BindNoC {
+		if k8.Binding == BindNoC {
 			t.Errorf("8k at n=%d unexpectedly NoC-bound", n)
 		}
 	}
@@ -137,7 +137,7 @@ func TestProjectDimsMatchesCube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Project3DDims(config.FourK(), 128, 128, 128)
+	b, err := Project(config.FourK(), [3]int{128, 128, 128}, Calibrated())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestProjectDimsMatchesCube(t *testing.T) {
 }
 
 func TestProjectDimsNonCube(t *testing.T) {
-	p, err := Project3DDims(config.FourK(), 512, 256, 128)
+	p, err := Project(config.FourK(), [3]int{512, 256, 128}, Calibrated())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestProjectDimsNonCube(t *testing.T) {
 	if p.GFLOPS <= 0 {
 		t.Fatal("no throughput")
 	}
-	if _, err := Project3DDims(config.FourK(), 100, 128, 128); err == nil {
+	if _, err := Project(config.FourK(), [3]int{100, 128, 128}, Calibrated()); err == nil {
 		t.Error("bad dim accepted")
 	}
 }
@@ -212,7 +212,7 @@ func TestFPUDiminishingReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pts {
-		t.Logf("FPUs=%2d: %6.0f GFLOPS (gain %.2fx)", p.FPUsPerCluster, p.Proj.GFLOPS, p.Gain)
+		t.Logf("FPUs=%2d: %6.0f GFLOPS (gain %.2fx)", p.Cfg.FPUsPerCluster, p.GFLOPS, p.Gain)
 	}
 	// 1 -> 2 FPUs helps substantially; 4 -> 8 gives almost nothing.
 	if pts[1].Gain < 1.15 {
@@ -226,8 +226,8 @@ func TestFPUDiminishingReturns(t *testing.T) {
 	}
 	// GFLOPS never decrease with more FPUs.
 	for i := 1; i < len(pts); i++ {
-		if pts[i].Proj.GFLOPS < pts[i-1].Proj.GFLOPS {
-			t.Errorf("GFLOPS fell adding FPUs at %d", pts[i].FPUsPerCluster)
+		if pts[i].GFLOPS < pts[i-1].GFLOPS {
+			t.Errorf("GFLOPS fell adding FPUs at %d", pts[i].Cfg.FPUsPerCluster)
 		}
 	}
 }

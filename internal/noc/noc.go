@@ -16,9 +16,11 @@
 //
 // The switch-level Hybrid model is used by the detailed event simulator,
 // which times the words of a same-line run after the first with one
-// closed form (Network.RepeatN); the closed-form blocking recurrence
-// (ButterflyThroughput) is used by the analytic projection model, and
-// the two are cross-validated in tests.
+// closed form (Network.RepeatN). The closed-form blocking recurrence
+// (ButterflyThroughput) feeds only the "effective NoC fraction" of
+// tech.Report, and a test cross-validates it against Hybrid. The
+// analytic model (internal/model) uses neither: it derates the
+// injection bandwidth by its own calibrated factor per butterfly level.
 package noc
 
 import (
@@ -233,10 +235,4 @@ func EffectiveBandwidthFraction(cfg config.Config) float64 {
 		return 1
 	}
 	return ButterflyThroughput(cfg.ButterflyLevels, 1)
-}
-
-// EffectiveAggregateGBs returns the usable aggregate NoC bandwidth of
-// cfg in GB/s under saturating uniform traffic.
-func EffectiveAggregateGBs(cfg config.Config) float64 {
-	return cfg.AggregateNoCBandwidthGBs() * EffectiveBandwidthFraction(cfg)
 }

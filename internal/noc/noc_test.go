@@ -155,10 +155,6 @@ func TestEffectiveBandwidthOrdering(t *testing.T) {
 	if fx2 != fx4 {
 		t.Fatalf("x2 and x4 share a NoC: fractions %g != %g", fx2, fx4)
 	}
-	// Absolute effective bandwidth still grows with machine size.
-	if !(EffectiveAggregateGBs(cfgs[2]) > EffectiveAggregateGBs(cfgs[1])) {
-		t.Fatal("64k effective NoC bandwidth should exceed 8k")
-	}
 }
 
 // Cross-validation: the switch-level Hybrid under saturating uniform

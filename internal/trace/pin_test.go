@@ -18,10 +18,11 @@ import (
 
 // pinnedRuns are traced 16³ forward FFTs whose exports are pinned byte
 // for byte: the WriteSummary text against testdata/<name>.txt and the
-// sha256 of the WritePerfetto bytes. The values were captured before
-// the summary's distributions were derived from the recorded stream, so
-// any change to the event stream, the pairing of thread spans or the
-// summary's quantile rule shows here.
+// sha256 of the WritePerfetto bytes. The sha256 values were captured
+// before the summary's distributions were derived from the recorded
+// stream, and the summaries were last pinned when their quantiles became
+// the nearest-rank samples, so any change to the event stream, the
+// pairing of thread spans or the summary's quantile rule shows here.
 var pinnedRuns = []struct {
 	name     string
 	base     config.Config

@@ -88,7 +88,7 @@ func (r *Recorder) WriteSummary(w io.Writer) error {
 
 	lives := r.threadLifetimes()
 	if _, err := fmt.Fprintf(w, "thread lifetime (cycles): %s stddev=%.1f\n",
-		distribution(lives, 16), stddev(lives)); err != nil {
+		distribution(lives), stddev(lives)); err != nil {
 		return err
 	}
 	if len(r.Samples) == 0 {
@@ -122,15 +122,14 @@ func (r *Recorder) WriteSummary(w io.Writer) error {
 	for _, row := range []struct {
 		name    string
 		samples []uint64
-		width   uint64
 	}{
-		{"fpu %", fpu, 5},
-		{"lsu %", lsu, 5},
-		{"dram %", dram, 5},
-		{"cache hit %", hit, 5},
-		{"outstanding", outstanding, 1},
+		{"fpu %", fpu},
+		{"lsu %", lsu},
+		{"dram %", dram},
+		{"cache hit %", hit},
+		{"outstanding", outstanding},
 	} {
-		if _, err := fmt.Fprintf(w, "  %-12s %s\n", row.name, distribution(row.samples, row.width)); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-12s %s\n", row.name, distribution(row.samples)); err != nil {
 			return err
 		}
 	}
@@ -152,10 +151,8 @@ func (r *Recorder) threadLifetimes() []uint64 {
 }
 
 // distribution renders samples (sorting them in place) as "n=… mean=…
-// p50=… p95=… max=…". A quantile prints as the upper edge of the
-// width-wide bucket that holds the nearest-rank sample, clamped to the
-// largest sample.
-func distribution(samples []uint64, width uint64) string {
+// p50=… p95=… max=…", each quantile the nearest-rank sample.
+func distribution(samples []uint64) string {
 	if len(samples) == 0 {
 		return "n=0"
 	}
@@ -164,10 +161,9 @@ func distribution(samples []uint64, width uint64) string {
 	for _, v := range samples {
 		sum += v
 	}
-	top := samples[len(samples)-1]
-	edge := func(q float64) uint64 { return min((stats.Quantile(samples, q)/width+1)*width, top) }
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p95=%d max=%d",
-		len(samples), float64(sum)/float64(len(samples)), edge(0.5), edge(0.95), top)
+		len(samples), float64(sum)/float64(len(samples)),
+		stats.Quantile(samples, 0.5), stats.Quantile(samples, 0.95), samples[len(samples)-1])
 }
 
 // stddev returns the population standard deviation of samples (0 below

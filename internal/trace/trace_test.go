@@ -38,9 +38,8 @@ func TestRecorderEventAccessors(t *testing.T) {
 // TestSummaryDistributions pins the summary's thread-lifetime and
 // epoch-utilization lines on a hand-built recording: retires pair with
 // the open start on their TCU (a retire with none is ignored), quantiles
-// print as clamped bucket edges (16 cycles, 5 percent, 1 thread),
-// fractions clamp to 0..100 percent and a negative outstanding count is
-// left out.
+// print the nearest-rank sample, fractions clamp to 0..100 percent and a
+// negative outstanding count is left out.
 func TestSummaryDistributions(t *testing.T) {
 	r := trace.NewRecorder(100)
 	r.Spawn(0, 3, "s")
@@ -59,13 +58,34 @@ func TestSummaryDistributions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"thread lifetime (cycles): n=3 mean=23.0 p50=32 p95=48 max=48 stddev=19.3\n",
+		"thread lifetime (cycles): n=3 mean=23.0 p50=20 p95=48 max=48 stddev=19.3\n",
 		"epoch utilization (100-cycle epochs):\n",
-		"  fpu %        n=2 mean=25.0 p50=5 p95=50 max=50\n",
-		"  lsu %        n=2 mean=12.5 p50=5 p95=25 max=25\n",
-		"  dram %       n=2 mean=50.0 p50=5 p95=100 max=100\n",
-		"  cache hit %  n=2 mean=45.0 p50=5 p95=90 max=90\n",
+		"  fpu %        n=2 mean=25.0 p50=0 p95=50 max=50\n",
+		"  lsu %        n=2 mean=12.5 p50=0 p95=25 max=25\n",
+		"  dram %       n=2 mean=50.0 p50=0 p95=100 max=100\n",
+		"  cache hit %  n=2 mean=45.0 p50=0 p95=90 max=90\n",
 		"  outstanding  n=1 mean=12.0 p50=12 p95=12 max=12\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, sb.String())
+		}
+	}
+
+	// A quantile is a sample, not the edge of a bucket above it: of the
+	// outstanding counts 7 and 9 the median is 7, and with DRAM under 1%
+	// busy in one of two epochs the median is 0.
+	exact := trace.NewRecorder(100)
+	exact.Spawn(0, 0, "s")
+	exact.Join(5)
+	exact.AddSample(trace.Sample{Cycle: 100, DRAM: 0.004, Outstanding: 9})
+	exact.AddSample(trace.Sample{Cycle: 200, DRAM: 0.6, Outstanding: 7})
+	sb.Reset()
+	if err := exact.WriteSummary(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"  dram %       n=2 mean=30.0 p50=0 p95=60 max=60\n",
+		"  outstanding  n=2 mean=8.0 p50=7 p95=9 max=9\n",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, sb.String())

@@ -84,6 +84,7 @@ func TestFig3SVG(t *testing.T) {
 	if got := strings.Count(out, "<circle"); got != 15 {
 		t.Errorf("marker count = %d, want 15", got)
 	}
+	goldenCompare(t, "fig3.svg", b.Bytes())
 }
 
 func TestScalingSVG(t *testing.T) {
@@ -95,6 +96,7 @@ func TestScalingSVG(t *testing.T) {
 	if !strings.Contains(b.String(), "Strong scaling") {
 		t.Error("missing title")
 	}
+	goldenCompare(t, "scaling.svg", b.Bytes())
 }
 
 func TestDecadesAndTicks(t *testing.T) {
@@ -146,4 +148,5 @@ func TestWeakScalingSVG(t *testing.T) {
 	if !strings.Contains(b.String(), "Weak scaling") {
 		t.Error("missing title")
 	}
+	goldenCompare(t, "weak_scaling.svg", b.Bytes())
 }
