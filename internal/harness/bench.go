@@ -13,10 +13,10 @@ package harness
 //     property of the workload, not from raw engine events, which once
 //     let a 3× slower design report 3× the throughput by counting its
 //     own bookkeeping.
-//   - obs: the same FFT with observability off, with engine telemetry
-//     and with the full live surface, in a rotated order after one
-//     untimed warm-up; the suite errors when a mode moves cycles or
-//     events or when a metric primitive allocates.
+//   - obs: the same FFT with observability off and with the live
+//     sampler attached, in a rotated order after one untimed warm-up;
+//     the suite errors when a mode moves cycles or events or when a
+//     metric primitive allocates.
 //   - fault: the FFT at each of faultRates; the suite errors unless
 //     every output is bit-identical to the first, fault-free run.
 //   - serve: the transform service on a loopback port, driven by the
@@ -45,7 +45,6 @@ import (
 	"xmtfft/internal/metrics"
 	"xmtfft/internal/serve"
 	"xmtfft/internal/serve/loadgen"
-	"xmtfft/internal/sim"
 	"xmtfft/internal/stats"
 	"xmtfft/internal/xmt"
 )
@@ -333,13 +332,8 @@ var obsModes = []struct {
 	setup func(*xmt.Machine) error
 }{
 	{"off", nil},
-	{"telemetry", func(m *xmt.Machine) error {
-		m.SetTelemetry(&sim.Telemetry{})
-		return nil
-	}},
 	{"live", func(m *xmt.Machine) error {
 		m.AttachLiveMetrics(xmt.NewMetricSet(metrics.NewRegistry()), 0)
-		m.SetTelemetry(&sim.Telemetry{})
 		return nil
 	}},
 }

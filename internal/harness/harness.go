@@ -384,9 +384,9 @@ type AblationOptions struct {
 	// recorder never alters simulated cycles either way.
 	Epoch uint64
 	// Obs, when non-nil, is attached to every variant's machine (live
-	// metrics sampling plus engine telemetry, both cumulative across the
-	// sweep), and each finished variant ticks one work unit so /progress
-	// can show an ETA.
+	// metrics sampling; the series mirror the current variant's machine),
+	// and each finished variant ticks one work unit so /progress can show
+	// an ETA.
 	Obs *Obs
 	// Ckpt, when non-nil, enables checkpoint/resume at variant
 	// granularity.

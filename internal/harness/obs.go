@@ -13,27 +13,24 @@ import (
 	"time"
 
 	"xmtfft/internal/metrics"
-	"xmtfft/internal/sim"
 	"xmtfft/internal/xmt"
 )
 
 // Obs is the live observability surface for a long simulation run: one
-// metrics registry fed from three sources — the machine-level series
-// (ops, faults, utilization; xmt.MetricSet), the
-// engine-level telemetry (per-shard event counts, cycle frontier, queue
-// depths, watchdog heartbeat; sim.Telemetry), and a few wall-clock
-// series computed at scrape time (event rates, uptime, heartbeat age).
-// It serves /metrics (OpenMetrics), /progress (JSON with events/sec and
-// an ETA) and /debug/pprof/*, and can mirror the exposition to a
-// snapshot file on a timer so a run survives scrape outages.
+// metrics registry holding the series the machine's live sampler
+// publishes (ops, faults, utilization and the engine's state;
+// xmt.MetricSet) and a few wall-clock series computed at scrape time
+// (uptime, event rates, heartbeat age). It serves /metrics
+// (OpenMetrics), /progress (JSON with events/sec and an ETA) and
+// /debug/pprof/*, and can mirror the exposition to a snapshot file on a
+// timer so a run survives scrape outages.
 //
 // One Obs outlives the machines it watches: Watch may be called once
-// per ablation variant and the cumulative counters keep rising, while
-// frontier gauges track whichever machine is current.
+// per ablation variant, and every machine series then reads the newly
+// attached machine's own tallies, as a counter reset.
 type Obs struct {
-	Registry  *metrics.Registry
-	Machines  *xmt.MetricSet
-	Telemetry *sim.Telemetry
+	Registry *metrics.Registry
+	Machines *xmt.MetricSet
 
 	// Epoch is the live sampling stride in simulated cycles passed to
 	// AttachLiveMetrics by Watch; zero means the machine default.
@@ -42,28 +39,17 @@ type Obs struct {
 	start time.Time
 
 	// Wall-clock scrape-side series.
-	uptime      *metrics.Gauge
-	simCycle    *metrics.Gauge
-	simPending  *metrics.Gauge
-	simEvents   *metrics.Counter
-	simWindows  *metrics.Counter
-	simMessages *metrics.Counter
-	eventRate   *metrics.Gauge
-	wdLast      *metrics.Gauge
-	wdWindow    *metrics.Gauge
-	wdAge       *metrics.Gauge
-	workDoneG   *metrics.Gauge
-	workTotalG  *metrics.Gauge
+	uptime     *metrics.Gauge
+	eventRate  *metrics.Gauge
+	wdAge      *metrics.Gauge
+	workDoneG  *metrics.Gauge
+	workTotalG *metrics.Gauge
+	shardRate  *metrics.GaugeVec
 
 	// Checkpoint series, fed by RecordCheckpoint.
 	ckptWrites    *metrics.Counter
 	ckptBytes     *metrics.Counter
 	ckptLastCycle *metrics.Gauge
-
-	shardEvents  *metrics.CounterVec
-	shardCycle   *metrics.GaugeVec
-	shardPending *metrics.GaugeVec
-	shardRate    *metrics.GaugeVec
 
 	mu         sync.Mutex
 	machine    *xmt.Machine
@@ -72,13 +58,9 @@ type Obs struct {
 	rate       float64
 	prevShard  []uint64
 	shardRateV []float64
-	// cached vec children, indexed by shard
-	chEvents  []*metrics.Counter
-	chCycle   []*metrics.Gauge
-	chPending []*metrics.Gauge
-	chRate    []*metrics.Gauge
-	workDone  int
-	workTotal int
+	chRate     []*metrics.Gauge // shardRate children, indexed by shard
+	workDone   int
+	workTotal  int
 	// workBase and workSince are the done count and the time at SetWork:
 	// the ETA extrapolates only from units this process finished.
 	workBase  int
@@ -94,32 +76,20 @@ type Obs struct {
 func NewObs() *Obs {
 	reg := metrics.NewRegistry()
 	o := &Obs{
-		Registry:  reg,
-		Machines:  xmt.NewMetricSet(reg),
-		Telemetry: &sim.Telemetry{},
-		start:     time.Now(),
+		Registry: reg,
+		Machines: xmt.NewMetricSet(reg),
+		start:    time.Now(),
 
-		uptime:      reg.Gauge("xmtfft_uptime_seconds", "Wall-clock seconds since the observability surface was created."),
-		simCycle:    reg.Gauge("xmtfft_sim_cycle", "Simulated-cycle frontier of the attached engine."),
-		simPending:  reg.Gauge("xmtfft_sim_pending_events", "Events queued in the attached engine at last publish."),
-		simEvents:   reg.Counter("xmtfft_sim_events", "Discrete events executed, cumulative across attached engines."),
-		simWindows:  reg.Counter("xmtfft_sim_windows", "Conservative time windows completed by the sharded engine."),
-		simMessages: reg.Counter("xmtfft_sim_messages", "Cross-shard messages merged by the sharded engine."),
-		eventRate:   reg.Gauge("xmtfft_sim_events_per_second", "Event execution rate over the last scrape interval."),
-		wdLast:      reg.Gauge("xmtfft_watchdog_last_progress_cycle", "Cycle of the watchdog's latest progress mark (0 without a watchdog)."),
-		wdWindow:    reg.Gauge("xmtfft_watchdog_window_cycles", "Watchdog abort threshold in cycles (0 without a watchdog)."),
-		wdAge:       reg.Gauge("xmtfft_watchdog_heartbeat_age_seconds", "Wall-clock age of the engine's last telemetry publish; NaN before the first."),
-		workDoneG:   reg.Gauge("xmtfft_work_done", "Completed work units of the current job (e.g. ablation variants)."),
-		workTotalG:  reg.Gauge("xmtfft_work_units", "Total work units of the current job; 0 when unknown."),
+		uptime:     reg.Gauge("xmtfft_uptime_seconds", "Wall-clock seconds since the observability surface was created."),
+		eventRate:  reg.Gauge("xmtfft_sim_events_per_second", "Event execution rate over the last scrape interval."),
+		wdAge:      reg.Gauge("xmtfft_watchdog_heartbeat_age_seconds", "Wall-clock age of the live sampler's last publish; NaN before the first."),
+		workDoneG:  reg.Gauge("xmtfft_work_done", "Completed work units of the current job (e.g. ablation variants)."),
+		workTotalG: reg.Gauge("xmtfft_work_units", "Total work units of the current job; 0 when unknown."),
+		shardRate:  reg.GaugeVec("xmtfft_sim_shard_events_per_second", "Per-shard event execution rate over the last scrape interval.", "shard"),
 
 		ckptWrites:    reg.Counter("xmtfft_ckpt_writes", "Checkpoint files written by this run."),
 		ckptBytes:     reg.Counter("xmtfft_ckpt_bytes", "Total bytes of checkpoint data written by this run."),
 		ckptLastCycle: reg.Gauge("xmtfft_ckpt_last_cycle", "Simulated cycle of the most recent checkpoint (0 before the first)."),
-
-		shardEvents:  reg.CounterVec("xmtfft_sim_shard_events", "Events executed per engine shard.", "shard"),
-		shardCycle:   reg.GaugeVec("xmtfft_sim_shard_cycle", "Per-shard clock at last publish.", "shard"),
-		shardPending: reg.GaugeVec("xmtfft_sim_shard_pending_events", "Per-shard queued events at last publish.", "shard"),
-		shardRate:    reg.GaugeVec("xmtfft_sim_shard_events_per_second", "Per-shard event execution rate over the last scrape interval.", "shard"),
 	}
 	o.wdAge.Set(math.NaN())
 	o.prevTime = o.start
@@ -154,12 +124,11 @@ func StartObs(addr, snapshot string, every time.Duration, epoch uint64) (*Obs, e
 }
 
 // Watch attaches the surface to a machine: live metrics sampling every
-// o.Epoch cycles plus engine telemetry, and makes the machine's phase
-// label visible to /progress. Call again for each new machine in a
-// sweep; cumulative counters carry across.
+// o.Epoch cycles, and the machine's phase label visible to /progress.
+// Call again for each new machine in a sweep; the series then mirror
+// the new machine.
 func (o *Obs) Watch(m *xmt.Machine) {
 	m.AttachLiveMetrics(o.Machines, o.Epoch)
-	m.SetTelemetry(o.Telemetry)
 	o.mu.Lock()
 	o.machine = m
 	o.mu.Unlock()
@@ -192,27 +161,23 @@ func (o *Obs) RecordCheckpoint(bytes int64, cycle uint64) {
 	o.ckptLastCycle.SetUint(cycle)
 }
 
-// Refresh pulls the telemetry atomics into registry series and
-// recomputes the wall-clock rates. Handlers call it before every
-// encode; it is cheap (a few dozen atomic loads) and safe to call
-// concurrently with the simulation.
+// Refresh recomputes the series that need the wall clock: uptime, the
+// total and per-shard event rates and the heartbeat age. Handlers call
+// it before every encode; it is cheap (a few dozen atomic loads) and
+// safe to call concurrently with the simulation.
 func (o *Obs) Refresh() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	now := time.Now()
-	t := o.Telemetry
+	o.refresh(time.Now())
+}
 
+// refresh does Refresh's work under o.mu and returns the engine state
+// it read, with the time of its publish.
+func (o *Obs) refresh(now time.Time) (xmt.EngineSample, time.Time) {
+	e, published := o.Machines.Engine()
 	o.uptime.Set(now.Sub(o.start).Seconds())
-	o.simCycle.SetUint(t.Cycle.Load())
-	o.simPending.SetUint(t.Pending.Load())
-	events := t.Events.Load()
-	o.simEvents.Set(events)
-	o.simWindows.Set(t.Windows.Load())
-	o.simMessages.Set(t.Messages.Load())
-	o.wdLast.SetUint(t.WatchdogLast.Load())
-	o.wdWindow.SetUint(t.WatchdogWindow.Load())
-	if age, ok := t.HeartbeatAge(now); ok {
-		o.wdAge.Set(age.Seconds())
+	if !published.IsZero() {
+		o.wdAge.Set(now.Sub(published).Seconds())
 	}
 	o.workDoneG.Set(float64(o.workDone))
 	o.workTotalG.Set(float64(o.workTotal))
@@ -221,33 +186,35 @@ func (o *Obs) Refresh() {
 	// intervals (back-to-back scrapes) keep the previous value instead of
 	// amplifying noise.
 	dt := now.Sub(o.prevTime).Seconds()
-	view := t.ShardView()
-	for i := len(o.chEvents); i < len(view); i++ {
-		lbl := strconv.Itoa(i)
-		o.chEvents = append(o.chEvents, o.shardEvents.With(lbl))
-		o.chCycle = append(o.chCycle, o.shardCycle.With(lbl))
-		o.chPending = append(o.chPending, o.shardPending.With(lbl))
-		o.chRate = append(o.chRate, o.shardRate.With(lbl))
+	for i := len(o.chRate); i < len(e.Shards); i++ {
+		o.chRate = append(o.chRate, o.shardRate.With(strconv.Itoa(i)))
 		o.prevShard = append(o.prevShard, 0)
 		o.shardRateV = append(o.shardRateV, 0)
 	}
-	for i, sh := range view {
-		ev := sh.Events.Load()
-		o.chEvents[i].Set(ev)
-		o.chCycle[i].SetUint(sh.Cycle.Load())
-		o.chPending[i].SetUint(sh.Pending.Load())
+	for i, sh := range e.Shards {
 		if dt >= 1e-3 {
-			o.shardRateV[i] = float64(ev-o.prevShard[i]) / dt
-			o.prevShard[i] = ev
+			o.shardRateV[i] = rate(sh.Events, o.prevShard[i], dt)
+			o.prevShard[i] = sh.Events
 		}
 		o.chRate[i].Set(o.shardRateV[i])
 	}
 	if dt >= 1e-3 {
-		o.rate = float64(events-o.prevEvents) / dt
-		o.prevEvents = events
+		o.rate = rate(e.Events, o.prevEvents, dt)
+		o.prevEvents = e.Events
 		o.prevTime = now
 	}
 	o.eventRate.Set(o.rate)
+	return e, published
+}
+
+// rate is the per-second increase of a count read dt seconds after
+// prev. A count below prev belongs to a freshly attached machine, which
+// counted from zero, so a rate is never negative.
+func rate(count, prev uint64, dt float64) float64 {
+	if count < prev {
+		prev = 0
+	}
+	return float64(count-prev) / dt
 }
 
 // Progress is the /progress JSON document.
@@ -261,32 +228,31 @@ type Progress struct {
 	Windows         uint64  `json:"windows"`
 	Messages        uint64  `json:"messages"`
 	Shards          int     `json:"shards"`
-	HeartbeatAgeSec float64 `json:"heartbeat_age_sec"` // -1 before the first engine publish
+	HeartbeatAgeSec float64 `json:"heartbeat_age_sec"` // -1 before the first publish
 	WatchdogCycle   uint64  `json:"watchdog_cycle"`
 	WorkDone        int     `json:"work_done"`
 	WorkTotal       int     `json:"work_total"`
 	ETASec          float64 `json:"eta_sec"` // -1 when unknown
 }
 
-// Progress assembles the current progress document (refreshing rates
-// first).
+// Progress assembles the current progress document from the machine
+// series (refreshing rates first).
 func (o *Obs) Progress() Progress {
-	o.Refresh()
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	now := time.Now()
-	t := o.Telemetry
+	e, published := o.refresh(now)
 	p := Progress{
 		UptimeSec:       now.Sub(o.start).Seconds(),
-		Cycle:           t.Cycle.Load(),
-		Events:          t.Events.Load(),
+		Cycle:           e.Cycle,
+		Events:          e.Events,
 		EventsPerSec:    o.rate,
-		PendingEvents:   t.Pending.Load(),
-		Windows:         t.Windows.Load(),
-		Messages:        t.Messages.Load(),
-		Shards:          len(t.ShardView()),
+		PendingEvents:   e.Pending,
+		Windows:         e.Windows,
+		Messages:        e.Messages,
+		Shards:          len(e.Shards),
 		HeartbeatAgeSec: -1,
-		WatchdogCycle:   t.WatchdogLast.Load(),
+		WatchdogCycle:   e.WatchdogCycle,
 		WorkDone:        o.workDone,
 		WorkTotal:       o.workTotal,
 		ETASec:          -1,
@@ -294,8 +260,8 @@ func (o *Obs) Progress() Progress {
 	if o.machine != nil {
 		p.Phase = o.machine.CurrentPhase()
 	}
-	if age, ok := t.HeartbeatAge(now); ok {
-		p.HeartbeatAgeSec = age.Seconds()
+	if !published.IsZero() {
+		p.HeartbeatAgeSec = now.Sub(published).Seconds()
 	}
 	if here := p.WorkDone - o.workBase; here > 0 && p.WorkTotal > p.WorkDone {
 		perUnit := now.Sub(o.workSince).Seconds() / float64(here)

@@ -3,17 +3,63 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"xmtfft/internal/config"
 	"xmtfft/internal/metrics"
+	"xmtfft/internal/xmt"
 )
+
+// newWatched builds a 64-TCU machine (two shards) watched by obs.
+func newWatched(t *testing.T, obs *Obs) *xmt.Machine {
+	t.Helper()
+	cfg, err := config.FourK().Scaled(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := xmt.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Watch(m)
+	return m
+}
+
+// spawn runs n load-compute-store threads on m and flushes its series.
+func spawn(t *testing.T, m *xmt.Machine, n int) {
+	t.Helper()
+	_, err := m.Spawn(n, xmt.ProgramFunc(func(id int, buf []xmt.Op) []xmt.Op {
+		addr := uint64(id) * 64
+		return append(buf, xmt.Load(addr), xmt.FLOP(8), xmt.Store(addr))
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FlushLiveMetrics()
+}
+
+// parseRegistry encodes the registry and parses it back.
+func parseRegistry(t *testing.T, obs *Obs) *metrics.Exposition {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Registry.WriteOpenMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := metrics.Parse(&buf)
+	if err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	return exp
+}
 
 // scrape fetches url and returns the body.
 func scrape(t *testing.T, url string) (*http.Response, []byte) {
@@ -153,7 +199,8 @@ func TestObsSnapshot(t *testing.T) {
 		snapErrs = append(snapErrs, err)
 		mu.Unlock()
 	})
-	obs.Telemetry.Events.Add(12345)
+	m := newWatched(t, obs)
+	spawn(t, m, 64)
 	time.Sleep(20 * time.Millisecond)
 	if err := obs.Close(); err != nil {
 		t.Fatal(err)
@@ -171,8 +218,106 @@ func TestObsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot not parseable: %v\n%s", err, data)
 	}
-	if v, ok := exp.Value("xmtfft_sim_events_total", nil); !ok || v != 12345 {
-		t.Errorf("snapshot events = %g (present=%v), want 12345", v, ok)
+	events := m.SimStats().Events
+	if got, ok := exp.Value("xmtfft_sim_events_total", nil); !ok || got != float64(events) || events == 0 {
+		t.Errorf("snapshot events = %g (present=%v), want the machine's %d (> 0)", got, ok, events)
+	}
+}
+
+// TestObsConcurrentScrape encodes the registry and reads /progress from
+// another goroutine while a watched machine runs a spawn, the
+// deployment shape of the /metrics server, under the race detector:
+// every exposition parses and the published cycle never decreases.
+func TestObsConcurrentScrape(t *testing.T) {
+	obs := NewObs()
+	obs.Epoch = 64
+	m := newWatched(t, obs)
+	stop := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		var last float64
+		var buf bytes.Buffer
+		for {
+			select {
+			case <-stop:
+				errc <- nil
+				return
+			default:
+			}
+			obs.Refresh()
+			buf.Reset()
+			if err := obs.Registry.WriteOpenMetrics(&buf); err != nil {
+				errc <- err
+				return
+			}
+			exp, err := metrics.Parse(&buf)
+			if err != nil {
+				errc <- fmt.Errorf("mid-run exposition invalid: %w", err)
+				return
+			}
+			cycle, _ := exp.Value("xmtfft_sim_cycle", nil)
+			if cycle < last {
+				errc <- fmt.Errorf("xmtfft_sim_cycle went from %g to %g", last, cycle)
+				return
+			}
+			if p := obs.Progress(); float64(p.Cycle) < cycle {
+				errc <- fmt.Errorf("/progress cycle %d behind the scraped %g", p.Cycle, cycle)
+				return
+			}
+			last = cycle
+		}
+	}()
+	spawn(t, m, 4096)
+	close(stop)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if p := obs.Progress(); p.Cycle != m.Now() {
+		t.Errorf("final /progress cycle = %d, want %d", p.Cycle, m.Now())
+	}
+}
+
+// TestObsFreshMachine: after a second Watch the engine series read the
+// second machine's own tallies, and although every count drops, no
+// event rate goes negative or wraps.
+func TestObsFreshMachine(t *testing.T) {
+	obs := NewObs()
+	first := newWatched(t, obs)
+	spawn(t, first, 4096)
+	obs.Progress()
+	const gap = 2 * time.Millisecond // at least one rate interval
+	time.Sleep(gap)
+	second := newWatched(t, obs)
+	spawn(t, second, 64)
+	p := obs.Progress()
+
+	events := second.SimStats().Events
+	if events == 0 || events >= first.SimStats().Events {
+		t.Fatalf("second machine ran %d events, first %d: want fewer, not none", events, first.SimStats().Events)
+	}
+	if p.Events != events {
+		t.Errorf("/progress events = %d, want the second machine's %d", p.Events, events)
+	}
+	// A rate over at least gap of counts that began at zero is at most
+	// count/gap.
+	bound := func(count uint64) float64 { return float64(count) / gap.Seconds() }
+	if p.EventsPerSec < 0 || p.EventsPerSec > bound(events) {
+		t.Errorf("events_per_sec = %g, want in [0, %g]", p.EventsPerSec, bound(events))
+	}
+	exp := parseRegistry(t, obs)
+	if got, ok := exp.Value("xmtfft_sim_events_total", nil); !ok || got != float64(events) {
+		t.Errorf("xmtfft_sim_events_total = %g (present=%v), want %d", got, ok, events)
+	}
+	if p.Shards != 2 {
+		t.Errorf("/progress shards = %d, want 2", p.Shards)
+	}
+	for i := 0; i < p.Shards; i++ {
+		lbl := map[string]string{"shard": strconv.Itoa(i)}
+		n, _ := exp.Value("xmtfft_sim_shard_events_total", lbl)
+		r, ok := exp.Value("xmtfft_sim_shard_events_per_second", lbl)
+		if !ok || r < 0 || r > bound(uint64(n)) {
+			t.Errorf("shard %d rate = %g (present=%v), want in [0, %g]", i, r, ok, bound(uint64(n)))
+		}
 	}
 }
 

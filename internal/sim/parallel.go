@@ -260,11 +260,6 @@ type ParallelEngine struct {
 	merged  []Message
 	senders []int32  // collect's shards that sent, reused
 	slot    []uint32 // collect's per-cycle counts, then next slots: W+1
-
-	tel             *Telemetry
-	telShardFlushed []uint64 // per-shard Processed at the last shard sweep
-	telMsgFlushed   uint64
-	telWinFlushed   uint64
 }
 
 // NewParallelEngine builds an engine for p's shard count and lookahead.
@@ -346,9 +341,6 @@ func (e *ParallelEngine) Run() uint64 {
 	for {
 		start, ok := e.minNext()
 		if !ok {
-			if e.tel != nil {
-				e.publishShards()
-			}
 			return e.now
 		}
 		if e.wd != nil && e.wd.expired(start) {
@@ -371,15 +363,6 @@ func (e *ParallelEngine) Run() uint64 {
 			e.Barriers++
 			e.Messages += uint64(len(msgs))
 			e.barrier(msgs)
-		}
-		if e.tel != nil {
-			// A full per-shard sweep every telemetryWindowStride windows;
-			// the cheap frontier publish covers the others.
-			if e.Windows%telemetryWindowStride == 0 {
-				e.publishShards()
-			} else {
-				e.publishWindow()
-			}
 		}
 	}
 }
@@ -405,9 +388,6 @@ func (e *ParallelEngine) AdvanceTo(t uint64) {
 			e.hook.Advance(e.now, t)
 		}
 		e.now = t
-	}
-	if e.tel != nil {
-		e.publishShards()
 	}
 }
 

@@ -4,7 +4,9 @@ package xmt
 // records a run for post-mortem export (growing per-event state), the
 // live sampler publishes a bounded set of current values into a
 // MetricSet so an HTTP scrape or snapshot writer can watch a
-// multi-hour detailed simulation in flight.
+// multi-hour detailed simulation in flight. It is the only code that
+// publishes a running simulation: the engine keeps plain statistics and
+// the sampler mirrors them with the machine's own tallies.
 //
 // Contract (same as tracing, DESIGN.md §5): when no live sink is
 // attached the machine's hot paths see only nil-guarded branches, and
@@ -12,12 +14,14 @@ package xmt
 // results — cycle counts, counters and trace streams are bit-identical
 // with live metrics on or off, which live_test.go asserts. The hook
 // fires at window barriers where every shard is parked, so
-// coordinator-side reads (snapshots, counter reductions) are
-// race-free; publication into the MetricSet is atomic stores that a
-// concurrent scraper may read at any time.
+// coordinator-side reads (snapshots, counter reductions, engine
+// statistics) are race-free; publication into the MetricSet is atomic
+// stores that a concurrent scraper may read at any time.
 
 import (
+	"strconv"
 	"sync/atomic"
+	"time"
 
 	"xmtfft/internal/metrics"
 	"xmtfft/internal/sim"
@@ -27,14 +31,56 @@ import (
 
 // MetricSet is the fixed family of series one simulated machine (or a
 // sequence of machines in an ablation sweep) publishes: its cumulative
-// operation and fault tallies as counters and its latest epoch
-// utilization sample as gauges. Handles are resolved once at
-// construction. The machine keeps owning its tallies; Counter.Set
-// mirrors them, so a scrape sees ordinary counter-reset semantics when
-// a fresh machine attaches.
+// operation and fault tallies as counters, its latest epoch
+// utilization sample as gauges, and its engine's state (EngineSample).
+// Handles are resolved once: the machine-wide ones at construction,
+// the per-shard ones when a machine attaches. The machine keeps owning
+// its tallies; Counter.Set mirrors them, so every counter reads the
+// attached machine's own count and a scrape sees ordinary counter-reset
+// semantics when a fresh machine attaches.
 type MetricSet struct {
 	counters []counterOf
 	gauges   []gaugeOf
+
+	events, windows, messages         *metrics.Counter
+	cycle, pending, wdCycle, wdWindow *metrics.Gauge
+	shardEvents                       *metrics.CounterVec
+	shardCycle, shardPending          *metrics.GaugeVec
+	// shards holds the last attached machine's per-shard handles, for
+	// Engine.
+	shards atomic.Pointer[[]shardSeries]
+	// published is the wall-clock time (UnixNano) of the last publish,
+	// the heartbeat; 0 before the first.
+	published atomic.Int64
+}
+
+// shardSeries is one engine shard's handles.
+type shardSeries struct {
+	events         *metrics.Counter
+	cycle, pending *metrics.Gauge
+}
+
+// EngineSample is the engine state one live publish mirrors: the
+// attached machine's own engine tallies, its clock and queue depth, its
+// watchdog and each shard's share.
+type EngineSample struct {
+	Cycle    uint64 // engine clock
+	Pending  uint64 // events queued across the shards
+	Events   uint64 // events executed
+	Windows  uint64 // conservative windows advanced
+	Messages uint64 // cross-shard messages merged
+	// WatchdogCycle is the watchdog's latest progress mark and
+	// WatchdogWindow its abort threshold; both 0 without a watchdog.
+	WatchdogCycle, WatchdogWindow uint64
+
+	Shards []ShardSample // in shard order
+}
+
+// ShardSample is one engine shard's part of an EngineSample.
+type ShardSample struct {
+	Events  uint64 // events executed on the shard
+	Cycle   uint64 // shard clock
+	Pending uint64 // events queued on the shard
 }
 
 // counterOf mirrors one field of stats.Counters into a counter.
@@ -55,6 +101,18 @@ func NewMetricSet(reg *metrics.Registry) *MetricSet {
 	ops := reg.CounterVec("xmtfft_ops", "Operations executed by the simulated machine, by kind.", "kind")
 	faults := reg.CounterVec("xmtfft_faults", "Injected-fault events observed by the resilience layer, by kind.", "kind")
 	return &MetricSet{
+		events:   reg.Counter("xmtfft_sim_events", "Discrete events executed by the attached machine's engine."),
+		windows:  reg.Counter("xmtfft_sim_windows", "Conservative time windows completed by the sharded engine."),
+		messages: reg.Counter("xmtfft_sim_messages", "Cross-shard messages merged by the sharded engine."),
+		cycle:    reg.Gauge("xmtfft_sim_cycle", "Simulated-cycle frontier of the attached engine."),
+		pending:  reg.Gauge("xmtfft_sim_pending_events", "Events queued in the attached engine at last publish."),
+		wdCycle:  reg.Gauge("xmtfft_watchdog_last_progress_cycle", "Cycle of the watchdog's latest progress mark (0 without a watchdog)."),
+		wdWindow: reg.Gauge("xmtfft_watchdog_window_cycles", "Watchdog abort threshold in cycles (0 without a watchdog)."),
+
+		shardEvents:  reg.CounterVec("xmtfft_sim_shard_events", "Events executed per engine shard.", "shard"),
+		shardCycle:   reg.GaugeVec("xmtfft_sim_shard_cycle", "Per-shard clock at last publish.", "shard"),
+		shardPending: reg.GaugeVec("xmtfft_sim_shard_pending_events", "Per-shard queued events at last publish.", "shard"),
+
 		counters: []counterOf{
 			{ops.With("fp"), func(c *stats.Counters) uint64 { return c.FPOps }},
 			{ops.With("alu"), func(c *stats.Counters) uint64 { return c.ALUOps }},
@@ -105,40 +163,97 @@ func NewMetricSet(reg *metrics.Registry) *MetricSet {
 	}
 }
 
+// attach resolves and returns the per-shard handles of an n-shard
+// machine, which Engine reads from then on.
+func (s *MetricSet) attach(n int) []shardSeries {
+	hs := make([]shardSeries, n)
+	for i := range hs {
+		lbl := strconv.Itoa(i)
+		hs[i] = shardSeries{s.shardEvents.With(lbl), s.shardCycle.With(lbl), s.shardPending.With(lbl)}
+	}
+	s.shards.Store(&hs)
+	return hs
+}
+
 // set publishes the machine's cumulative tallies (the fault-injection
-// tallies ride on stats.Counters) and one epoch utilization sample, the
-// same values internal/trace records for post-mortem export.
-func (s *MetricSet) set(c *stats.Counters, sm *trace.Sample) {
+// tallies ride on stats.Counters), one epoch utilization sample (the
+// same values internal/trace records for post-mortem export) and the
+// engine state, whose Shards go to the machine's handles hs, and stamps
+// the heartbeat.
+func (s *MetricSet) set(c *stats.Counters, sm *trace.Sample, e *EngineSample, hs []shardSeries) {
 	for _, t := range s.counters {
 		t.c.Set(t.field(c))
 	}
 	for _, g := range s.gauges {
 		g.g.Set(g.field(sm))
 	}
+	s.events.Set(e.Events)
+	s.windows.Set(e.Windows)
+	s.messages.Set(e.Messages)
+	s.cycle.SetUint(e.Cycle)
+	s.pending.SetUint(e.Pending)
+	s.wdCycle.SetUint(e.WatchdogCycle)
+	s.wdWindow.SetUint(e.WatchdogWindow)
+	for i, h := range hs {
+		sh := &e.Shards[i]
+		h.events.Set(sh.Events)
+		h.cycle.SetUint(sh.Cycle)
+		h.pending.SetUint(sh.Pending)
+	}
+	s.published.Store(time.Now().UnixNano())
 }
 
-// liveMetrics implements sim.Hook, publishing counters and epoch
-// utilization into a MetricSet.
+// Engine reads the engine state of the last publish back from the
+// series, with the wall-clock time of that publish (zero before the
+// first), the heartbeat a scraper ages. Safe to call concurrently with
+// the simulation.
+func (s *MetricSet) Engine() (EngineSample, time.Time) {
+	e := EngineSample{
+		Cycle:          uint64(s.cycle.Value()),
+		Pending:        uint64(s.pending.Value()),
+		Events:         s.events.Value(),
+		Windows:        s.windows.Value(),
+		Messages:       s.messages.Value(),
+		WatchdogCycle:  uint64(s.wdCycle.Value()),
+		WatchdogWindow: uint64(s.wdWindow.Value()),
+	}
+	if hs := s.shards.Load(); hs != nil {
+		e.Shards = make([]ShardSample, len(*hs))
+		for i, h := range *hs {
+			e.Shards[i] = ShardSample{h.events.Value(), uint64(h.cycle.Value()), uint64(h.pending.Value())}
+		}
+	}
+	var at time.Time
+	if ns := s.published.Load(); ns != 0 {
+		at = time.Unix(0, ns)
+	}
+	return e, at
+}
+
+// liveMetrics implements sim.Hook, publishing counters, epoch
+// utilization and engine state into a MetricSet.
 type liveMetrics struct {
-	m     *Machine
-	ms    *MetricSet
-	epoch uint64
-	next  uint64
-	st    epochState
-	phase atomic.Pointer[string]
+	m      *Machine
+	ms     *MetricSet
+	shards []shardSeries // the machine's per-shard handles
+	epoch  uint64
+	next   uint64
+	st     epochState
+	eng    EngineSample // reused by every publish
+	phase  atomic.Pointer[string]
 }
 
 // Advance implements sim.Hook.
 func (l *liveMetrics) Advance(prev, now uint64) {
 	for l.next <= now {
-		l.publish(l.next)
+		l.publish(l.next, now)
 		l.next += l.epoch
 	}
 }
 
-// publish refreshes counters and records the epoch utilization sample
-// ending at cycle.
-func (l *liveMetrics) publish(cycle uint64) {
+// publish refreshes counters and the engine state at engine clock now,
+// and records the epoch utilization sample ending at cycle.
+func (l *liveMetrics) publish(cycle, now uint64) {
 	m := l.m
 	// Shards are parked (hook fires at barriers / between sections), so
 	// the reduction is race-free; it is a pure function of shard state,
@@ -146,7 +261,24 @@ func (l *liveMetrics) publish(cycle uint64) {
 	m.reduceCounters()
 	m.syncMemCounters()
 	sm := m.utilSample(cycle, l.epoch, &l.st)
-	l.ms.set(&m.Counters, &sm)
+	m.engineSample(now, &l.eng)
+	l.ms.set(&m.Counters, &sm, &l.eng, l.shards)
+}
+
+// engineSample fills e with the engine's own statistics at clock now,
+// reusing e.Shards.
+func (m *Machine) engineSample(now uint64, e *EngineSample) {
+	*e = EngineSample{Cycle: now, Windows: m.eng.Windows, Messages: m.eng.Messages, Shards: e.Shards[:0]}
+	for i := range m.eng.Shards() {
+		sh := m.eng.Shard(i)
+		s := ShardSample{Events: sh.Processed, Cycle: sh.Now(), Pending: uint64(sh.Pending())}
+		e.Events += s.Events
+		e.Pending += s.Pending
+		e.Shards = append(e.Shards, s)
+	}
+	if m.wd != nil {
+		e.WatchdogCycle, e.WatchdogWindow = m.wd.LastProgress(), m.wd.Window
+	}
 }
 
 // AttachLiveMetrics connects a live metrics sink sampling every epoch
@@ -163,30 +295,27 @@ func (m *Machine) AttachLiveMetrics(ms *MetricSet, epoch uint64) {
 		epoch = 4096
 	}
 	m.live = &liveMetrics{
-		m:     m,
-		ms:    ms,
-		epoch: epoch,
-		st:    newEpochState(m),
-		next:  (m.Now()/epoch + 1) * epoch,
+		m:      m,
+		ms:     ms,
+		shards: ms.attach(m.eng.Shards()),
+		epoch:  epoch,
+		st:     newEpochState(m),
+		next:   (m.Now()/epoch + 1) * epoch,
 	}
-	m.live.publish(m.Now()) // seed the series before the first epoch tick
+	m.live.publish(m.Now(), m.Now()) // seed the series before the first epoch tick
 	m.installHook()
 }
 
-// FlushLiveMetrics forces an immediate publish of counters and the
-// current utilization sample (no-op without a live sink). The harness
-// calls it when a run completes so the final scrape and snapshot show
-// the finished totals rather than the last epoch tick.
+// FlushLiveMetrics forces an immediate publish of counters, engine
+// state and the current utilization sample (no-op without a live
+// sink). The harness calls it when a run completes so the final scrape
+// and snapshot show the finished totals rather than the last epoch
+// tick.
 func (m *Machine) FlushLiveMetrics() {
 	if m.live != nil {
-		m.live.publish(m.Now())
+		m.live.publish(m.Now(), m.Now())
 	}
 }
-
-// SetTelemetry installs (or, with nil, removes) an engine-level
-// telemetry sink: per-shard event counts, the simulated-cycle frontier,
-// queue depths and watchdog heartbeat.
-func (m *Machine) SetTelemetry(t *sim.Telemetry) { m.eng.SetTelemetry(t) }
 
 // CurrentPhase returns the label of the most recent Section while a
 // live sink is attached ("" otherwise). Safe to call concurrently with

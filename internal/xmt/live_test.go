@@ -2,12 +2,12 @@ package xmt
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"xmtfft/internal/config"
 	"xmtfft/internal/metrics"
-	"xmtfft/internal/sim"
 	"xmtfft/internal/stats"
 	"xmtfft/internal/trace"
 )
@@ -29,7 +29,6 @@ func liveRun(t *testing.T, cfg config.Config, withTrace, withLive bool) (sharded
 	if withLive {
 		reg = metrics.NewRegistry()
 		m.AttachLiveMetrics(NewMetricSet(reg), 64)
-		m.SetTelemetry(&sim.Telemetry{})
 	}
 	var out shardedRun
 	for _, w := range diffWorkloads(cfg.TCUs) {
@@ -83,9 +82,10 @@ func TestLiveMetricsZeroPerturbation(t *testing.T) {
 }
 
 // TestLiveMetricsPublishedValues checks that after a run (plus a final
-// flush) the bridged registry holds the machine's exact totals and the
+// flush) the registry holds the machine's exact totals and the
 // exposition parses cleanly with all the series the acceptance criteria
-// name: per-shard event rates, utilization, faults, watchdog heartbeat.
+// name: ops, utilization, faults, and every engine series (totals,
+// clock, queue depths, per-shard tallies, watchdog).
 func TestLiveMetricsPublishedValues(t *testing.T) {
 	cfg, err := config.FourK().Scaled(64)
 	if err != nil {
@@ -97,8 +97,6 @@ func TestLiveMetricsPublishedValues(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	m.AttachLiveMetrics(NewMetricSet(reg), 64)
-	tel := &sim.Telemetry{}
-	m.SetTelemetry(tel)
 	m.SetWatchdog(1 << 30)
 
 	for _, w := range diffWorkloads(cfg.TCUs) {
@@ -149,30 +147,48 @@ func TestLiveMetricsPublishedValues(t *testing.T) {
 		t.Error("xmtfft_util_dram missing")
 	}
 
-	// Engine telemetry: per-shard series present and consistent.
-	stats := m.SimStats()
-	if got := tel.Events.Load(); got != stats.Events {
-		t.Errorf("telemetry events = %d, want %d", got, stats.Events)
+	// Engine series: the machine's own engine statistics and watchdog.
+	st := m.SimStats()
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"xmtfft_sim_events_total", st.Events},
+		{"xmtfft_sim_windows_total", st.Windows},
+		{"xmtfft_sim_messages_total", st.Messages},
+		{"xmtfft_sim_cycle", m.Now()},
+		{"xmtfft_sim_pending_events", 0},
+		{"xmtfft_watchdog_last_progress_cycle", m.wd.LastProgress()},
+		{"xmtfft_watchdog_window_cycles", 1 << 30},
+	} {
+		if got, ok := exp.Value(c.name, nil); !ok || got != float64(c.want) {
+			t.Errorf("%s = %g (present=%v), want %d", c.name, got, ok, c.want)
+		}
 	}
-	if got := tel.Cycle.Load(); got != m.Now() {
-		t.Errorf("telemetry cycle = %d, want %d", got, m.Now())
+	if m.wd.LastProgress() == 0 {
+		t.Error("watchdog progress never marked")
 	}
-	view := tel.ShardView()
-	if len(view) != cfg.Clusters {
-		t.Fatalf("telemetry shard count = %d, want %d", len(view), cfg.Clusters)
+	var shardSum float64
+	for i := range cfg.Clusters {
+		lbl := map[string]string{"shard": strconv.Itoa(i)}
+		sh := m.eng.Shard(i)
+		events, ok := exp.Value("xmtfft_sim_shard_events_total", lbl)
+		if !ok || events != float64(sh.Processed) {
+			t.Errorf("shard %d events = %g (present=%v), want %d", i, events, ok, sh.Processed)
+		}
+		shardSum += events
+		if got, ok := exp.Value("xmtfft_sim_shard_cycle", lbl); !ok || got != float64(sh.Now()) {
+			t.Errorf("shard %d cycle = %g (present=%v), want %d", i, got, ok, sh.Now())
+		}
+		if got, ok := exp.Value("xmtfft_sim_shard_pending_events", lbl); !ok || got != 0 {
+			t.Errorf("shard %d pending = %g (present=%v), want 0", i, got, ok)
+		}
 	}
-	var shardSum uint64
-	for _, sh := range view {
-		shardSum += sh.Events.Load()
+	if _, ok := exp.Value("xmtfft_sim_shard_events_total", map[string]string{"shard": strconv.Itoa(cfg.Clusters)}); ok {
+		t.Errorf("a shard beyond the machine's %d is published", cfg.Clusters)
 	}
-	if shardSum != stats.Events {
-		t.Errorf("per-shard event sum = %d, want %d", shardSum, stats.Events)
-	}
-	if tel.WatchdogWindow.Load() != 1<<30 {
-		t.Errorf("watchdog window not published: %d", tel.WatchdogWindow.Load())
-	}
-	if tel.WatchdogLast.Load() == 0 {
-		t.Error("watchdog progress never published")
+	if shardSum != float64(st.Events) {
+		t.Errorf("per-shard event sum = %g, want %d", shardSum, st.Events)
 	}
 
 	if got := m.CurrentPhase(); got != "mixed" {
@@ -257,12 +273,20 @@ func TestAttachLiveMetricsDetach(t *testing.T) {
 	}
 }
 
-// TestMetricSetRoundTrip: every stats.Counters tally and trace.Sample
-// field goes through the metric set into the registry, out as
-// OpenMetrics text and back through the strict parser unchanged.
+// TestMetricSetRoundTrip: every stats.Counters tally, trace.Sample
+// field and engine scalar goes through the metric set into the
+// registry, out as OpenMetrics text and back through the strict parser
+// unchanged, and Engine reads the engine scalars back.
 func TestMetricSetRoundTrip(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ms := NewMetricSet(reg)
+	if _, at := ms.Engine(); !at.IsZero() {
+		t.Errorf("heartbeat %v before the first publish, want zero", at)
+	}
+	eng := EngineSample{
+		Cycle: 5000, Pending: 9, Events: 12345, Windows: 678, Messages: 910,
+		WatchdogCycle: 4800, WatchdogWindow: 1 << 20,
+	}
 	ms.set(&stats.Counters{
 		FPOps: 111, ALUOps: 222, Loads: 333, Stores: 444, PSOps: 5,
 		Threads: 64, Spawns: 3, CacheHits: 900, CacheMisses: 100,
@@ -273,7 +297,10 @@ func TestMetricSetRoundTrip(t *testing.T) {
 	}, &trace.Sample{
 		Cycle: 4096, FPU: 0.75, LSU: 0.5, DRAM: 0.984375,
 		HitRate: 0.9, Outstanding: 17, NoCPackets: 123,
-	})
+	}, &eng, nil)
+	if got, at := ms.Engine(); !reflect.DeepEqual(got, eng) || at.IsZero() {
+		t.Errorf("Engine() = %+v at %v, want %+v at a publish time", got, at, eng)
+	}
 
 	var sb strings.Builder
 	if err := reg.WriteOpenMetrics(&sb); err != nil {
@@ -315,6 +342,13 @@ func TestMetricSetRoundTrip(t *testing.T) {
 		{"xmtfft_outstanding_threads", nil, 17},
 		{"xmtfft_sample_cycle", nil, 4096},
 		{"xmtfft_epoch_noc_packets", nil, 123},
+		{"xmtfft_sim_events_total", nil, 12345},
+		{"xmtfft_sim_windows_total", nil, 678},
+		{"xmtfft_sim_messages_total", nil, 910},
+		{"xmtfft_sim_cycle", nil, 5000},
+		{"xmtfft_sim_pending_events", nil, 9},
+		{"xmtfft_watchdog_last_progress_cycle", nil, 4800},
+		{"xmtfft_watchdog_window_cycles", nil, 1 << 20},
 	}
 	for _, c := range checks {
 		if got, ok := exp.Value(c.name, c.labels); !ok || got != c.want {

@@ -369,9 +369,8 @@ func (m *Machine) Spawn(n int, prog Program) (SpawnResult, error) {
 	}
 	ops := m.Counters
 	subtract(&ops, before)
-	u := m.UtilizationSince(snap)
 	return SpawnResult{Start: start, End: end, Threads: n, Ops: ops,
-		Util: stats.Util{FPU: u.FPU, LSU: u.LSU, DRAM: u.DRAM}}, nil
+		Util: m.UtilizationSince(snap)}, nil
 }
 
 // syncMemCounters copies the memory system's and network's cumulative
@@ -435,17 +434,6 @@ func subtract(c *stats.Counters, base stats.Counters) {
 	c.ECCCorrected -= base.ECCCorrected
 	c.ECCUncorrectable -= base.ECCUncorrectable
 	c.SilentFaults -= base.SilentFaults
-}
-
-// DRAMUtilization returns the fraction of total DRAM channel slots busy
-// over the machine's lifetime so far.
-func (m *Machine) DRAMUtilization() float64 {
-	cycles := m.Now()
-	if cycles == 0 {
-		return 0
-	}
-	slots := float64(cycles) * float64(m.cfg.DRAMChannels())
-	return float64(m.memory.ChannelBusy()) / slots
 }
 
 // EnablePrefetch toggles the memory system's next-line prefetcher, one

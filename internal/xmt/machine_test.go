@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"xmtfft/internal/config"
+	"xmtfft/internal/stats"
 )
 
 func tiny(t *testing.T) *Machine {
@@ -316,7 +317,7 @@ func TestBandwidthBoundStreamingSpawn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := m.DRAMUtilization(); u < 0.5 {
+	if u := m.UtilizationSince(Snapshot{}).DRAM; u < 0.5 {
 		t.Fatalf("streaming workload reached only %.0f%% DRAM utilization", u*100)
 	}
 }
@@ -417,10 +418,10 @@ func TestSnapshotUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := m.UtilizationSince(before)
-	if u.Cycles == 0 {
+	if m.Now() == before.Cycle {
 		t.Fatal("no cycles elapsed")
 	}
+	u := m.UtilizationSince(before)
 	if u.FPU <= 0 || u.FPU > 1 || u.LSU < 0 || u.LSU > 1 || u.DRAM < 0 || u.DRAM > 1 {
 		t.Fatalf("utilization out of range: %+v", u)
 	}
@@ -429,7 +430,7 @@ func TestSnapshotUtilization(t *testing.T) {
 	}
 	// Interval with no activity reports zeros.
 	s := m.Snapshot()
-	if got := m.UtilizationSince(s); got != (Utilization{}) {
+	if got := m.UtilizationSince(s); got != (stats.Util{}) {
 		t.Errorf("idle utilization = %+v", got)
 	}
 }

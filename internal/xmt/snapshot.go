@@ -5,6 +5,8 @@ package xmt
 // phase) yield per-resource utilization, the measurements behind the
 // Roofline placement discussion of §VI-B.
 
+import "xmtfft/internal/stats"
+
 // Snapshot captures cumulative resource-busy counters at one cycle.
 type Snapshot struct {
 	Cycle      uint64
@@ -27,31 +29,22 @@ func (m *Machine) Snapshot() Snapshot {
 	return s
 }
 
-// Utilization is the fraction of available slots used per resource over
-// an interval (0..1; a resource near 1 is the binding one).
-type Utilization struct {
-	Cycles uint64
-	FPU    float64
-	LSU    float64
-	DRAM   float64
-}
-
 // UtilizationSince computes utilization between an earlier snapshot and
-// now.
-func (m *Machine) UtilizationSince(prev Snapshot) Utilization {
+// now; an interval of no cycles reads zero. UtilizationSince(Snapshot{})
+// is the machine's lifetime utilization.
+func (m *Machine) UtilizationSince(prev Snapshot) stats.Util {
 	cur := m.Snapshot()
 	cycles := cur.Cycle - prev.Cycle
 	if cycles == 0 {
-		return Utilization{}
+		return stats.Util{}
 	}
 	cfg := m.cfg
 	frac := func(busy, unitsPerCycle uint64) float64 {
 		return float64(busy) / (float64(cycles) * float64(unitsPerCycle))
 	}
-	return Utilization{
-		Cycles: cycles,
-		FPU:    frac(cur.FPUBusy-prev.FPUBusy, uint64(cfg.Clusters*cfg.FPUsPerCluster)),
-		LSU:    frac(cur.LSUBusy-prev.LSUBusy, uint64(cfg.Clusters*cfg.LSUsPerCluster)),
-		DRAM:   frac(cur.DRAMBusy-prev.DRAMBusy, uint64(cfg.DRAMChannels())),
+	return stats.Util{
+		FPU:  frac(cur.FPUBusy-prev.FPUBusy, uint64(cfg.Clusters*cfg.FPUsPerCluster)),
+		LSU:  frac(cur.LSUBusy-prev.LSUBusy, uint64(cfg.Clusters*cfg.LSUsPerCluster)),
+		DRAM: frac(cur.DRAMBusy-prev.DRAMBusy, uint64(cfg.DRAMChannels())),
 	}
 }
